@@ -23,10 +23,10 @@ def paired_diffs(gamma, lr, steps, n_seeds, base):
     for seed in range(n_seeds):
         task = synth_task(5, 10, 10, 16, 3.0, 1.5,
                           np.random.default_rng([base, seed]))
-        acc_with = run_episode(task, True, with_penalty).query_accuracy
+        acc_with = run_episode(task, with_penalty).query_accuracy
         task = synth_task(5, 10, 10, 16, 3.0, 1.5,
                           np.random.default_rng([base, seed]))
-        acc_without = run_episode(task, True, without).query_accuracy
+        acc_without = run_episode(task, without).query_accuracy
         diffs[seed] = acc_with - acc_without
     return diffs
 

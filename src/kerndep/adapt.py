@@ -19,10 +19,12 @@ from .kernels import (
     GAUSSIAN,
     KERNEL_FAMILIES,
     RADIAL_FAMILIES,
+    KernelSpec,
     as_embeddings,
     as_labels,
     cosine_gram,
     kernel_from_sq_dists,
+    kernel_matrix,
     label_kernel_matrix,
     sq_dist_matrix,
 )
@@ -198,15 +200,6 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     return sims.argmax(axis=1)
 
 
-def _zero_diag_gram(z: np.ndarray, family: str, sigma: float) -> np.ndarray:
-    if family == COSINE:
-        k = cosine_gram(z)
-    else:
-        k = kernel_from_sq_dists(sq_dist_matrix(z), family, sigma)
-    np.fill_diagonal(k, 0.0)
-    return k
-
-
 def dependence_loss(z, labels, sigma_zy: float, sigma_zz: float, gamma: float,
                     family: str = GAUSSIAN) -> float:
     """-dependence(z, labels) + gamma * self-dependence(z, z).
@@ -216,11 +209,11 @@ def dependence_loss(z, labels, sigma_zy: float, sigma_zz: float, gamma: float,
     """
     z = as_embeddings(z)
     y = as_labels(labels, z.shape[0])
-    kt = _zero_diag_gram(z, family, sigma_zy)
+    kt = kernel_matrix(KernelSpec(family, sigma_zy), z, zero_diag=True)
     lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
     loss = -hsic_unbiased(kt, lt)
     if gamma != 0.0:
-        kt_zz = _zero_diag_gram(z, family, sigma_zz)
+        kt_zz = kernel_matrix(KernelSpec(family, sigma_zz), z, zero_diag=True)
         loss += gamma * hsic_unbiased(kt_zz, kt_zz)
     return float(loss)
 
@@ -382,8 +375,7 @@ def _class_boundaries(y: np.ndarray) -> tuple[int, ...]:
     return tuple([0, *changes.tolist()])
 
 
-def run_episode(task, raw_embeddings_applied: bool = True,
-                config: AdaptConfig | None = None) -> EpisodeResult:
+def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     """Adapt a fresh identity head on the task's support set and score the query.
 
     Phases: select bandwidths on the untouched support representation (mode
@@ -391,10 +383,6 @@ def run_episode(task, raw_embeddings_applied: bool = True,
     coefficient on the same base or runs its own search), then run the
     configured number of update steps with those bandwidths frozen, then
     classify the query set with the nearest-centroid rule.
-
-    raw_embeddings_applied asserts that the task carries raw backbone
-    embeddings (no head has been applied upstream); it does not change the
-    computation.
     """
     cfg = config if config is not None else AdaptConfig()
     support_x = as_embeddings(task.support_x)

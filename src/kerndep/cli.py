@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .adapt import AdaptConfig
 from .evaluation import evaluate, similarity_export
-from .hsic import BandwidthGrid, DEFAULT_EPSILON, select_bandwidth
+from .hsic import BandwidthGrid, DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, select_bandwidth
 from .kernels import KERNEL_FAMILIES, as_labels
 from .tasks import (
     EmbeddingFormatError,
@@ -45,27 +46,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_ADAPT_KEYS = {
-    "gamma": float,
-    "learning_rate": float,
-    "steps": int,
-    "weight_decay": float,
-    "epsilon": float,
-    "kernel_family": str,
-    "share_zz_coefficient": _parse_bool,
-    "normalize_features": _parse_bool,
-    "loss": str,
-    "rho": float,
-    "opt_eps": float,
-    "grid_coefficients": _parse_float_list,
-}
-_SAMPLER_KEYS = {
-    "n_max": int,
-    "max_support": int,
-    "max_query_per_class": int,
-    "max_shots_per_class": int,
-    "seed": int,
-}
+# Config keys are the fields of the config dataclasses (their defaults give the
+# value types), except the grid, which is set by its coefficients and takes
+# the adaptation epsilon.
+_DEFAULTS = {f.name: f.default
+             for f in (*fields(AdaptConfig), *fields(SamplerConfig))
+             if f.default is not None}
+_DEFAULTS["grid_coefficients"] = DEFAULT_GRID_COEFFICIENTS
+_PARSERS = {key: _parse_bool if isinstance(default, bool) else type(default)
+            for key, default in _DEFAULTS.items()}
+_PARSERS["grid_coefficients"] = _parse_float_list
 
 
 def read_config_file(path) -> dict[str, object]:
@@ -74,7 +64,6 @@ def read_config_file(path) -> dict[str, object]:
     Unknown keys are rejected by name; values are coerced to the type of the
     matching config field.
     """
-    known = {**_ADAPT_KEYS, **_SAMPLER_KEYS}
     values: dict[str, object] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,21 +75,13 @@ def read_config_file(path) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in _PARSERS:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = known[key](value)
+            values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: bad value for {key!r}: {exc}") from None
     return values
-
-
-def _resolve(flag_value, file_values: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return file_values[key]
-    return default
 
 
 def cmd_synth(args) -> int:
@@ -143,10 +124,9 @@ def cmd_hsic(args) -> int:
     selection = select_bandwidth(z, labels, args.kernel, grid)
 
     header = ("coeff", "sigma", "hsic", "variance", "power_ratio", "selected")
-    rows = []
-    for coeff, est in zip(grid.coefficients, selection.table):
-        chosen = 1 if (coeff == selection.coefficient and est.sigma == selection.sigma) else 0
-        rows.append((coeff, est.sigma, est.value, est.variance, est.power_ratio, chosen))
+    rows = [(coeff, est.sigma, est.value, est.variance, est.power_ratio,
+             int(coeff == selection.coefficient))
+            for coeff, est in zip(grid.coefficients, selection.table)]
 
     if args.format == "csv":
         print(",".join(header))
@@ -167,45 +147,14 @@ def cmd_hsic(args) -> int:
 
 def cmd_eval(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-
-    adapt_defaults = {f: getattr(AdaptConfig, f) for f in
-                      ("gamma", "learning_rate", "steps", "weight_decay", "epsilon",
-                       "kernel_family", "share_zz_coefficient", "normalize_features",
-                       "loss", "rho", "opt_eps")}
-    gamma = _resolve(args.gamma, file_values, "gamma", adapt_defaults["gamma"])
-    lr = _resolve(args.lr, file_values, "learning_rate", adapt_defaults["learning_rate"])
-    steps = _resolve(args.steps, file_values, "steps", adapt_defaults["steps"])
-    wd = _resolve(args.weight_decay, file_values, "weight_decay",
-                  adapt_defaults["weight_decay"])
-    epsilon = _resolve(None, file_values, "epsilon", adapt_defaults["epsilon"])
-    kernel = _resolve(args.kernel, file_values, "kernel_family",
-                      adapt_defaults["kernel_family"])
-    share_zz = _resolve(args.share_zz, file_values, "share_zz_coefficient",
-                        adapt_defaults["share_zz_coefficient"])
-    normalize = _resolve(None, file_values, "normalize_features",
-                         adapt_defaults["normalize_features"])
-    loss = _resolve(args.loss, file_values, "loss", adapt_defaults["loss"])
-    rho = _resolve(None, file_values, "rho", adapt_defaults["rho"])
-    opt_eps = _resolve(None, file_values, "opt_eps", adapt_defaults["opt_eps"])
-    coefficients = _resolve(None, file_values, "grid_coefficients",
-                            BandwidthGrid().coefficients)
-
-    adapt_cfg = AdaptConfig(
-        gamma=gamma, learning_rate=lr, steps=steps, weight_decay=wd,
-        epsilon=epsilon, grid=BandwidthGrid(coefficients, epsilon),
-        kernel_family=kernel, share_zz_coefficient=share_zz,
-        normalize_features=normalize, loss=loss, rho=rho, opt_eps=opt_eps,
-    )
-    seed = _resolve(args.seed, file_values, "seed", SamplerConfig.seed)
-    sampler_cfg = SamplerConfig(
-        n_max=_resolve(None, file_values, "n_max", SamplerConfig.n_max),
-        max_support=_resolve(None, file_values, "max_support", SamplerConfig.max_support),
-        max_query_per_class=_resolve(None, file_values, "max_query_per_class",
-                                     SamplerConfig.max_query_per_class),
-        max_shots_per_class=_resolve(None, file_values, "max_shots_per_class",
-                                     SamplerConfig.max_shots_per_class),
-        seed=seed,
-    )
+    flags = {key: value for key in _DEFAULTS
+             if (value := getattr(args, key, None)) is not None}
+    settings = {**_DEFAULTS, **file_values, **flags}  # flag > file > default
+    grid = BandwidthGrid(settings.pop("grid_coefficients"), settings["epsilon"])
+    adapt_cfg = AdaptConfig(grid=grid, **{f.name: settings.pop(f.name)
+                                          for f in fields(AdaptConfig) if f.name in settings})
+    sampler_cfg = SamplerConfig(**settings)
+    seed = sampler_cfg.seed
 
     dataset = load_embeddings(args.embeddings)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -268,12 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--episodes", type=int, default=100)
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--gamma", type=float, default=None)
-    p_eval.add_argument("--lr", type=float, default=None)
+    p_eval.add_argument("--lr", type=float, default=None, dest="learning_rate",
+                        metavar="LR")
     p_eval.add_argument("--steps", type=int, default=None)
     p_eval.add_argument("--weight-decay", type=float, default=None)
-    p_eval.add_argument("--kernel", choices=KERNEL_FAMILIES, default=None)
+    p_eval.add_argument("--kernel", choices=KERNEL_FAMILIES, default=None,
+                        dest="kernel_family")
     p_eval.add_argument("--share-zz", action=argparse.BooleanOptionalAction,
-                        default=None)
+                        default=None, dest="share_zz_coefficient")
     p_eval.add_argument("--loss", choices=("mokd", "ncc"), default=None)
     p_eval.add_argument("--config", default=None,
                         help="flat key=value config file; flags win over it")

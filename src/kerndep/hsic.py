@@ -44,6 +44,8 @@ class BandwidthGrid:
             raise ValueError("bandwidth grid must contain at least one coefficient")
         if any(not c > 0 for c in coeffs):
             raise ValueError("grid coefficients must be positive")
+        if len(set(coeffs)) != len(coeffs):
+            raise ValueError(f"grid coefficients must be distinct, got {coeffs}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         object.__setattr__(self, "coefficients", coeffs)

@@ -219,7 +219,7 @@ def test_criterion_06_episode_convergence():
     for i in range(100):
         rng = np.random.default_rng([606060, i])
         task = synth_task(5, 10, 10, 16, 6.0, 1.0, rng, seed=606060, episode=i)
-        result = run_episode(task, True, cfg)
+        result = run_episode(task, cfg)
         accuracies.append(result.query_accuracy)
         gaps.append(similarity_gap(result))
     mean_acc = float(np.mean(accuracies))
@@ -242,10 +242,10 @@ def test_criterion_07_gamma_ablation_direction():
     for seed in range(50):
         rng = np.random.default_rng([707070, seed])
         task = synth_task(5, 10, 10, 16, 3.0, 1.5, rng, seed=707070, episode=seed)
-        acc_with = run_episode(task, True, with_penalty).query_accuracy
+        acc_with = run_episode(task, with_penalty).query_accuracy
         rng = np.random.default_rng([707070, seed])
         task = synth_task(5, 10, 10, 16, 3.0, 1.5, rng, seed=707070, episode=seed)
-        acc_without = run_episode(task, True, without).query_accuracy
+        acc_without = run_episode(task, without).query_accuracy
         diffs.append(acc_with - acc_without)
     mean_diff = float(np.mean(diffs))
     elapsed = time.perf_counter() - t0

@@ -3,13 +3,17 @@
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerndep.adapt import AdaptConfig
 from kerndep.cli import main, read_config_file
-from kerndep.tasks import load_embeddings, synth_dataset, save_embeddings
+from kerndep.evaluation import EvalReport
+from kerndep.hsic import BandwidthGrid
+from kerndep.tasks import SamplerConfig, load_embeddings, synth_dataset, save_embeddings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -116,6 +120,17 @@ def test_hsic_custom_grid_flag(pool_path, capsys):
     )
     assert code == 0
     assert len(stdout.splitlines()) == 4
+
+
+def test_hsic_duplicate_grid_coefficients_exit_two(pool_path, capsys):
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["hsic", "--embeddings", str(pool_path), "--grid", "1,1,2",
+         "--format", "csv"],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "distinct" in stderr
 
 
 def test_hsic_coeff_and_grid_are_mutually_exclusive(pool_path, capsys):
@@ -330,6 +345,108 @@ def test_flag_beats_config_beats_default(pool_path, tmp_path, capsys):
     # default layer: dropping both flag and file key falls back to steps=40
     _, defaults, _ = run_cli(capsys, [*base, "--gamma", "1.0"])
     assert defaults != from_config
+
+
+FULL_CONFIG = {
+    "gamma": 2.0,
+    "learning_rate": 0.3,
+    "steps": 3,
+    "weight_decay": 0.1,
+    "epsilon": 2e-5,
+    "kernel_family": "imq",
+    "share_zz_coefficient": False,
+    "normalize_features": False,
+    "loss": "ncc",
+    "rho": 0.8,
+    "opt_eps": 1e-7,
+    "grid_coefficients": (0.5, 1.0, 2.0),
+    "n_max": 20,
+    "max_support": 100,
+    "max_query_per_class": 5,
+    "max_shots_per_class": 10,
+    "seed": 3,
+}
+FLAG_OVERRIDES = [
+    (["--gamma", "0.5"], "gamma", 0.5),
+    (["--lr", "0.7"], "learning_rate", 0.7),
+    (["--steps", "9"], "steps", 9),
+    (["--weight-decay", "0.2"], "weight_decay", 0.2),
+    (["--kernel", "gaussian"], "kernel_family", "gaussian"),
+    (["--share-zz"], "share_zz_coefficient", True),
+    (["--loss", "ncc"], "loss", "ncc"),
+    (["--seed", "11"], "seed", 11),
+]
+
+
+@pytest.fixture()
+def captured_eval(monkeypatch):
+    """Replace evaluate() with a recorder of the configs cmd_eval builds."""
+    calls = []
+
+    def fake_evaluate(dataset, sampler_cfg, adapt_cfg, n_episodes, base_seed, **kwargs):
+        calls.append((adapt_cfg, sampler_cfg, base_seed))
+        return EvalReport(episodes=n_episodes, mean_accuracy=1.0, ci95=0.0,
+                          per_episode=[], episode_results=[])
+
+    monkeypatch.setattr("kerndep.cli.evaluate", fake_evaluate)
+
+    def run(capsys, argv):
+        code, _, stderr = run_cli(capsys, argv)
+        assert code == 0, stderr
+        return calls.pop()
+
+    return run
+
+
+def resolved(adapt_cfg, sampler_cfg, key):
+    if key == "grid_coefficients":
+        return adapt_cfg.grid.coefficients
+    if hasattr(adapt_cfg, key):
+        return getattr(adapt_cfg, key)
+    return getattr(sampler_cfg, key)
+
+
+def test_config_file_sets_every_key(pool_path, tmp_path, capsys, captured_eval):
+    field_names = {f.name for f in (*fields(AdaptConfig), *fields(SamplerConfig))}
+    assert set(FULL_CONFIG) == field_names - {"grid"} | {"grid_coefficients"}
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("".join(
+        f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+        for key, value in FULL_CONFIG.items()))
+    adapt_cfg, sampler_cfg, seed = captured_eval(
+        capsys, ["eval", "--embeddings", str(pool_path), "--config", str(cfg)])
+    for key, value in FULL_CONFIG.items():
+        assert resolved(adapt_cfg, sampler_cfg, key) == value, key
+        assert value != resolved(AdaptConfig(), SamplerConfig(), key), key
+    assert adapt_cfg.grid.epsilon == FULL_CONFIG["epsilon"]
+    assert seed == FULL_CONFIG["seed"]
+
+
+@pytest.mark.parametrize("flag,key,value", FLAG_OVERRIDES)
+def test_each_flag_beats_the_config_file(pool_path, tmp_path, capsys, captured_eval,
+                                          flag, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 2.0\nlearning_rate = 0.3\nsteps = 3\nweight_decay = 0.1\n"
+                   "kernel_family = imq\nshare_zz_coefficient = false\nloss = mokd\n"
+                   "seed = 3\n")
+    file_only = read_config_file(cfg)
+    adapt_cfg, sampler_cfg, seed = captured_eval(
+        capsys, ["eval", "--embeddings", str(pool_path), "--config", str(cfg), *flag])
+    assert file_only[key] != value
+    assert resolved(adapt_cfg, sampler_cfg, key) == value
+    assert seed == sampler_cfg.seed
+    for other, file_value in file_only.items():
+        if other != key:
+            assert resolved(adapt_cfg, sampler_cfg, other) == file_value, other
+
+
+def test_unset_keys_keep_dataclass_defaults(pool_path, capsys, captured_eval):
+    adapt_cfg, sampler_cfg, seed = captured_eval(
+        capsys, ["eval", "--embeddings", str(pool_path)])
+    assert adapt_cfg == AdaptConfig()
+    assert sampler_cfg == SamplerConfig()
+    assert adapt_cfg.grid == BandwidthGrid()
+    assert seed == SamplerConfig().seed
 
 
 # ------------------------------------------------------------- entrypoints

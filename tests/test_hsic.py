@@ -205,6 +205,8 @@ def test_grid_validation():
         BandwidthGrid(coefficients=(1.0, -0.5))
     with pytest.raises(ValueError):
         BandwidthGrid(epsilon=0.0)
+    with pytest.raises(ValueError, match="distinct"):
+        BandwidthGrid(coefficients=(1.0, 1.0, 2.0))
 
 
 def blob_data(seed, m_half=10, d=3, offset=4.0):

@@ -174,7 +174,8 @@ def test_median_sq_distance_hand_values():
 
 
 def test_median_ignores_zero_distance_pairs():
-    z = np.array([[0.0], [0.0], [3.0]])
+    # distances 0, 0, 0, 9, 9, 9: the median is 9.0 without the zeros, 4.5 with them
+    z = np.array([[0.0], [0.0], [0.0], [3.0]])
     assert median_sq_distance(z) == pytest.approx(9.0)
 
 
