@@ -19,12 +19,10 @@ from .kernels import (
     GAUSSIAN,
     KERNEL_FAMILIES,
     RADIAL_FAMILIES,
-    KernelSpec,
     as_embeddings,
     as_labels,
     cosine_gram,
     kernel_from_sq_dists,
-    kernel_matrix,
     label_kernel_matrix,
     sq_dist_matrix,
 )
@@ -141,17 +139,33 @@ def _normalize_rows_backward(d_out: np.ndarray, z: np.ndarray,
     return d_in
 
 
-def transform(head: LinearHead, embeddings, normalize: bool = True) -> np.ndarray:
-    """Apply the head to every row, then optionally L2-normalize each row."""
+def _forward(head: LinearHead, embeddings,
+             normalize: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Validated embeddings u, transformed rows z, and the row norms of
+    u @ theta.T before normalization (None when not normalizing)."""
     u = as_embeddings(embeddings)
     if u.shape[1] != head.dim:
         raise ValueError(
             f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
         )
     v = u @ head.theta.T
-    if normalize:
-        v, _ = _normalize_rows(v)
-    return v
+    if not normalize:
+        return u, v, None
+    z, norms = _normalize_rows(v)
+    return u, z, norms
+
+
+def _head_gradient(dz: np.ndarray, u: np.ndarray, z: np.ndarray,
+                   norms: np.ndarray | None) -> np.ndarray:
+    """Pull a cotangent on z back to the head, through the optional row
+    normalization and the linear map."""
+    dv = dz if norms is None else _normalize_rows_backward(dz, z, norms)
+    return dv.T @ u
+
+
+def transform(head: LinearHead, embeddings, normalize: bool = True) -> np.ndarray:
+    """Apply the head to every row, then optionally L2-normalize each row."""
+    return _forward(head, embeddings, normalize)[1]
 
 
 def _prototypes(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,22 +177,41 @@ def _prototypes(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return protos, counts
 
 
-def ncc_loss(z, labels) -> float:
-    """Nearest-centroid cross-entropy under cosine similarity.
+def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
+                      normalize: bool = True) -> tuple[float, np.ndarray]:
+    """Nearest-centroid cross-entropy of transform(head, embeddings) under
+    cosine similarity, and its analytic gradient w.r.t. the head.
 
-    Prototypes are class means of z; the per-sample logit vector is the
-    cosine similarity to every prototype.
+    Prototypes are class means of the transformed rows; the per-sample logit
+    vector is the cosine similarity to every prototype. The gradient chains
+    both through that similarity and through each sample's own class mean.
     """
-    z = as_embeddings(z)
-    y = as_labels(labels, z.shape[0])
+    u, z, v_norms = _forward(head, embeddings, normalize)
+    m = u.shape[0]
+    y = as_labels(labels, m)
     if int(y.max()) + 1 < 2:
         raise ValueError("nearest-centroid loss needs at least two classes")
-    protos, _ = _prototypes(z, y)
-    zn, _ = _normalize_rows(z)
-    pn, _ = _normalize_rows(protos)
+
+    protos, counts = _prototypes(z, y)
+    zn, z_norms = _normalize_rows(z)
+    pn, p_norms = _normalize_rows(protos)
     sims = zn @ pn.T
     log_probs = sims - logsumexp(sims, axis=1, keepdims=True)
-    return float(-log_probs[np.arange(z.shape[0]), y].mean())
+    loss = float(-log_probs[np.arange(m), y].mean())
+
+    shifted = sims - sims.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    grad_sims = probs.copy()
+    grad_sims[np.arange(m), y] -= 1.0
+    grad_sims /= m
+
+    d_zn = grad_sims @ pn
+    d_pn = grad_sims.T @ zn
+    dz = _normalize_rows_backward(d_zn, zn, z_norms)
+    d_protos = _normalize_rows_backward(d_pn, pn, p_norms)
+    dz += d_protos[y] / counts[y][:, None]
+    return loss, _head_gradient(dz, u, z, v_norms)
 
 
 def ncc_predict(head: LinearHead, support: tuple, query,
@@ -198,24 +231,6 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     pn, _ = _normalize_rows(protos)
     sims = qn @ pn.T
     return sims.argmax(axis=1)
-
-
-def dependence_loss(z, labels, sigma_zy: float, sigma_zz: float, gamma: float,
-                    family: str = GAUSSIAN) -> float:
-    """-dependence(z, labels) + gamma * self-dependence(z, z).
-
-    The first term uses the kernel at sigma_zy against the 0/1 label kernel;
-    the penalty uses the kernel at sigma_zz against itself.
-    """
-    z = as_embeddings(z)
-    y = as_labels(labels, z.shape[0])
-    kt = kernel_matrix(KernelSpec(family, sigma_zy), z, zero_diag=True)
-    lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
-    loss = -hsic_unbiased(kt, lt)
-    if gamma != 0.0:
-        kt_zz = kernel_matrix(KernelSpec(family, sigma_zz), z, zero_diag=True)
-        loss += gamma * hsic_unbiased(kt_zz, kt_zz)
-    return float(loss)
 
 
 def _hsic_gram_cotangent(lt: np.ndarray) -> np.ndarray:
@@ -244,104 +259,49 @@ def _radial_weight(k_full: np.ndarray, family: str, sigma: float) -> np.ndarray:
     return -(k_full ** 3) / (sigma * sigma)
 
 
-def dependence_loss_gradient(head: LinearHead, embeddings, labels,
+def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
                              sigma_zy: float, sigma_zz: float, gamma: float,
                              family: str = GAUSSIAN,
-                             normalize: bool = True) -> np.ndarray:
-    """Analytic gradient of dependence_loss(transform(head, .)) w.r.t. the head.
+                             normalize: bool = True) -> tuple[float, np.ndarray]:
+    """-dependence(z, labels) + gamma * self-dependence(z, z) at
+    z = transform(head, embeddings), and its analytic gradient w.r.t. the head.
 
-    Chains the estimator's Gram cotangent through the radial kernel
-    derivative, the optional row normalization, and the linear map. Only the
-    radial families are differentiable here; the self-dependence penalty
-    chains through both Gram arguments.
+    The first term uses the kernel at sigma_zy against the 0/1 label kernel;
+    the penalty uses the kernel at sigma_zz against itself. Both kernels come
+    from one squared-distance matrix, and each loss term is read from the
+    Gram matrix whose cotangent feeds the gradient. The gradient chains that
+    cotangent through the radial kernel derivative (radial families only),
+    the optional row normalization, and the linear map; the penalty chains
+    through both Gram arguments.
     """
     if family not in RADIAL_FAMILIES:
         raise ValueError("analytic gradient requires a radial kernel family (gaussian or imq)")
-    u = as_embeddings(embeddings)
-    if u.shape[1] != head.dim:
-        raise ValueError(
-            f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
-        )
+    u, z, norms = _forward(head, embeddings, normalize)
     m = u.shape[0]
     y = as_labels(labels, m)
     if m < 4:
         raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
 
-    v = u @ head.theta.T
-    if normalize:
-        z, norms = _normalize_rows(v)
-    else:
-        z = v
-        norms = None
-
     d2 = sq_dist_matrix(z)
     lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
-    k_full = kernel_from_sq_dists(d2, family, sigma_zy)
-    w = _hsic_gram_cotangent(lt) * _radial_weight(k_full, family, sigma_zy)
+    kt = kernel_from_sq_dists(d2, family, sigma_zy)
+    w = _hsic_gram_cotangent(lt) * _radial_weight(kt, family, sigma_zy)
     dz = -(w.sum(axis=1)[:, None] * z - w @ z)
+    np.fill_diagonal(kt, 0.0)
+    loss = -hsic_unbiased(kt, lt)
+    # release the m x m temporaries before the penalty allocates its own
+    del kt, w, lt
 
     if gamma != 0.0:
-        kzz_full = kernel_from_sq_dists(d2, family, sigma_zz)
-        kzz_t = kzz_full.copy()
-        np.fill_diagonal(kzz_t, 0.0)
+        kt = kernel_from_sq_dists(d2, family, sigma_zz)
+        radial = _radial_weight(kt, family, sigma_zz)
+        np.fill_diagonal(kt, 0.0)
         # the penalty depends on Kt twice, hence the factor 2
-        w2 = (2.0 * _hsic_gram_cotangent(kzz_t)) * _radial_weight(kzz_full, family, sigma_zz)
-        dz += gamma * (w2.sum(axis=1)[:, None] * z - w2 @ z)
+        w = (2.0 * _hsic_gram_cotangent(kt)) * radial
+        dz += gamma * (w.sum(axis=1)[:, None] * z - w @ z)
+        loss += gamma * hsic_unbiased(kt, kt)
 
-    if normalize:
-        dv = _normalize_rows_backward(dz, z, norms)
-    else:
-        dv = dz
-    return dv.T @ u
-
-
-def ncc_loss_gradient(head: LinearHead, embeddings, labels,
-                      normalize: bool = True) -> np.ndarray:
-    """Analytic gradient of ncc_loss(transform(head, .)) w.r.t. the head.
-
-    Prototypes are functions of the transformed rows, so the chain runs both
-    through the per-sample similarity and through each sample's own class
-    mean.
-    """
-    u = as_embeddings(embeddings)
-    if u.shape[1] != head.dim:
-        raise ValueError(
-            f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
-        )
-    m = u.shape[0]
-    y = as_labels(labels, m)
-    if int(y.max()) + 1 < 2:
-        raise ValueError("nearest-centroid loss needs at least two classes")
-
-    v = u @ head.theta.T
-    if normalize:
-        z, v_norms = _normalize_rows(v)
-    else:
-        z = v
-        v_norms = None
-
-    protos, counts = _prototypes(z, y)
-    zn, z_norms = _normalize_rows(z)
-    pn, p_norms = _normalize_rows(protos)
-    sims = zn @ pn.T
-    shifted = sims - sims.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    grad_sims = probs.copy()
-    grad_sims[np.arange(m), y] -= 1.0
-    grad_sims /= m
-
-    d_zn = grad_sims @ pn
-    d_pn = grad_sims.T @ zn
-    dz = _normalize_rows_backward(d_zn, zn, z_norms)
-    d_protos = _normalize_rows_backward(d_pn, pn, p_norms)
-    dz += d_protos[y] / counts[y][:, None]
-
-    if normalize:
-        dv = _normalize_rows_backward(dz, z, v_norms)
-    else:
-        dv = dz
-    return dv.T @ u
+    return float(loss), _head_gradient(dz, u, z, norms)
 
 
 def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
@@ -412,16 +372,13 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
 
     trace: list[float] = []
     for _ in range(cfg.steps):
-        z = transform(head, support_x, cfg.normalize_features)
         if cfg.loss == "mokd":
-            loss = dependence_loss(z, support_y, sigma_zy, sigma_zz, cfg.gamma,
-                                   cfg.kernel_family)
-            grad = dependence_loss_gradient(head, support_x, support_y, sigma_zy,
-                                            sigma_zz, cfg.gamma, cfg.kernel_family,
-                                            cfg.normalize_features)
+            loss, grad = dependence_loss_and_grad(
+                head, support_x, support_y, sigma_zy, sigma_zz, cfg.gamma,
+                cfg.kernel_family, cfg.normalize_features)
         else:
-            loss = ncc_loss(z, support_y)
-            grad = ncc_loss_gradient(head, support_x, support_y, cfg.normalize_features)
+            loss, grad = ncc_loss_and_grad(head, support_x, support_y,
+                                           cfg.normalize_features)
         head, state = adadelta_step(state, head, grad, cfg.learning_rate,
                                     cfg.weight_decay, cfg.rho, cfg.opt_eps)
         trace.append(loss)

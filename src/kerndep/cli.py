@@ -253,7 +253,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # episode failures wrap validation errors; report them as such
+        # an episode failure that wraps a validation error is a usage error;
+        # anything else it wraps is a bug and propagates
+        if not isinstance(exc.__cause__, ValueError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

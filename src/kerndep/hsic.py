@@ -134,18 +134,16 @@ def hsic_unbiased_naive(kt, lt) -> float:
     return total / (m * (m - 3.0))
 
 
-def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True,
-                  squared_normalization: bool = True) -> float:
+def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     """Variance estimate for the unbiased dependence statistic.
 
     Builds the per-sample vector
       h = (m-2)^2 (Kt o Lt)1 - m (Kt1 o Lt1) + (1'Lt1) Kt1 + (1'Kt1) Lt1
           - (1'KtLt1) 1 + (m-2) [tr(KtLt) 1 - KtLt1 - LtKt1]
     then v = (16/m) (R - hsic_value^2) with R = h'h / (4m D^2) where
-    D = (m-1)(m-2)(m-3). Set squared_normalization=False to divide by D once
-    instead of D^2 (an alternative reading of the second-moment scaling; the
-    squared form is the one consistent with the estimator's scale and is the
-    default). Negative numerical estimates are clamped to zero unless
+    D = (m-1)(m-2)(m-3). Dividing by D^2 is the scaling consistent with the
+    estimator's spread; dividing by D once overstates it by orders of
+    magnitude. Negative numerical estimates are clamped to zero unless
     clamp=False, which returns the raw value for diagnostics.
 
     Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
@@ -170,10 +168,7 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True,
         + (m - 2.0) * (trace_kl * ones - kt @ l_rows - lt @ k_rows)
     )
     denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
-    if squared_normalization:
-        r = float(h @ h) / (4.0 * m) / (denom * denom)
-    else:
-        r = float(h @ h) / (4.0 * m) / denom
+    r = float(h @ h) / (4.0 * m) / (denom * denom)
     v = (16.0 / m) * (r - hsic_value * hsic_value)
     if clamp and v < 0.0:
         return 0.0

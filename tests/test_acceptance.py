@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kerndep.adapt import AdaptConfig, LinearHead, dependence_loss, \
-    dependence_loss_gradient, run_episode, transform
+from kerndep.adapt import AdaptConfig, LinearHead, dependence_loss_and_grad, run_episode
 from kerndep.evaluation import ci95, evaluate, exp_mean_bound_holds
 from kerndep.hsic import (
     hsic_unbiased,
@@ -112,7 +111,11 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
         v = hsic_unbiased(kt, lt)
         vals.append(v)
         est_sq.append(hsic_variance(kt, lt, v))
-        est_lin.append(hsic_variance(kt, lt, v, squared_normalization=False))
+        # the rejected linear reading divides the second moment by D, not D^2
+        n = len(y)
+        big_d = (n - 1.0) * (n - 2.0) * (n - 3.0)
+        raw = hsic_variance(kt, lt, v, clamp=False)
+        est_lin.append(big_d * raw + (16.0 / n) * (big_d - 1.0) * v * v)
     empirical = np.var(vals, ddof=1)
     ratio_squared = float(np.mean(est_sq)) / empirical
     ratio_linear = float(np.mean(est_lin)) / empirical
@@ -153,8 +156,8 @@ def test_criterion_04_gradient_check():
         normalize = bool(trial % 4 < 2)
         sigma_zy, sigma_zz = 1.2, 0.8
 
-        grad = dependence_loss_gradient(head, u, y, sigma_zy, sigma_zz, gamma,
-                                        family, normalize)
+        _, grad = dependence_loss_and_grad(head, u, y, sigma_zy, sigma_zz, gamma,
+                                           family, normalize)
         fd = np.zeros_like(grad)
         step = 1e-5
         for i in range(d):
@@ -163,12 +166,10 @@ def test_criterion_04_gradient_check():
                 plus[i, j] += step
                 minus = head.theta.copy()
                 minus[i, j] -= step
-                up = dependence_loss(
-                    transform(LinearHead(plus), u, normalize), y,
-                    sigma_zy, sigma_zz, gamma, family)
-                down = dependence_loss(
-                    transform(LinearHead(minus), u, normalize), y,
-                    sigma_zy, sigma_zz, gamma, family)
+                up, _ = dependence_loss_and_grad(
+                    LinearHead(plus), u, y, sigma_zy, sigma_zz, gamma, family, normalize)
+                down, _ = dependence_loss_and_grad(
+                    LinearHead(minus), u, y, sigma_zy, sigma_zz, gamma, family, normalize)
                 fd[i, j] = (up - down) / (2.0 * step)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)

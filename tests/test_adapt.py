@@ -1,5 +1,7 @@
 """Episode adaptation: losses, hand-rolled gradients, optimizer, loop."""
 
+import importlib
+import itertools
 import math
 
 import numpy as np
@@ -14,16 +16,22 @@ from kerndep.adapt import (
     EpisodeResult,
     LinearHead,
     adadelta_step,
-    dependence_loss,
-    dependence_loss_gradient,
-    ncc_loss,
-    ncc_loss_gradient,
+    dependence_loss_and_grad,
+    ncc_loss_and_grad,
     ncc_predict,
     run_episode,
     transform,
 )
 from kerndep.hsic import BandwidthGrid, hsic_unbiased, select_bandwidth
-from kerndep.kernels import COSINE, GAUSSIAN, IMQ, KernelSpec, kernel_matrix, label_kernel_matrix
+from kerndep.kernels import (
+    COSINE,
+    GAUSSIAN,
+    IMQ,
+    KernelSpec,
+    kernel_matrix,
+    label_kernel_matrix,
+    median_sq_distance,
+)
 from kerndep.tasks import synth_task
 
 
@@ -38,6 +46,33 @@ def random_instance(seed, m=None, d=None):
         y = np.sort(rng.integers(0, n_classes, size=m))
     theta = np.eye(d) + 0.1 * rng.normal(size=(d, d))
     return u, y, LinearHead(theta)
+
+
+def edge_instances(seed):
+    """A random instance, one at the estimator's minimum m = 4, and one whose
+    first two support rows coincide."""
+    dup_u, dup_y, dup_head = random_instance(seed + 2, m=8, d=3)
+    dup_u[1] = dup_u[0]
+    return [random_instance(seed), random_instance(seed + 1, m=4, d=3),
+            (dup_u, dup_y, dup_head)]
+
+
+def underflow_sigma(head, u, normalize):
+    """0.001 x the median-heuristic base: the Gaussian underflows to 0 on
+    all but near-coincident pairs."""
+    return 0.001 * math.sqrt(median_sq_distance(transform(head, u, normalize)))
+
+
+def reference_loss(head, u, y, sigma_zy, sigma_zz, gamma, family, normalize):
+    """The objective assembled from the public Gram builder and estimator."""
+    z = transform(head, u, normalize)
+    kt = kernel_matrix(KernelSpec(family, sigma_zy), z, zero_diag=True)
+    lt = label_kernel_matrix(y, zero_diag=True)
+    loss = -hsic_unbiased(kt, lt)
+    if gamma != 0.0:
+        kzz = kernel_matrix(KernelSpec(family, sigma_zz), z, zero_diag=True)
+        loss += gamma * hsic_unbiased(kzz, kzz)
+    return loss
 
 
 def fd_gradient(loss_fn, theta, step=1e-5):
@@ -152,25 +187,34 @@ def test_dependence_loss_gamma_zero_is_negative_dependence():
     z = transform(head, u)
     kt = kernel_matrix(KernelSpec(GAUSSIAN, 0.9), z, zero_diag=True)
     lt = label_kernel_matrix(y, zero_diag=True)
-    loss = dependence_loss(z, y, 0.9, 1.7, 0.0, GAUSSIAN)
+    loss, _ = dependence_loss_and_grad(head, u, y, 0.9, 1.7, 0.0, GAUSSIAN)
     assert loss == pytest.approx(-hsic_unbiased(kt, lt), rel=1e-12)
 
 
 def test_dependence_loss_adds_weighted_self_term():
     u, y, head = random_instance(2, m=9, d=3)
     z = transform(head, u)
-    base = dependence_loss(z, y, 1.1, 0.8, 0.0, GAUSSIAN)
+    base, _ = dependence_loss_and_grad(head, u, y, 1.1, 0.8, 0.0, GAUSSIAN)
     kzz = kernel_matrix(KernelSpec(GAUSSIAN, 0.8), z, zero_diag=True)
     self_term = hsic_unbiased(kzz, kzz)
     for gamma in (1.0, 3.0):
-        loss = dependence_loss(z, y, 1.1, 0.8, gamma, GAUSSIAN)
+        loss, _ = dependence_loss_and_grad(head, u, y, 1.1, 0.8, gamma, GAUSSIAN)
         assert loss == pytest.approx(base + gamma * self_term, rel=1e-12)
+    # m = 4, duplicate rows, unnormalized features, IMQ, underflowing bandwidth
+    for u, y, head in edge_instances(20):
+        for family, normalize, gamma in itertools.product(
+                (GAUSSIAN, IMQ), (True, False), (0.0, 3.0)):
+            tiny = underflow_sigma(head, u, normalize)
+            for sigma_zy, sigma_zz in ((1.1, 0.8), (tiny, tiny)):
+                args = (head, u, y, sigma_zy, sigma_zz, gamma, family, normalize)
+                loss, _ = dependence_loss_and_grad(*args)
+                assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
 
 
 def test_dependence_loss_needs_four_samples():
-    z = np.eye(3)
     with pytest.raises(ValueError):
-        dependence_loss(z, np.array([0, 1, 2]), 1.0, 1.0, 1.0, GAUSSIAN)
+        dependence_loss_and_grad(LinearHead.identity(3), np.eye(3), np.array([0, 1, 2]),
+                                 1.0, 1.0, 1.0, GAUSSIAN)
 
 
 def test_ncc_loss_hand_value():
@@ -178,7 +222,7 @@ def test_ncc_loss_hand_value():
     # logits (1, 0), so the loss is log(1 + exp(-1))
     z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([0, 1, 0])
-    protos_loss = ncc_loss(z[:2], y[:2])
+    protos_loss, _ = ncc_loss_and_grad(LinearHead.identity(2), z[:2], y[:2])
     assert protos_loss == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-14)
 
 
@@ -203,17 +247,21 @@ def test_ncc_predict_recovers_separated_classes():
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 3.0])
 @pytest.mark.parametrize("normalize", [True, False])
 def test_dependence_gradient_matches_finite_differences(family, gamma, normalize):
-    u, y, head = random_instance(hash((family, gamma, normalize)) % 1000)
-    sigma_zy, sigma_zz = 1.2, 0.8
+    seed = 100 * (family == IMQ) + 10 * int(gamma) + int(normalize)
+    # the random instance, m = 4, duplicate rows, then an underflowing bandwidth
+    for u, y, head in edge_instances(seed):
+        tiny = underflow_sigma(head, u, normalize)
+        for sigma_zy, sigma_zz in ((1.2, 0.8), (tiny, tiny)):
 
-    def loss_at(theta):
-        z = transform(LinearHead(theta), u, normalize)
-        return dependence_loss(z, y, sigma_zy, sigma_zz, gamma, family)
+            def loss_at(theta):
+                return dependence_loss_and_grad(LinearHead(theta), u, y, sigma_zy,
+                                                sigma_zz, gamma, family, normalize)[0]
 
-    grad = dependence_loss_gradient(head, u, y, sigma_zy, sigma_zz, gamma,
-                                    family, normalize)
-    fd = fd_gradient(loss_at, head.theta)
-    assert rel_error(grad, fd) <= 1e-4
+            loss, grad = dependence_loss_and_grad(head, u, y, sigma_zy, sigma_zz,
+                                                  gamma, family, normalize)
+            assert math.isfinite(loss) and np.isfinite(grad).all()
+            fd = fd_gradient(loss_at, head.theta)
+            assert rel_error(grad, fd) <= 1e-4
 
 
 @pytest.mark.parametrize("normalize", [True, False])
@@ -221,10 +269,9 @@ def test_ncc_gradient_matches_finite_differences(normalize):
     u, y, head = random_instance(77, m=9, d=4)
 
     def loss_at(theta):
-        z = transform(LinearHead(theta), u, normalize)
-        return ncc_loss(z, y)
+        return ncc_loss_and_grad(LinearHead(theta), u, y, normalize)[0]
 
-    grad = ncc_loss_gradient(head, u, y, normalize)
+    _, grad = ncc_loss_and_grad(head, u, y, normalize)
     fd = fd_gradient(loss_at, head.theta)
     assert rel_error(grad, fd) <= 1e-4
 
@@ -232,7 +279,7 @@ def test_ncc_gradient_matches_finite_differences(normalize):
 def test_dependence_gradient_rejects_cosine_family():
     u, y, head = random_instance(5, m=8, d=3)
     with pytest.raises(ValueError):
-        dependence_loss_gradient(head, u, y, 1.0, 1.0, 1.0, COSINE, True)
+        dependence_loss_and_grad(head, u, y, 1.0, 1.0, 1.0, COSINE, True)
 
 
 def test_adadelta_single_step_hand_arithmetic():
@@ -309,6 +356,35 @@ def test_episode_is_deterministic():
     assert np.array_equal(a.final_head.theta, b.final_head.theta)
     assert a.query_accuracy == b.query_accuracy
     assert a.sigma_zy == b.sigma_zy
+
+
+def counting(monkeypatch, target, counts):
+    """Replace the function at dotted path target by a wrapper that counts
+    its calls into counts[target]."""
+    module_name, name = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(module_name), name)
+    counts[target] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[target] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, wrapper)
+
+
+def test_mokd_step_builds_one_distance_matrix(monkeypatch):
+    counts = {}
+    for target in ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
+                   "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix"):
+        counting(monkeypatch, target, counts)
+    steps = 3
+    run_episode(separable_task(8), AdaptConfig(steps=steps, share_zz_coefficient=True))
+    assert counts == {
+        "kerndep.adapt.sq_dist_matrix": steps,  # one per step
+        "kerndep.hsic.sq_dist_matrix": 1,  # the bandwidth search
+        "kerndep.kernels.sq_dist_matrix": 0,  # no Gram rebuilt through kernel_matrix
+        "kerndep.adapt.label_kernel_matrix": steps,
+    }
 
 
 def test_episode_shared_mode_reuses_zy_bandwidth():

@@ -207,6 +207,27 @@ def test_eval_invalid_gamma_exits_two(pool_path, capsys):
     assert "gamma" in stderr
 
 
+def failing_episode(exc_type):
+    def run_episode(task, config=None):
+        raise exc_type("injected")
+    return run_episode
+
+
+def test_eval_episode_validation_error_exits_two(pool_path, capsys, monkeypatch):
+    monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(ValueError))
+    code, _, stderr = run_cli(
+        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--jobs", "1"])
+    assert code == 2
+    assert "episode 0 failed: injected" in stderr
+
+
+def test_eval_episode_internal_error_propagates(pool_path, monkeypatch):
+    monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(ZeroDivisionError))
+    with pytest.raises(RuntimeError, match="episode 0 failed") as info:
+        main(["eval", "--embeddings", str(pool_path), "--episodes", "1", "--jobs", "1"])
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
 # ------------------------------------------------------------------- eval
 
 

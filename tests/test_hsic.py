@@ -39,7 +39,7 @@ def constant_gram(m):
     return np.ones((m, m)) - np.eye(m)
 
 
-def variance_scalar_oracle(kt, lt, value, squared):
+def variance_scalar_oracle(kt, lt, value):
     """Entry-by-entry transcription of the per-sample vector and its
     second moment, written without matrix products on purpose."""
     m = kt.shape[0]
@@ -65,8 +65,7 @@ def variance_scalar_oracle(kt, lt, value, squared):
         for i in range(m)
     ]
     denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
-    r = sum(v * v for v in h) / (4.0 * m)
-    r = r / (denom * denom) if squared else r / denom
+    r = sum(v * v for v in h) / (4.0 * m) / (denom * denom)
     return (16.0 / m) * (r - value * value)
 
 
@@ -98,18 +97,16 @@ def test_constant_kernel_hand_case_is_exactly_zero():
     assert hsic_unbiased_naive(kt, kt) == 0.0
     assert hsic_variance(kt, kt, 0.0) == 0.0
     assert hsic_variance(kt, kt, 0.0, clamp=False) == 0.0
-    assert hsic_variance(kt, kt, 0.0, squared_normalization=False) == 0.0
 
 
 @pytest.mark.parametrize("m", [5, 8, 12])
-@pytest.mark.parametrize("squared", [True, False])
-def test_variance_matches_scalar_transcription(m, squared):
+def test_variance_matches_scalar_transcription(m):
     rng = np.random.default_rng(100 + m)
     kt = rand_gram(rng, m)
     lt = rand_gram(rng, m)
     value = hsic_unbiased(kt, lt)
-    got = hsic_variance(kt, lt, value, clamp=False, squared_normalization=squared)
-    want = variance_scalar_oracle(kt, lt, value, squared)
+    got = hsic_variance(kt, lt, value, clamp=False)
+    want = variance_scalar_oracle(kt, lt, value)
     assert got == pytest.approx(want, rel=1e-10)
 
 

@@ -114,9 +114,16 @@ def test_gaussian_equals_one_exactly_when_rows_coincide():
     )
 )
 def test_gaussian_strictly_increases_with_bandwidth(sigmas):
+    # at squared distance 5, exp(-5 / (2 sigma^2)) is subnormal or 0.0 below
+    # sigma = 0.0594, and neighbouring floats near sigma = 50 round to one
+    # kernel value; the property holds for normal kernel values at sigmas
+    # apart by 1e-9 relative
+    sigmas = sorted(sigmas)
+    assume(all(b > a * (1.0 + 1e-9) for a, b in zip(sigmas, sigmas[1:])))
     x = np.array([0.0, 0.0])
     y = np.array([1.0, -2.0])
-    values = [eval_kernel(KernelSpec(GAUSSIAN, s), x, y) for s in sorted(sigmas)]
+    values = [eval_kernel(KernelSpec(GAUSSIAN, s), x, y) for s in sigmas]
+    assume(all(v >= np.finfo(float).tiny for v in values))
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
