@@ -8,6 +8,7 @@ before the gradient loop, and stay frozen afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,16 +88,16 @@ class AdaptConfig:
     opt_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        for name in ("gamma", "weight_decay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("learning_rate", "epsilon", "opt_eps"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight decay must be non-negative, got {self.weight_decay}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.kernel_family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.kernel_family!r}")
         if self.loss not in LOSS_MODES:
@@ -105,8 +106,6 @@ class AdaptConfig:
             raise ValueError("the cosine kernel family is only available with the ncc loss")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.opt_eps > 0:
-            raise ValueError(f"optimizer epsilon must be positive, got {self.opt_eps}")
         if self.grid is None:
             self.grid = BandwidthGrid(epsilon=self.epsilon)
 

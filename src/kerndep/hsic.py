@@ -8,6 +8,7 @@ and keeps the one whose estimate has the largest power ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,7 @@ from .kernels import (
     as_labels,
     cosine_gram,
     kernel_from_sq_dists,
-    label_kernel_matrix,
-    median_sq_distance,
+    median_of_sq_dists,
     sq_dist_matrix,
 )
 
@@ -42,12 +42,12 @@ class BandwidthGrid:
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) == 0:
             raise ValueError("bandwidth grid must contain at least one coefficient")
-        if any(not c > 0 for c in coeffs):
-            raise ValueError("grid coefficients must be positive")
+        if any(not 0.0 < c < math.inf for c in coeffs):
+            raise ValueError(f"grid coefficients must be positive and finite, got {coeffs}")
         if len(set(coeffs)) != len(coeffs):
             raise ValueError(f"grid coefficients must be distinct, got {coeffs}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "coefficients", coeffs)
 
 
@@ -175,10 +175,48 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     return v
 
 
+def _label_hsic(kt: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """hsic_unbiased(kt, Lt) and hsic_variance(kt, Lt, value, clamp=False)
+    for the zero-diagonal 0/1 label kernel Lt of y, without building Lt.
+
+    With Y the one-hot label matrix and n the class counts, every term
+    follows from the class sums R = Kt Y (one m x m x C product):
+    (Kt o Lt)1 = R[i, y_i], tr(Kt Lt) = sum_i R[i, y_i], Kt1 = R1,
+    Lt1 = n[y] - 1, Kt Lt1 = R (n - 1), and Lt Kt1 = (Y'Kt1)[y] - Kt1.
+    kt must be symmetric, as every Gram matrix of the search is.
+    """
+    m = kt.shape[0]
+    counts = np.bincount(y).astype(np.float64)
+    class_sums = kt @ (y[:, None] == np.arange(counts.size)).astype(np.float64)
+    same_class = class_sums[np.arange(m), y]
+    k_rows = class_sums.sum(axis=1)
+    l_rows = counts[y] - 1.0
+    sum_k = float(k_rows.sum())
+    sum_l = float(l_rows.sum())
+    trace_kl = float(same_class.sum())
+    cross = float(k_rows @ l_rows)
+    kl_rows = class_sums @ (counts - 1.0)
+    lk_rows = np.bincount(y, weights=k_rows)[y] - k_rows
+
+    total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
+    value = total / (m * (m - 3.0))
+    h = (
+        (m - 2.0) ** 2 * same_class
+        - m * (k_rows * l_rows)
+        + sum_l * k_rows
+        + sum_k * l_rows
+        - cross
+        + (m - 2.0) * (trace_kl - kl_rows - lk_rows)
+    )
+    denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
+    r = float(h @ h) / (4.0 * m) / (denom * denom)
+    return value, (16.0 / m) * (r - value * value)
+
+
 def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON) -> float:
     """Test-power proxy value / sqrt(variance + epsilon)."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return float(value / np.sqrt(variance + epsilon))
 
 
@@ -192,6 +230,11 @@ def select_bandwidth(z, target, family: str = "gaussian",
     (when target is a label vector) or the same-family kernel of the target
     embeddings with the same bandwidth (when target is a matrix). Ties in
     the ratio go to the smaller coefficient.
+
+    z's distances are built once and also give the base. A label target is
+    never expanded into its m x m kernel: each row reads the class sums of
+    z's Gram matrix (see _label_hsic). The cosine kernel ignores the
+    bandwidth, so its one estimate fills every row.
     """
     z = as_embeddings(z)
     m = z.shape[0]
@@ -202,46 +245,42 @@ def select_bandwidth(z, target, family: str = "gaussian",
     if grid is None:
         grid = BandwidthGrid()
 
-    base = float(np.sqrt(median_sq_distance(z)))
-
-    target_arr = np.asarray(target)
-    labels_mode = target_arr.ndim == 1
+    labels_mode = np.asarray(target).ndim == 1
     if labels_mode:
         y = as_labels(target, m)
-        lt_fixed = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
-        d2_target = None
-        cos_target = None
     else:
         t = as_embeddings(target)
         if t.shape[0] != m:
             raise ValueError(
                 f"target embeddings must pair with z row for row, got {t.shape[0]} vs {m}"
             )
-        lt_fixed = None
-        d2_target = sq_dist_matrix(t)
-        cos_target = cosine_gram(t) if family == COSINE else None
+        d2_t = None if family == COSINE else sq_dist_matrix(t)
 
     d2_z = sq_dist_matrix(z)
-    cos_z = cosine_gram(z) if family == COSINE else None
+    base = float(np.sqrt(median_of_sq_dists(d2_z)))
+    sigmas = [coeff * base for coeff in grid.coefficients]
+    for coeff, sigma in zip(grid.coefficients, sigmas):
+        if not math.isfinite(sigma):
+            raise ValueError(
+                f"bandwidth coefficient {coeff} times base {base} overflows to {sigma}")
 
-    rows: list[HsicEstimate] = []
-    for coeff in grid.coefficients:
-        sigma = coeff * base
-        if family == COSINE:
-            kt = cos_z.copy()
-        else:
-            kt = kernel_from_sq_dists(d2_z, family, sigma)
-        np.fill_diagonal(kt, 0.0)
+    def zero_diag_gram(x, d2, sigma):
+        k = cosine_gram(x) if family == COSINE else kernel_from_sq_dists(d2, family, sigma)
+        np.fill_diagonal(k, 0.0)
+        return k
+
+    def estimate(sigma):
+        kt = zero_diag_gram(z, d2_z, sigma)
         if labels_mode:
-            lt = lt_fixed
-        else:
-            if family == COSINE:
-                lt = cos_target.copy()
-            else:
-                lt = kernel_from_sq_dists(d2_target, family, sigma)
-            np.fill_diagonal(lt, 0.0)
+            return _label_hsic(kt, y)
+        lt = zero_diag_gram(t, d2_t, sigma)
         value = hsic_unbiased(kt, lt)
-        raw = hsic_variance(kt, lt, value, clamp=False)
+        return value, hsic_variance(kt, lt, value, clamp=False)
+
+    # lazy, so one candidate's Gram matrices are live at a time
+    estimates = [estimate(None)] * len(sigmas) if family == COSINE else map(estimate, sigmas)
+    rows: list[HsicEstimate] = []
+    for sigma, (value, raw) in zip(sigmas, estimates):
         variance = raw if raw > 0.0 else 0.0
         ratio = power_ratio(value, variance, grid.epsilon)
         rows.append(HsicEstimate(value, variance, ratio, sigma, raw))

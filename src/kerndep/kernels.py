@@ -7,6 +7,7 @@ once and mirrored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
     return y
 
 
+def _check_bandwidth(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {sigma}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family plus its bandwidth (the bandwidth is ignored by cosine)."""
@@ -67,8 +73,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if self.family in RADIAL_FAMILIES and not self.sigma > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.sigma}")
+        if self.family in RADIAL_FAMILIES:
+            _check_bandwidth(self.sigma)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -105,14 +111,21 @@ def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
 
 
 def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float) -> np.ndarray:
-    """Radial kernel matrix from precomputed squared distances."""
+    """Radial kernel matrix from precomputed squared distances.
+
+    Every step after the first division runs in place in the one output
+    buffer; d2 is left untouched.
+    """
     if family not in RADIAL_FAMILIES:
         raise ValueError(f"expected a radial kernel family, got {family!r}")
-    if not sigma > 0:
-        raise ValueError(f"bandwidth must be positive, got {sigma}")
+    _check_bandwidth(sigma)
     if family == GAUSSIAN:
-        return np.exp(-d2 / (2.0 * sigma * sigma))
-    return 1.0 / np.sqrt(1.0 + d2 / (sigma * sigma))
+        k = np.divide(d2, -(2.0 * sigma * sigma))
+        return np.exp(k, out=k)
+    k = np.divide(d2, sigma * sigma)
+    k += 1.0
+    np.sqrt(k, out=k)
+    return np.divide(1.0, k, out=k)
 
 
 def cosine_gram(z: np.ndarray) -> np.ndarray:
@@ -168,7 +181,17 @@ def median_sq_distance(z) -> float:
     z = as_embeddings(z)
     if z.shape[0] < 2:
         raise ValueError("median heuristic needs at least two samples")
-    d2 = pdist(z, "sqeuclidean")
+    return _median_positive(pdist(z, "sqeuclidean"))
+
+
+def median_of_sq_dists(d2: np.ndarray) -> float:
+    """median_sq_distance read from a square matrix built by sq_dist_matrix,
+    so a caller that has the distances does not compute them again."""
+    return _median_positive(squareform(d2, checks=False))
+
+
+def _median_positive(d2: np.ndarray) -> float:
+    # d2 holds each pair once, as pdist lays it out
     positive = d2[d2 > 0]
     if positive.size == 0:
         raise ValueError("all points are identical; median distance is undefined")

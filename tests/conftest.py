@@ -1,4 +1,7 @@
+import importlib
+
 import hypothesis
+import pytest
 
 # Property tests run numerical code whose per-example cost varies widely
 # between machines; wall-clock deadlines would only add flakes.
@@ -9,3 +12,24 @@ hypothesis.settings.register_profile(
     print_blob=True,
 )
 hypothesis.settings.load_profile("kerndep")
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """A dict of call counts and a function count(target) that replaces the
+    function at dotted path target by a wrapper adding each call to
+    counts[target]."""
+    counts = {}
+
+    def count(target):
+        module_name, name = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(module_name), name)
+        counts[target] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[target] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, wrapper)
+
+    return counts, count

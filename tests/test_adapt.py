@@ -1,6 +1,5 @@
 """Episode adaptation: losses, hand-rolled gradients, optimizer, loop."""
 
-import importlib
 import itertools
 import math
 
@@ -148,6 +147,14 @@ def test_config_grid_inherits_custom_epsilon():
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         AdaptConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["gamma", "learning_rate", "weight_decay", "epsilon",
+                                   "opt_eps"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        AdaptConfig(**{field: value})
 
 
 def test_config_allows_cosine_for_ncc_baseline():
@@ -358,25 +365,11 @@ def test_episode_is_deterministic():
     assert a.sigma_zy == b.sigma_zy
 
 
-def counting(monkeypatch, target, counts):
-    """Replace the function at dotted path target by a wrapper that counts
-    its calls into counts[target]."""
-    module_name, name = target.rsplit(".", 1)
-    original = getattr(importlib.import_module(module_name), name)
-    counts[target] = 0
-
-    def wrapper(*args, **kwargs):
-        counts[target] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(target, wrapper)
-
-
-def test_mokd_step_builds_one_distance_matrix(monkeypatch):
-    counts = {}
+def test_mokd_step_builds_one_distance_matrix(call_counts):
+    counts, count = call_counts
     for target in ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
                    "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix"):
-        counting(monkeypatch, target, counts)
+        count(target)
     steps = 3
     run_episode(separable_task(8), AdaptConfig(steps=steps, share_zz_coefficient=True))
     assert counts == {

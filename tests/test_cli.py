@@ -133,6 +133,21 @@ def test_hsic_duplicate_grid_coefficients_exit_two(pool_path, capsys):
     assert "distinct" in stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--coeff", "inf"], "finite"),
+    (["--coeff", "nan"], "finite"),
+    (["--coeff", "1e308"], "overflows"),  # coeff times the median base
+    (["--kernel", "cosine", "--coeff", "1e308"], "overflows"),
+    (["--epsilon", "inf"], "finite"),
+])
+def test_hsic_non_finite_grid_values_exit_two(pool_path, capsys, flags, message):
+    code, stdout, stderr = run_cli(
+        capsys, ["hsic", "--embeddings", str(pool_path), "--format", "csv", *flags])
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
+
+
 def test_hsic_coeff_and_grid_are_mutually_exclusive(pool_path, capsys):
     code, _, stderr = run_cli(
         capsys,
@@ -205,6 +220,19 @@ def test_eval_invalid_gamma_exits_two(pool_path, capsys):
     )
     assert code == 2
     assert "gamma" in stderr
+
+
+@pytest.mark.parametrize("flag, field", [("--gamma", "gamma"), ("--lr", "learning_rate"),
+                                         ("--weight-decay", "weight_decay")])
+def test_eval_non_finite_value_exits_two_before_any_episode(pool_path, capsys, monkeypatch,
+                                                            flag, field):
+    monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(AssertionError))
+    code, stdout, stderr = run_cli(
+        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1",
+                 "--jobs", "1", flag, "inf"])
+    assert code == 2
+    assert stdout == ""
+    assert f"{field} must be finite" in stderr
 
 
 def failing_episode(exc_type):

@@ -1,5 +1,6 @@
 """Unbiased dependence estimator, its variance, and bandwidth search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from kerndep.hsic import (
     select_bandwidth,
 )
 from kerndep.kernels import (
+    GAUSSIAN,
+    KERNEL_FAMILIES,
     KernelSpec,
     kernel_matrix,
     label_kernel_matrix,
@@ -184,6 +187,8 @@ def test_power_ratio_rejects_bad_epsilon():
         power_ratio(1.0, 1.0, epsilon=0.0)
     with pytest.raises(ValueError):
         power_ratio(1.0, 1.0, epsilon=-1e-3)
+    with pytest.raises(ValueError):
+        power_ratio(1.0, 1.0, epsilon=math.inf)
 
 
 def test_default_grid_is_frozen():
@@ -202,6 +207,11 @@ def test_grid_validation():
         BandwidthGrid(coefficients=(1.0, -0.5))
     with pytest.raises(ValueError):
         BandwidthGrid(epsilon=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthGrid(coefficients=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthGrid(epsilon=bad)
     with pytest.raises(ValueError, match="distinct"):
         BandwidthGrid(coefficients=(1.0, 1.0, 2.0))
 
@@ -241,21 +251,78 @@ def test_selection_table_follows_grid_order():
     assert sigmas == [c * sel.sigma_base for c in (0.5, 2.0, 1.0)]
 
 
+def shuffled_unbalanced_labels(seed):
+    """Classes of 7, 4, 2 and 1 rows (a singleton) in shuffled order, with
+    embeddings that cluster by class."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat([0, 1, 2, 3], [7, 4, 2, 1]))
+    z = rng.normal(size=(y.size, 3)) + 2.0 * y[:, None]
+    return z, y
+
+
+ROW_CASES = {
+    "blobs": blob_data(9),
+    "unbalanced": shuffled_unbalanced_labels(4),
+    "m4": (np.random.default_rng(6).normal(size=(4, 2)), np.array([1, 0, 0, 1])),
+}
+
+
 def test_selection_rows_match_manual_composition():
-    z, y = blob_data(9)
-    grid = BandwidthGrid(coefficients=(0.8,))
-    sel = select_bandwidth(z, y, grid=grid)
-    sigma = 0.8 * math.sqrt(median_sq_distance(z))
-    kt = kernel_matrix(KernelSpec("gaussian", sigma), z, zero_diag=True)
-    lt = label_kernel_matrix(y, zero_diag=True)
-    value = hsic_unbiased(kt, lt)
-    variance = hsic_variance(kt, lt, value)
-    row = sel.table[0]
-    assert row.value == pytest.approx(value, rel=1e-12)
-    assert row.variance == pytest.approx(variance, rel=1e-12)
-    assert row.power_ratio == pytest.approx(
-        value / math.sqrt(variance + DEFAULT_EPSILON), rel=1e-12
-    )
+    # every row of the class-sum search against the Gram-matrix route
+    for (case, (z, y)), family in itertools.product(ROW_CASES.items(), KERNEL_FAMILIES):
+        sel = select_bandwidth(z, y, family=family)
+        lt = label_kernel_matrix(y, zero_diag=True)
+        assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
+        for coeff, row in zip(DEFAULT_GRID_COEFFICIENTS, sel.table):
+            assert row.sigma == coeff * sel.sigma_base
+            kt = kernel_matrix(KernelSpec(family, row.sigma), z, zero_diag=True)
+            if family == GAUSSIAN and coeff == 0.001:
+                assert not kt.any()  # the Gaussian underflows to 0 everywhere
+            value = hsic_unbiased(kt, lt)
+            raw = hsic_variance(kt, lt, value, clamp=False)
+            ratio = value / math.sqrt(max(raw, 0.0) + DEFAULT_EPSILON)
+            for got, want in ((row.value, value), (row.raw_variance, raw),
+                              (row.power_ratio, ratio)):
+                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-13), (
+                    case, family, coeff, got, want)
+
+
+def test_label_search_builds_distances_once_and_no_label_gram(call_counts):
+    counts, count = call_counts
+    for target in ("kerndep.kernels.pdist", "kerndep.hsic.kernel_from_sq_dists",
+                   "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
+                   "kerndep.kernels.label_kernel_matrix"):
+        count(target)
+    z, y = blob_data(2)
+    select_bandwidth(z, y)
+    assert counts == {
+        "kerndep.kernels.pdist": 1,  # the base reads the same distances
+        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
+        "kerndep.hsic.hsic_unbiased": 0,
+        "kerndep.hsic.hsic_variance": 0,
+        "kerndep.kernels.label_kernel_matrix": 0,
+    }
+
+
+@pytest.mark.parametrize("target, grams", [("labels", 1), ("embeddings", 2)])
+def test_cosine_search_estimates_once(call_counts, target, grams):
+    counts, count = call_counts
+    count("kerndep.hsic.cosine_gram")
+    count("kerndep.hsic._label_hsic")
+    count("kerndep.hsic.hsic_unbiased")
+    z, y = blob_data(3)
+    sel = select_bandwidth(z, y if target == "labels" else z[:, ::-1], family="cosine")
+    assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
+    assert len({(row.value, row.raw_variance) for row in sel.table}) == 1
+    assert counts["kerndep.hsic.cosine_gram"] == grams
+    assert counts["kerndep.hsic._label_hsic"] + counts["kerndep.hsic.hsic_unbiased"] == 1
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_overflowing_bandwidth_is_rejected(family):
+    z, y = blob_data(1)
+    with pytest.raises(ValueError, match="overflows"):
+        select_bandwidth(z, y, family=family, grid=BandwidthGrid(coefficients=(1.0, 1e308)))
 
 
 def test_all_ratio_ties_resolve_to_smallest_coefficient():

@@ -1,5 +1,7 @@
 """Gram construction, label kernels, and the median base scale."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -18,6 +20,7 @@ from kerndep.kernels import (
     kernel_from_sq_dists,
     kernel_matrix,
     label_kernel_matrix,
+    median_of_sq_dists,
     median_sq_distance,
     sq_dist_matrix,
 )
@@ -229,6 +232,35 @@ def test_kernel_from_sq_dists_matches_pointwise_eval(family):
             assert k[i, j] == pytest.approx(eval_kernel(spec, z[i], z[j]), rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 0.37, 1.7, 1e3, 1e200])
+def test_kernel_from_sq_dists_is_bit_identical_and_leaves_input(sigma):
+    rng = np.random.default_rng(17)
+    d2 = sq_dist_matrix(rng.normal(size=(9, 4)) * 3.0)
+    before = d2.copy()
+    gaussian = kernel_from_sq_dists(d2, GAUSSIAN, sigma)
+    imq = kernel_from_sq_dists(d2, IMQ, sigma)
+    assert np.array_equal(d2, before)
+    # the expressions written with temporaries, before the in-place rewrite
+    assert gaussian.tobytes() == np.exp(-d2 / (2.0 * sigma * sigma)).tobytes()
+    assert imq.tobytes() == (1.0 / np.sqrt(1.0 + d2 / (sigma * sigma))).tobytes()
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+def test_kernel_from_sq_dists_rejects_bad_bandwidth(family, sigma):
+    with pytest.raises(ValueError, match="bandwidth"):
+        kernel_from_sq_dists(np.zeros((2, 2)), family, sigma)
+
+
+def test_median_of_sq_dists_matches_median_sq_distance():
+    rng = np.random.default_rng(23)
+    z = rng.normal(size=(12, 3))
+    z[5] = z[2]  # one zero-distance pair
+    assert median_of_sq_dists(sq_dist_matrix(z)) == median_sq_distance(z)
+    with pytest.raises(ValueError, match="identical"):
+        median_of_sq_dists(sq_dist_matrix(np.ones((3, 2))))
+
+
 def test_as_embeddings_validation():
     with pytest.raises(ValueError):
         as_embeddings(np.array([1.0, 2.0]))
@@ -260,4 +292,7 @@ def test_kernel_spec_validation():
         KernelSpec(GAUSSIAN, 0.0)
     with pytest.raises(ValueError):
         KernelSpec(IMQ, -2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(GAUSSIAN, bad)
     KernelSpec(COSINE)  # bandwidth-free
