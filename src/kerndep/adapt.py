@@ -138,20 +138,18 @@ def _normalize_rows_backward(d_out: np.ndarray, z: np.ndarray,
     return d_in
 
 
-def _forward(head: LinearHead, embeddings,
-             normalize: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Validated embeddings u, transformed rows z, and the row norms of
+def _forward(head: LinearHead, u: np.ndarray,
+             normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Transformed rows z of validated embeddings u, and the row norms of
     u @ theta.T before normalization (None when not normalizing)."""
-    u = as_embeddings(embeddings)
     if u.shape[1] != head.dim:
         raise ValueError(
             f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
         )
     v = u @ head.theta.T
     if not normalize:
-        return u, v, None
-    z, norms = _normalize_rows(v)
-    return u, z, norms
+        return v, None
+    return _normalize_rows(v)
 
 
 def _head_gradient(dz: np.ndarray, u: np.ndarray, z: np.ndarray,
@@ -164,7 +162,7 @@ def _head_gradient(dz: np.ndarray, u: np.ndarray, z: np.ndarray,
 
 def transform(head: LinearHead, embeddings, normalize: bool = True) -> np.ndarray:
     """Apply the head to every row, then optionally L2-normalize each row."""
-    return _forward(head, embeddings, normalize)[1]
+    return _forward(head, as_embeddings(embeddings), normalize)[0]
 
 
 def _prototypes(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +183,8 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
     vector is the cosine similarity to every prototype. The gradient chains
     both through that similarity and through each sample's own class mean.
     """
-    u, z, v_norms = _forward(head, embeddings, normalize)
+    u = as_embeddings(embeddings)
+    z, v_norms = _forward(head, u, normalize)
     m = u.shape[0]
     y = as_labels(labels, m)
     if int(y.max()) + 1 < 2:
@@ -258,6 +257,58 @@ def _radial_weight(k_full: np.ndarray, family: str, sigma: float) -> np.ndarray:
     return -(k_full ** 3) / (sigma * sigma)
 
 
+class _DependencePlan:
+    """dependence_loss_and_grad for one support set with frozen bandwidths.
+
+    What does not depend on the head is done once, here: the rows and labels
+    are validated, and the label Gram and its cotangent are built. Calling the
+    plan on a head gives the loss and gradient; each call builds one distance
+    matrix, and one kernel when sigma_zz == sigma_zy.
+    """
+
+    def __init__(self, embeddings, labels, sigma_zy: float, sigma_zz: float,
+                 gamma: float, family: str, normalize: bool) -> None:
+        if family not in RADIAL_FAMILIES:
+            raise ValueError(
+                "analytic gradient requires a radial kernel family (gaussian or imq)")
+        self.u = as_embeddings(embeddings)
+        m = self.u.shape[0]
+        y = as_labels(labels, m)
+        if m < 4:
+            raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
+        self.lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
+        self.label_cotangent = _hsic_gram_cotangent(self.lt)
+        self.sigma_zy = sigma_zy
+        self.sigma_zz = sigma_zz
+        self.gamma = gamma
+        self.family = family
+        self.normalize = normalize
+
+    def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
+        family, sigma_zy = self.family, self.sigma_zy
+        z, norms = _forward(head, self.u, self.normalize)
+        d2 = sq_dist_matrix(z)
+        kt = kernel_from_sq_dists(d2, family, sigma_zy)
+        radial = _radial_weight(kt, family, sigma_zy)
+        w = self.label_cotangent * radial
+        dz = -(w.sum(axis=1)[:, None] * z - w @ z)
+        np.fill_diagonal(kt, 0.0)
+        loss = -hsic_unbiased(kt, self.lt)
+        del w
+
+        if self.gamma != 0.0:
+            if self.sigma_zz != sigma_zy:
+                kt = kernel_from_sq_dists(d2, family, self.sigma_zz)
+                radial = _radial_weight(kt, family, self.sigma_zz)
+                np.fill_diagonal(kt, 0.0)
+            # the penalty depends on Kt twice, hence the factor 2
+            w = (2.0 * _hsic_gram_cotangent(kt)) * radial
+            dz += self.gamma * (w.sum(axis=1)[:, None] * z - w @ z)
+            loss += self.gamma * hsic_unbiased(kt, kt)
+
+        return float(loss), _head_gradient(dz, self.u, z, norms)
+
+
 def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
                              sigma_zy: float, sigma_zz: float, gamma: float,
                              family: str = GAUSSIAN,
@@ -272,35 +323,12 @@ def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
     cotangent through the radial kernel derivative (radial families only),
     the optional row normalization, and the linear map; the penalty chains
     through both Gram arguments.
+
+    run_episode builds the plan once per episode and calls it every step;
+    this function builds it and calls it once.
     """
-    if family not in RADIAL_FAMILIES:
-        raise ValueError("analytic gradient requires a radial kernel family (gaussian or imq)")
-    u, z, norms = _forward(head, embeddings, normalize)
-    m = u.shape[0]
-    y = as_labels(labels, m)
-    if m < 4:
-        raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
-
-    d2 = sq_dist_matrix(z)
-    lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
-    kt = kernel_from_sq_dists(d2, family, sigma_zy)
-    w = _hsic_gram_cotangent(lt) * _radial_weight(kt, family, sigma_zy)
-    dz = -(w.sum(axis=1)[:, None] * z - w @ z)
-    np.fill_diagonal(kt, 0.0)
-    loss = -hsic_unbiased(kt, lt)
-    # release the m x m temporaries before the penalty allocates its own
-    del kt, w, lt
-
-    if gamma != 0.0:
-        kt = kernel_from_sq_dists(d2, family, sigma_zz)
-        radial = _radial_weight(kt, family, sigma_zz)
-        np.fill_diagonal(kt, 0.0)
-        # the penalty depends on Kt twice, hence the factor 2
-        w = (2.0 * _hsic_gram_cotangent(kt)) * radial
-        dz += gamma * (w.sum(axis=1)[:, None] * z - w @ z)
-        loss += gamma * hsic_unbiased(kt, kt)
-
-    return float(loss), _head_gradient(dz, u, z, norms)
+    return _DependencePlan(embeddings, labels, sigma_zy, sigma_zz, gamma,
+                           family, normalize)(head)
 
 
 def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
@@ -365,19 +393,18 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
             sigma_zz = selection.coefficient * selection.sigma_base
         else:
             sigma_zz = select_bandwidth(z0, z0, cfg.kernel_family, cfg.grid).sigma
+        step = _DependencePlan(support_x, support_y, sigma_zy, sigma_zz, cfg.gamma,
+                               cfg.kernel_family, cfg.normalize_features)
     else:
         sigma_zy = float("nan")
         sigma_zz = float("nan")
 
+        def step(head):
+            return ncc_loss_and_grad(head, support_x, support_y, cfg.normalize_features)
+
     trace: list[float] = []
     for _ in range(cfg.steps):
-        if cfg.loss == "mokd":
-            loss, grad = dependence_loss_and_grad(
-                head, support_x, support_y, sigma_zy, sigma_zz, cfg.gamma,
-                cfg.kernel_family, cfg.normalize_features)
-        else:
-            loss, grad = ncc_loss_and_grad(head, support_x, support_y,
-                                           cfg.normalize_features)
+        loss, grad = step(head)
         head, state = adadelta_step(state, head, grad, cfg.learning_rate,
                                     cfg.weight_decay, cfg.rho, cfg.opt_eps)
         trace.append(loss)

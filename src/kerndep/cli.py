@@ -9,7 +9,6 @@ validation failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -157,10 +156,9 @@ def cmd_eval(args) -> int:
     seed = sampler_cfg.seed
 
     dataset = load_embeddings(args.embeddings)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     keep = args.dump_heatmaps is not None
     report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, seed,
-                      jobs=jobs, keep_results=keep)
+                      jobs=args.jobs, keep_results=keep)
 
     if args.dump_heatmaps is not None:
         out_dir = Path(args.dump_heatmaps)
@@ -230,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file; flags win over it")
     p_eval.add_argument("--dump-heatmaps", default=None, metavar="DIR",
                         help="write per-episode similarity heatmaps (PGM)")
-    p_eval.add_argument("--jobs", type=int, default=None,
-                        help="concurrent episodes (default: logical cores)")
+    p_eval.add_argument("--jobs", type=int, default=1,
+                        help="episodes run at once in threads (default: 1, serial)")
     p_eval.add_argument("--verbose", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -233,9 +233,11 @@ def select_bandwidth(z, target, family: str = "gaussian",
 
     z's distances are built once and also give the base. A label target is
     never expanded into its m x m kernel: each row reads the class sums of
-    z's Gram matrix (see _label_hsic). The cosine kernel ignores the
-    bandwidth, so its one estimate fills every row.
+    z's Gram matrix (see _label_hsic). A target that is z itself reuses z's
+    distances and Gram matrices. The cosine kernel ignores the bandwidth, so
+    its one estimate fills every row.
     """
+    self_target = target is z
     z = as_embeddings(z)
     m = z.shape[0]
     if m < 4:
@@ -248,7 +250,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
     labels_mode = np.asarray(target).ndim == 1
     if labels_mode:
         y = as_labels(target, m)
-    else:
+    elif not self_target:
         t = as_embeddings(target)
         if t.shape[0] != m:
             raise ValueError(
@@ -273,7 +275,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
         kt = zero_diag_gram(z, d2_z, sigma)
         if labels_mode:
             return _label_hsic(kt, y)
-        lt = zero_diag_gram(t, d2_t, sigma)
+        lt = kt if self_target else zero_diag_gram(t, d2_t, sigma)
         value = hsic_unbiased(kt, lt)
         return value, hsic_variance(kt, lt, value, clamp=False)
 

@@ -21,7 +21,7 @@ from kerndep.adapt import (
     run_episode,
     transform,
 )
-from kerndep.hsic import BandwidthGrid, hsic_unbiased, select_bandwidth
+from kerndep.hsic import DEFAULT_GRID_COEFFICIENTS, BandwidthGrid, hsic_unbiased, select_bandwidth
 from kerndep.kernels import (
     COSINE,
     GAUSSIAN,
@@ -365,18 +365,42 @@ def test_episode_is_deterministic():
     assert a.sigma_zy == b.sigma_zy
 
 
+def count_episode_builds(count, task, share, steps):
+    targets = ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
+               "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix",
+               "kerndep.adapt.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists")
+    for target in targets:
+        count(target)
+    return run_episode(task, AdaptConfig(steps=steps, share_zz_coefficient=share))
+
+
 def test_mokd_step_builds_one_distance_matrix(call_counts):
     counts, count = call_counts
-    for target in ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
-                   "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix"):
-        count(target)
     steps = 3
-    run_episode(separable_task(8), AdaptConfig(steps=steps, share_zz_coefficient=True))
+    count_episode_builds(count, separable_task(8), share=True, steps=steps)
     assert counts == {
         "kerndep.adapt.sq_dist_matrix": steps,  # one per step
         "kerndep.hsic.sq_dist_matrix": 1,  # the bandwidth search
         "kerndep.kernels.sq_dist_matrix": 0,  # no Gram rebuilt through kernel_matrix
-        "kerndep.adapt.label_kernel_matrix": steps,
+        "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
+        "kerndep.adapt.kernel_from_sq_dists": steps,  # shared by both loss terms
+        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
+    }
+
+
+def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
+    counts, count = call_counts
+    steps = 3
+    # this task's two searches pick different bandwidths, so each step needs two kernels
+    result = count_episode_builds(count, separable_task(4), share=False, steps=steps)
+    assert result.sigma_zz != result.sigma_zy
+    assert counts == {
+        "kerndep.adapt.sq_dist_matrix": steps,
+        "kerndep.hsic.sq_dist_matrix": 2,  # the self-dependence search reuses z's distances
+        "kerndep.kernels.sq_dist_matrix": 0,
+        "kerndep.adapt.label_kernel_matrix": 1,
+        "kerndep.adapt.kernel_from_sq_dists": 2 * steps,
+        "kerndep.hsic.kernel_from_sq_dists": 2 * len(DEFAULT_GRID_COEFFICIENTS),
     }
 
 

@@ -304,6 +304,24 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts):
     }
 
 
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_self_target_search_reuses_distances_and_grams(call_counts, family):
+    counts, count = call_counts
+    z, _ = blob_data(4)
+    copy = select_bandwidth(z, z.copy(), family=family)
+    for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.kernel_from_sq_dists",
+                   "kerndep.hsic.cosine_gram"):
+        count(target)
+    same = select_bandwidth(z, z, family=family)
+    assert same == copy  # every table entry equals the search against an equal copy
+    radial = family != "cosine"
+    assert counts == {
+        "kerndep.hsic.sq_dist_matrix": 1,  # z's distances, which also give the base
+        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) if radial else 0,
+        "kerndep.hsic.cosine_gram": 0 if radial else 1,
+    }
+
+
 @pytest.mark.parametrize("target, grams", [("labels", 1), ("embeddings", 2)])
 def test_cosine_search_estimates_once(call_counts, target, grams):
     counts, count = call_counts
