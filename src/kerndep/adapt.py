@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hsic import BandwidthGrid, DEFAULT_EPSILON, hsic_unbiased, select_bandwidth
 from .kernels import (
@@ -194,13 +193,13 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
     zn, z_norms = _normalize_rows(z)
     pn, p_norms = _normalize_rows(protos)
     sims = zn @ pn.T
-    log_probs = sims - logsumexp(sims, axis=1, keepdims=True)
+    shifted = sims - sims.max(axis=1, keepdims=True)
+    grad_sims = np.exp(shifted)
+    total = grad_sims.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(total)
     loss = float(-log_probs[np.arange(m), y].mean())
 
-    shifted = sims - sims.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    grad_sims = probs.copy()
+    grad_sims /= total  # the softmax probabilities
     grad_sims[np.arange(m), y] -= 1.0
     grad_sims /= m
 
@@ -231,30 +230,38 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     return sims.argmax(axis=1)
 
 
-def _hsic_gram_cotangent(lt: np.ndarray) -> np.ndarray:
-    """d(hsic_unbiased)/d(Kt) with Lt fixed, symmetrized, diagonal zeroed.
+def _hsic_gram_cotangent(lt: np.ndarray, weight: float) -> np.ndarray:
+    """weight * d(hsic_unbiased)/d(Kt) with Lt fixed, symmetrized, diagonal
+    zeroed.
 
     The three estimator terms contribute Lt, a constant matrix, and a
     rank-one correction from the row sums of Lt.
     """
     m = lt.shape[0]
-    c0 = 1.0 / (m * (m - 3.0))
+    c = 2.0 * weight / (m * (m - 3.0))
     l_rows = lt.sum(axis=1)
-    sum_l = float(l_rows.sum())
-    gs = (
-        2.0 * c0 * lt
-        + (2.0 * c0 * sum_l / ((m - 1.0) * (m - 2.0)))
-        - (2.0 * c0 / (m - 2.0)) * (l_rows[:, None] + l_rows[None, :])
-    )
+    gs = np.add.outer(l_rows, l_rows)
+    gs *= -c / (m - 2.0)
+    gs += c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0))
+    gs += c * lt
     np.fill_diagonal(gs, 0.0)
     return gs
 
 
-def _radial_weight(k_full: np.ndarray, family: str, sigma: float) -> np.ndarray:
+def _radial_weight(k: np.ndarray, family: str, sigma: float) -> np.ndarray:
     # 2 * d k / d r at r = squared distance, expressed through the kernel value
     if family == GAUSSIAN:
-        return -k_full / (sigma * sigma)
-    return -(k_full ** 3) / (sigma * sigma)
+        return k / -(sigma * sigma)
+    w = k * k
+    w *= k
+    w /= -(sigma * sigma)
+    return w
+
+
+def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float) -> np.ndarray:
+    k = kernel_from_sq_dists(d2, family, sigma)
+    np.fill_diagonal(k, 0.0)
+    return k
 
 
 class _DependencePlan:
@@ -262,8 +269,10 @@ class _DependencePlan:
 
     What does not depend on the head is done once, here: the rows and labels
     are validated, and the label Gram and its cotangent are built. Calling the
-    plan on a head gives the loss and gradient; each call builds one distance
-    matrix, and one kernel when sigma_zz == sigma_zy.
+    plan on a head gives the loss and gradient. Each call builds one distance
+    matrix and one kernel per distinct bandwidth, and sums the cotangents of
+    both loss terms into one weight matrix, so the pull-back to the rows is
+    one row-sum pass and one matrix product.
     """
 
     def __init__(self, embeddings, labels, sigma_zy: float, sigma_zz: float,
@@ -277,7 +286,8 @@ class _DependencePlan:
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
         self.lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
-        self.label_cotangent = _hsic_gram_cotangent(self.lt)
+        # the loss carries -dependence(z, labels)
+        self.label_cotangent = _hsic_gram_cotangent(self.lt, -1.0)
         self.sigma_zy = sigma_zy
         self.sigma_zz = sigma_zz
         self.gamma = gamma
@@ -285,27 +295,27 @@ class _DependencePlan:
         self.normalize = normalize
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
-        family, sigma_zy = self.family, self.sigma_zy
+        family, sigma_zy, sigma_zz = self.family, self.sigma_zy, self.sigma_zz
         z, norms = _forward(head, self.u, self.normalize)
         d2 = sq_dist_matrix(z)
-        kt = kernel_from_sq_dists(d2, family, sigma_zy)
-        radial = _radial_weight(kt, family, sigma_zy)
-        w = self.label_cotangent * radial
-        dz = -(w.sum(axis=1)[:, None] * z - w @ z)
-        np.fill_diagonal(kt, 0.0)
-        loss = -hsic_unbiased(kt, self.lt)
-        del w
-
-        if self.gamma != 0.0:
-            if self.sigma_zz != sigma_zy:
-                kt = kernel_from_sq_dists(d2, family, self.sigma_zz)
-                radial = _radial_weight(kt, family, self.sigma_zz)
-                np.fill_diagonal(kt, 0.0)
+        kzy = _zero_diag_kernel(d2, family, sigma_zy)
+        loss = -hsic_unbiased(kzy, self.lt)
+        # w = d(loss)/d(d2): each Gram cotangent times its kernel's radial weight
+        if self.gamma == 0.0:
+            w = self.label_cotangent * _radial_weight(kzy, family, sigma_zy)
+        else:
+            shared = sigma_zz == sigma_zy
+            kzz = kzy if shared else _zero_diag_kernel(d2, family, sigma_zz)
+            loss += self.gamma * hsic_unbiased(kzz, kzz)
             # the penalty depends on Kt twice, hence the factor 2
-            w = (2.0 * _hsic_gram_cotangent(kt)) * radial
-            dz += self.gamma * (w.sum(axis=1)[:, None] * z - w @ z)
-            loss += self.gamma * hsic_unbiased(kt, kt)
-
+            w = _hsic_gram_cotangent(kzz, 2.0 * self.gamma)
+            if shared:
+                w += self.label_cotangent
+                w *= _radial_weight(kzy, family, sigma_zy)
+            else:
+                w *= _radial_weight(kzz, family, sigma_zz)
+                w += self.label_cotangent * _radial_weight(kzy, family, sigma_zy)
+        dz = w.sum(axis=1)[:, None] * z - w @ z
         return float(loss), _head_gradient(dz, self.u, z, norms)
 
 
@@ -368,7 +378,8 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     Phases: select bandwidths on the untouched support representation (mode
     "mokd" only; the self-dependence bandwidth either reuses the selected
     coefficient on the same base or runs its own search), then run the
-    configured number of update steps with those bandwidths frozen, then
+    configured number of update steps with those bandwidths frozen (mode
+    "mokd" builds its label work once, in a plan every step calls), then
     classify the query set with the nearest-centroid rule.
     """
     cfg = config if config is not None else AdaptConfig()

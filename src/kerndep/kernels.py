@@ -1,8 +1,9 @@
 """Kernel functions, Gram matrices, the label kernel, and the median heuristic.
 
 All public functions validate their inputs and compute in float64. Gram
-matrices are exactly symmetric because each off-diagonal pair is evaluated
-once and mirrored.
+matrices are exactly symmetric: radial kernels act elementwise on squared
+distances that are exactly symmetric (see sq_dist_matrix), and the cosine
+Gram is mirrored from its upper triangle.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 GAUSSIAN = "gaussian"
 IMQ = "imq"
@@ -102,12 +102,43 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     return float(1.0 / np.sqrt(1.0 + r / (spec.sigma * spec.sigma)))
 
 
+# Pairs whose squared distance is at most this fraction of n_i + n_j lose
+# most of their digits to cancellation in n_i + n_j - 2 z_i.z_j, and are
+# recomputed from the row differences.
+_CANCELLATION = 1e-8
+# Rows of differences formed at once when recomputing such pairs.
+_PAIR_BLOCK = 4096
+
+
 def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances; each pair evaluated once, so the
-    result is exactly symmetric with an exactly zero diagonal."""
-    if z.shape[0] == 1:
-        return np.zeros((1, 1))
-    return squareform(pdist(z, "sqeuclidean"))
+    """Pairwise squared Euclidean distances of the rows of z.
+
+    The rows are centred (distances do not change under translation), and
+    the matrix is read from the Gram matrix G = zc @ zc.T as
+    n_i + n_j - 2 G_ij with n = diag(G). numpy computes zc @ zc.T with one
+    symmetric rank-k update, so the result is exactly symmetric. Every pair
+    within the cancellation threshold, which takes in duplicate rows and any
+    negative value, is recomputed from the difference of its uncentred rows;
+    duplicates give exactly 0. The diagonal is exactly 0.
+    """
+    zc = z - z.mean(axis=0)
+    d2 = zc @ zc.T
+    n = d2.diagonal().copy()
+    scale = np.add.outer(n, n)
+    d2 *= -2.0
+    d2 += scale
+    np.fill_diagonal(d2, np.inf)
+    # a pair within the threshold has d2 <= _CANCELLATION * 2 max(n), so a
+    # larger least entry means there is none; NaN (overflowing rows) fails too
+    if not d2.min() > _CANCELLATION * 2.0 * n.max():
+        scale *= _CANCELLATION
+        rows, cols = np.nonzero(~(d2 > scale))
+        for start in range(0, rows.size, _PAIR_BLOCK):
+            i, j = rows[start:start + _PAIR_BLOCK], cols[start:start + _PAIR_BLOCK]
+            diff = z[i] - z[j]  # near-equal coordinates subtract exactly
+            d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float) -> np.ndarray:
@@ -181,18 +212,14 @@ def median_sq_distance(z) -> float:
     z = as_embeddings(z)
     if z.shape[0] < 2:
         raise ValueError("median heuristic needs at least two samples")
-    return _median_positive(pdist(z, "sqeuclidean"))
+    return median_of_sq_dists(sq_dist_matrix(z))
 
 
 def median_of_sq_dists(d2: np.ndarray) -> float:
     """median_sq_distance read from a square matrix built by sq_dist_matrix,
     so a caller that has the distances does not compute them again."""
-    return _median_positive(squareform(d2, checks=False))
-
-
-def _median_positive(d2: np.ndarray) -> float:
-    # d2 holds each pair once, as pdist lays it out
-    positive = d2[d2 > 0]
+    upper = d2[~np.tri(d2.shape[0], dtype=bool)]  # each pair once
+    positive = upper[upper > 0]
     if positive.size == 0:
         raise ValueError("all points are identical; median distance is undefined")
     return float(np.median(positive))

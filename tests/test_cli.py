@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from kerndep.adapt import AdaptConfig
-from kerndep.cli import main, read_config_file
+from kerndep.cli import build_parser, main, read_config_file
 from kerndep.evaluation import EvalReport
 from kerndep.hsic import BandwidthGrid
 from kerndep.tasks import SamplerConfig, load_embeddings, synth_dataset, save_embeddings
@@ -547,3 +548,21 @@ def test_installed_console_script_help():
     assert "synth" in proc.stdout
     assert "hsic" in proc.stdout
     assert "eval" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter pays for every module the CLI imports, on every
+    # command; kerndep needs numpy alone
+    import kerndep
+
+    src = str(Path(kerndep.__file__).resolve().parents[1])
+    code = "import sys, kerndep.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_eval_runs_episodes_serially_by_default():
+    args = build_parser().parse_args(["eval", "--embeddings", "pool.emb"])
+    assert args.jobs == 1

@@ -289,14 +289,14 @@ def test_selection_rows_match_manual_composition():
 
 def test_label_search_builds_distances_once_and_no_label_gram(call_counts):
     counts, count = call_counts
-    for target in ("kerndep.kernels.pdist", "kerndep.hsic.kernel_from_sq_dists",
+    for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.kernel_from_sq_dists",
                    "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
                    "kerndep.kernels.label_kernel_matrix"):
         count(target)
     z, y = blob_data(2)
     select_bandwidth(z, y)
     assert counts == {
-        "kerndep.kernels.pdist": 1,  # the base reads the same distances
+        "kerndep.hsic.sq_dist_matrix": 1,  # the base reads the same distances
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
         "kerndep.hsic.hsic_unbiased": 0,
         "kerndep.hsic.hsic_variance": 0,

@@ -221,6 +221,28 @@ def test_sq_dist_matrix_single_row():
     assert np.array_equal(sq_dist_matrix(np.array([[5.0, 5.0]])), np.zeros((1, 1)))
 
 
+def sq_dists_by_differences(z):
+    """Oracle: each pair's squared distance summed from its row difference."""
+    diff = z[:, None, :] - z[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+def test_sq_dist_matrix_matches_differences(shift):
+    rng = np.random.default_rng(31)
+    z = rng.normal(size=(40, 12)) + shift
+    z[7] = z[3]  # an exact duplicate
+    z[9] = z[2] + 1e-9  # a near duplicate, deep in the cancellation range
+    d2 = sq_dist_matrix(z)
+    want = sq_dists_by_differences(z)
+    assert np.array_equal(d2, d2.T)
+    assert not d2.diagonal().any()
+    assert d2[3, 7] == 0.0 and d2[7, 3] == 0.0
+    pairs = want > 0
+    assert np.count_nonzero(~pairs) == 40 + 2  # the diagonal and the duplicate pair
+    assert np.all(np.abs(d2[pairs] - want[pairs]) <= 1e-14 * want[pairs])
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 def test_kernel_from_sq_dists_matches_pointwise_eval(family):
     rng = np.random.default_rng(7)
