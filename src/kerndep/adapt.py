@@ -9,7 +9,7 @@ before the gradient loop, and stay frozen afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .kernels import (
     label_kernel_matrix,
     sq_dist_matrix,
 )
+from .tasks import Task
 
 LOSS_MODES = ("mokd", "ncc")
 
@@ -107,18 +108,6 @@ class AdaptConfig:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.grid is None:
             self.grid = BandwidthGrid(epsilon=self.epsilon)
-
-
-@dataclass
-class EpisodeResult:
-    final_head: LinearHead
-    loss_trace: list[float]
-    sigma_zy: float
-    sigma_zz: float
-    query_accuracy: float
-    support_similarity: np.ndarray
-    query_support_similarity: np.ndarray
-    class_boundaries: tuple[int, ...]
 
 
 def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,10 +355,40 @@ def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
     return LinearHead(theta), AdadeltaState(sq_grad, sq_delta)
 
 
-def _class_boundaries(y: np.ndarray) -> tuple[int, ...]:
-    # start row of each contiguous class block
-    changes = np.flatnonzero(np.diff(y)) + 1
-    return tuple([0, *changes.tolist()])
+@dataclass
+class EpisodeResult:
+    """What one episode produced, plus the task and row normalization it ran
+    with (references, not copies).
+
+    The similarity matrices and class boundaries are computed from the final
+    head each time they are read, since only an export needs them.
+    """
+
+    final_head: LinearHead
+    loss_trace: list[float]
+    sigma_zy: float
+    sigma_zz: float
+    query_accuracy: float
+    task: Task
+    normalize: bool
+
+    @property
+    def support_similarity(self) -> np.ndarray:
+        """m x m cosine similarities of the transformed support rows."""
+        return cosine_gram(transform(self.final_head, self.task.support_x, self.normalize))
+
+    @property
+    def query_support_similarity(self) -> np.ndarray:
+        """q x m cosine similarities of transformed query to support rows."""
+        zs = transform(self.final_head, self.task.support_x, self.normalize)
+        zq = transform(self.final_head, self.task.query_x, self.normalize)
+        return _normalize_rows(zq)[0] @ _normalize_rows(zs)[0].T
+
+    @property
+    def class_boundaries(self) -> tuple[int, ...]:
+        """Start row of each contiguous class block of the support labels."""
+        changes = np.flatnonzero(np.diff(as_labels(self.task.support_y))) + 1
+        return tuple([0, *changes.tolist()])
 
 
 def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
@@ -423,20 +442,12 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     preds = ncc_predict(head, (support_x, support_y), query_x, cfg.normalize_features)
     accuracy = float((preds == query_y).mean())
 
-    zs = transform(head, support_x, cfg.normalize_features)
-    zq = transform(head, query_x, cfg.normalize_features)
-    support_sim = cosine_gram(zs)
-    zq_n, _ = _normalize_rows(zq)
-    zs_n, _ = _normalize_rows(zs)
-    query_sim = zq_n @ zs_n.T
-
     return EpisodeResult(
         final_head=head,
         loss_trace=trace,
         sigma_zy=sigma_zy,
         sigma_zz=sigma_zz,
         query_accuracy=accuracy,
-        support_similarity=support_sim,
-        query_support_similarity=query_sim,
-        class_boundaries=_class_boundaries(support_y),
+        task=task,
+        normalize=cfg.normalize_features,
     )

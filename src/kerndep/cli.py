@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dump-heatmaps", default=None, metavar="DIR",
                         help="write per-episode similarity heatmaps (PGM)")
     p_eval.add_argument("--jobs", type=int, default=1,
-                        help="episodes run at once in threads (default: 1, serial)")
+                        help="episodes run at once in threads, at least 1 "
+                             "(default: 1, serial)")
     p_eval.add_argument("--verbose", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 

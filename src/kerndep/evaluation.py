@@ -1,4 +1,4 @@
-"""Multi-episode evaluation, similarity-matrix export, and a small analytic check.
+"""Multi-episode evaluation and similarity-matrix export.
 
 Every episode derives its own random stream from (base_seed, episode index),
 so results do not depend on execution order and repeated runs are
@@ -65,6 +65,8 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
     """
     if n_episodes < 1:
         raise ValueError(f"need at least one episode, got {n_episodes}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     def one(i: int) -> EpisodeResult:
         try:
@@ -125,18 +127,3 @@ def similarity_export(result: EpisodeResult, path, fmt: str = "csv",
         path.write_bytes(header + pixels.tobytes())
     else:
         raise ValueError(f"format must be 'csv' or 'pgm', got {fmt!r}")
-
-
-def exp_mean_bound_holds(values) -> bool:
-    """Check exp(mean(a)) >= mean(exp(a)) - (e + (e - 1) log(e - 1)) for a
-    vector with entries in [0, 1]. The slack term makes the bound hold for
-    every such vector, so a False return signals a numerical problem."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError(f"expected a non-empty 1-D vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("vector contains non-finite entries")
-    if (a < 0.0).any() or (a > 1.0).any():
-        raise ValueError("entries must lie in [0, 1]")
-    slack = math.e + (math.e - 1.0) * math.log(math.e - 1.0)
-    return bool(math.exp(a.mean()) >= np.exp(a).mean() - slack)

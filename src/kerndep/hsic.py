@@ -104,36 +104,6 @@ def hsic_unbiased(kt, lt) -> float:
     return total / (m * (m - 3.0))
 
 
-def hsic_unbiased_naive(kt, lt) -> float:
-    """Slow reference estimator using explicit scalar index sums.
-
-    Deliberately free of matrix algebra so it can cross-check the vectorized
-    route; the cubic-cost sum keeps it usable only for small m.
-    """
-    kt, lt, m = _check_gram_pair(kt, lt)
-    k = kt.tolist()
-    l = lt.tolist()
-    trace_term = 0.0
-    for i in range(m):
-        for j in range(m):
-            trace_term += k[i][j] * l[j][i]
-    sum_k = 0.0
-    sum_l = 0.0
-    for i in range(m):
-        for j in range(m):
-            sum_k += k[i][j]
-            sum_l += l[i][j]
-    cross = 0.0
-    for i in range(m):
-        for j in range(m):
-            kij = k[i][j]
-            row_l = l[j]
-            for t in range(m):
-                cross += kij * row_l[t]
-    total = trace_term + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
-    return total / (m * (m - 3.0))
-
-
 def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     """Variance estimate for the unbiased dependence statistic.
 

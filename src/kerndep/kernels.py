@@ -9,7 +9,6 @@ Gram is mirrored from its upper triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,47 +58,6 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
 def _check_bandwidth(sigma: float) -> None:
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {sigma}")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel family plus its bandwidth (the bandwidth is ignored by cosine)."""
-
-    family: str
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
-            )
-        if self.family in RADIAL_FAMILIES:
-            _check_bandwidth(self.sigma)
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on a single pair of vectors.
-
-    gaussian: exp(-||x-y||^2 / (2 sigma^2))
-    imq:      (1 + ||x-y||^2 / sigma^2)^(-1/2)
-    cosine:   <x, y> / (||x|| ||y||), 0 if either norm is zero
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"expected 1-D vectors of equal length, got {x.shape} and {y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("kernel inputs contain non-finite entries")
-    if spec.family == COSINE:
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
-        if nx == 0.0 or ny == 0.0:
-            return 0.0
-        return float(x @ y / (nx * ny))
-    r = float(((x - y) ** 2).sum())
-    if spec.family == GAUSSIAN:
-        return float(np.exp(-r / (2.0 * spec.sigma * spec.sigma)))
-    return float(1.0 / np.sqrt(1.0 + r / (spec.sigma * spec.sigma)))
 
 
 # Pairs whose squared distance is at most this fraction of n_i + n_j lose
@@ -168,19 +126,6 @@ def cosine_gram(z: np.ndarray) -> np.ndarray:
     g = g + g.T
     np.fill_diagonal(g, np.where(norms > 0, 1.0, 0.0))
     return g
-
-
-def kernel_matrix(spec: KernelSpec, z, zero_diag: bool = False) -> np.ndarray:
-    """Gram matrix K[i, j] = eval_kernel(spec, z_i, z_j), optionally with the
-    diagonal forced to zero."""
-    z = as_embeddings(z)
-    if spec.family == COSINE:
-        k = cosine_gram(z)
-    else:
-        k = kernel_from_sq_dists(sq_dist_matrix(z), spec.family, spec.sigma)
-    if zero_diag:
-        np.fill_diagonal(k, 0.0)
-    return k
 
 
 def label_kernel_matrix(labels, l1: float = 1.0, l0: float = 0.0,

@@ -26,12 +26,12 @@ from kerndep.kernels import (
     COSINE,
     GAUSSIAN,
     IMQ,
-    KernelSpec,
-    kernel_matrix,
+    cosine_gram,
     label_kernel_matrix,
     median_sq_distance,
 )
 from kerndep.tasks import synth_task
+from oracles import KernelSpec, kernel_matrix
 
 
 def random_instance(seed, m=None, d=None):
@@ -381,7 +381,7 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     assert counts == {
         "kerndep.adapt.sq_dist_matrix": steps,  # one per step
         "kerndep.hsic.sq_dist_matrix": 1,  # the bandwidth search
-        "kerndep.kernels.sq_dist_matrix": 0,  # no Gram rebuilt through kernel_matrix
+        "kerndep.kernels.sq_dist_matrix": 0,  # no median_sq_distance call
         "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
         "kerndep.adapt.kernel_from_sq_dists": steps,  # shared by both loss terms
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
@@ -424,6 +424,23 @@ def test_episode_ncc_mode_skips_bandwidth_selection():
     assert math.isnan(result.sigma_zz)
     assert result.query_accuracy == 1.0
     assert result.loss_trace[-1] < result.loss_trace[0]
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_episode_builds_similarity_matrices_only_when_read(call_counts, normalize):
+    counts, count = call_counts
+    count("kerndep.adapt.cosine_gram")
+    task = separable_task(6)
+    result = run_episode(task, AdaptConfig(steps=2, normalize_features=normalize))
+    assert counts["kerndep.adapt.cosine_gram"] == 0
+    support = result.support_similarity
+    assert counts["kerndep.adapt.cosine_gram"] == 1
+    zs = transform(result.final_head, task.support_x, normalize)
+    zq = transform(result.final_head, task.query_x, normalize)
+    assert support.tobytes() == cosine_gram(zs).tobytes()
+    unit = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in (zq, zs)]
+    assert result.query_support_similarity.tobytes() == (unit[0] @ unit[1].T).tobytes()
+    assert counts["kerndep.adapt.cosine_gram"] == 1
 
 
 def test_episode_records_class_boundaries():

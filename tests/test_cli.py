@@ -223,6 +223,17 @@ def test_eval_invalid_gamma_exits_two(pool_path, capsys):
     assert "gamma" in stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_eval_fewer_than_one_job_exits_two_before_any_episode(pool_path, capsys, monkeypatch,
+                                                             jobs):
+    monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(AssertionError))
+    code, stdout, stderr = run_cli(
+        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--jobs", jobs])
+    assert code == 2
+    assert stdout == ""
+    assert f"jobs must be at least 1, got {jobs}" in stderr
+
+
 @pytest.mark.parametrize("flag, field", [("--gamma", "gamma"), ("--lr", "learning_rate"),
                                          ("--weight-decay", "weight_decay")])
 def test_eval_non_finite_value_exits_two_before_any_episode(pool_path, capsys, monkeypatch,

@@ -14,10 +14,10 @@ from kerndep.evaluation import (
     ci95,
     episode_rng,
     evaluate,
-    exp_mean_bound_holds,
     similarity_export,
 )
-from kerndep.tasks import EmbeddingDataset, SamplerConfig, synth_dataset
+from kerndep.tasks import EmbeddingDataset, SamplerConfig, Task, TaskProvenance, synth_dataset
+from oracles import exp_mean_bound_holds
 
 
 def eval_pool(seed=0, separation=6.0, noise=1.0):
@@ -104,6 +104,16 @@ def test_evaluate_rejects_zero_episodes():
         evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 0, base_seed=0)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_rejects_fewer_than_one_job(jobs, monkeypatch):
+    def no_episode(task, config=None):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr("kerndep.evaluation.run_episode", no_episode)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 2, base_seed=0, jobs=jobs)
+
+
 def test_evaluate_wraps_episode_failures_with_index():
     # identical rows everywhere leave the median base scale undefined
     degenerate = EmbeddingDataset(
@@ -113,18 +123,20 @@ def test_evaluate_wraps_episode_failures_with_index():
         evaluate(degenerate, SamplerConfig(), quick_cfg(), 2, base_seed=0)
 
 
-def fake_result():
-    support = np.array([[1.0, 0.5], [0.5, 1.0]])
-    query = np.array([[-1.0, 0.0], [1.0, 0.5], [0.25, -0.5]])
+def fake_result(support_x=((1.0, 0.5), (0.5, 1.0)),
+                query_x=((-1.0, 0.0), (1.0, 0.5), (0.25, -0.5))):
+    """An identity-head result on a task with one support row per class."""
+    support_x, query_x = np.array(support_x), np.array(query_x)
+    task = Task(support_x, np.arange(len(support_x)), query_x,
+                np.zeros(len(query_x), dtype=np.int64), TaskProvenance("fake", 0, 0))
     return EpisodeResult(
         final_head=LinearHead.identity(2),
         loss_trace=[0.5, 0.25],
         sigma_zy=1.0,
         sigma_zz=1.0,
         query_accuracy=1.0,
-        support_similarity=support,
-        query_support_similarity=query,
-        class_boundaries=(0, 1),
+        task=task,
+        normalize=True,
     )
 
 
@@ -149,15 +161,18 @@ def test_similarity_export_query_matrix(tmp_path):
 
 
 def test_similarity_export_pgm_bytes(tmp_path):
-    result = fake_result()
-    result.query_support_similarity = np.array([[-1.0, 0.0], [1.0, 0.5]])
+    # support rows at 0, 90 and 180 degrees; query rows at 180 and 60 degrees
+    deg60 = (0.5, math.sqrt(3.0) / 2.0)
+    result = fake_result(support_x=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),
+                         query_x=((-1.0, 0.0), deg60))
     path = tmp_path / "sim.pgm"
     similarity_export(result, path, fmt="pgm", which="query")
     blob = path.read_bytes()
-    header = b"P5\n2 2\n255\n"
+    header = b"P5\n3 2\n255\n"
     assert blob.startswith(header)
-    # pixel = round(255 (v + 1) / 2): -1 -> 0, 0 -> 128, 1 -> 255, 0.5 -> 191
-    assert blob[len(header):] == bytes([0, 128, 255, 191])
+    # pixel = round(255 (v + 1) / 2): -1 -> 0, 0 -> 128, 1 -> 255, 0.5 -> 191,
+    # cos 30 deg -> 238, -0.5 -> 64
+    assert blob[len(header):] == bytes([0, 128, 255, 191, 238, 64])
 
 
 def test_similarity_export_rejects_unknown_selectors(tmp_path):

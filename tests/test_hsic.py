@@ -15,7 +15,6 @@ from kerndep.hsic import (
     BandwidthSelection,
     HsicEstimate,
     hsic_unbiased,
-    hsic_unbiased_naive,
     hsic_variance,
     power_ratio,
     select_bandwidth,
@@ -23,11 +22,10 @@ from kerndep.hsic import (
 from kerndep.kernels import (
     GAUSSIAN,
     KERNEL_FAMILIES,
-    KernelSpec,
-    kernel_matrix,
     label_kernel_matrix,
     median_sq_distance,
 )
+from oracles import KernelSpec, hsic_unbiased_naive, kernel_matrix, permutation_test_rejects
 
 
 def rand_gram(rng, m, scale=1.0):
@@ -401,3 +399,44 @@ def test_estimate_carries_raw_variance():
     for row in sel.table:
         assert isinstance(row, HsicEstimate)
         assert row.variance == max(0.0, row.raw_variance)
+
+
+# ------------------------------------------------ power of the selected kernel
+
+
+def nuisance_blobs(m, eps, rng):
+    """m two-coordinate rows and balanced binary labels. The rows sit in blobs
+    on a 3 x 3 grid of spacing 10, independent of the label; the label only
+    shifts the first coordinate by -eps or +eps. The median distance is set
+    by the blobs, so the median heuristic is blind to a shift of order 1."""
+    y = rng.permutation(np.arange(m) % 2)
+    x = 10.0 * rng.integers(0, 3, size=(m, 2)) + rng.standard_normal((m, 2))
+    x[:, 0] += eps * (2 * y - 1)
+    return x, y
+
+
+def rejection_rates(eps, trials, seed, m=40):
+    """Rejection rates of the permutation test at the bandwidth select_bandwidth
+    picks on one split, and at the median heuristic (coefficient 1), both
+    tested on a fresh split."""
+    rng = np.random.default_rng(seed)
+    selected = median = 0
+    for _ in range(trials):
+        sigma = select_bandwidth(*nuisance_blobs(m, eps, rng)).sigma
+        x, y = nuisance_blobs(m, eps, rng)
+        selected += permutation_test_rejects(x, y, sigma, rng)
+        median += permutation_test_rejects(x, y, math.sqrt(median_sq_distance(x)), rng)
+    return selected / trials, median / trials
+
+
+def test_selected_bandwidth_has_more_power_than_median_heuristic():
+    selected, median = rejection_rates(eps=1.5, trials=40, seed=0)
+    # over seeds 0-24: selected 0.85-0.975, median 0.025-0.225, gap 0.725-0.9
+    assert selected - median >= 0.5
+
+
+def test_permutation_test_on_a_fresh_split_keeps_its_level():
+    selected, median = rejection_rates(eps=0.0, trials=60, seed=0)
+    # over seeds 0-29: selected 0-0.133, median 0-0.1 (level 5/101 = 0.0495)
+    assert abs(selected - 0.05) <= 0.1
+    assert abs(median - 0.05) <= 0.1

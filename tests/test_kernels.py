@@ -12,18 +12,16 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
-    KernelSpec,
     as_embeddings,
     as_labels,
     cosine_gram,
-    eval_kernel,
     kernel_from_sq_dists,
-    kernel_matrix,
     label_kernel_matrix,
     median_of_sq_dists,
     median_sq_distance,
     sq_dist_matrix,
 )
+from oracles import KernelSpec, eval_kernel, kernel_matrix
 
 
 def embeddings(min_rows=2, max_rows=8, min_cols=1, max_cols=5):
