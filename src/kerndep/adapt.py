@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hsic import BandwidthGrid, DEFAULT_EPSILON, hsic_unbiased, select_bandwidth
+from .hsic import BandwidthGrid, DEFAULT_EPSILON, _unbiased_from_sums, select_bandwidth
 from .kernels import (
     COSINE,
     GAUSSIAN,
+    IMQ,
     KERNEL_FAMILIES,
     RADIAL_FAMILIES,
     as_embeddings,
@@ -237,18 +238,39 @@ def _hsic_gram_cotangent(lt: np.ndarray, weight: float) -> np.ndarray:
     return gs
 
 
-def _radial_weight(k: np.ndarray, family: str, sigma: float) -> np.ndarray:
-    # 2 * d k / d r at r = squared distance, expressed through the kernel value
-    if family == GAUSSIAN:
-        return k / -(sigma * sigma)
-    w = k * k
-    w *= k
-    w /= -(sigma * sigma)
-    return w
+def _penalty_cotangent(k: np.ndarray, k_rows: np.ndarray, gamma: float,
+                       out: np.ndarray) -> np.ndarray:
+    """gamma * d(hsic_unbiased(Kt, Kt))/d(Kt), written to out.
+
+    This is _hsic_gram_cotangent with Lt = Kt and weight 2 gamma, since the
+    penalty reads Kt twice, built as c Kt - t_i - t_j + const with the
+    constant folded into the row term. The diagonal is not zeroed; the
+    radial weight, which is zero there, does that.
+    """
+    m = k.shape[0]
+    c = 4.0 * gamma / (m * (m - 3.0))
+    t = k_rows * (c / (m - 2.0))
+    np.multiply(k, c, out=out)
+    out -= (t - c * float(k_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
+    out -= t
+    return out
 
 
-def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float) -> np.ndarray:
-    k = kernel_from_sq_dists(d2, family, sigma)
+def _times_radial_weight(cot: np.ndarray, k: np.ndarray, family: str, sigma: float,
+                         out: np.ndarray) -> np.ndarray:
+    """out = cot * 2 dk/dr at r = squared distance, the derivative expressed
+    through the kernel value k; out may be cot."""
+    np.multiply(cot, k, out=out)
+    if family == IMQ:
+        out *= k
+        out *= k
+    out /= -(sigma * sigma)
+    return out
+
+
+def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float,
+                      out: np.ndarray) -> np.ndarray:
+    k = kernel_from_sq_dists(d2, family, sigma, out=out)
     np.fill_diagonal(k, 0.0)
     return k
 
@@ -257,11 +279,17 @@ class _DependencePlan:
     """dependence_loss_and_grad for one support set with frozen bandwidths.
 
     What does not depend on the head is done once, here: the rows and labels
-    are validated, and the label Gram and its cotangent are built. Calling the
-    plan on a head gives the loss and gradient. Each call builds one distance
-    matrix and one kernel per distinct bandwidth, and sums the cotangents of
-    both loss terms into one weight matrix, so the pull-back to the rows is
-    one row-sum pass and one matrix product.
+    are validated, the label Gram, its row sums and its cotangent are built,
+    and the m x m buffers every call works in are allocated: one kernel
+    buffer, a second one only when the penalty has its own bandwidth, and the
+    weight matrix w = d(loss)/d(d2).
+
+    Calling the plan on a head gives the loss and gradient without any m x m
+    temporary: the distances are built in a kernel buffer and each kernel in
+    place or from them, the loss is read from the kernel's row sums and
+    inner products, and the cotangents of both loss terms are summed in w
+    and multiplied by the radial weight in place. The pull-back to the rows
+    is then one row-sum pass and one matrix product.
     """
 
     def __init__(self, embeddings, labels, sigma_zy: float, sigma_zz: float,
@@ -275,6 +303,8 @@ class _DependencePlan:
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
         self.lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
+        self.l_rows = self.lt.sum(axis=1)
+        self.sum_l = float(self.l_rows.sum())
         # the loss carries -dependence(z, labels)
         self.label_cotangent = _hsic_gram_cotangent(self.lt, -1.0)
         self.sigma_zy = sigma_zy
@@ -282,28 +312,42 @@ class _DependencePlan:
         self.gamma = gamma
         self.family = family
         self.normalize = normalize
+        self.k_zy = np.empty((m, m))
+        own_zz = gamma > 0.0 and sigma_zz != sigma_zy
+        self.k_zz = np.empty((m, m)) if own_zz else self.k_zy
+        self.w = np.empty((m, m))
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
-        family, sigma_zy, sigma_zz = self.family, self.sigma_zy, self.sigma_zz
+        family, gamma = self.family, self.gamma
+        k_zy, k_zz, w = self.k_zy, self.k_zz, self.w
+        m = w.shape[0]
+        own_zz = k_zz is not k_zy
         z, norms = _forward(head, self.u, self.normalize)
-        d2 = sq_dist_matrix(z)
-        kzy = _zero_diag_kernel(d2, family, sigma_zy)
-        loss = -hsic_unbiased(kzy, self.lt)
+        # the distances go to the buffer filled last, so each kernel reads
+        # them before they are overwritten
+        d2 = sq_dist_matrix(z, out=k_zz)
+        kzy = _zero_diag_kernel(d2, family, self.sigma_zy, k_zy)
+        kzz = _zero_diag_kernel(d2, family, self.sigma_zz, k_zz) if own_zz else kzy
+        r_zy = kzy.sum(axis=1)
+        loss = -_unbiased_from_sums(float(np.vdot(kzy, self.lt)), float(r_zy.sum()),
+                                    self.sum_l, float(r_zy @ self.l_rows), m)
         # w = d(loss)/d(d2): each Gram cotangent times its kernel's radial weight
-        if self.gamma == 0.0:
-            w = self.label_cotangent * _radial_weight(kzy, family, sigma_zy)
+        if gamma == 0.0:
+            _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
         else:
-            shared = sigma_zz == sigma_zy
-            kzz = kzy if shared else _zero_diag_kernel(d2, family, sigma_zz)
-            loss += self.gamma * hsic_unbiased(kzz, kzz)
-            # the penalty depends on Kt twice, hence the factor 2
-            w = _hsic_gram_cotangent(kzz, 2.0 * self.gamma)
-            if shared:
-                w += self.label_cotangent
-                w *= _radial_weight(kzy, family, sigma_zy)
+            r_zz = kzz.sum(axis=1) if own_zz else r_zy
+            sum_zz = float(r_zz.sum())
+            loss += gamma * _unbiased_from_sums(float(np.vdot(kzz, kzz)), sum_zz, sum_zz,
+                                                float(r_zz @ r_zz), m)
+            if own_zz:
+                _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
+                # kzy has been read; its buffer takes the penalty's cotangent
+                cot = _penalty_cotangent(kzz, r_zz, gamma, k_zy)
+                w += _times_radial_weight(cot, kzz, family, self.sigma_zz, cot)
             else:
-                w *= _radial_weight(kzz, family, sigma_zz)
-                w += self.label_cotangent * _radial_weight(kzy, family, sigma_zy)
+                _penalty_cotangent(kzz, r_zz, gamma, w)
+                w += self.label_cotangent
+                _times_radial_weight(w, kzy, family, self.sigma_zy, w)
         dz = w.sum(axis=1)[:, None] * z - w @ z
         return float(loss), _head_gradient(dz, self.u, z, norms)
 
@@ -411,6 +455,11 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
         raise ValueError("support set must contain at least two classes")
     query_x = as_embeddings(task.query_x)
     query_y = np.asarray(task.query_y)
+    if query_y.ndim != 1 or not np.issubdtype(query_y.dtype, np.integer):
+        raise ValueError("query labels must be a 1-D integer vector, got shape "
+                         f"{query_y.shape} and dtype {query_y.dtype}")
+    if query_y.size != query_x.shape[0]:
+        raise ValueError(f"expected {query_x.shape[0]} query labels, got {query_y.size}")
 
     head = LinearHead.identity(dim)
     state = AdadeltaState.zeros((dim, dim))

@@ -100,7 +100,14 @@ def hsic_unbiased(kt, lt) -> float:
     sum_k = float(kt.sum())
     sum_l = float(lt.sum())
     cross = float(kt.sum(axis=0) @ lt.sum(axis=1))
-    total = trace_term + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
+    return _unbiased_from_sums(trace_term, sum_k, sum_l, cross, m)
+
+
+def _unbiased_from_sums(trace_kl: float, sum_k: float, sum_l: float, cross: float,
+                        m: int) -> float:
+    """The unbiased estimate from its four sums: tr(Kt Lt), 1'Kt1, 1'Lt1 and
+    1'KtLt1 (see hsic_unbiased)."""
+    total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
     return total / (m * (m - 3.0))
 
 
@@ -168,8 +175,7 @@ def _label_hsic(kt: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     kl_rows = class_sums @ (counts - 1.0)
     lk_rows = np.bincount(y, weights=k_rows)[y] - k_rows
 
-    total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
-    value = total / (m * (m - 3.0))
+    value = _unbiased_from_sums(trace_kl, sum_k, sum_l, cross, m)
     h = (
         (m - 2.0) ** 2 * same_class
         - m * (k_rows * l_rows)

@@ -66,29 +66,39 @@ def _check_bandwidth(sigma: float) -> None:
 _CANCELLATION = 1e-8
 # Rows of differences formed at once when recomputing such pairs.
 _PAIR_BLOCK = 4096
+# Rows of the distance matrix that receive n_i + n_j at once, so the outer
+# sum is never an m x m temporary.
+_ROW_BLOCK = 64
 
 
-def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
+def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances of the rows of z.
 
     The rows are centred (distances do not change under translation), and
     the matrix is read from the Gram matrix G = zc @ zc.T as
-    n_i + n_j - 2 G_ij with n = diag(G). numpy computes zc @ zc.T with one
-    symmetric rank-k update, so the result is exactly symmetric. Every pair
-    within the cancellation threshold, which takes in duplicate rows and any
+    -2 G_ij + (n_i + n_j) with n = diag(G). numpy computes zc @ zc.T with one
+    symmetric rank-k update, and n_i + n_j is added as one sum, a block of
+    rows at a time, so the result is exactly symmetric. Every pair within
+    the cancellation threshold, which takes in duplicate rows and any
     negative value, is recomputed from the difference of its uncentred rows;
     duplicates give exactly 0. The diagonal is exactly 0.
+
+    out, if given, is a C-contiguous (m, m) float64 array that receives the
+    result and is returned; its bytes are those of out=None, and no m x m
+    temporary is made unless a pair needs recomputing.
     """
     zc = z - z.mean(axis=0)
-    d2 = zc @ zc.T
+    d2 = np.matmul(zc, zc.T, out=out)
     n = d2.diagonal().copy()
-    scale = np.add.outer(n, n)
-    d2 *= -2.0
-    d2 += scale
+    for start in range(0, n.size, _ROW_BLOCK):
+        block = d2[start:start + _ROW_BLOCK]
+        block *= -2.0
+        block += n[start:start + _ROW_BLOCK, None] + n
     np.fill_diagonal(d2, np.inf)
     # a pair within the threshold has d2 <= _CANCELLATION * 2 max(n), so a
     # larger least entry means there is none; NaN (overflowing rows) fails too
     if not d2.min() > _CANCELLATION * 2.0 * n.max():
+        scale = np.add.outer(n, n)
         scale *= _CANCELLATION
         rows, cols = np.nonzero(~(d2 > scale))
         for start in range(0, rows.size, _PAIR_BLOCK):
@@ -99,19 +109,22 @@ def sq_dist_matrix(z: np.ndarray) -> np.ndarray:
     return d2
 
 
-def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float) -> np.ndarray:
+def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Radial kernel matrix from precomputed squared distances.
 
     Every step after the first division runs in place in the one output
-    buffer; d2 is left untouched.
+    buffer. That buffer is out if given (a float64 array of d2's shape,
+    which may be d2 itself), else a new array; d2 is left untouched unless
+    it is out. The bytes do not depend on out.
     """
     if family not in RADIAL_FAMILIES:
         raise ValueError(f"expected a radial kernel family, got {family!r}")
     _check_bandwidth(sigma)
     if family == GAUSSIAN:
-        k = np.divide(d2, -(2.0 * sigma * sigma))
+        k = np.divide(d2, -(2.0 * sigma * sigma), out=out)
         return np.exp(k, out=k)
-    k = np.divide(d2, sigma * sigma)
+    k = np.divide(d2, sigma * sigma, out=out)
     k += 1.0
     np.sqrt(k, out=k)
     return np.divide(1.0, k, out=k)

@@ -10,10 +10,9 @@ random stream.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

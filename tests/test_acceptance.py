@@ -9,10 +9,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from kerndep.adapt import AdaptConfig, LinearHead, dependence_loss_and_grad, run_episode
-from kerndep.evaluation import ci95, evaluate
+from kerndep.evaluation import evaluate
 from kerndep.hsic import (
     hsic_unbiased,
     hsic_variance,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kerndep.adapt import (
     AdaptConfig,
     EpisodeResult,
     LinearHead,
+    _DependencePlan,
     adadelta_step,
     dependence_loss_and_grad,
     ncc_loss_and_grad,
@@ -224,6 +226,42 @@ def test_dependence_loss_needs_four_samples():
                                  1.0, 1.0, 1.0, GAUSSIAN)
 
 
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("sigma_zz", [1.1, 0.8])
+def test_plan_reused_across_heads_matches_fresh_calls(family, gamma, normalize, sigma_zz):
+    # sigma_zz = sigma_zy shares one kernel buffer; 0.8 gives the penalty its own
+    u, y, head_a = random_instance(40, m=12, d=4)
+    head_b = LinearHead(head_a.theta + 0.3 * np.random.default_rng(41).normal(size=(4, 4)))
+    plan = _DependencePlan(u, y, 1.1, sigma_zz, gamma, family, normalize)
+    for head in (head_a, head_b, head_a):
+        loss, grad = plan(head)
+        fresh_loss, fresh_grad = dependence_loss_and_grad(head, u, y, 1.1, sigma_zz, gamma,
+                                                          family, normalize)
+        assert loss == fresh_loss
+        assert grad.tobytes() == fresh_grad.tobytes()
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("sigma_zz", [1.1, 0.8])
+def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma_zz):
+    rng = np.random.default_rng(42)
+    m, d = 200, 64
+    u = rng.normal(size=(m, d))
+    y = np.repeat(np.arange(5), m // 5)
+    head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
+    plan = _DependencePlan(u, y, 1.1, sigma_zz, 3.0, family, True)
+    plan(head)
+    tracemalloc.start()
+    try:
+        plan(head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * m * 8  # bytes of two m x m float64 arrays
+
+
 def test_ncc_loss_hand_value():
     # orthonormal one-shot prototypes, query on its own prototype:
     # logits (1, 0), so the loss is log(1 + exp(-1))
@@ -368,7 +406,8 @@ def test_episode_is_deterministic():
 def count_episode_builds(count, task, share, steps):
     targets = ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix",
-               "kerndep.adapt.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists")
+               "kerndep.adapt.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
+               "kerndep.hsic.hsic_unbiased", "kerndep.adapt._hsic_gram_cotangent")
     for target in targets:
         count(target)
     return run_episode(task, AdaptConfig(steps=steps, share_zz_coefficient=share))
@@ -385,6 +424,8 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
         "kerndep.adapt.kernel_from_sq_dists": steps,  # shared by both loss terms
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
+        "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
+        "kerndep.adapt._hsic_gram_cotangent": 1,  # the label cotangent, once per episode
     }
 
 
@@ -401,7 +442,23 @@ def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
         "kerndep.adapt.label_kernel_matrix": 1,
         "kerndep.adapt.kernel_from_sq_dists": 2 * steps,
         "kerndep.hsic.kernel_from_sq_dists": 2 * len(DEFAULT_GRID_COEFFICIENTS),
+        "kerndep.hsic.hsic_unbiased": len(DEFAULT_GRID_COEFFICIENTS),  # the self search only
+        "kerndep.adapt._hsic_gram_cotangent": 1,
     }
+
+
+def test_episode_rejects_malformed_query_labels():
+    task = separable_task(7)
+    for query_y in (np.array([1]), task.query_y.astype(np.float64), task.query_y[:, None]):
+        bad = type(task)(
+            support_x=task.support_x,
+            support_y=task.support_y,
+            query_x=task.query_x[:6] if query_y.size == 1 else task.query_x,
+            query_y=query_y,
+            provenance=task.provenance,
+        )
+        with pytest.raises(ValueError, match="query labels"):
+            run_episode(bad, AdaptConfig(steps=1))
 
 
 def test_episode_shared_mode_reuses_zy_bandwidth():

@@ -241,6 +241,27 @@ def test_sq_dist_matrix_matches_differences(shift):
     assert np.all(np.abs(d2[pairs] - want[pairs]) <= 1e-14 * want[pairs])
 
 
+@pytest.mark.parametrize("m, d", [(1, 3), (40, 12), (130, 5), (200, 64)])
+def test_sq_dist_matrix_into_out_returns_it_with_the_same_bytes(m, d):
+    rng = np.random.default_rng(41)
+    z = rng.normal(size=(m, d)) + 1e4
+    if m > 2:
+        z[2] = z[0]  # a duplicate, so recomputed pairs are written into out too
+    out = np.full((m, m), np.nan)
+    d2 = sq_dist_matrix(z, out=out)
+    assert d2 is out
+    assert np.array_equal(d2, d2.T)
+    assert d2.tobytes() == sq_dist_matrix(z).tobytes()
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_kernel_from_sq_dists_out_may_be_its_input(family):
+    d2 = sq_dist_matrix(np.random.default_rng(43).normal(size=(9, 4)))
+    want = kernel_from_sq_dists(d2, family, 0.8)
+    assert kernel_from_sq_dists(d2, family, 0.8, out=d2) is d2
+    assert d2.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 def test_kernel_from_sq_dists_matches_pointwise_eval(family):
     rng = np.random.default_rng(7)

@@ -17,7 +17,6 @@ from kerndep.tasks import (
     EmbeddingDataset,
     EmbeddingFormatError,
     SamplerConfig,
-    Task,
     TaskProvenance,
     compute_query_size,
     compute_shots,
