@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    _ROW_BLOCK,
     COSINE,
     KERNEL_FAMILIES,
     as_embeddings,
@@ -152,19 +153,18 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     return v
 
 
-def _label_hsic(kt: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """hsic_unbiased(kt, Lt) and hsic_variance(kt, Lt, value, clamp=False)
-    for the zero-diagonal 0/1 label kernel Lt of y, without building Lt.
+def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """hsic_unbiased(Kt, Lt) and hsic_variance(Kt, Lt, value, clamp=False)
+    for the zero-diagonal 0/1 label kernel Lt of y, read from the class sums
+    R = Kt Y of a symmetric zero-diagonal Gram matrix Kt (Y the m x C one-hot
+    label matrix), so that neither Kt nor Lt is needed.
 
-    With Y the one-hot label matrix and n the class counts, every term
-    follows from the class sums R = Kt Y (one m x m x C product):
-    (Kt o Lt)1 = R[i, y_i], tr(Kt Lt) = sum_i R[i, y_i], Kt1 = R1,
-    Lt1 = n[y] - 1, Kt Lt1 = R (n - 1), and Lt Kt1 = (Y'Kt1)[y] - Kt1.
-    kt must be symmetric, as every Gram matrix of the search is.
+    With n the class counts: (Kt o Lt)1 = R[i, y_i], tr(Kt Lt) = sum_i
+    R[i, y_i], Kt1 = R1, Lt1 = n[y] - 1, Kt Lt1 = R (n - 1), and
+    Lt Kt1 = (Y'Kt1)[y] - Kt1.
     """
-    m = kt.shape[0]
+    m = y.size
     counts = np.bincount(y).astype(np.float64)
-    class_sums = kt @ (y[:, None] == np.arange(counts.size)).astype(np.float64)
     same_class = class_sums[np.arange(m), y]
     k_rows = class_sums.sum(axis=1)
     l_rows = counts[y] - 1.0
@@ -207,11 +207,16 @@ def select_bandwidth(z, target, family: str = "gaussian",
     embeddings with the same bandwidth (when target is a matrix). Ties in
     the ratio go to the smaller coefficient.
 
-    z's distances are built once and also give the base. A label target is
-    never expanded into its m x m kernel: each row reads the class sums of
-    z's Gram matrix (see _label_hsic). A target that is z itself reuses z's
-    distances and Gram matrices. The cosine kernel ignores the bandwidth, so
-    its one estimate fills every row.
+    z's distances are built once and also give the base. A label target
+    needs at least two classes, and neither its m x m kernel nor an m x m
+    kernel of z is ever built: the rows are grouped by class (a stable sort,
+    skipped when the labels are already sorted), and each coefficient's
+    kernel is evaluated kernels._ROW_BLOCK rows at a time into one reused
+    buffer and summed over each class's columns (see _class_sum_hsic). The
+    estimate does not depend on row order, but the base of unsorted labels
+    may differ from that of the same rows in class order by rounding. A
+    target that is z itself reuses z's distances and Gram matrices. The
+    cosine kernel ignores the bandwidth, so its one estimate fills every row.
     """
     self_target = target is z
     z = as_embeddings(z)
@@ -226,6 +231,14 @@ def select_bandwidth(z, target, family: str = "gaussian",
     labels_mode = np.asarray(target).ndim == 1
     if labels_mode:
         y = as_labels(target, m)
+        counts = np.bincount(y)
+        if counts.size < 2:
+            raise ValueError("a label target needs at least 2 classes: with one, every "
+                             "pair of labels agrees and there is no dependence to estimate")
+        if (y[1:] < y[:-1]).any():
+            by_class = np.argsort(y, kind="stable")
+            z, y = z[by_class], y[by_class]
+        starts = np.cumsum(counts) - counts  # strictly increasing: no class is empty
     elif not self_target:
         t = as_embeddings(target)
         if t.shape[0] != m:
@@ -247,10 +260,28 @@ def select_bandwidth(z, target, family: str = "gaussian",
         np.fill_diagonal(k, 0.0)
         return k
 
+    if labels_mode and family != COSINE:
+        block = np.empty((min(_ROW_BLOCK, m), m))  # made after the median's copies are freed
+
+    def class_sums(sigma):
+        """Kt Y for the zero-diagonal Gram matrix Kt of z, a block of rows at
+        a time; the cosine Gram is one block."""
+        if family == COSINE:
+            blocks = [(0, cosine_gram(z))]
+        else:
+            blocks = ((a, kernel_from_sq_dists(d2_z[a:a + _ROW_BLOCK], family, sigma,
+                                               out=block[:m - a]))
+                      for a in range(0, m, _ROW_BLOCK))
+        sums = np.empty((m, starts.size))
+        for a, k in blocks:
+            np.fill_diagonal(k[:, a:], 0.0)
+            np.add.reduceat(k, starts, axis=1, out=sums[a:a + k.shape[0]])
+        return sums
+
     def estimate(sigma):
-        kt = zero_diag_gram(z, d2_z, sigma)
         if labels_mode:
-            return _label_hsic(kt, y)
+            return _class_sum_hsic(class_sums(sigma), y)
+        kt = zero_diag_gram(z, d2_z, sigma)
         lt = kt if self_target else zero_diag_gram(t, d2_t, sigma)
         value = hsic_unbiased(kt, lt)
         return value, hsic_variance(kt, lt, value, clamp=False)

@@ -180,4 +180,4 @@ def median_of_sq_dists(d2: np.ndarray) -> float:
     positive = upper[upper > 0]
     if positive.size == 0:
         raise ValueError("all points are identical; median distance is undefined")
-    return float(np.median(positive))
+    return float(np.median(positive, overwrite_input=True))  # positive is a copy

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kerndep.hsic import _check_gram_pair, _label_hsic
+from kerndep.hsic import _check_gram_pair, _class_sum_hsic
 from kerndep.kernels import (
     COSINE,
     GAUSSIAN,
@@ -138,7 +138,11 @@ def permutation_test_rejects(x, labels, sigma: float, rng: np.random.Generator,
     kt = kernel_from_sq_dists(sq_dist_matrix(as_embeddings(x)), GAUSSIAN, sigma)
     np.fill_diagonal(kt, 0.0)
     y = np.asarray(labels)
-    observed = _label_hsic(kt, y)[0]
-    exceed = sum(_label_hsic(kt, rng.permutation(y))[0] >= observed
-                 for _ in range(permutations))
+
+    def estimate(labelling):
+        onehot = (labelling[:, None] == np.arange(labelling.max() + 1)).astype(np.float64)
+        return _class_sum_hsic(kt @ onehot, labelling)[0]
+
+    observed = estimate(y)
+    exceed = sum(estimate(rng.permutation(y)) >= observed for _ in range(permutations))
     return (1 + exceed) / (1 + permutations) <= level

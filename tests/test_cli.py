@@ -13,8 +13,15 @@ import pytest
 from kerndep.adapt import AdaptConfig
 from kerndep.cli import build_parser, main, read_config_file
 from kerndep.evaluation import EvalReport
-from kerndep.hsic import BandwidthGrid
-from kerndep.tasks import SamplerConfig, load_embeddings, synth_dataset, save_embeddings
+from kerndep.hsic import BandwidthGrid, select_bandwidth
+from kerndep.tasks import (
+    EmbeddingDataset,
+    SamplerConfig,
+    flatten_dataset,
+    load_embeddings,
+    save_embeddings,
+    synth_dataset,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -177,6 +184,38 @@ def test_hsic_label_file_changes_the_pairing(pool_path, tmp_path, capsys):
     )
     assert code == 0
     assert with_file != embedded
+
+
+def test_hsic_shuffled_label_file_matches_the_library(pool_path, tmp_path, capsys):
+    z, y = flatten_dataset(load_embeddings(pool_path))
+    shuffled = np.random.default_rng(8).permutation(y)
+    label_file = tmp_path / "labels.txt"
+    label_file.write_text("\n".join(str(v) for v in shuffled))
+    code, stdout, _ = run_cli(
+        capsys,
+        ["hsic", "--embeddings", str(pool_path), "--labels-from", str(label_file),
+         "--format", "csv"],
+    )
+    assert code == 0
+    sel = select_bandwidth(z, shuffled)
+    rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    assert [[float(v) for v in row[1:5]] for row in rows] == [
+        [est.sigma, est.value, est.variance, est.power_ratio] for est in sel.table]
+    assert [float(row[0]) for row in rows if row[5] == "1"] == [sel.coefficient]
+
+
+def test_hsic_single_class_exits_two(pool_path, tmp_path, capsys):
+    one_class = tmp_path / "one.emb"
+    rows = np.random.default_rng(1).normal(size=(12, 4))
+    save_embeddings(EmbeddingDataset(classes=[rows], d=4), one_class)
+    label_file = tmp_path / "zeros.txt"
+    label_file.write_text("0\n" * sum(load_embeddings(pool_path).sizes))
+    for argv in (["--embeddings", str(one_class)],
+                 ["--embeddings", str(pool_path), "--labels-from", str(label_file)]):
+        code, stdout, stderr = run_cli(capsys, ["hsic", *argv, "--format", "csv"])
+        assert code == 2
+        assert stdout == ""
+        assert "at least 2 classes" in stderr
 
 
 def test_hsic_bad_label_file_exits_two(pool_path, tmp_path, capsys):

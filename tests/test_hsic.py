@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from kerndep.hsic import (
     select_bandwidth,
 )
 from kerndep.kernels import (
+    _ROW_BLOCK,
     GAUSSIAN,
     KERNEL_FAMILIES,
+    kernel_from_sq_dists,
     label_kernel_matrix,
     median_sq_distance,
 )
@@ -285,21 +288,73 @@ def test_selection_rows_match_manual_composition():
                     case, family, coeff, got, want)
 
 
-def test_label_search_builds_distances_once_and_no_label_gram(call_counts):
+def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monkeypatch):
     counts, count = call_counts
-    for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.kernel_from_sq_dists",
-                   "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
-                   "kerndep.kernels.label_kernel_matrix"):
+    for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.hsic_unbiased",
+                   "kerndep.hsic.hsic_variance", "kerndep.kernels.label_kernel_matrix"):
         count(target)
-    z, y = blob_data(2)
-    select_bandwidth(z, y)
-    assert counts == {
-        "kerndep.hsic.sq_dist_matrix": 1,  # the base reads the same distances
-        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
-        "kerndep.hsic.hsic_unbiased": 0,
-        "kerndep.hsic.hsic_variance": 0,
-        "kerndep.kernels.label_kernel_matrix": 0,
-    }
+    kernel_rows = []
+
+    def kernel_block(d2, *args, **kwargs):
+        kernel_rows.append(d2.shape[0])
+        return kernel_from_sq_dists(d2, *args, **kwargs)
+
+    monkeypatch.setattr("kerndep.hsic.kernel_from_sq_dists", kernel_block)
+    for m_half in (10, 70):  # one block, and three with a short last one
+        counts.update(dict.fromkeys(counts, 0))
+        kernel_rows.clear()
+        z, y = blob_data(2, m_half=m_half)
+        m = z.shape[0]
+        select_bandwidth(z, y)
+        assert counts == {
+            "kerndep.hsic.sq_dist_matrix": 1,  # the base reads the same distances
+            "kerndep.hsic.hsic_unbiased": 0,
+            "kerndep.hsic.hsic_variance": 0,
+            "kerndep.kernels.label_kernel_matrix": 0,
+        }
+        # the kernel is only ever evaluated a block of rows at a time
+        assert len(kernel_rows) == len(DEFAULT_GRID_COEFFICIENTS) * math.ceil(m / _ROW_BLOCK)
+        assert max(kernel_rows) == min(m, _ROW_BLOCK)
+        assert sum(kernel_rows) == len(DEFAULT_GRID_COEFFICIENTS) * m
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+def test_warm_label_search_holds_one_distance_matrix(family):
+    rng = np.random.default_rng(3)
+    m = 600
+    z = rng.normal(size=(m, 16))
+    y = np.repeat(np.arange(6), m // 6)
+    select_bandwidth(z, y, family=family)
+    tracemalloc.start()
+    try:
+        select_bandwidth(z, y, family=family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the distances, plus the median's copies of their upper triangle
+    assert peak < 2.25 * m * m * 8
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("case", ["unbalanced", "blobs"])
+def test_label_search_does_not_depend_on_row_order(family, case):
+    z, y = ROW_CASES[case]
+    p = np.random.default_rng(17).permutation(y.size)
+    got = select_bandwidth(z[p], y[p], family=family)
+    want = select_bandwidth(z, y, family=family)
+    assert got.coefficient == want.coefficient
+    # the centring sums the rows in another order
+    assert got.sigma_base == pytest.approx(want.sigma_base, rel=1e-14)
+    for row, ref in zip(got.table, want.table):
+        for g, w in ((row.value, ref.value), (row.raw_variance, ref.raw_variance),
+                     (row.power_ratio, ref.power_ratio)):
+            assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-13), (g, w)
+
+
+def test_label_search_rejects_a_single_class():
+    z, _ = blob_data(5)
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        select_bandwidth(z, np.zeros(z.shape[0], dtype=np.int64))
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -324,14 +379,14 @@ def test_self_target_search_reuses_distances_and_grams(call_counts, family):
 def test_cosine_search_estimates_once(call_counts, target, grams):
     counts, count = call_counts
     count("kerndep.hsic.cosine_gram")
-    count("kerndep.hsic._label_hsic")
+    count("kerndep.hsic._class_sum_hsic")
     count("kerndep.hsic.hsic_unbiased")
     z, y = blob_data(3)
     sel = select_bandwidth(z, y if target == "labels" else z[:, ::-1], family="cosine")
     assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
     assert len({(row.value, row.raw_variance) for row in sel.table}) == 1
     assert counts["kerndep.hsic.cosine_gram"] == grams
-    assert counts["kerndep.hsic._label_hsic"] + counts["kerndep.hsic.hsic_unbiased"] == 1
+    assert counts["kerndep.hsic._class_sum_hsic"] + counts["kerndep.hsic.hsic_unbiased"] == 1
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
