@@ -103,6 +103,8 @@ def _load_labels_file(path, n_rows: int) -> np.ndarray:
 
 
 def cmd_hsic(args) -> int:
+    if args.coeff is not None and args.grid is not None:  # before any file is read
+        raise ValueError("--coeff and --grid are mutually exclusive")
     dataset = load_embeddings(args.embeddings)
     z, block_labels = flatten_dataset(dataset)
     if args.labels_from == "embedded":
@@ -110,8 +112,6 @@ def cmd_hsic(args) -> int:
     else:
         labels = _load_labels_file(args.labels_from, z.shape[0])
 
-    if args.coeff is not None and args.grid is not None:
-        raise ValueError("--coeff and --grid are mutually exclusive")
     if args.coeff is not None:
         coefficients = (args.coeff,)
     elif args.grid is not None:

@@ -189,6 +189,41 @@ def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float
     return value, (16.0 / m) * (r - value * value)
 
 
+def _radial_class_sums(d2: np.ndarray, family: str, sigmas, starts: np.ndarray) -> np.ndarray:
+    """Kt Y for the zero-diagonal radial Gram matrix Kt of the class-sorted
+    distances d2 at every bandwidth in sigmas, shape (len(sigmas), m, C),
+    with C classes starting at rows starts.
+
+    Rows are taken kernels._ROW_BLOCK at a time, and each block [a, b) reads
+    only its upper trapezoid d2[a:b, a:], once for all bandwidths, into one
+    reused contiguous buffer. Per bandwidth its kernel, with the diagonal and
+    the lower half of the diagonal block zeroed, adds its class sums along
+    columns to rows a:b, and its column sums over each class segment of rows
+    a:b to columns a:. So each pair i < j is evaluated once (and the lower
+    half of each diagonal block in vain) and counted as both Kt[i, j] and
+    Kt[j, i].
+    """
+    m = d2.shape[0]
+    sums = np.zeros((len(sigmas), m, starts.size))
+    dist = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
+    kern = np.empty_like(dist)
+    for a in range(0, m, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, m)
+        rows, cols = b - a, m - a
+        d = dist[:rows * cols].reshape(rows, cols)
+        np.copyto(d, d2[a:b, a:])
+        lower = np.tri(rows, dtype=bool)  # the diagonal and below it
+        first = int(np.searchsorted(starts, a, side="right")) - 1  # the class of row a
+        last = int(np.searchsorted(starts, b))  # classes first..last-1 meet rows a:b
+        col_starts = np.maximum(starts[first:] - a, 0)
+        for k_sums, sigma in zip(sums, sigmas):
+            k = kernel_from_sq_dists(d, family, sigma, out=kern[:d.size].reshape(rows, cols))
+            np.copyto(k[:, :rows], 0.0, where=lower)
+            k_sums[a:b, first:] += np.add.reduceat(k, col_starts, axis=1)
+            k_sums[a:, first:last] += np.add.reduceat(k, col_starts[:last - first], axis=0).T
+    return sums
+
+
 def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON) -> float:
     """Test-power proxy value / sqrt(variance + epsilon)."""
     if not 0.0 < epsilon < math.inf:
@@ -210,13 +245,18 @@ def select_bandwidth(z, target, family: str = "gaussian",
     z's distances are built once and also give the base. A label target
     needs at least two classes, and neither its m x m kernel nor an m x m
     kernel of z is ever built: the rows are grouped by class (a stable sort,
-    skipped when the labels are already sorted), and each coefficient's
-    kernel is evaluated kernels._ROW_BLOCK rows at a time into one reused
-    buffer and summed over each class's columns (see _class_sum_hsic). The
-    estimate does not depend on row order, but the base of unsorted labels
-    may differ from that of the same rows in class order by rounding. A
-    target that is z itself reuses z's distances and Gram matrices. The
-    cosine kernel ignores the bandwidth, so its one estimate fills every row.
+    skipped when the labels are already sorted), and the row block is the
+    outer loop and the coefficient the inner one. Each block of
+    kernels._ROW_BLOCK rows reads its upper trapezoid of the distances once,
+    and every coefficient's kernel of it adds to that coefficient's class
+    sums (see _radial_class_sums and _class_sum_hsic), so each pair's kernel
+    entry is evaluated once. The peak is the distances plus one half-size
+    copy during the median, and the distances plus the (len(grid), m, C)
+    class sums after it. The estimate does not depend on row order, but the
+    base of unsorted labels may differ from that of the same rows in class
+    order by rounding. A target that is z itself reuses z's distances and
+    Gram matrices. The cosine kernel ignores the bandwidth, so its one
+    estimate fills every row.
     """
     self_target = target is z
     z = as_embeddings(z)
@@ -260,34 +300,21 @@ def select_bandwidth(z, target, family: str = "gaussian",
         np.fill_diagonal(k, 0.0)
         return k
 
-    if labels_mode and family != COSINE:
-        block = np.empty((min(_ROW_BLOCK, m), m))  # made after the median's copies are freed
-
-    def class_sums(sigma):
-        """Kt Y for the zero-diagonal Gram matrix Kt of z, a block of rows at
-        a time; the cosine Gram is one block."""
-        if family == COSINE:
-            blocks = [(0, cosine_gram(z))]
-        else:
-            blocks = ((a, kernel_from_sq_dists(d2_z[a:a + _ROW_BLOCK], family, sigma,
-                                               out=block[:m - a]))
-                      for a in range(0, m, _ROW_BLOCK))
-        sums = np.empty((m, starts.size))
-        for a, k in blocks:
-            np.fill_diagonal(k[:, a:], 0.0)
-            np.add.reduceat(k, starts, axis=1, out=sums[a:a + k.shape[0]])
-        return sums
-
     def estimate(sigma):
-        if labels_mode:
-            return _class_sum_hsic(class_sums(sigma), y)
         kt = zero_diag_gram(z, d2_z, sigma)
+        if labels_mode:  # cosine only
+            return _class_sum_hsic(np.add.reduceat(kt, starts, axis=1), y)
         lt = kt if self_target else zero_diag_gram(t, d2_t, sigma)
         value = hsic_unbiased(kt, lt)
         return value, hsic_variance(kt, lt, value, clamp=False)
 
-    # lazy, so one candidate's Gram matrices are live at a time
-    estimates = [estimate(None)] * len(sigmas) if family == COSINE else map(estimate, sigmas)
+    if family == COSINE:
+        estimates = [estimate(None)] * len(sigmas)
+    elif labels_mode:
+        estimates = (_class_sum_hsic(sums, y)
+                     for sums in _radial_class_sums(d2_z, family, sigmas, starts))
+    else:
+        estimates = map(estimate, sigmas)  # lazy, so one candidate's Grams are live at a time
     rows: list[HsicEstimate] = []
     for sigma, (value, raw) in zip(sigmas, estimates):
         variance = raw if raw > 0.0 else 0.0

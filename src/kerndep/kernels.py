@@ -175,9 +175,21 @@ def median_sq_distance(z) -> float:
 
 def median_of_sq_dists(d2: np.ndarray) -> float:
     """median_sq_distance read from a square matrix built by sq_dist_matrix,
-    so a caller that has the distances does not compute them again."""
-    upper = d2[~np.tri(d2.shape[0], dtype=bool)]  # each pair once
-    positive = upper[upper > 0]
-    if positive.size == 0:
+    so a caller that has the distances does not compute them again.
+
+    The strict upper triangle (each pair once) is copied a row at a time
+    into one buffer of m(m-1)/2 entries, which np.median then partitions in
+    place; so the peak is the distances plus that half-size copy. Only when
+    a pair is zero (duplicate rows) are the positive entries copied out.
+    """
+    m = d2.shape[0]
+    upper = np.empty(m * (m - 1) // 2)
+    end = 0
+    for i in range(m - 1):
+        upper[end:end + m - 1 - i] = d2[i, i + 1:]
+        end += m - 1 - i
+    if not upper.min(initial=math.inf) > 0.0:  # NaN fails too, and is dropped
+        upper = upper[upper > 0.0]
+    if upper.size == 0:
         raise ValueError("all points are identical; median distance is undefined")
-    return float(np.median(positive, overwrite_input=True))  # positive is a copy
+    return float(np.median(upper, overwrite_input=True))

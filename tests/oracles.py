@@ -1,8 +1,9 @@
 """Slow reference implementations that the tests check the library against.
 
 None of these is called by the library itself: the pairwise kernel, the
-Gram builder on top of it, the scalar-loop dependence estimator, the
-exponential-mean bound, and a label permutation test of independence.
+Gram builder on top of it, the median of the pairwise distances, the
+scalar-loop dependence estimator, the exponential-mean bound, and a label
+permutation test of independence.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ def kernel_matrix(spec: KernelSpec, z, zero_diag: bool = False) -> np.ndarray:
     if zero_diag:
         np.fill_diagonal(k, 0.0)
     return k
+
+
+def median_upper_positive(d2) -> float:
+    """np.median of the positive entries of the strict upper triangle of d2,
+    gathered by index rather than row by row."""
+    upper = d2[np.triu_indices(d2.shape[0], 1)]
+    return float(np.median(upper[upper > 0]))
 
 
 def hsic_unbiased_naive(kt, lt) -> float:

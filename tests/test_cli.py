@@ -166,6 +166,18 @@ def test_hsic_coeff_and_grid_are_mutually_exclusive(pool_path, capsys):
     assert "mutually exclusive" in stderr
 
 
+def test_hsic_coeff_and_grid_are_rejected_before_the_pool_is_read(tmp_path, capsys):
+    # a missing pool would exit 1; the flag pair is a usage error found first
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["hsic", "--embeddings", str(tmp_path / "missing.emb"), "--coeff", "1",
+         "--grid", "1,2"],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "mutually exclusive" in stderr
+
+
 def test_hsic_label_file_changes_the_pairing(pool_path, tmp_path, capsys):
     ds = load_embeddings(pool_path)
     n = sum(ds.sizes)

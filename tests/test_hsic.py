@@ -1,5 +1,6 @@
 """Unbiased dependence estimator, its variance, and bandwidth search."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -261,9 +262,21 @@ def shuffled_unbalanced_labels(seed):
     return z, y
 
 
+def shuffled_multi_block_labels(seed):
+    """Classes of 56, 3, 70, 20 and 1 rows (150 in all) in shuffled order,
+    with embeddings that cluster by class. In class order the row blocks of
+    the search start at rows 64 and 128, both inside the 70-row class, which
+    spans all three blocks; the last class is a singleton."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat([0, 1, 2, 3, 4], [56, 3, 70, 20, 1]))
+    z = rng.normal(size=(y.size, 6)) + 2.0 * y[:, None]
+    return z, y
+
+
 ROW_CASES = {
     "blobs": blob_data(9),
     "unbalanced": shuffled_unbalanced_labels(4),
+    "multi_block": shuffled_multi_block_labels(8),
     "m4": (np.random.default_rng(6).normal(size=(4, 2)), np.array([1, 0, 0, 1])),
 }
 
@@ -294,15 +307,18 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
                    "kerndep.hsic.hsic_variance", "kerndep.kernels.label_kernel_matrix"):
         count(target)
     kernel_rows = []
+    entries = collections.Counter()  # kernel entries evaluated per bandwidth
 
-    def kernel_block(d2, *args, **kwargs):
+    def kernel_block(d2, family, sigma, **kwargs):
         kernel_rows.append(d2.shape[0])
-        return kernel_from_sq_dists(d2, *args, **kwargs)
+        entries[sigma] += d2.shape[0] * d2.shape[1]
+        return kernel_from_sq_dists(d2, family, sigma, **kwargs)
 
     monkeypatch.setattr("kerndep.hsic.kernel_from_sq_dists", kernel_block)
     for m_half in (10, 70):  # one block, and three with a short last one
         counts.update(dict.fromkeys(counts, 0))
         kernel_rows.clear()
+        entries.clear()
         z, y = blob_data(2, m_half=m_half)
         m = z.shape[0]
         select_bandwidth(z, y)
@@ -316,6 +332,10 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
         assert len(kernel_rows) == len(DEFAULT_GRID_COEFFICIENTS) * math.ceil(m / _ROW_BLOCK)
         assert max(kernel_rows) == min(m, _ROW_BLOCK)
         assert sum(kernel_rows) == len(DEFAULT_GRID_COEFFICIENTS) * m
+        # each pair once, plus the lower half of each diagonal block
+        blocks = [min(_ROW_BLOCK, m - a) for a in range(0, m, _ROW_BLOCK)]
+        pairs = m * (m + 1) // 2 + sum(b * (b - 1) // 2 for b in blocks)
+        assert list(entries.values()) == [pairs] * len(DEFAULT_GRID_COEFFICIENTS)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
@@ -331,12 +351,12 @@ def test_warm_label_search_holds_one_distance_matrix(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the distances, plus the median's copies of their upper triangle
-    assert peak < 2.25 * m * m * 8
+    # the distances plus one copy of their upper triangle
+    assert peak < 1.6 * m * m * 8
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-@pytest.mark.parametrize("case", ["unbalanced", "blobs"])
+@pytest.mark.parametrize("case", ["unbalanced", "blobs", "multi_block"])
 def test_label_search_does_not_depend_on_row_order(family, case):
     z, y = ROW_CASES[case]
     p = np.random.default_rng(17).permutation(y.size)

@@ -21,7 +21,7 @@ from kerndep.kernels import (
     median_sq_distance,
     sq_dist_matrix,
 )
-from oracles import KernelSpec, eval_kernel, kernel_matrix
+from oracles import KernelSpec, eval_kernel, kernel_matrix, median_upper_positive
 
 
 def embeddings(min_rows=2, max_rows=8, min_cols=1, max_cols=5):
@@ -300,6 +300,26 @@ def test_median_of_sq_dists_matches_median_sq_distance():
     assert median_of_sq_dists(sq_dist_matrix(z)) == median_sq_distance(z)
     with pytest.raises(ValueError, match="identical"):
         median_of_sq_dists(sq_dist_matrix(np.ones((3, 2))))
+
+
+def median_case(m, duplicates=()):
+    z = np.random.default_rng(m).normal(size=(m, 3))
+    for i, j in duplicates:
+        z[j] = z[i]
+    return z
+
+
+@pytest.mark.parametrize("z, pairs, zeros", [
+    (median_case(9, [(0, 4), (0, 7), (2, 3)]), 36, 4),  # duplicate rows, 32 positive pairs
+    (median_case(10), 45, 0),  # no zero pair, an odd pair count
+    (median_case(8), 28, 0),  # no zero pair, an even pair count
+    (median_case(7, [(1, 6), (2, 5)]), 21, 2),  # duplicate rows, 19 positive pairs
+])
+def test_median_of_sq_dists_matches_upper_triangle_oracle(z, pairs, zeros):
+    d2 = sq_dist_matrix(z)
+    upper = d2[np.triu_indices(z.shape[0], 1)]
+    assert (upper.size, int((upper == 0.0).sum())) == (pairs, zeros)
+    assert median_of_sq_dists(d2) == median_upper_positive(d2)
 
 
 def test_as_embeddings_validation():
