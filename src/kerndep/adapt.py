@@ -220,38 +220,22 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     return sims.argmax(axis=1)
 
 
-def _hsic_gram_cotangent(lt: np.ndarray, weight: float) -> np.ndarray:
-    """weight * d(hsic_unbiased)/d(Kt) with Lt fixed, symmetrized, diagonal
-    zeroed.
+def _gram_cotangent(lt: np.ndarray, l_rows: np.ndarray, weight: float,
+                    out: np.ndarray) -> np.ndarray:
+    """weight * d(hsic_unbiased(Kt, Lt))/d(Kt) with Lt fixed, symmetrized,
+    written to out; l_rows are the row sums of Lt.
 
     The three estimator terms contribute Lt, a constant matrix, and a
-    rank-one correction from the row sums of Lt.
+    rank-one correction from l_rows, built as c Lt - t_i - t_j + const with
+    the constant folded into the row term. The penalty reads Kt twice, so
+    its cotangent is this one with Lt = Kt and weight 2 gamma. The diagonal
+    is not zeroed; the radial weight, which is zero there, does that.
     """
     m = lt.shape[0]
     c = 2.0 * weight / (m * (m - 3.0))
-    l_rows = lt.sum(axis=1)
-    gs = np.add.outer(l_rows, l_rows)
-    gs *= -c / (m - 2.0)
-    gs += c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0))
-    gs += c * lt
-    np.fill_diagonal(gs, 0.0)
-    return gs
-
-
-def _penalty_cotangent(k: np.ndarray, k_rows: np.ndarray, gamma: float,
-                       out: np.ndarray) -> np.ndarray:
-    """gamma * d(hsic_unbiased(Kt, Kt))/d(Kt), written to out.
-
-    This is _hsic_gram_cotangent with Lt = Kt and weight 2 gamma, since the
-    penalty reads Kt twice, built as c Kt - t_i - t_j + const with the
-    constant folded into the row term. The diagonal is not zeroed; the
-    radial weight, which is zero there, does that.
-    """
-    m = k.shape[0]
-    c = 4.0 * gamma / (m * (m - 3.0))
-    t = k_rows * (c / (m - 2.0))
-    np.multiply(k, c, out=out)
-    out -= (t - c * float(k_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
+    t = l_rows * (c / (m - 2.0))
+    np.multiply(lt, c, out=out)
+    out -= (t - c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
     out -= t
     return out
 
@@ -302,11 +286,11 @@ class _DependencePlan:
         y = as_labels(labels, m)
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
-        self.lt = label_kernel_matrix(y, 1.0, 0.0, zero_diag=True)
+        self.lt = label_kernel_matrix(y, zero_diag=True)
         self.l_rows = self.lt.sum(axis=1)
         self.sum_l = float(self.l_rows.sum())
         # the loss carries -dependence(z, labels)
-        self.label_cotangent = _hsic_gram_cotangent(self.lt, -1.0)
+        self.label_cotangent = _gram_cotangent(self.lt, self.l_rows, -1.0, np.empty((m, m)))
         self.sigma_zy = sigma_zy
         self.sigma_zz = sigma_zz
         self.gamma = gamma
@@ -342,10 +326,10 @@ class _DependencePlan:
             if own_zz:
                 _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
                 # kzy has been read; its buffer takes the penalty's cotangent
-                cot = _penalty_cotangent(kzz, r_zz, gamma, k_zy)
+                cot = _gram_cotangent(kzz, r_zz, 2.0 * gamma, k_zy)
                 w += _times_radial_weight(cot, kzz, family, self.sigma_zz, cot)
             else:
-                _penalty_cotangent(kzz, r_zz, gamma, w)
+                _gram_cotangent(kzz, r_zz, 2.0 * gamma, w)
                 w += self.label_cotangent
                 _times_radial_weight(w, kzy, family, self.sigma_zy, w)
         dz = w.sum(axis=1)[:, None] * z - w @ z

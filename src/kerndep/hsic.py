@@ -4,6 +4,11 @@ The estimator, its variance, and the power ratio all operate on Gram
 matrices whose diagonals have been zeroed (written Kt, Lt below). The
 bandwidth search scales a median-heuristic base by a grid of coefficients
 and keeps the one whose estimate has the largest power ratio.
+
+The estimate and its variance are read in one place, _hsic_from_rows, from
+five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_variance
+and the embedding search take them from the Grams (_gram_rows), the label
+search from class sums (_class_sum_hsic).
 """
 
 from __future__ import annotations
@@ -115,13 +120,10 @@ def _unbiased_from_sums(trace_kl: float, sum_k: float, sum_l: float, cross: floa
 def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     """Variance estimate for the unbiased dependence statistic.
 
-    Builds the per-sample vector
-      h = (m-2)^2 (Kt o Lt)1 - m (Kt1 o Lt1) + (1'Lt1) Kt1 + (1'Kt1) Lt1
-          - (1'KtLt1) 1 + (m-2) [tr(KtLt) 1 - KtLt1 - LtKt1]
-    then v = (16/m) (R - hsic_value^2) with R = h'h / (4m D^2) where
-    D = (m-1)(m-2)(m-3). Dividing by D^2 is the scaling consistent with the
-    estimator's spread; dividing by D once overstates it by orders of
-    magnitude. Negative numerical estimates are clamped to zero unless
+    Builds the per-sample vector h of _hsic_from_rows from the row statistics
+    of Kt and Lt and returns v = (16/m) (R - hsic_value^2). Both Grams must be
+    symmetric: the rows give tr(Kt Lt) as the sum of (Kt o Lt)1 and 1'KtLt1
+    as Kt1 . Lt1. Negative numerical estimates are clamped to zero unless
     clamp=False, which returns the raw value for diagnostics.
 
     Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
@@ -130,54 +132,51 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     so R = 0 and v = (16/4)(0 - 0) = 0 exactly.
     """
     kt, lt, m = _check_gram_pair(kt, lt)
-    k_rows = kt.sum(axis=1)
-    l_rows = lt.sum(axis=1)
-    sum_k = float(kt.sum())
-    sum_l = float(lt.sum())
-    trace_kl = float((kt * lt.T).sum())
-    cross = float(kt.sum(axis=0) @ l_rows)
-    ones = np.ones(m)
-    h = (
-        (m - 2.0) ** 2 * (kt * lt).sum(axis=1)
-        - m * (k_rows * l_rows)
-        + sum_l * k_rows
-        + sum_k * l_rows
-        - cross * ones
-        + (m - 2.0) * (trace_kl * ones - kt @ l_rows - lt @ k_rows)
-    )
-    denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
-    r = float(h @ h) / (4.0 * m) / (denom * denom)
-    v = (16.0 / m) * (r - hsic_value * hsic_value)
+    v = _hsic_from_rows(*_gram_rows(kt, lt), value=hsic_value)[1]
     if clamp and v < 0.0:
         return 0.0
     return v
 
 
-def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """hsic_unbiased(Kt, Lt) and hsic_variance(Kt, Lt, value, clamp=False)
-    for the zero-diagonal 0/1 label kernel Lt of y, read from the class sums
-    R = Kt Y of a symmetric zero-diagonal Gram matrix Kt (Y the m x C one-hot
-    label matrix), so that neither Kt nor Lt is needed.
+def _gram_rows(kt: np.ndarray, lt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row statistics (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1 of two
+    symmetric zero-diagonal Gram matrices, read without an m x m temporary.
+    When lt is kt, the second product is the first."""
+    k_rows = kt.sum(axis=1)
+    if lt is kt:
+        kl_rows = kt @ k_rows
+        return np.einsum("ij,ij->i", kt, kt), k_rows, k_rows, kl_rows, kl_rows
+    l_rows = lt.sum(axis=1)
+    return np.einsum("ij,ij->i", kt, lt), k_rows, l_rows, kt @ l_rows, lt @ k_rows
 
-    With n the class counts: (Kt o Lt)1 = R[i, y_i], tr(Kt Lt) = sum_i
-    R[i, y_i], Kt1 = R1, Lt1 = n[y] - 1, Kt Lt1 = R (n - 1), and
-    Lt Kt1 = (Y'Kt1)[y] - Kt1.
+
+def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndarray,
+                    kl_rows: np.ndarray, lk_rows: np.ndarray,
+                    value: float | None = None) -> tuple[float, float]:
+    """The unbiased estimate and its raw variance from the five row
+    statistics (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1 of symmetric
+    zero-diagonal Grams. value, if given, replaces the estimate read from
+    the rows in the variance and the result.
+
+    The rows give tr(Kt Lt) = 1'(Kt o Lt)1, 1'Kt1, 1'Lt1 and 1'KtLt1 =
+    Kt1 . Lt1, hence the estimate (see hsic_unbiased), and the per-sample
+    vector
+      h = (m-2)^2 (Kt o Lt)1 - m (Kt1 o Lt1) + (1'Lt1) Kt1 + (1'Kt1) Lt1
+          - (1'KtLt1) 1 + (m-2) [tr(KtLt) 1 - KtLt1 - LtKt1].
+    The variance is (16/m) (R - value^2) with R = h'h / (4m D^2) where
+    D = (m-1)(m-2)(m-3). Dividing by D^2 is the scaling consistent with the
+    estimator's spread; dividing by D once overstates it by orders of
+    magnitude.
     """
-    m = y.size
-    counts = np.bincount(y).astype(np.float64)
-    same_class = class_sums[np.arange(m), y]
-    k_rows = class_sums.sum(axis=1)
-    l_rows = counts[y] - 1.0
+    m = k_rows.size
     sum_k = float(k_rows.sum())
     sum_l = float(l_rows.sum())
-    trace_kl = float(same_class.sum())
+    trace_kl = float(kl_products.sum())
     cross = float(k_rows @ l_rows)
-    kl_rows = class_sums @ (counts - 1.0)
-    lk_rows = np.bincount(y, weights=k_rows)[y] - k_rows
-
-    value = _unbiased_from_sums(trace_kl, sum_k, sum_l, cross, m)
+    if value is None:
+        value = _unbiased_from_sums(trace_kl, sum_k, sum_l, cross, m)
     h = (
-        (m - 2.0) ** 2 * same_class
+        (m - 2.0) ** 2 * kl_products
         - m * (k_rows * l_rows)
         + sum_l * k_rows
         + sum_k * l_rows
@@ -187,6 +186,23 @@ def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float
     denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
     r = float(h @ h) / (4.0 * m) / (denom * denom)
     return value, (16.0 / m) * (r - value * value)
+
+
+def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The estimate and raw variance of _hsic_from_rows for the zero-diagonal
+    0/1 label kernel Lt of y, read from the class sums R = Kt Y of a
+    symmetric zero-diagonal Gram matrix Kt (Y the m x C one-hot label
+    matrix), so that neither Kt nor Lt is needed.
+
+    With n the class counts: (Kt o Lt)1 = R[i, y_i], Kt1 = R1,
+    Lt1 = n[y] - 1, Kt Lt1 = R (n - 1), and Lt Kt1 = (Y'Kt1)[y] - Kt1.
+    """
+    m = y.size
+    counts = np.bincount(y).astype(np.float64)
+    k_rows = class_sums.sum(axis=1)
+    return _hsic_from_rows(class_sums[np.arange(m), y], k_rows, counts[y] - 1.0,
+                           class_sums @ (counts - 1.0),
+                           np.bincount(y, weights=k_rows)[y] - k_rows)
 
 
 def _radial_class_sums(d2: np.ndarray, family: str, sigmas, starts: np.ndarray) -> np.ndarray:
@@ -254,9 +270,12 @@ def select_bandwidth(z, target, family: str = "gaussian",
     copy during the median, and the distances plus the (len(grid), m, C)
     class sums after it. The estimate does not depend on row order, but the
     base of unsorted labels may differ from that of the same rows in class
-    order by rounding. A target that is z itself reuses z's distances and
-    Gram matrices. The cosine kernel ignores the bandwidth, so its one
-    estimate fills every row.
+    order by rounding. An embedding target costs, per coefficient, two
+    kernels, their row sums, the row sums of their product and two
+    matrix-vector products (see _gram_rows and _hsic_from_rows); a target
+    that is z itself reuses z's distances and kernel and needs one of each.
+    The cosine kernel ignores the bandwidth, so its one estimate fills every
+    row.
     """
     self_target = target is z
     z = as_embeddings(z)
@@ -305,8 +324,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
         if labels_mode:  # cosine only
             return _class_sum_hsic(np.add.reduceat(kt, starts, axis=1), y)
         lt = kt if self_target else zero_diag_gram(t, d2_t, sigma)
-        value = hsic_unbiased(kt, lt)
-        return value, hsic_variance(kt, lt, value, clamp=False)
+        return _hsic_from_rows(*_gram_rows(kt, lt))
 
     if family == COSINE:
         estimates = [estimate(None)] * len(sigmas)

@@ -141,16 +141,10 @@ def cosine_gram(z: np.ndarray) -> np.ndarray:
     return g
 
 
-def label_kernel_matrix(labels, l1: float = 1.0, l0: float = 0.0,
-                        zero_diag: bool = False) -> np.ndarray:
-    """Label kernel: l1 where labels agree, l0 where they differ.
-
-    Requires l1 > l0 so that agreement scores strictly above disagreement.
-    """
+def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
+    """Label kernel: 1 where labels agree, 0 where they differ."""
     y = as_labels(labels)
-    if not l1 > l0:
-        raise ValueError(f"same-class weight must exceed cross-class weight, got l1={l1}, l0={l0}")
-    mat = np.where(y[:, None] == y[None, :], float(l1), float(l0))
+    mat = np.where(y[:, None] == y[None, :], 1.0, 0.0)
     if zero_diag:
         np.fill_diagonal(mat, 0.0)
     return mat

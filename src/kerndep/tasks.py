@@ -45,7 +45,6 @@ class EmbeddingDataset:
     classes: list[np.ndarray]
     d: int
     name: str = "dataset"
-    class_names: list[str] | None = None
 
     def __post_init__(self) -> None:
         if len(self.classes) == 0:

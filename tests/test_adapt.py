@@ -407,7 +407,8 @@ def count_episode_builds(count, task, share, steps):
     targets = ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix",
                "kerndep.adapt.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
-               "kerndep.hsic.hsic_unbiased", "kerndep.adapt._hsic_gram_cotangent")
+               "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
+               "kerndep.hsic._gram_rows", "kerndep.adapt._gram_cotangent")
     for target in targets:
         count(target)
     return run_episode(task, AdaptConfig(steps=steps, share_zz_coefficient=share))
@@ -425,7 +426,10 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         "kerndep.adapt.kernel_from_sq_dists": steps,  # shared by both loss terms
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
         "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
-        "kerndep.adapt._hsic_gram_cotangent": 1,  # the label cotangent, once per episode
+        "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
+        "kerndep.hsic._gram_rows": 0,  # the label search reads class sums
+        # the label cotangent once per episode, and the penalty's once per step
+        "kerndep.adapt._gram_cotangent": 1 + steps,
     }
 
 
@@ -442,8 +446,10 @@ def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
         "kerndep.adapt.label_kernel_matrix": 1,
         "kerndep.adapt.kernel_from_sq_dists": 2 * steps,
         "kerndep.hsic.kernel_from_sq_dists": 2 * len(DEFAULT_GRID_COEFFICIENTS),
-        "kerndep.hsic.hsic_unbiased": len(DEFAULT_GRID_COEFFICIENTS),  # the self search only
-        "kerndep.adapt._hsic_gram_cotangent": 1,
+        "kerndep.hsic.hsic_unbiased": 0,
+        "kerndep.hsic.hsic_variance": 0,
+        "kerndep.hsic._gram_rows": len(DEFAULT_GRID_COEFFICIENTS),  # the self search only
+        "kerndep.adapt._gram_cotangent": 1 + steps,
     }
 
 

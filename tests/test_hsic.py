@@ -301,6 +301,29 @@ def test_selection_rows_match_manual_composition():
                     case, family, coeff, got, want)
 
 
+@pytest.mark.parametrize("target", ["self", "embeddings"])
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_embedding_selection_rows_match_scalar_oracles(case, target):
+    # every row of a self- or embedding-target search against the scalar
+    # oracles, on at most 80 rows so that their cubic loops stay fast
+    z = ROW_CASES[case][0][:80]
+    t = z if target == "self" else 1.5 * z[:, ::-1]
+    for family in KERNEL_FAMILIES:
+        sel = select_bandwidth(z, t, family=family)
+        assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
+        want = None
+        for coeff, row in zip(DEFAULT_GRID_COEFFICIENTS, sel.table):
+            assert row.sigma == coeff * sel.sigma_base
+            if want is None or family != "cosine":  # cosine rows repeat one estimate
+                kt = kernel_matrix(KernelSpec(family, row.sigma), z, zero_diag=True)
+                lt = kernel_matrix(KernelSpec(family, row.sigma), t, zero_diag=True)
+                value = hsic_unbiased_naive(kt, lt)
+                want = value, variance_scalar_oracle(kt, lt, value)
+            for got, ref in zip((row.value, row.raw_variance), want):
+                assert math.isclose(got, ref, rel_tol=1e-9, abs_tol=1e-13), (
+                    family, coeff, got, ref)
+
+
 def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monkeypatch):
     counts, count = call_counts
     for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.hsic_unbiased",
@@ -400,13 +423,13 @@ def test_cosine_search_estimates_once(call_counts, target, grams):
     counts, count = call_counts
     count("kerndep.hsic.cosine_gram")
     count("kerndep.hsic._class_sum_hsic")
-    count("kerndep.hsic.hsic_unbiased")
+    count("kerndep.hsic._gram_rows")
     z, y = blob_data(3)
     sel = select_bandwidth(z, y if target == "labels" else z[:, ::-1], family="cosine")
     assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
     assert len({(row.value, row.raw_variance) for row in sel.table}) == 1
     assert counts["kerndep.hsic.cosine_gram"] == grams
-    assert counts["kerndep.hsic._class_sum_hsic"] + counts["kerndep.hsic.hsic_unbiased"] == 1
+    assert counts["kerndep.hsic._class_sum_hsic"] + counts["kerndep.hsic._gram_rows"] == 1
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)

@@ -138,10 +138,10 @@ def test_kernel_matrix_zero_diag_zeroes_the_diagonal():
 
 def test_label_kernel_hand_matrix():
     labels = np.array([0, 1, 0])
-    k = label_kernel_matrix(labels, l1=2.5, l0=0.5)
-    expected = np.array([[2.5, 0.5, 2.5], [0.5, 2.5, 0.5], [2.5, 0.5, 2.5]])
+    k = label_kernel_matrix(labels)
+    expected = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     assert np.array_equal(k, expected)
-    kz = label_kernel_matrix(labels, l1=2.5, l0=0.5, zero_diag=True)
+    kz = label_kernel_matrix(labels, zero_diag=True)
     assert (np.diag(kz) == 0.0).all()
     assert np.array_equal(kz[0, 1:], expected[0, 1:])
 
@@ -149,13 +149,6 @@ def test_label_kernel_hand_matrix():
 def test_label_kernel_default_is_delta():
     k = label_kernel_matrix(np.array([0, 0, 1]))
     assert np.array_equal(k, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-
-
-def test_label_kernel_rejects_non_dominant_same_class_value():
-    with pytest.raises(ValueError):
-        label_kernel_matrix(np.array([0, 1]), l1=0.5, l0=0.5)
-    with pytest.raises(ValueError):
-        label_kernel_matrix(np.array([0, 1]), l1=0.0, l0=1.0)
 
 
 @given(
