@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hsic import BandwidthGrid, DEFAULT_EPSILON, _unbiased_from_sums, select_bandwidth
+from .hsic import (DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid,
+                   _unbiased_from_sums, select_bandwidth)
 from .kernels import (
     COSINE,
     GAUSSIAN,
@@ -69,10 +70,11 @@ class AdadeltaState:
 
 @dataclass
 class AdaptConfig:
-    """Episode hyperparameters.
+    """Episode hyperparameters, one field per setting.
 
-    grid defaults to the standard coefficient list with this config's
-    epsilon; pass an explicit BandwidthGrid to override both.
+    The bandwidth grid is not a field: ``grid`` is read from
+    ``grid_coefficients`` and ``epsilon`` each time, so it always searches
+    with this config's values.
     """
 
     gamma: float = 3.0
@@ -80,7 +82,7 @@ class AdaptConfig:
     steps: int = 40
     weight_decay: float = 0.0
     epsilon: float = DEFAULT_EPSILON
-    grid: BandwidthGrid | None = None
+    grid_coefficients: tuple[float, ...] = DEFAULT_GRID_COEFFICIENTS
     kernel_family: str = GAUSSIAN
     share_zz_coefficient: bool = True
     normalize_features: bool = True
@@ -107,8 +109,12 @@ class AdaptConfig:
             raise ValueError("the cosine kernel family is only available with the ncc loss")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.grid is None:
-            self.grid = BandwidthGrid(epsilon=self.epsilon)
+        self.grid_coefficients = self.grid.coefficients  # validated, as floats
+
+    @property
+    def grid(self) -> BandwidthGrid:
+        """The bandwidth grid the episode searches."""
+        return BandwidthGrid(self.grid_coefficients, self.epsilon)
 
 
 def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +163,7 @@ def transform(head: LinearHead, embeddings, normalize: bool = True) -> np.ndarra
 def _prototypes(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_classes = int(y.max()) + 1
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    protos = np.zeros((n_classes, z.shape[1]))
-    np.add.at(protos, y, z)
+    protos = (y[:, None] == np.arange(n_classes)).T @ z
     protos /= counts[:, None]
     return protos, counts
 
@@ -453,7 +458,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
         selection = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid)
         sigma_zy = selection.sigma
         if cfg.share_zz_coefficient:
-            sigma_zz = selection.coefficient * selection.sigma_base
+            sigma_zz = sigma_zy
         else:
             sigma_zz = select_bandwidth(z0, z0, cfg.kernel_family, cfg.grid).sigma
         step = _DependencePlan(support_x, support_y, sigma_zy, sigma_zz, cfg.gamma,

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptConfig
+from .adapt import LOSS_MODES, AdaptConfig
 from .evaluation import evaluate, similarity_export
-from .hsic import BandwidthGrid, DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, select_bandwidth
+from .hsic import BandwidthGrid, DEFAULT_EPSILON, select_bandwidth
 from .kernels import KERNEL_FAMILIES, as_labels
 from .tasks import (
     EmbeddingFormatError,
@@ -45,16 +45,12 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# Config keys are the fields of the config dataclasses (their defaults give the
-# value types), except the grid, which is set by its coefficients and takes
-# the adaptation epsilon.
-_DEFAULTS = {f.name: f.default
-             for f in (*fields(AdaptConfig), *fields(SamplerConfig))
-             if f.default is not None}
-_DEFAULTS["grid_coefficients"] = DEFAULT_GRID_COEFFICIENTS
-_PARSERS = {key: _parse_bool if isinstance(default, bool) else type(default)
+# Config keys are the fields of the config dataclasses; each default's type
+# picks the value parser.
+_DEFAULTS = {f.name: f.default for f in (*fields(AdaptConfig), *fields(SamplerConfig))}
+_PARSERS = {key: _parse_bool if isinstance(default, bool)
+            else _parse_float_list if isinstance(default, tuple) else type(default)
             for key, default in _DEFAULTS.items()}
-_PARSERS["grid_coefficients"] = _parse_float_list
 
 
 def read_config_file(path) -> dict[str, object]:
@@ -149,9 +145,7 @@ def cmd_eval(args) -> int:
     flags = {key: value for key in _DEFAULTS
              if (value := getattr(args, key, None)) is not None}
     settings = {**_DEFAULTS, **file_values, **flags}  # flag > file > default
-    grid = BandwidthGrid(settings.pop("grid_coefficients"), settings["epsilon"])
-    adapt_cfg = AdaptConfig(grid=grid, **{f.name: settings.pop(f.name)
-                                          for f in fields(AdaptConfig) if f.name in settings})
+    adapt_cfg = AdaptConfig(**{f.name: settings.pop(f.name) for f in fields(AdaptConfig)})
     sampler_cfg = SamplerConfig(**settings)
     seed = sampler_cfg.seed
 
@@ -223,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="kernel_family")
     p_eval.add_argument("--share-zz", action=argparse.BooleanOptionalAction,
                         default=None, dest="share_zz_coefficient")
-    p_eval.add_argument("--loss", choices=("mokd", "ncc"), default=None)
+    p_eval.add_argument("--loss", choices=LOSS_MODES, default=None)
     p_eval.add_argument("--config", default=None,
                         help="flat key=value config file; flags win over it")
     p_eval.add_argument("--dump-heatmaps", default=None, metavar="DIR",

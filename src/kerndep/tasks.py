@@ -157,8 +157,9 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig, rng: np.random.Ge
 
     Stream order: way count, class subset, support-budget beta, shot alphas,
     then one index draw per selected class. Support and query indices within
-    a class are disjoint. Redraws (at most 100) guard the episode
-    preconditions of at least 4 support rows over at least 2 classes.
+    a class are disjoint. Every task has at least 5 classes, each with at
+    least one support row, so it meets the episode preconditions of at least
+    4 support rows over at least 2 classes.
     """
     eligible = [i for i, size in enumerate(dataset.sizes) if size >= 2]
     if len(eligible) < 5:
@@ -170,29 +171,25 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig, rng: np.random.Ge
         seed=int(seed) if seed is not None else cfg.seed,
         episode=int(episode),
     )
-    for _ in range(100):
-        n_way = sample_way_count(rng, len(eligible), cfg.n_max)
-        chosen = rng.choice(len(eligible), size=n_way, replace=False)
-        class_ids = [eligible[i] for i in chosen]
-        sizes = [dataset.sizes[c] for c in class_ids]
-        q = compute_query_size(sizes, cfg.max_query_per_class)
-        s = compute_support_size(rng, sizes, q, cfg.max_support, cfg.max_shots_per_class)
-        shots = compute_shots(rng, sizes, q, s)
-        if sum(shots) < 4 or n_way < 2:
-            continue
-        support_parts = []
-        query_parts = []
-        for class_id, k in zip(class_ids, shots):
-            mat = dataset.classes[class_id]
-            idx = rng.choice(mat.shape[0], size=k + q, replace=False)
-            support_parts.append(mat[idx[:k]])
-            query_parts.append(mat[idx[k:]])
-        support_x = np.concatenate(support_parts).astype(np.float64)
-        query_x = np.concatenate(query_parts).astype(np.float64)
-        support_y = np.repeat(np.arange(n_way, dtype=np.int64), shots)
-        query_y = np.repeat(np.arange(n_way, dtype=np.int64), q)
-        return Task(support_x, support_y, query_x, query_y, provenance)
-    raise ValueError("failed to sample a usable task after 100 attempts")
+    n_way = sample_way_count(rng, len(eligible), cfg.n_max)
+    chosen = rng.choice(len(eligible), size=n_way, replace=False)
+    class_ids = [eligible[i] for i in chosen]
+    sizes = [dataset.sizes[c] for c in class_ids]
+    q = compute_query_size(sizes, cfg.max_query_per_class)
+    s = compute_support_size(rng, sizes, q, cfg.max_support, cfg.max_shots_per_class)
+    shots = compute_shots(rng, sizes, q, s)
+    support_parts = []
+    query_parts = []
+    for class_id, k in zip(class_ids, shots):
+        mat = dataset.classes[class_id]
+        idx = rng.choice(mat.shape[0], size=k + q, replace=False)
+        support_parts.append(mat[idx[:k]])
+        query_parts.append(mat[idx[k:]])
+    support_x = np.concatenate(support_parts).astype(np.float64)
+    query_x = np.concatenate(query_parts).astype(np.float64)
+    support_y = np.repeat(np.arange(n_way, dtype=np.int64), shots)
+    query_y = np.repeat(np.arange(n_way, dtype=np.int64), q)
+    return Task(support_x, support_y, query_x, query_y, provenance)
 
 
 def synth_dataset(n_classes: int, per_class: int, d: int, separation: float,

@@ -1,5 +1,6 @@
 """Episode adaptation: losses, hand-rolled gradients, optimizer, loop."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -127,6 +128,30 @@ def test_config_defaults_are_frozen():
 def test_config_grid_inherits_custom_epsilon():
     cfg = AdaptConfig(epsilon=1e-3)
     assert cfg.grid.epsilon == 1e-3
+
+
+def test_config_epsilon_and_coefficients_reach_the_search(monkeypatch):
+    settings = {"epsilon": 1e-3, "grid_coefficients": (0.5, 2.0)}
+    expected = BandwidthGrid((0.5, 2.0), 1e-3)
+    replaced = dataclasses.replace(AdaptConfig(), **settings)
+    assert AdaptConfig(**settings).grid == replaced.grid == expected
+    with pytest.raises(AttributeError):
+        replaced.grid = BandwidthGrid()
+    replaced.epsilon = 1e-2
+    assert replaced.grid == BandwidthGrid((0.5, 2.0), 1e-2)
+
+    searches = []
+
+    def recording_search(z, target, family, grid):
+        searches.append((grid, select_bandwidth(z, target, family, grid)))
+        return searches[-1][1]
+
+    monkeypatch.setattr("kerndep.adapt.select_bandwidth", recording_search)
+    result = run_episode(separable_task(6), AdaptConfig(steps=1, **settings))
+    [(grid, selection)] = searches
+    assert grid == expected
+    assert selection.coefficient in (0.5, 2.0)
+    assert result.sigma_zy == selection.sigma == selection.coefficient * selection.sigma_base
 
 
 @pytest.mark.parametrize(

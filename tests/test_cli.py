@@ -511,8 +511,6 @@ def captured_eval(monkeypatch):
 
 
 def resolved(adapt_cfg, sampler_cfg, key):
-    if key == "grid_coefficients":
-        return adapt_cfg.grid.coefficients
     if hasattr(adapt_cfg, key):
         return getattr(adapt_cfg, key)
     return getattr(sampler_cfg, key)
@@ -520,7 +518,7 @@ def resolved(adapt_cfg, sampler_cfg, key):
 
 def test_config_file_sets_every_key(pool_path, tmp_path, capsys, captured_eval):
     field_names = {f.name for f in (*fields(AdaptConfig), *fields(SamplerConfig))}
-    assert set(FULL_CONFIG) == field_names - {"grid"} | {"grid_coefficients"}
+    assert set(FULL_CONFIG) == field_names
     cfg = tmp_path / "full.cfg"
     cfg.write_text("".join(
         f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"

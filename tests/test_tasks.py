@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import kerndep.tasks as tasks_module
 from kerndep.tasks import (
     FORMAT_VERSION,
     LOG_HALF,
@@ -259,12 +258,16 @@ def test_sample_task_needs_five_eligible_classes():
         sample_task(thin, SamplerConfig(), np.random.default_rng(0))
 
 
-def test_sample_task_gives_up_after_bounded_redraws(monkeypatch):
-    # force every draw degenerate so the guard path is reachable
-    monkeypatch.setattr(tasks_module, "sample_way_count", lambda rng, a, n: 1)
-    pool = make_pool()
-    with pytest.raises(ValueError, match="100 attempts"):
-        sample_task(pool, SamplerConfig(), np.random.default_rng(0))
+def test_smallest_pool_always_meets_the_episode_preconditions():
+    # five 2-row classes: one query row each leaves exactly one support row
+    # per class, the fewest any task can have
+    pool = EmbeddingDataset(
+        classes=[np.full((2, 3), c, dtype=np.float32) for c in range(5)], d=3)
+    for seed in range(200):
+        task = sample_task(pool, SamplerConfig(), np.random.default_rng(seed))
+        assert task.support_y.size >= 5
+        assert np.array_equal(np.unique(task.support_y), np.arange(5))
+        assert np.array_equal(np.bincount(task.query_y), np.ones(5))
 
 
 # --------------------------------------------------------- synthetic data
