@@ -99,8 +99,6 @@ def _load_labels_file(path, n_rows: int) -> np.ndarray:
 
 
 def cmd_hsic(args) -> int:
-    if args.coeff is not None and args.grid is not None:  # before any file is read
-        raise ValueError("--coeff and --grid are mutually exclusive")
     dataset = load_embeddings(args.embeddings)
     z, block_labels = flatten_dataset(dataset)
     if args.labels_from == "embedded":
@@ -108,9 +106,7 @@ def cmd_hsic(args) -> int:
     else:
         labels = _load_labels_file(args.labels_from, z.shape[0])
 
-    if args.coeff is not None:
-        coefficients = (args.coeff,)
-    elif args.grid is not None:
+    if args.grid is not None:
         coefficients = _parse_float_list(args.grid)
     else:
         coefficients = BandwidthGrid().coefficients
@@ -196,10 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'embedded' for class-block labels, or a path to a "
                              "file with one integer label per row")
     p_hsic.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian")
-    p_hsic.add_argument("--coeff", type=float, default=None,
-                        help="evaluate a single grid coefficient")
     p_hsic.add_argument("--grid", default=None,
-                        help="comma-separated grid coefficients")
+                        help="comma-separated grid coefficients, or a single one")
     p_hsic.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_hsic.add_argument("--format", choices=("table", "csv"), default="table")
     p_hsic.set_defaults(func=cmd_hsic)

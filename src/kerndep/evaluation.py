@@ -71,7 +71,7 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
     def one(i: int) -> EpisodeResult:
         try:
             rng = episode_rng(base_seed, i)
-            task = sample_task(dataset, sampler_cfg, rng, seed=base_seed, episode=i)
+            task = sample_task(dataset, sampler_cfg, rng)
             return run_episode(task, adapt_cfg)
         except Exception as exc:
             raise RuntimeError(f"episode {i} failed: {exc}") from exc

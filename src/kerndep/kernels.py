@@ -3,7 +3,7 @@
 All public functions validate their inputs and compute in float64. Gram
 matrices are exactly symmetric: radial kernels act elementwise on squared
 distances that are exactly symmetric (see sq_dist_matrix), and the cosine
-Gram is mirrored from its upper triangle.
+Gram is one symmetric rank-k update.
 """
 
 from __future__ import annotations
@@ -134,9 +134,7 @@ def cosine_gram(z: np.ndarray) -> np.ndarray:
     """Cosine-similarity Gram matrix; zero rows get similarity 0 everywhere."""
     norms = np.linalg.norm(z, axis=1)
     nz = np.divide(z, norms[:, None], out=np.zeros_like(z), where=norms[:, None] > 0)
-    g = nz @ nz.T
-    g = np.triu(g, 1)
-    g = g + g.T
+    g = nz @ nz.T  # one symmetric rank-k update, so exactly symmetric
     np.fill_diagonal(g, np.where(norms > 0, 1.0, 0.0))
     return g
 
@@ -150,8 +148,9 @@ def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
     return mat
 
 
-def median_sq_distance(z) -> float:
-    """Median of the nonzero pairwise squared distances.
+def median_of_sq_dists(d2: np.ndarray) -> float:
+    """Median of the nonzero pairwise squared distances in a square matrix
+    built by sq_dist_matrix.
 
     Zero distances (duplicate points) are excluded; if every pair coincides
     the heuristic is undefined and an error is raised.
@@ -160,16 +159,6 @@ def median_sq_distance(z) -> float:
     rounding unit of their coordinates are distinct pairs, so the value is
     translation-invariant only for shifts that keep the rows distinct: in
     float64, ``[[0.0], [1e-17]] + 1.0`` is two equal rows.
-    """
-    z = as_embeddings(z)
-    if z.shape[0] < 2:
-        raise ValueError("median heuristic needs at least two samples")
-    return median_of_sq_dists(sq_dist_matrix(z))
-
-
-def median_of_sq_dists(d2: np.ndarray) -> float:
-    """median_sq_distance read from a square matrix built by sq_dist_matrix,
-    so a caller that has the distances does not compute them again.
 
     The strict upper triangle (each pair once) is copied a row at a time
     into one buffer of m(m-1)/2 entries, which np.median then partitions in

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +45,6 @@ class EmbeddingDataset:
 
     classes: list[np.ndarray]
     d: int
-    name: str = "dataset"
 
     def __post_init__(self) -> None:
         if len(self.classes) == 0:
@@ -89,20 +89,12 @@ class SamplerConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class TaskProvenance:
-    dataset: str
-    seed: int
-    episode: int
-
-
 @dataclass
 class Task:
     support_x: np.ndarray
     support_y: np.ndarray
     query_x: np.ndarray
     query_y: np.ndarray
-    provenance: TaskProvenance
 
 
 def sample_way_count(rng: np.random.Generator, available_classes: int, n_max: int) -> int:
@@ -151,9 +143,9 @@ def compute_shots(rng: np.random.Generator, selected_class_sizes, q: int, s: int
     return [int(min(k, c)) for k, c in zip(shots, caps)]
 
 
-def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig, rng: np.random.Generator,
-                seed: int | None = None, episode: int = 0) -> Task:
-    """Draw one vary-way vary-shot task.
+def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig,
+                rng: np.random.Generator) -> Task:
+    """Draw one vary-way vary-shot task from rng; the caller seeds rng.
 
     Stream order: way count, class subset, support-budget beta, shot alphas,
     then one index draw per selected class. Support and query indices within
@@ -166,11 +158,6 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig, rng: np.random.Ge
         raise ValueError(
             f"dataset needs at least 5 classes with 2+ examples, got {len(eligible)}"
         )
-    provenance = TaskProvenance(
-        dataset=dataset.name,
-        seed=int(seed) if seed is not None else cfg.seed,
-        episode=int(episode),
-    )
     n_way = sample_way_count(rng, len(eligible), cfg.n_max)
     chosen = rng.choice(len(eligible), size=n_way, replace=False)
     class_ids = [eligible[i] for i in chosen]
@@ -189,7 +176,7 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig, rng: np.random.Ge
     query_x = np.concatenate(query_parts).astype(np.float64)
     support_y = np.repeat(np.arange(n_way, dtype=np.int64), shots)
     query_y = np.repeat(np.arange(n_way, dtype=np.int64), q)
-    return Task(support_x, support_y, query_x, query_y, provenance)
+    return Task(support_x, support_y, query_x, query_y)
 
 
 def synth_dataset(n_classes: int, per_class: int, d: int, separation: float,
@@ -223,14 +210,13 @@ def synth_dataset(n_classes: int, per_class: int, d: int, separation: float,
         means[c] + noise * rng.standard_normal((per_class, d))
         for c in range(n_classes)
     ]
-    return EmbeddingDataset(classes=classes, d=d, name="synthetic")
+    return EmbeddingDataset(classes=classes, d=d)
 
 
 def synth_task(n_way: int, n_shot: int, n_query: int, d: int, separation: float,
-               noise: float, rng: np.random.Generator, seed: int = 0,
-               episode: int = 0) -> Task:
-    """Fixed-way fixed-shot synthetic task (rows are i.i.d., so the first
-    n_shot rows of each class serve as support and the rest as query)."""
+               noise: float, rng: np.random.Generator) -> Task:
+    """Fixed-way fixed-shot synthetic task drawn from rng (rows are i.i.d., so
+    the first n_shot rows of each class serve as support and the rest as query)."""
     if n_shot < 1 or n_query < 1:
         raise ValueError("n_shot and n_query must be positive")
     ds = synth_dataset(n_way, n_shot + n_query, d, separation, noise, rng)
@@ -238,8 +224,7 @@ def synth_task(n_way: int, n_shot: int, n_query: int, d: int, separation: float,
     query_x = np.concatenate([mat[n_shot:] for mat in ds.classes]).astype(np.float64)
     support_y = np.repeat(np.arange(n_way, dtype=np.int64), n_shot)
     query_y = np.repeat(np.arange(n_way, dtype=np.int64), n_query)
-    return Task(support_x, support_y, query_x, query_y,
-                TaskProvenance("synthetic", int(seed), int(episode)))
+    return Task(support_x, support_y, query_x, query_y)
 
 
 def flatten_dataset(dataset: EmbeddingDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +251,9 @@ def _write_emb1(dataset: EmbeddingDataset, path: Path) -> None:
             fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, offset: int, what: str, size: int) -> bytes:
+    # a class header may claim up to 2^66 bytes; ask for no more than the file has
+    buf = fh.read(min(n, size - offset))
     if len(buf) != n:
         raise EmbeddingFormatError(f"truncated file while reading {what}", offset + len(buf))
     return buf
@@ -275,25 +261,26 @@ def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
 
 def _read_emb1(path: Path) -> EmbeddingDataset:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         offset = 0
-        magic = _read_exact(fh, 4, offset, "magic")
+        magic = _read_exact(fh, 4, offset, "magic", size)
         if magic != MAGIC:
             raise EmbeddingFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
         offset += 4
-        version = _read_exact(fh, 1, offset, "version")[0]
+        version = _read_exact(fh, 1, offset, "version", size)[0]
         if version != FORMAT_VERSION:
             raise EmbeddingFormatError(
                 f"unsupported format version {version}, expected {FORMAT_VERSION}", offset
             )
         offset += 1
-        n_classes = struct.unpack("<I", _read_exact(fh, 4, offset, "class count"))[0]
+        n_classes = struct.unpack("<I", _read_exact(fh, 4, offset, "class count", size))[0]
         offset += 4
         if n_classes == 0:
             raise EmbeddingFormatError("file contains no classes", offset)
         classes = []
         d = None
         for c in range(n_classes):
-            header = _read_exact(fh, 8, offset, f"class {c} header")
+            header = _read_exact(fh, 8, offset, f"class {c} header", size)
             n_rows, class_d = struct.unpack("<II", header)
             if d is None:
                 if class_d == 0:
@@ -305,14 +292,14 @@ def _read_emb1(path: Path) -> EmbeddingDataset:
                 )
             offset += 8
             n_bytes = n_rows * class_d * 4
-            payload = _read_exact(fh, n_bytes, offset, f"class {c} payload")
+            payload = _read_exact(fh, n_bytes, offset, f"class {c} payload", size)
             offset += n_bytes
             mat = np.frombuffer(payload, dtype="<f4").reshape(n_rows, class_d)
             classes.append(mat.copy())
         trailing = fh.read(1)
         if trailing:
             raise EmbeddingFormatError("trailing data after the last class payload", offset)
-    return EmbeddingDataset(classes=classes, d=int(d), name=path.stem)
+    return EmbeddingDataset(classes=classes, d=int(d))
 
 
 def _float32_repr(value: np.float32) -> str:
@@ -376,7 +363,7 @@ def _read_csv_inner(path: Path) -> EmbeddingDataset:
                 f"labels must cover a contiguous range starting at 0, got {labels}"
             )
         classes = [np.vstack(rows_by_label[label]) for label in labels]
-    return EmbeddingDataset(classes=classes, d=d, name=path.stem)
+    return EmbeddingDataset(classes=classes, d=d)
 
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:

@@ -216,7 +216,7 @@ def test_criterion_06_episode_convergence():
     cfg = AdaptConfig(gamma=3.0, steps=40)
     for i in range(100):
         rng = np.random.default_rng([606060, i])
-        task = synth_task(5, 10, 10, 16, 6.0, 1.0, rng, seed=606060, episode=i)
+        task = synth_task(5, 10, 10, 16, 6.0, 1.0, rng)
         result = run_episode(task, cfg)
         accuracies.append(result.query_accuracy)
         gaps.append(similarity_gap(result))
@@ -239,10 +239,10 @@ def test_criterion_07_gamma_ablation_direction():
     diffs = []
     for seed in range(50):
         rng = np.random.default_rng([707070, seed])
-        task = synth_task(5, 10, 10, 16, 3.0, 1.5, rng, seed=707070, episode=seed)
+        task = synth_task(5, 10, 10, 16, 3.0, 1.5, rng)
         acc_with = run_episode(task, with_penalty).query_accuracy
         rng = np.random.default_rng([707070, seed])
-        task = synth_task(5, 10, 10, 16, 3.0, 1.5, rng, seed=707070, episode=seed)
+        task = synth_task(5, 10, 10, 16, 3.0, 1.5, rng)
         acc_without = run_episode(task, without).query_accuracy
         diffs.append(acc_with - acc_without)
     mean_diff = float(np.mean(diffs))
@@ -259,7 +259,7 @@ def test_criterion_08_sampler_conformance():
     rng_pool = np.random.default_rng(888)
     sizes = rng_pool.integers(2, 301, size=25)
     classes = [rng_pool.normal(size=(int(s), 6)) for s in sizes]
-    pool = EmbeddingDataset(classes=classes, d=6, name="conformance")
+    pool = EmbeddingDataset(classes=classes, d=6)
     cfg = SamplerConfig()
 
     log_half, log_two = math.log(0.5), math.log(2.0)
@@ -355,7 +355,6 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
         classes=[rng.normal(size=(int(rng.integers(1, 6)), 4)).astype(np.float32)
                  for _ in range(4)],
         d=4,
-        name="roundtrip",
     )
     exact = True
     for name in ("rt.emb", "rt.csv"):

@@ -31,7 +31,8 @@ from kerndep.kernels import (
     IMQ,
     cosine_gram,
     label_kernel_matrix,
-    median_sq_distance,
+    median_of_sq_dists,
+    sq_dist_matrix,
 )
 from kerndep.tasks import synth_task
 from oracles import KernelSpec, kernel_matrix
@@ -62,7 +63,7 @@ def edge_instances(seed):
 def underflow_sigma(head, u, normalize):
     """0.001 x the median-heuristic base: the Gaussian underflows to 0 on
     all but near-coincident pairs."""
-    return 0.001 * math.sqrt(median_sq_distance(transform(head, u, normalize)))
+    return 0.001 * math.sqrt(median_of_sq_dists(sq_dist_matrix(transform(head, u, normalize))))
 
 
 def reference_loss(head, u, y, sigma_zy, sigma_zz, gamma, family, normalize):
@@ -405,9 +406,8 @@ def test_adadelta_rejects_bad_gradients():
         adadelta_step(state, head, np.full((2, 2), np.inf), 0.1, 0.0)
 
 
-def separable_task(seed=0, episode=0):
-    rng = np.random.default_rng([606060, seed])
-    return synth_task(5, 10, 10, 16, 6.0, 1.0, rng, seed=seed, episode=episode)
+def separable_task(seed=0):
+    return synth_task(5, 10, 10, 16, 6.0, 1.0, np.random.default_rng([606060, seed]))
 
 
 def test_episode_on_separable_task_reaches_perfect_accuracy():
@@ -486,7 +486,6 @@ def test_episode_rejects_malformed_query_labels():
             support_y=task.support_y,
             query_x=task.query_x[:6] if query_y.size == 1 else task.query_x,
             query_y=query_y,
-            provenance=task.provenance,
         )
         with pytest.raises(ValueError, match="query labels"):
             run_episode(bad, AdaptConfig(steps=1))
@@ -552,7 +551,6 @@ def test_episode_rejects_tiny_or_single_class_support():
         support_y=np.array([0, 0, 1]),
         query_x=task.query_x,
         query_y=task.query_y,
-        provenance=task.provenance,
     )
     with pytest.raises(ValueError):
         run_episode(small)
@@ -561,7 +559,6 @@ def test_episode_rejects_tiny_or_single_class_support():
         support_y=np.zeros(10, dtype=np.int64),
         query_x=task.query_x,
         query_y=task.query_y,
-        provenance=task.provenance,
     )
     with pytest.raises(ValueError):
         run_episode(one_class)

@@ -113,11 +113,26 @@ def test_hsic_csv_format(pool_path, capsys):
 def test_hsic_single_coefficient_flag(pool_path, capsys):
     code, stdout, _ = run_cli(
         capsys,
-        ["hsic", "--embeddings", str(pool_path), "--coeff", "0.5",
+        ["hsic", "--embeddings", str(pool_path), "--grid", "0.5",
          "--format", "csv"],
     )
     assert code == 0
     assert len(stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "imq"])
+def test_hsic_single_grid_value_matches_its_default_grid_row(pool_path, capsys, kernel):
+    base = ["hsic", "--embeddings", str(pool_path), "--kernel", kernel, "--format", "csv"]
+    _, full, _ = run_cli(capsys, base)
+    code, single, _ = run_cli(capsys, [*base, "--grid", "0.5"])
+    assert code == 0
+    header, row = single.splitlines()
+    assert header == full.splitlines()[0]
+    # the selected column differs: a one-row table always selects its row
+    want = [l for l in full.splitlines()[1:] if float(l.split(",")[0]) == 0.5]
+    assert len(want) == 1
+    assert row.rsplit(",", 1)[0] == want[0].rsplit(",", 1)[0]
+    assert row.endswith(",1")
 
 
 def test_hsic_custom_grid_flag(pool_path, capsys):
@@ -142,10 +157,10 @@ def test_hsic_duplicate_grid_coefficients_exit_two(pool_path, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--coeff", "inf"], "finite"),
-    (["--coeff", "nan"], "finite"),
-    (["--coeff", "1e308"], "overflows"),  # coeff times the median base
-    (["--kernel", "cosine", "--coeff", "1e308"], "overflows"),
+    (["--grid", "inf"], "finite"),
+    (["--grid", "nan"], "finite"),
+    (["--grid", "1e308"], "overflows"),  # coeff times the median base
+    (["--kernel", "cosine", "--grid", "1e308"], "overflows"),
     (["--epsilon", "inf"], "finite"),
 ])
 def test_hsic_non_finite_grid_values_exit_two(pool_path, capsys, flags, message):
@@ -154,28 +169,6 @@ def test_hsic_non_finite_grid_values_exit_two(pool_path, capsys, flags, message)
     assert code == 2
     assert stdout == ""
     assert message in stderr
-
-
-def test_hsic_coeff_and_grid_are_mutually_exclusive(pool_path, capsys):
-    code, _, stderr = run_cli(
-        capsys,
-        ["hsic", "--embeddings", str(pool_path), "--coeff", "1.0",
-         "--grid", "1.0,2.0"],
-    )
-    assert code == 2
-    assert "mutually exclusive" in stderr
-
-
-def test_hsic_coeff_and_grid_are_rejected_before_the_pool_is_read(tmp_path, capsys):
-    # a missing pool would exit 1; the flag pair is a usage error found first
-    code, stdout, stderr = run_cli(
-        capsys,
-        ["hsic", "--embeddings", str(tmp_path / "missing.emb"), "--coeff", "1",
-         "--grid", "1,2"],
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "mutually exclusive" in stderr
 
 
 def test_hsic_label_file_changes_the_pairing(pool_path, tmp_path, capsys):

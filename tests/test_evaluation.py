@@ -16,7 +16,7 @@ from kerndep.evaluation import (
     evaluate,
     similarity_export,
 )
-from kerndep.tasks import EmbeddingDataset, SamplerConfig, Task, TaskProvenance, synth_dataset
+from kerndep.tasks import EmbeddingDataset, SamplerConfig, Task, synth_dataset
 from oracles import exp_mean_bound_holds
 
 
@@ -128,7 +128,7 @@ def fake_result(support_x=((1.0, 0.5), (0.5, 1.0)),
     """An identity-head result on a task with one support row per class."""
     support_x, query_x = np.array(support_x), np.array(query_x)
     task = Task(support_x, np.arange(len(support_x)), query_x,
-                np.zeros(len(query_x), dtype=np.int64), TaskProvenance("fake", 0, 0))
+                np.zeros(len(query_x), dtype=np.int64))
     return EpisodeResult(
         final_head=LinearHead.identity(2),
         loss_trace=[0.5, 0.25],

@@ -27,7 +27,8 @@ from kerndep.kernels import (
     KERNEL_FAMILIES,
     kernel_from_sq_dists,
     label_kernel_matrix,
-    median_sq_distance,
+    median_of_sq_dists,
+    sq_dist_matrix,
 )
 from oracles import KernelSpec, hsic_unbiased_naive, kernel_matrix, permutation_test_rejects
 
@@ -241,7 +242,8 @@ def test_selection_maximizes_power_ratio_over_table(seed):
 def test_selection_base_is_median_scale():
     z, y = blob_data(3)
     sel = select_bandwidth(z, y)
-    assert sel.sigma_base == pytest.approx(math.sqrt(median_sq_distance(z)), rel=1e-15)
+    base = math.sqrt(median_of_sq_dists(sq_dist_matrix(z)))
+    assert sel.sigma_base == pytest.approx(base, rel=1e-15)
 
 
 def test_selection_table_follows_grid_order():
@@ -523,7 +525,8 @@ def rejection_rates(eps, trials, seed, m=40):
         sigma = select_bandwidth(*nuisance_blobs(m, eps, rng)).sigma
         x, y = nuisance_blobs(m, eps, rng)
         selected += permutation_test_rejects(x, y, sigma, rng)
-        median += permutation_test_rejects(x, y, math.sqrt(median_sq_distance(x)), rng)
+        base = math.sqrt(median_of_sq_dists(sq_dist_matrix(x)))
+        median += permutation_test_rejects(x, y, base, rng)
     return selected / trials, median / trials
 
 

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import kerndep
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for top in ("src", "tests", "scripts") for p in (ROOT / top).rglob("*.py"))
 LIBRARY = sorted((ROOT / "src" / "kerndep").glob("*.py"))
@@ -95,3 +97,10 @@ def test_unreferenced_private_check_sees_unused_and_used_names():
         "b": ast.parse("from a import _used\nimport a\n_used()\na._Box()\n"),
     }
     assert unreferenced_privates(trees) == ["a._loop", "a._spare"]
+
+
+def test_export_list_is_sorted_unique_and_resolves():
+    names = kerndep.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(kerndep, name)] == []

@@ -18,7 +18,6 @@ from kerndep.kernels import (
     kernel_from_sq_dists,
     label_kernel_matrix,
     median_of_sq_dists,
-    median_sq_distance,
     sq_dist_matrix,
 )
 from oracles import KernelSpec, eval_kernel, kernel_matrix, median_upper_positive
@@ -168,23 +167,23 @@ def test_label_kernel_invariant_under_class_relabeling(raw, perm_seed):
 def test_median_sq_distance_hand_values():
     # pairwise squared distances 4, 4, 8: median 4
     z = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    assert median_sq_distance(z) == pytest.approx(4.0)
+    assert median_of_sq_dists(sq_dist_matrix(z)) == pytest.approx(4.0)
     # distances 1, 4, 1: median 1
     line = np.array([[0.0], [1.0], [2.0]])
-    assert median_sq_distance(line) == pytest.approx(1.0)
+    assert median_of_sq_dists(sq_dist_matrix(line)) == pytest.approx(1.0)
 
 
 def test_median_ignores_zero_distance_pairs():
     # distances 0, 0, 0, 9, 9, 9: the median is 9.0 without the zeros, 4.5 with them
     z = np.array([[0.0], [0.0], [0.0], [3.0]])
-    assert median_sq_distance(z) == pytest.approx(9.0)
+    assert median_of_sq_dists(sq_dist_matrix(z)) == pytest.approx(9.0)
 
 
 def test_median_requires_two_distinct_rows():
-    with pytest.raises(ValueError):
-        median_sq_distance(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        median_sq_distance(np.array([[1.0, 1.0]]))
+    with pytest.raises(ValueError, match="identical"):
+        median_of_sq_dists(sq_dist_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+    with pytest.raises(ValueError, match="identical"):
+        median_of_sq_dists(sq_dist_matrix(np.array([[1.0, 1.0]])))
 
 
 @given(
@@ -201,9 +200,9 @@ def test_median_translation_invariant_and_scale_quadratic(z, shift, scale):
     # (at most 4 * eps/2 * sqrt(5) / 1e-5 for up to 5 columns).
     gaps = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=-1)
     assume(gaps[gaps > 0].min() > 1e-5 * (1.0 + np.abs(z).max() + abs(shift)))
-    base = median_sq_distance(z)
-    shifted = median_sq_distance(z + shift)
-    scaled = median_sq_distance(z * scale)
+    base = median_of_sq_dists(sq_dist_matrix(z))
+    shifted = median_of_sq_dists(sq_dist_matrix(z + shift))
+    scaled = median_of_sq_dists(sq_dist_matrix(z * scale))
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
     assert scaled == pytest.approx(base * scale**2, rel=1e-9)
 
@@ -284,15 +283,6 @@ def test_kernel_from_sq_dists_is_bit_identical_and_leaves_input(sigma):
 def test_kernel_from_sq_dists_rejects_bad_bandwidth(family, sigma):
     with pytest.raises(ValueError, match="bandwidth"):
         kernel_from_sq_dists(np.zeros((2, 2)), family, sigma)
-
-
-def test_median_of_sq_dists_matches_median_sq_distance():
-    rng = np.random.default_rng(23)
-    z = rng.normal(size=(12, 3))
-    z[5] = z[2]  # one zero-distance pair
-    assert median_of_sq_dists(sq_dist_matrix(z)) == median_sq_distance(z)
-    with pytest.raises(ValueError, match="identical"):
-        median_of_sq_dists(sq_dist_matrix(np.ones((3, 2))))
 
 
 def median_case(m, duplicates=()):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from kerndep.tasks import (
     EmbeddingDataset,
     EmbeddingFormatError,
     SamplerConfig,
-    TaskProvenance,
     compute_query_size,
     compute_shots,
     compute_support_size,
@@ -53,7 +53,7 @@ def make_pool(seed=5150, n_classes=12, d=4, min_size=2, max_size=80):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(min_size, max_size + 1, size=n_classes)
     classes = [rng.normal(size=(int(s), d)) for s in sizes]
-    return EmbeddingDataset(classes=classes, d=d, name="pool")
+    return EmbeddingDataset(classes=classes, d=d)
 
 
 # ---------------------------------------------------------------- datasets
@@ -64,7 +64,7 @@ def test_dataset_stores_rows_as_float32():
     assert ds.classes[0].dtype == np.float32
     assert ds.n_classes == 1
     assert ds.sizes == [2]
-    assert ds.name == "dataset"
+    assert [f.name for f in fields(ds)] == ["classes", "d"]
 
 
 def test_dataset_validation():
@@ -240,15 +240,6 @@ def test_sample_task_is_deterministic_in_the_stream():
     assert np.array_equal(t1.query_x, t2.query_x)
 
 
-def test_sample_task_provenance():
-    pool = make_pool()
-    cfg = SamplerConfig(seed=9)
-    task = sample_task(pool, cfg, np.random.default_rng(0), episode=17)
-    assert task.provenance == TaskProvenance(dataset="pool", seed=9, episode=17)
-    explicit = sample_task(pool, cfg, np.random.default_rng(0), seed=123, episode=2)
-    assert explicit.provenance.seed == 123
-
-
 def test_sample_task_needs_five_eligible_classes():
     thin = EmbeddingDataset(
         classes=[np.ones((5, 2), dtype=np.float32)] * 4 + [np.ones((1, 2), dtype=np.float32)],
@@ -339,7 +330,7 @@ def test_flatten_dataset_compacts_ids_and_skips_empty_classes():
 def small_dataset(seed=0, n_classes=3, rows=4, d=3):
     rng = np.random.default_rng(seed)
     classes = [rng.normal(size=(rows, d)).astype(np.float32) for _ in range(n_classes)]
-    return EmbeddingDataset(classes=classes, d=d, name="small")
+    return EmbeddingDataset(classes=classes, d=d)
 
 
 def test_emb1_round_trip_is_bit_identical(tmp_path):
@@ -407,13 +398,18 @@ def test_emb1_bad_version_reports_offset_four(tmp_path):
     assert "(byte offset 4)" in str(err.value)
 
 
-def test_emb1_truncated_payload_reports_read_position(tmp_path):
+@pytest.mark.parametrize("n_rows, d", [
+    (2, 3),  # 12 of 24 payload bytes
+    (0xFFFFFFFF, 0xFFFFFFFF),  # a size read() cannot take
+    (2**30, 2**30),  # a size no buffer can hold
+], ids=["short", "overflow", "oversized"])
+def test_emb1_truncated_payload_reports_read_position(tmp_path, n_rows, d):
     blob = (
         MAGIC
         + struct.pack("B", FORMAT_VERSION)
         + struct.pack("<I", 1)
-        + struct.pack("<II", 2, 3)
-        + struct.pack("<3f", 1.0, 2.0, 3.0)  # 12 of 24 payload bytes
+        + struct.pack("<II", n_rows, d)
+        + struct.pack("<3f", 1.0, 2.0, 3.0)
     )
     path = tmp_path / "cut.emb"
     path.write_bytes(blob)
@@ -479,9 +475,7 @@ def test_csv_round_trip_is_text_identical(tmp_path):
 
 
 def test_csv_header_and_shortest_float_repr(tmp_path):
-    ds = EmbeddingDataset(
-        classes=[np.array([[0.1, 2.0]], dtype=np.float32)], d=2, name="t"
-    )
+    ds = EmbeddingDataset(classes=[np.array([[0.1, 2.0]], dtype=np.float32)], d=2)
     path = tmp_path / "t.csv"
     save_embeddings(ds, path)
     lines = path.read_text().splitlines()
@@ -560,7 +554,7 @@ def test_formats_round_trip_property(tmp_path_factory, seed, n_classes, d):
         rng.normal(size=(int(rng.integers(1, 5)), d)).astype(np.float32)
         for _ in range(n_classes)
     ]
-    ds = EmbeddingDataset(classes=classes, d=d, name="prop")
+    ds = EmbeddingDataset(classes=classes, d=d)
     root = tmp_path_factory.mktemp("fmt")
     for name in ("p.emb", "p.csv"):
         path = root / name
