@@ -22,6 +22,9 @@ from .kernels import (
     _ROW_BLOCK,
     COSINE,
     KERNEL_FAMILIES,
+    _check_bandwidth,
+    _median_of_row_blocks,
+    _sq_dist_row_blocks,
     as_embeddings,
     as_labels,
     cosine_gram,
@@ -205,29 +208,25 @@ def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float
                            np.bincount(y, weights=k_rows)[y] - k_rows)
 
 
-def _radial_class_sums(d2: np.ndarray, family: str, sigmas, starts: np.ndarray) -> np.ndarray:
+def _radial_class_sums(z: np.ndarray, family: str, sigmas, starts: np.ndarray) -> np.ndarray:
     """Kt Y for the zero-diagonal radial Gram matrix Kt of the class-sorted
-    distances d2 at every bandwidth in sigmas, shape (len(sigmas), m, C),
-    with C classes starting at rows starts.
+    rows of z at every bandwidth in sigmas, shape (len(sigmas), m, C), with
+    C classes starting at rows starts.
 
-    Rows are taken kernels._ROW_BLOCK at a time, and each block [a, b) reads
-    only its upper trapezoid d2[a:b, a:], once for all bandwidths, into one
-    reused contiguous buffer. Per bandwidth its kernel, with the diagonal and
-    the lower half of the diagonal block zeroed, adds its class sums along
-    columns to rows a:b, and its column sums over each class segment of rows
-    a:b to columns a:. So each pair i < j is evaluated once (and the lower
-    half of each diagonal block in vain) and counted as both Kt[i, j] and
-    Kt[j, i].
+    The distances come from kernels._sq_dist_row_blocks, one upper trapezoid
+    d2[a:b, a:] of kernels._ROW_BLOCK rows at a time, each built once for all
+    bandwidths. Per bandwidth its kernel, with the diagonal and the lower
+    half of the diagonal block zeroed, adds its class sums along columns to
+    rows a:b, and its column sums over each class segment of rows a:b to
+    columns a:. So each pair i < j is evaluated once (and the lower half of
+    each diagonal block in vain) and counted as both Kt[i, j] and Kt[j, i].
     """
-    m = d2.shape[0]
+    m = z.shape[0]
     sums = np.zeros((len(sigmas), m, starts.size))
-    dist = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
-    kern = np.empty_like(dist)
-    for a in range(0, m, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, m)
-        rows, cols = b - a, m - a
-        d = dist[:rows * cols].reshape(rows, cols)
-        np.copyto(d, d2[a:b, a:])
+    kern = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
+    for a, d in _sq_dist_row_blocks(z):
+        rows, cols = d.shape
+        b = a + rows
         lower = np.tri(rows, dtype=bool)  # the diagonal and below it
         first = int(np.searchsorted(starts, a, side="right")) - 1  # the class of row a
         last = int(np.searchsorted(starts, b))  # classes first..last-1 meet rows a:b
@@ -258,24 +257,30 @@ def select_bandwidth(z, target, family: str = "gaussian",
     embeddings with the same bandwidth (when target is a matrix). Ties in
     the ratio go to the smaller coefficient.
 
-    z's distances are built once and also give the base. A label target
-    needs at least two classes, and neither its m x m kernel nor an m x m
-    kernel of z is ever built: the rows are grouped by class (a stable sort,
-    skipped when the labels are already sorted), and the row block is the
-    outer loop and the coefficient the inner one. Each block of
-    kernels._ROW_BLOCK rows reads its upper trapezoid of the distances once,
-    and every coefficient's kernel of it adds to that coefficient's class
-    sums (see _radial_class_sums and _class_sum_hsic), so each pair's kernel
-    entry is evaluated once. The peak is the distances plus one half-size
-    copy during the median, and the distances plus the (len(grid), m, C)
-    class sums after it. The estimate does not depend on row order, but the
-    base of unsorted labels may differ from that of the same rows in class
-    order by rounding. An embedding target costs, per coefficient, two
-    kernels, their row sums, the row sums of their product and two
-    matrix-vector products (see _gram_rows and _hsic_from_rows); a target
-    that is z itself reuses z's distances and kernel and needs one of each.
-    The cosine kernel ignores the bandwidth, so its one estimate fills every
-    row.
+    A label target needs at least two classes, and no m x m array is built
+    for it (bar the cosine kernel's one Gram matrix): the rows are grouped by
+    class (a stable sort, skipped when the labels are already sorted), and
+    the distances come kernels._ROW_BLOCK rows at a time, each block's upper
+    trapezoid from one matrix product (see kernels._sq_dist_row_blocks).
+    The first pass copies the blocks' strict upper triangles into one
+    half-size buffer for the median base. The second rebuilds each block
+    once for the whole grid, and every coefficient's kernel of it adds to
+    that coefficient's class sums (see _radial_class_sums and
+    _class_sum_hsic), so each pair's kernel entry is evaluated once. The
+    peak is the half-size buffer during the median, and the
+    (len(grid), m, C) class sums plus a few row blocks after it. The
+    estimate does not depend on row order, but the base of unsorted labels
+    may differ from that of the same rows in class order by rounding. An
+    embedding target builds z's distance matrix once, which also gives the
+    base, and costs, per coefficient, two kernels, their row sums, the row
+    sums of their product and two matrix-vector products (see _gram_rows
+    and _hsic_from_rows); a target that is z itself reuses z's distances and
+    kernel and needs one of each. The cosine kernel ignores the bandwidth,
+    so its one estimate fills every row.
+
+    Every bandwidth must be finite and its square a normal float64 (see
+    kernels._check_bandwidth); a coefficient that breaks either is named
+    with the base in the error.
     """
     self_target = target is z
     z = as_embeddings(z)
@@ -306,13 +311,19 @@ def select_bandwidth(z, target, family: str = "gaussian",
             )
         d2_t = None if family == COSINE else sq_dist_matrix(t)
 
-    d2_z = sq_dist_matrix(z)
-    base = float(np.sqrt(median_of_sq_dists(d2_z)))
+    d2_z = None if labels_mode else sq_dist_matrix(z)  # a label search reads row blocks
+    median = (_median_of_row_blocks(_sq_dist_row_blocks(z), m) if labels_mode
+              else median_of_sq_dists(d2_z))
+    base = float(np.sqrt(median))
     sigmas = [coeff * base for coeff in grid.coefficients]
     for coeff, sigma in zip(grid.coefficients, sigmas):
         if not math.isfinite(sigma):
             raise ValueError(
                 f"bandwidth coefficient {coeff} times base {base} overflows to {sigma}")
+        try:
+            _check_bandwidth(sigma)
+        except ValueError as exc:
+            raise ValueError(f"bandwidth coefficient {coeff} times base {base}: {exc}") from None
 
     def zero_diag_gram(x, d2, sigma):
         k = cosine_gram(x) if family == COSINE else kernel_from_sq_dists(d2, family, sigma)
@@ -330,7 +341,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
         estimates = [estimate(None)] * len(sigmas)
     elif labels_mode:
         estimates = (_class_sum_hsic(sums, y)
-                     for sums in _radial_class_sums(d2_z, family, sigmas, starts))
+                     for sums in _radial_class_sums(z, family, sigmas, starts))
     else:
         estimates = map(estimate, sigmas)  # lazy, so one candidate's Grams are live at a time
     rows: list[HsicEstimate] = []

@@ -55,9 +55,18 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
     return y
 
 
+# The smallest normal float64. A bandwidth whose square is below it makes
+# the kernel's scale 0 or subnormal: the zero diagonal of the distances then
+# divides to NaN, or every other entry to an infinity.
+_TINY = float(np.finfo(np.float64).tiny)
+
+
 def _check_bandwidth(sigma: float) -> None:
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {sigma}")
+    if sigma * sigma < _TINY:
+        raise ValueError(f"bandwidth {sigma} underflows: its square {sigma * sigma} is "
+                         f"below the smallest normal float64, {_TINY}")
 
 
 # Pairs whose squared distance is at most this fraction of n_i + n_j lose
@@ -66,9 +75,42 @@ def _check_bandwidth(sigma: float) -> None:
 _CANCELLATION = 1e-8
 # Rows of differences formed at once when recomputing such pairs.
 _PAIR_BLOCK = 4096
-# Rows of the distance matrix that receive n_i + n_j at once, so the outer
-# sum is never an m x m temporary.
+# Rows of distances formed or tested at once, so that neither the outer sum
+# n_i + n_j nor the recompute mask is ever an m x m temporary.
 _ROW_BLOCK = 64
+
+
+def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int,
+                         c: int) -> None:
+    """The cancellation rule, in place, on a block of squared distances.
+
+    block holds n_i + n_j - 2 zc_i . zc_j for the rows i = a, a+1, ... and
+    the columns j = c, c+1, ... of z (c <= a), with zc the centred rows and
+    n their squared norms. Every pair within the cancellation threshold,
+    which takes in duplicate rows, any negative value and NaN, is recomputed
+    from the difference of its uncentred rows, so duplicates give exactly 0.
+    The pairs i == j are set to exactly 0. The threshold is tested
+    kernels._ROW_BLOCK rows at a time, so no temporary has more rows.
+    """
+    rows, cols = block.shape
+    n_cols = n[c:c + cols]
+    diagonal = block[:, a - c:]  # its diagonal holds the pairs i == j
+    np.fill_diagonal(diagonal, np.inf)
+    # a pair within the threshold has d2 <= _CANCELLATION (n_i + n_j), so a
+    # larger least entry means there is none; NaN (overflowing rows) fails too
+    if not block.min() > _CANCELLATION * (n[a:a + rows].max() + n_cols.max()):
+        scale = np.empty((min(rows, _ROW_BLOCK), cols))
+        for r in range(0, rows, _ROW_BLOCK):
+            chunk = block[r:r + _ROW_BLOCK]
+            bound = np.add(n[a + r:a + r + len(chunk), None], n_cols, out=scale[:len(chunk)])
+            bound *= _CANCELLATION
+            i, j = np.nonzero(~(chunk > bound))
+            i += r
+            for start in range(0, i.size, _PAIR_BLOCK):
+                bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+                diff = z[a + bi] - z[c + bj]  # near-equal coordinates subtract exactly
+                block[bi, bj] = np.einsum("ij,ij->i", diff, diff)
+    np.fill_diagonal(diagonal, 0.0)
 
 
 def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -78,14 +120,13 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the matrix is read from the Gram matrix G = zc @ zc.T as
     -2 G_ij + (n_i + n_j) with n = diag(G). numpy computes zc @ zc.T with one
     symmetric rank-k update, and n_i + n_j is added as one sum, a block of
-    rows at a time, so the result is exactly symmetric. Every pair within
-    the cancellation threshold, which takes in duplicate rows and any
-    negative value, is recomputed from the difference of its uncentred rows;
-    duplicates give exactly 0. The diagonal is exactly 0.
+    rows at a time, so the result is exactly symmetric. The cancellation
+    rule of _recompute_cancelled then makes duplicate rows exactly 0, and
+    the diagonal 0.
 
     out, if given, is a C-contiguous (m, m) float64 array that receives the
     result and is returned; its bytes are those of out=None, and no m x m
-    temporary is made unless a pair needs recomputing.
+    temporary is made.
     """
     zc = z - z.mean(axis=0)
     d2 = np.matmul(zc, zc.T, out=out)
@@ -94,19 +135,35 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         block = d2[start:start + _ROW_BLOCK]
         block *= -2.0
         block += n[start:start + _ROW_BLOCK, None] + n
-    np.fill_diagonal(d2, np.inf)
-    # a pair within the threshold has d2 <= _CANCELLATION * 2 max(n), so a
-    # larger least entry means there is none; NaN (overflowing rows) fails too
-    if not d2.min() > _CANCELLATION * 2.0 * n.max():
-        scale = np.add.outer(n, n)
-        scale *= _CANCELLATION
-        rows, cols = np.nonzero(~(d2 > scale))
-        for start in range(0, rows.size, _PAIR_BLOCK):
-            i, j = rows[start:start + _PAIR_BLOCK], cols[start:start + _PAIR_BLOCK]
-            diff = z[i] - z[j]  # near-equal coordinates subtract exactly
-            d2[i, j] = np.einsum("ij,ij->i", diff, diff)
-    np.fill_diagonal(d2, 0.0)
+    _recompute_cancelled(z, d2, n, 0, 0)
     return d2
+
+
+def _sq_dist_row_blocks(z: np.ndarray):
+    """Yield (a, block) for each kernels._ROW_BLOCK rows [a, b) of the squared
+    distances of the rows of z, where block is the upper trapezoid
+    d2[a:b, a:] (the diagonal block and every column to its right).
+
+    Each block is one product zc[a:b] @ zc[a:].T of the centred rows, plus
+    n_i and n_j added in place, finished by _recompute_cancelled, in one
+    reused C-contiguous buffer that the next block overwrites; so no m x m
+    array, and no temporary the size of a block, is built. The entries agree
+    with sq_dist_matrix's to rounding; pairs within the cancellation
+    threshold, duplicates included, are computed from the same row
+    differences.
+    """
+    m = z.shape[0]
+    zc = z - z.mean(axis=0)
+    n = np.einsum("ij,ij->i", zc, zc)
+    buf = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
+    for a in range(0, m, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, m)
+        block = np.matmul(zc[a:b], zc[a:].T, out=buf[:(b - a) * (m - a)].reshape(b - a, m - a))
+        block *= -2.0
+        block += n[a:b, None]
+        block += n[a:]
+        _recompute_cancelled(z, block, n, a, a)
+        yield a, block
 
 
 def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
@@ -150,7 +207,7 @@ def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
 
 def median_of_sq_dists(d2: np.ndarray) -> float:
     """Median of the nonzero pairwise squared distances in a square matrix
-    built by sq_dist_matrix.
+    d2 of squared distances, such as sq_dist_matrix's.
 
     Zero distances (duplicate points) are excluded; if every pair coincides
     the heuristic is undefined and an error is raised.
@@ -160,17 +217,30 @@ def median_of_sq_dists(d2: np.ndarray) -> float:
     translation-invariant only for shifts that keep the rows distinct: in
     float64, ``[[0.0], [1e-17]] + 1.0`` is two equal rows.
 
-    The strict upper triangle (each pair once) is copied a row at a time
-    into one buffer of m(m-1)/2 entries, which np.median then partitions in
-    place; so the peak is the distances plus that half-size copy. Only when
-    a pair is zero (duplicate rows) are the positive entries copied out.
+    Reads d2 as upper trapezoids of kernels._ROW_BLOCK rows; see
+    _median_of_row_blocks.
     """
     m = d2.shape[0]
+    blocks = ((a, d2[a:a + _ROW_BLOCK, a:]) for a in range(0, m, _ROW_BLOCK))
+    return _median_of_row_blocks(blocks, m)
+
+
+def _median_of_row_blocks(blocks, m: int) -> float:
+    """median_of_sq_dists of the m x m squared distances given as the upper
+    trapezoids (a, d2[a:b, a:]) of consecutive row blocks, in order, such as
+    _sq_dist_row_blocks yields.
+
+    The strict upper triangle (each pair once) is copied a row at a time
+    into one buffer of m(m-1)/2 entries, which np.median then partitions in
+    place; so beyond the blocks the peak is that half-size buffer. Only when
+    a pair is zero (duplicate rows) are the positive entries copied out.
+    """
     upper = np.empty(m * (m - 1) // 2)
     end = 0
-    for i in range(m - 1):
-        upper[end:end + m - 1 - i] = d2[i, i + 1:]
-        end += m - 1 - i
+    for _, block in blocks:
+        for r, row in enumerate(block):
+            upper[end:end + row.size - 1 - r] = row[r + 1:]
+            end += row.size - 1 - r
     if not upper.min(initial=math.inf) > 0.0:  # NaN fails too, and is dropped
         upper = upper[upper > 0.0]
     if upper.size == 0:

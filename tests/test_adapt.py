@@ -246,6 +246,15 @@ def test_dependence_loss_adds_weighted_self_term():
                 assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
 
 
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("sigmas", [(1e-160, 1.0), (1.0, 1e-160)])
+def test_dependence_loss_rejects_underflowing_bandwidth(family, sigmas):
+    rng = np.random.default_rng(61)
+    u, y = rng.normal(size=(8, 3)), np.repeat([0, 1], 4)
+    with pytest.raises(ValueError, match="underflows"):
+        dependence_loss_and_grad(LinearHead.identity(3), u, y, *sigmas, 3.0, family)
+
+
 def test_dependence_loss_needs_four_samples():
     with pytest.raises(ValueError):
         dependence_loss_and_grad(LinearHead.identity(3), np.eye(3), np.array([0, 1, 2]),
@@ -445,7 +454,7 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     count_episode_builds(count, separable_task(8), share=True, steps=steps)
     assert counts == {
         "kerndep.adapt.sq_dist_matrix": steps,  # one per step
-        "kerndep.hsic.sq_dist_matrix": 1,  # the bandwidth search
+        "kerndep.hsic.sq_dist_matrix": 0,  # the label search reads row blocks
         "kerndep.kernels.sq_dist_matrix": 0,  # no median_sq_distance call
         "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
         "kerndep.adapt.kernel_from_sq_dists": steps,  # shared by both loss terms
@@ -466,7 +475,7 @@ def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
     assert result.sigma_zz != result.sigma_zy
     assert counts == {
         "kerndep.adapt.sq_dist_matrix": steps,
-        "kerndep.hsic.sq_dist_matrix": 2,  # the self-dependence search reuses z's distances
+        "kerndep.hsic.sq_dist_matrix": 1,  # the self search only, once for both sides
         "kerndep.kernels.sq_dist_matrix": 0,
         "kerndep.adapt.label_kernel_matrix": 1,
         "kerndep.adapt.kernel_from_sq_dists": 2 * steps,

@@ -223,6 +223,21 @@ def test_hsic_single_class_exits_two(pool_path, tmp_path, capsys):
         assert "at least 2 classes" in stderr
 
 
+@pytest.mark.parametrize("grid, coeff", [
+    ("1.0,1e-200", "1e-200"),  # sigma near 5e-200: its square is 0
+    ("1e-155", "1e-155"),  # sigma near 5e-155: its square is subnormal
+])
+def test_hsic_underflowing_bandwidth_exits_two(pool_path, capsys, grid, coeff):
+    # pool files hold float32 rows, so from a file only a tiny coefficient
+    # can make sigma * sigma fall below the smallest normal float64
+    code, stdout, stderr = run_cli(
+        capsys, ["hsic", "--embeddings", str(pool_path), "--format", "csv", "--grid", grid])
+    assert code == 2
+    assert stdout == ""
+    assert f"coefficient {coeff} times base" in stderr
+    assert "underflows" in stderr
+
+
 def test_hsic_bad_label_file_exits_two(pool_path, tmp_path, capsys):
     label_file = tmp_path / "labels.txt"
     label_file.write_text("0 1 zebra")

@@ -348,7 +348,7 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
         m = z.shape[0]
         select_bandwidth(z, y)
         assert counts == {
-            "kerndep.hsic.sq_dist_matrix": 1,  # the base reads the same distances
+            "kerndep.hsic.sq_dist_matrix": 0,  # the distances come a block of rows at a time
             "kerndep.hsic.hsic_unbiased": 0,
             "kerndep.hsic.hsic_variance": 0,
             "kerndep.kernels.label_kernel_matrix": 0,
@@ -364,7 +364,7 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
 
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
-def test_warm_label_search_holds_one_distance_matrix(family):
+def test_warm_label_search_holds_no_distance_matrix(family):
     rng = np.random.default_rng(3)
     m = 600
     z = rng.normal(size=(m, 16))
@@ -376,8 +376,9 @@ def test_warm_label_search_holds_one_distance_matrix(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the distances plus one copy of their upper triangle
-    assert peak < 1.6 * m * m * 8
+    # the median's copy of the upper triangle (half of m x m) plus a few
+    # row blocks, never the distances themselves
+    assert peak < 0.75 * m * m * 8
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -439,6 +440,18 @@ def test_overflowing_bandwidth_is_rejected(family):
     z, y = blob_data(1)
     with pytest.raises(ValueError, match="overflows"):
         select_bandwidth(z, y, family=family, grid=BandwidthGrid(coefficients=(1.0, 1e308)))
+
+
+@pytest.mark.parametrize("target", ["labels", "embeddings"])
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_underflowing_bandwidth_is_rejected(family, target):
+    z, y = blob_data(1)
+    z = z * 1e-152  # a base near 1e-152, so 0.001 times it squares to a subnormal
+    t = y if target == "labels" else z[:, ::-1]
+    sel = select_bandwidth(z, t, family=family, grid=BandwidthGrid(coefficients=(1.0, 2.0)))
+    assert sel.sigma_base * sel.sigma_base > np.finfo(np.float64).tiny
+    with pytest.raises(ValueError, match=r"coefficient 0\.001 times base \S+: .* underflows"):
+        select_bandwidth(z, t, family=family)
 
 
 def test_all_ratio_ties_resolve_to_smallest_coefficient():

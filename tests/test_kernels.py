@@ -1,6 +1,7 @@
 """Gram construction, label kernels, and the median base scale."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kerndep.kernels import (
+    _ROW_BLOCK,
     COSINE,
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
+    _median_of_row_blocks,
+    _sq_dist_row_blocks,
     as_embeddings,
     as_labels,
     cosine_gram,
@@ -246,6 +250,74 @@ def test_sq_dist_matrix_into_out_returns_it_with_the_same_bytes(m, d):
     assert d2.tobytes() == sq_dist_matrix(z).tobytes()
 
 
+def test_sq_dist_matrix_into_out_recomputes_without_an_m_by_m_temporary():
+    m = 1000
+    rng = np.random.default_rng(47)
+    z = rng.normal(size=(m, 8)) + 1e4
+    z[5], z[m - 1] = z[0], z[1]  # duplicates in the first and the last row block
+    out = np.empty((m, m))
+    sq_dist_matrix(z, out=out)
+    tracemalloc.start()
+    try:
+        d2 = sq_dist_matrix(z, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d2[0, 5] == d2[1, m - 1] == 0.0  # the pairs were recomputed
+    # a few row blocks of the outer sum and the recompute mask
+    assert peak < 0.25 * m * m * 8
+
+
+@pytest.mark.parametrize("m", [1, 2, 50, 64, 128, 150])
+def test_sq_dist_row_blocks_match_sq_dist_matrix(m):
+    rng = np.random.default_rng(m)
+    z = rng.normal(size=(m, 6)) * 2.0 + 3.0
+    want = sq_dist_matrix(z)
+    starts = []
+    for a, block in _sq_dist_row_blocks(z):
+        starts.append(a)
+        assert block.shape == (min(_ROW_BLOCK, m - a), m - a)  # the upper trapezoid
+        assert block.flags.c_contiguous
+        assert not np.diagonal(block).any()  # the pairs i == j are exactly 0
+        # a general product against sq_dist_matrix's symmetric update: the
+        # two round differently, by a few units of n_i + n_j at most
+        ref = want[a:a + block.shape[0], a:]
+        assert np.all(np.abs(block - ref) <= 1e-14 * (1.0 + ref))
+    assert starts == list(range(0, m, _ROW_BLOCK))  # every row once, a short last block
+
+
+def test_sq_dist_row_blocks_recompute_pairs_across_blocks():
+    m = 150
+    rng = np.random.default_rng(53)
+    z = rng.normal(size=(m, 12)) + 1e4
+    z[100] = z[3]  # an exact duplicate, rows in blocks 0 and 1
+    z[140] = z[70] + 1e-9  # a near duplicate, deep in the cancellation range, blocks 1 and 2
+    want = sq_dists_by_differences(z)
+    blocks = {a: block.copy() for a, block in _sq_dist_row_blocks(z)}
+    assert blocks[0][3, 100] == 0.0
+    near = blocks[64][70 - 64, 140 - 64]
+    # from the product of centred rows this pair would keep no correct digit
+    assert abs(near - want[70, 140]) <= 1e-14 * want[70, 140]
+    for a, block in blocks.items():
+        ref = want[a:a + block.shape[0], a:]
+        pairs = ref > 0
+        assert np.all(np.abs(block[pairs] - ref[pairs]) <= 1e-12 * ref[pairs])
+
+
+def test_median_of_row_blocks_drops_duplicates_across_blocks():
+    # 75 distinct rows, each repeated 75 rows later: one zero pair per row,
+    # each across two row blocks, enough to move the median if kept
+    rng = np.random.default_rng(59)
+    distinct = rng.normal(size=(75, 4))
+    z = np.concatenate([distinct, distinct])
+    m = z.shape[0]
+    d2 = sq_dist_matrix(z)
+    with_zeros = float(np.median(d2[np.triu_indices(m, 1)]))
+    got = _median_of_row_blocks(_sq_dist_row_blocks(z), m)
+    assert got == pytest.approx(median_upper_positive(d2), rel=1e-15)
+    assert got != pytest.approx(with_zeros, rel=1e-3)
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 def test_kernel_from_sq_dists_out_may_be_its_input(family):
     d2 = sq_dist_matrix(np.random.default_rng(43).normal(size=(9, 4)))
@@ -283,6 +355,22 @@ def test_kernel_from_sq_dists_is_bit_identical_and_leaves_input(sigma):
 def test_kernel_from_sq_dists_rejects_bad_bandwidth(family, sigma):
     with pytest.raises(ValueError, match="bandwidth"):
         kernel_from_sq_dists(np.zeros((2, 2)), family, sigma)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("sigma", [1e-155, 1e-160, 1e-200, 5e-324])
+def test_kernel_from_sq_dists_rejects_underflowing_bandwidth(family, sigma):
+    # sigma * sigma is subnormal or 0: the zero diagonal would divide to NaN
+    with pytest.raises(ValueError, match="underflows"):
+        kernel_from_sq_dists(np.zeros((2, 2)), family, sigma)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_kernel_from_sq_dists_accepts_the_smallest_normal_square(family):
+    sigma = 1.5e-154  # its square, 2.25e-308, is just above the smallest normal float64
+    k = kernel_from_sq_dists(np.array([[0.0, 1e-307], [1e-307, 0.0]]), family, sigma)
+    assert np.isfinite(k).all()
+    assert np.array_equal(np.diagonal(k), [1.0, 1.0])
 
 
 def median_case(m, duplicates=()):
