@@ -21,10 +21,11 @@ from .kernels import (
     IMQ,
     KERNEL_FAMILIES,
     RADIAL_FAMILIES,
+    _unit_rows,
+    _zero_diag_kernel,
     as_embeddings,
     as_labels,
     cosine_gram,
-    kernel_from_sq_dists,
     label_kernel_matrix,
     sq_dist_matrix,
 )
@@ -117,16 +118,9 @@ class AdaptConfig:
         return BandwidthGrid(self.grid_coefficients, self.epsilon)
 
 
-def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize; zero rows are left as zeros. Returns (normalized, norms)."""
-    norms = np.linalg.norm(v, axis=1)
-    out = np.divide(v, norms[:, None], out=v.copy(), where=norms[:, None] > 0)
-    return out, norms
-
-
-def _normalize_rows_backward(d_out: np.ndarray, z: np.ndarray,
-                             norms: np.ndarray) -> np.ndarray:
-    """Pull a cotangent back through row normalization (z = v / ||v||)."""
+def _unit_rows_backward(d_out: np.ndarray, z: np.ndarray,
+                        norms: np.ndarray) -> np.ndarray:
+    """Pull a cotangent back through kernels._unit_rows (z = v / ||v||)."""
     proj = d_out - (z * d_out).sum(axis=1, keepdims=True) * z
     d_in = np.divide(proj, norms[:, None], out=np.zeros_like(proj),
                      where=norms[:, None] > 0)
@@ -144,14 +138,14 @@ def _forward(head: LinearHead, u: np.ndarray,
     v = u @ head.theta.T
     if not normalize:
         return v, None
-    return _normalize_rows(v)
+    return _unit_rows(v)
 
 
 def _head_gradient(dz: np.ndarray, u: np.ndarray, z: np.ndarray,
                    norms: np.ndarray | None) -> np.ndarray:
     """Pull a cotangent on z back to the head, through the optional row
     normalization and the linear map."""
-    dv = dz if norms is None else _normalize_rows_backward(dz, z, norms)
+    dv = dz if norms is None else _unit_rows_backward(dz, z, norms)
     return dv.T @ u
 
 
@@ -185,8 +179,8 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
         raise ValueError("nearest-centroid loss needs at least two classes")
 
     protos, counts = _prototypes(z, y)
-    zn, z_norms = _normalize_rows(z)
-    pn, p_norms = _normalize_rows(protos)
+    zn, z_norms = _unit_rows(z)
+    pn, p_norms = _unit_rows(protos)
     sims = zn @ pn.T
     shifted = sims - sims.max(axis=1, keepdims=True)
     grad_sims = np.exp(shifted)
@@ -200,8 +194,8 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
 
     d_zn = grad_sims @ pn
     d_pn = grad_sims.T @ zn
-    dz = _normalize_rows_backward(d_zn, zn, z_norms)
-    d_protos = _normalize_rows_backward(d_pn, pn, p_norms)
+    dz = _unit_rows_backward(d_zn, zn, z_norms)
+    d_protos = _unit_rows_backward(d_pn, pn, p_norms)
     dz += d_protos[y] / counts[y][:, None]
     return loss, _head_gradient(dz, u, z, v_norms)
 
@@ -219,8 +213,8 @@ def ncc_predict(head: LinearHead, support: tuple, query,
         raise ValueError("nearest-centroid prediction needs at least two classes")
     zq = transform(head, query, normalize)
     protos, _ = _prototypes(zs, y)
-    qn, _ = _normalize_rows(zq)
-    pn, _ = _normalize_rows(protos)
+    qn, _ = _unit_rows(zq)
+    pn, _ = _unit_rows(protos)
     sims = qn @ pn.T
     return sims.argmax(axis=1)
 
@@ -255,13 +249,6 @@ def _times_radial_weight(cot: np.ndarray, k: np.ndarray, family: str, sigma: flo
         out *= k
     out /= -(sigma * sigma)
     return out
-
-
-def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float,
-                      out: np.ndarray) -> np.ndarray:
-    k = kernel_from_sq_dists(d2, family, sigma, out=out)
-    np.fill_diagonal(k, 0.0)
-    return k
 
 
 class _DependencePlan:
@@ -415,7 +402,7 @@ class EpisodeResult:
         """q x m cosine similarities of transformed query to support rows."""
         zs = transform(self.final_head, self.task.support_x, self.normalize)
         zq = transform(self.final_head, self.task.query_x, self.normalize)
-        return _normalize_rows(zq)[0] @ _normalize_rows(zs)[0].T
+        return _unit_rows(zq)[0] @ _unit_rows(zs)[0].T
 
     @property
     def class_boundaries(self) -> tuple[int, ...]:

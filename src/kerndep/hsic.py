@@ -6,9 +6,9 @@ bandwidth search scales a median-heuristic base by a grid of coefficients
 and keeps the one whose estimate has the largest power ratio.
 
 The estimate and its variance are read in one place, _hsic_from_rows, from
-five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_variance
-and the embedding search take them from the Grams (_gram_rows), the label
-search from class sums (_class_sum_hsic).
+five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased,
+hsic_variance and the embedding search take them from the Grams
+(_gram_rows), the label search from class sums (_class_sum_hsic).
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from .kernels import (
     COSINE,
     KERNEL_FAMILIES,
     _check_bandwidth,
-    _median_of_row_blocks,
     _sq_dist_row_blocks,
+    _zero_diag_kernel,
     as_embeddings,
     as_labels,
     cosine_gram,
     kernel_from_sq_dists,
-    median_of_sq_dists,
+    median_sq_distance,
     sq_dist_matrix,
 )
 
@@ -95,21 +95,19 @@ def _check_gram_pair(kt, lt) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def hsic_unbiased(kt, lt) -> float:
-    """Unbiased dependence estimate from zero-diagonal Gram matrices.
+    """Unbiased dependence estimate from symmetric zero-diagonal Gram matrices.
 
     value = [tr(Kt Lt) + (1'Kt1)(1'Lt1)/((m-1)(m-2)) - 2/(m-2) 1'KtLt1] / (m(m-3))
+
+    read from the Grams' row statistics (see _gram_rows and _hsic_from_rows).
 
     Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
     identity): tr(Kt Lt) = 12, 1'Kt1 = 1'Lt1 = 12, Kt Lt = 2J + I so
     1'KtLt1 = 36, and the bracket is 12 + 144/6 - 36 = 0, hence value = 0
     exactly.
     """
-    kt, lt, m = _check_gram_pair(kt, lt)
-    trace_term = float((kt * lt.T).sum())
-    sum_k = float(kt.sum())
-    sum_l = float(lt.sum())
-    cross = float(kt.sum(axis=0) @ lt.sum(axis=1))
-    return _unbiased_from_sums(trace_term, sum_k, sum_l, cross, m)
+    kt, lt, _ = _check_gram_pair(kt, lt)
+    return _hsic_from_rows(*_gram_rows(kt, lt))[0]
 
 
 def _unbiased_from_sums(trace_kl: float, sum_k: float, sum_l: float, cross: float,
@@ -250,33 +248,30 @@ def select_bandwidth(z, target, family: str = "gaussian",
                      grid: BandwidthGrid | None = None) -> BandwidthSelection:
     """Grid-search the bandwidth maximizing the power ratio.
 
-    The base scale is sqrt(median nonzero squared distance of z). For each
-    grid coefficient c the candidate bandwidth is c * base; the Gram matrix
-    of z uses it, and the partner matrix is either the 0/1 label kernel
-    (when target is a label vector) or the same-family kernel of the target
+    The base scale is sqrt(kernels.median_sq_distance(z)), so every search
+    on the same rows has the same base, whatever the target. For each grid
+    coefficient c the candidate bandwidth is c * base; the Gram matrix of z
+    uses it, and the partner matrix is either the 0/1 label kernel (when
+    target is a label vector) or the same-family kernel of the target
     embeddings with the same bandwidth (when target is a matrix). Ties in
     the ratio go to the smaller coefficient.
 
-    A label target needs at least two classes, and no m x m array is built
-    for it (bar the cosine kernel's one Gram matrix): the rows are grouped by
-    class (a stable sort, skipped when the labels are already sorted), and
-    the distances come kernels._ROW_BLOCK rows at a time, each block's upper
-    trapezoid from one matrix product (see kernels._sq_dist_row_blocks).
-    The first pass copies the blocks' strict upper triangles into one
-    half-size buffer for the median base. The second rebuilds each block
-    once for the whole grid, and every coefficient's kernel of it adds to
-    that coefficient's class sums (see _radial_class_sums and
-    _class_sum_hsic), so each pair's kernel entry is evaluated once. The
-    peak is the half-size buffer during the median, and the
-    (len(grid), m, C) class sums plus a few row blocks after it. The
-    estimate does not depend on row order, but the base of unsorted labels
-    may differ from that of the same rows in class order by rounding. An
-    embedding target builds z's distance matrix once, which also gives the
-    base, and costs, per coefficient, two kernels, their row sums, the row
-    sums of their product and two matrix-vector products (see _gram_rows
-    and _hsic_from_rows); a target that is z itself reuses z's distances and
-    kernel and needs one of each. The cosine kernel ignores the bandwidth,
-    so its one estimate fills every row.
+    A label target needs at least two classes, and its search reads class
+    sums with no m x m array (bar the cosine kernel's one Gram matrix): the
+    rows are grouped by class (a stable sort, skipped when the labels are
+    already sorted), and the distances come kernels._ROW_BLOCK rows at a
+    time (see kernels._sq_dist_row_blocks), each block built once for the
+    whole grid. Every coefficient's kernel of a block adds to that
+    coefficient's class sums (see _radial_class_sums and _class_sum_hsic),
+    so each pair's kernel entry is evaluated once. The peak is the median's
+    half-size buffer, then the (len(grid), m, C) class sums plus a few row
+    blocks. An embedding target's search reads Grams: it builds the
+    distance matrices of z and the target once, and costs, per coefficient,
+    two kernels, their row sums, the row sums of their product and two
+    matrix-vector products (see _gram_rows and _hsic_from_rows); a target
+    that is z itself reuses z's distances and kernel and needs one of each.
+    The cosine kernel ignores the bandwidth, so its one estimate fills every
+    row.
 
     Every bandwidth must be finite and its square a normal float64 (see
     kernels._check_bandwidth); a coefficient that breaks either is named
@@ -299,22 +294,14 @@ def select_bandwidth(z, target, family: str = "gaussian",
         if counts.size < 2:
             raise ValueError("a label target needs at least 2 classes: with one, every "
                              "pair of labels agrees and there is no dependence to estimate")
-        if (y[1:] < y[:-1]).any():
-            by_class = np.argsort(y, kind="stable")
-            z, y = z[by_class], y[by_class]
-        starts = np.cumsum(counts) - counts  # strictly increasing: no class is empty
     elif not self_target:
         t = as_embeddings(target)
         if t.shape[0] != m:
             raise ValueError(
                 f"target embeddings must pair with z row for row, got {t.shape[0]} vs {m}"
             )
-        d2_t = None if family == COSINE else sq_dist_matrix(t)
 
-    d2_z = None if labels_mode else sq_dist_matrix(z)  # a label search reads row blocks
-    median = (_median_of_row_blocks(_sq_dist_row_blocks(z), m) if labels_mode
-              else median_of_sq_dists(d2_z))
-    base = float(np.sqrt(median))
+    base = float(np.sqrt(median_sq_distance(z)))
     sigmas = [coeff * base for coeff in grid.coefficients]
     for coeff, sigma in zip(grid.coefficients, sigmas):
         if not math.isfinite(sigma):
@@ -325,24 +312,36 @@ def select_bandwidth(z, target, family: str = "gaussian",
         except ValueError as exc:
             raise ValueError(f"bandwidth coefficient {coeff} times base {base}: {exc}") from None
 
-    def zero_diag_gram(x, d2, sigma):
-        k = cosine_gram(x) if family == COSINE else kernel_from_sq_dists(d2, family, sigma)
+    def gram(x, d2, sigma):
+        """The zero-diagonal Gram matrix of the rows x, whose squared distances are d2."""
+        if family != COSINE:
+            return _zero_diag_kernel(d2, family, sigma)
+        k = cosine_gram(x)
         np.fill_diagonal(k, 0.0)
         return k
 
     def estimate(sigma):
-        kt = zero_diag_gram(z, d2_z, sigma)
-        if labels_mode:  # cosine only
-            return _class_sum_hsic(np.add.reduceat(kt, starts, axis=1), y)
-        lt = kt if self_target else zero_diag_gram(t, d2_t, sigma)
+        kt = gram(z, d2_z, sigma)
+        lt = kt if self_target else gram(t, d2_t, sigma)
         return _hsic_from_rows(*_gram_rows(kt, lt))
 
-    if family == COSINE:
+    if labels_mode:
+        if (y[1:] < y[:-1]).any():
+            by_class = np.argsort(y, kind="stable")
+            z, y = z[by_class], y[by_class]
+        starts = np.cumsum(counts) - counts  # strictly increasing: no class is empty
+        if family == COSINE:
+            class_sums = np.add.reduceat(gram(z, None, None), starts, axis=1)
+            estimates = [_class_sum_hsic(class_sums, y)] * len(sigmas)
+        else:
+            estimates = (_class_sum_hsic(sums, y)
+                         for sums in _radial_class_sums(z, family, sigmas, starts))
+    elif family == COSINE:
+        d2_z = d2_t = None  # the cosine Gram reads the rows
         estimates = [estimate(None)] * len(sigmas)
-    elif labels_mode:
-        estimates = (_class_sum_hsic(sums, y)
-                     for sums in _radial_class_sums(z, family, sigmas, starts))
     else:
+        d2_z = sq_dist_matrix(z)
+        d2_t = None if self_target else sq_dist_matrix(t)
         estimates = map(estimate, sigmas)  # lazy, so one candidate's Grams are live at a time
     rows: list[HsicEstimate] = []
     for sigma, (value, raw) in zip(sigmas, estimates):

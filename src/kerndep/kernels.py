@@ -1,9 +1,14 @@
 """Kernel functions, Gram matrices, the label kernel, and the median heuristic.
 
-All public functions validate their inputs and compute in float64. Gram
-matrices are exactly symmetric: radial kernels act elementwise on squared
-distances that are exactly symmetric (see sq_dist_matrix), and the cosine
-Gram is one symmetric rank-k update.
+as_embeddings validates rows and returns them finite and float64, and
+as_labels validates class ids; label_kernel_matrix reads its labels through
+as_labels, and kernel_from_sq_dists checks its family and bandwidth. The
+array builders (sq_dist_matrix, _sq_dist_row_blocks, cosine_gram and
+median_sq_distance) check nothing and expect rows from as_embeddings: given
+float32 rows, the distances, kernels and Grams come out float32, and a NaN
+entry gives NaN distances. Gram matrices are exactly symmetric: radial
+kernels act elementwise on squared distances that are exactly symmetric
+(see sq_dist_matrix), and the cosine Gram is one symmetric rank-k update.
 """
 
 from __future__ import annotations
@@ -187,10 +192,26 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
     return np.divide(1.0, k, out=k)
 
 
+def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """kernel_from_sq_dists with its diagonal set to 0: the Gram matrix Kt
+    that the dependence estimate reads."""
+    k = kernel_from_sq_dists(d2, family, sigma, out=out)
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of v scaled to unit length, and their norms; a row of norm 0
+    becomes a zero row."""
+    norms = np.linalg.norm(v, axis=1)
+    unit = np.divide(v, norms[:, None], out=np.zeros_like(v), where=norms[:, None] > 0)
+    return unit, norms
+
+
 def cosine_gram(z: np.ndarray) -> np.ndarray:
     """Cosine-similarity Gram matrix; zero rows get similarity 0 everywhere."""
-    norms = np.linalg.norm(z, axis=1)
-    nz = np.divide(z, norms[:, None], out=np.zeros_like(z), where=norms[:, None] > 0)
+    nz, norms = _unit_rows(z)
     g = nz @ nz.T  # one symmetric rank-k update, so exactly symmetric
     np.fill_diagonal(g, np.where(norms > 0, 1.0, 0.0))
     return g
@@ -205,9 +226,9 @@ def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
     return mat
 
 
-def median_of_sq_dists(d2: np.ndarray) -> float:
-    """Median of the nonzero pairwise squared distances in a square matrix
-    d2 of squared distances, such as sq_dist_matrix's.
+def median_sq_distance(z: np.ndarray) -> float:
+    """Median of the nonzero pairwise squared distances of the rows of z: the
+    square of the median-heuristic bandwidth.
 
     Zero distances (duplicate points) are excluded; if every pair coincides
     the heuristic is undefined and an error is raised.
@@ -217,27 +238,17 @@ def median_of_sq_dists(d2: np.ndarray) -> float:
     translation-invariant only for shifts that keep the rows distinct: in
     float64, ``[[0.0], [1e-17]] + 1.0`` is two equal rows.
 
-    Reads d2 as upper trapezoids of kernels._ROW_BLOCK rows; see
-    _median_of_row_blocks.
+    The distances come from _sq_dist_row_blocks, so the value depends on z
+    alone. Each block's strict upper triangle (each pair once) is copied a
+    row at a time into one buffer of m(m-1)/2 entries, which np.median then
+    partitions in place; so the peak is that half-size buffer and one row
+    block. Only when a pair is zero (duplicate rows) are the positive
+    entries copied out.
     """
-    m = d2.shape[0]
-    blocks = ((a, d2[a:a + _ROW_BLOCK, a:]) for a in range(0, m, _ROW_BLOCK))
-    return _median_of_row_blocks(blocks, m)
-
-
-def _median_of_row_blocks(blocks, m: int) -> float:
-    """median_of_sq_dists of the m x m squared distances given as the upper
-    trapezoids (a, d2[a:b, a:]) of consecutive row blocks, in order, such as
-    _sq_dist_row_blocks yields.
-
-    The strict upper triangle (each pair once) is copied a row at a time
-    into one buffer of m(m-1)/2 entries, which np.median then partitions in
-    place; so beyond the blocks the peak is that half-size buffer. Only when
-    a pair is zero (duplicate rows) are the positive entries copied out.
-    """
+    m = z.shape[0]
     upper = np.empty(m * (m - 1) // 2)
     end = 0
-    for _, block in blocks:
+    for _, block in _sq_dist_row_blocks(z):
         for r, row in enumerate(block):
             upper[end:end + row.size - 1 - r] = row[r + 1:]
             end += row.size - 1 - r

@@ -31,8 +31,7 @@ from kerndep.kernels import (
     IMQ,
     cosine_gram,
     label_kernel_matrix,
-    median_of_sq_dists,
-    sq_dist_matrix,
+    median_sq_distance,
 )
 from kerndep.tasks import synth_task
 from oracles import KernelSpec, kernel_matrix
@@ -63,7 +62,7 @@ def edge_instances(seed):
 def underflow_sigma(head, u, normalize):
     """0.001 x the median-heuristic base: the Gaussian underflows to 0 on
     all but near-coincident pairs."""
-    return 0.001 * math.sqrt(median_of_sq_dists(sq_dist_matrix(transform(head, u, normalize))))
+    return 0.001 * math.sqrt(median_sq_distance(transform(head, u, normalize)))
 
 
 def reference_loss(head, u, y, sigma_zy, sigma_zz, gamma, family, normalize):
@@ -439,8 +438,9 @@ def test_episode_is_deterministic():
 
 def count_episode_builds(count, task, share, steps):
     targets = ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
-               "kerndep.kernels.sq_dist_matrix", "kerndep.adapt.label_kernel_matrix",
-               "kerndep.adapt.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
+               "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
+               "kerndep.adapt.label_kernel_matrix",
+               "kerndep.kernels.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
                "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
                "kerndep.hsic._gram_rows", "kerndep.adapt._gram_cotangent")
     for target in targets:
@@ -455,9 +455,12 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     assert counts == {
         "kerndep.adapt.sq_dist_matrix": steps,  # one per step
         "kerndep.hsic.sq_dist_matrix": 0,  # the label search reads row blocks
-        "kerndep.kernels.sq_dist_matrix": 0,  # no median_sq_distance call
+        "kerndep.kernels.sq_dist_matrix": 0,  # and so does the median
+        "kerndep.hsic.median_sq_distance": 1,
         "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
-        "kerndep.adapt.kernel_from_sq_dists": steps,  # shared by both loss terms
+        # the step's zero-diagonal kernel, shared by both loss terms
+        "kerndep.kernels.kernel_from_sq_dists": steps,
+        # the label search's kernel row blocks
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
         "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
         "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
@@ -477,14 +480,35 @@ def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
         "kerndep.adapt.sq_dist_matrix": steps,
         "kerndep.hsic.sq_dist_matrix": 1,  # the self search only, once for both sides
         "kerndep.kernels.sq_dist_matrix": 0,
+        "kerndep.hsic.median_sq_distance": 2,  # one base per search, both of z0
         "kerndep.adapt.label_kernel_matrix": 1,
-        "kerndep.adapt.kernel_from_sq_dists": 2 * steps,
-        "kerndep.hsic.kernel_from_sq_dists": 2 * len(DEFAULT_GRID_COEFFICIENTS),
+        # two zero-diagonal kernels per step, and one per coefficient in the self search
+        "kerndep.kernels.kernel_from_sq_dists": 2 * steps + len(DEFAULT_GRID_COEFFICIENTS),
+        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
         "kerndep.hsic.hsic_unbiased": 0,
         "kerndep.hsic.hsic_variance": 0,
         "kerndep.hsic._gram_rows": len(DEFAULT_GRID_COEFFICIENTS),  # the self search only
         "kerndep.adapt._gram_cotangent": 1 + steps,
     }
+
+
+def test_own_self_search_shares_the_label_search_base(monkeypatch):
+    # on this task's unit rows sq_dist_matrix and the row blocks round the
+    # median differently; both searches must still read one base
+    selections = []
+
+    def recording(*args, **kwargs):
+        selections.append(select_bandwidth(*args, **kwargs))
+        return selections[-1]
+
+    monkeypatch.setattr("kerndep.adapt.select_bandwidth", recording)
+    task = separable_task(2)
+    result = run_episode(task, AdaptConfig(steps=1, share_zz_coefficient=False))
+    by_labels, by_self = selections
+    assert by_labels.sigma_base == by_self.sigma_base
+    z0 = transform(LinearHead.identity(task.support_x.shape[1]), task.support_x)
+    assert by_labels.sigma_base == math.sqrt(median_sq_distance(z0))
+    assert (result.sigma_zy, result.sigma_zz) == (by_labels.sigma, by_self.sigma)
 
 
 def test_episode_rejects_malformed_query_labels():

@@ -27,8 +27,7 @@ from kerndep.kernels import (
     KERNEL_FAMILIES,
     kernel_from_sq_dists,
     label_kernel_matrix,
-    median_of_sq_dists,
-    sq_dist_matrix,
+    median_sq_distance,
 )
 from oracles import KernelSpec, hsic_unbiased_naive, kernel_matrix, permutation_test_rejects
 
@@ -242,8 +241,20 @@ def test_selection_maximizes_power_ratio_over_table(seed):
 def test_selection_base_is_median_scale():
     z, y = blob_data(3)
     sel = select_bandwidth(z, y)
-    base = math.sqrt(median_of_sq_dists(sq_dist_matrix(z)))
-    assert sel.sigma_base == pytest.approx(base, rel=1e-15)
+    assert sel.sigma_base == math.sqrt(median_sq_distance(z))
+
+
+def test_every_search_on_the_same_rows_has_one_base():
+    # unit rows in three classes: rows on which sq_dist_matrix and the row
+    # blocks round the median differently
+    rng = np.random.default_rng(4)
+    y = np.repeat(np.arange(3), 10)
+    z = rng.normal(size=(30, 5)) + 2.0 * y[:, None]
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    targets = (y, rng.permutation(y), z, z.copy(), 1.5 * z[:, ::-1], rng.normal(size=(30, 2)))
+    for family in KERNEL_FAMILIES:
+        bases = [select_bandwidth(z, target, family=family).sigma_base for target in targets]
+        assert bases == [math.sqrt(median_sq_distance(z))] * len(targets), family
 
 
 def test_selection_table_follows_grid_order():
@@ -408,15 +419,19 @@ def test_self_target_search_reuses_distances_and_grams(call_counts, family):
     counts, count = call_counts
     z, _ = blob_data(4)
     copy = select_bandwidth(z, z.copy(), family=family)
-    for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.kernel_from_sq_dists",
+    for target in ("kerndep.hsic.median_sq_distance", "kerndep.hsic.sq_dist_matrix",
+                   "kerndep.hsic.kernel_from_sq_dists", "kerndep.kernels.kernel_from_sq_dists",
                    "kerndep.hsic.cosine_gram"):
         count(target)
     same = select_bandwidth(z, z, family=family)
     assert same == copy  # every table entry equals the search against an equal copy
     radial = family != "cosine"
     assert counts == {
-        "kerndep.hsic.sq_dist_matrix": 1,  # z's distances, which also give the base
-        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) if radial else 0,
+        "kerndep.hsic.median_sq_distance": 1,  # the base, from row blocks of z
+        "kerndep.hsic.sq_dist_matrix": 1 if radial else 0,  # z's distances, for both sides
+        "kerndep.hsic.kernel_from_sq_dists": 0,  # the label search's row blocks only
+        # one zero-diagonal kernel per coefficient, for both sides
+        "kerndep.kernels.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) if radial else 0,
         "kerndep.hsic.cosine_gram": 0 if radial else 1,
     }
 
@@ -538,7 +553,7 @@ def rejection_rates(eps, trials, seed, m=40):
         sigma = select_bandwidth(*nuisance_blobs(m, eps, rng)).sigma
         x, y = nuisance_blobs(m, eps, rng)
         selected += permutation_test_rejects(x, y, sigma, rng)
-        base = math.sqrt(median_of_sq_dists(sq_dist_matrix(x)))
+        base = math.sqrt(median_sq_distance(x))
         median += permutation_test_rejects(x, y, base, rng)
     return selected / trials, median / trials
 

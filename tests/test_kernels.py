@@ -14,14 +14,13 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
-    _median_of_row_blocks,
     _sq_dist_row_blocks,
     as_embeddings,
     as_labels,
     cosine_gram,
     kernel_from_sq_dists,
     label_kernel_matrix,
-    median_of_sq_dists,
+    median_sq_distance,
     sq_dist_matrix,
 )
 from oracles import KernelSpec, eval_kernel, kernel_matrix, median_upper_positive
@@ -171,23 +170,23 @@ def test_label_kernel_invariant_under_class_relabeling(raw, perm_seed):
 def test_median_sq_distance_hand_values():
     # pairwise squared distances 4, 4, 8: median 4
     z = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    assert median_of_sq_dists(sq_dist_matrix(z)) == pytest.approx(4.0)
+    assert median_sq_distance(z) == pytest.approx(4.0)
     # distances 1, 4, 1: median 1
     line = np.array([[0.0], [1.0], [2.0]])
-    assert median_of_sq_dists(sq_dist_matrix(line)) == pytest.approx(1.0)
+    assert median_sq_distance(line) == pytest.approx(1.0)
 
 
 def test_median_ignores_zero_distance_pairs():
     # distances 0, 0, 0, 9, 9, 9: the median is 9.0 without the zeros, 4.5 with them
     z = np.array([[0.0], [0.0], [0.0], [3.0]])
-    assert median_of_sq_dists(sq_dist_matrix(z)) == pytest.approx(9.0)
+    assert median_sq_distance(z) == pytest.approx(9.0)
 
 
 def test_median_requires_two_distinct_rows():
     with pytest.raises(ValueError, match="identical"):
-        median_of_sq_dists(sq_dist_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        median_sq_distance(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="identical"):
-        median_of_sq_dists(sq_dist_matrix(np.array([[1.0, 1.0]])))
+        median_sq_distance(np.array([[1.0, 1.0]]))
 
 
 @given(
@@ -204,9 +203,9 @@ def test_median_translation_invariant_and_scale_quadratic(z, shift, scale):
     # (at most 4 * eps/2 * sqrt(5) / 1e-5 for up to 5 columns).
     gaps = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=-1)
     assume(gaps[gaps > 0].min() > 1e-5 * (1.0 + np.abs(z).max() + abs(shift)))
-    base = median_of_sq_dists(sq_dist_matrix(z))
-    shifted = median_of_sq_dists(sq_dist_matrix(z + shift))
-    scaled = median_of_sq_dists(sq_dist_matrix(z * scale))
+    base = median_sq_distance(z)
+    shifted = median_sq_distance(z + shift)
+    scaled = median_sq_distance(z * scale)
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
     assert scaled == pytest.approx(base * scale**2, rel=1e-9)
 
@@ -313,7 +312,7 @@ def test_median_of_row_blocks_drops_duplicates_across_blocks():
     m = z.shape[0]
     d2 = sq_dist_matrix(z)
     with_zeros = float(np.median(d2[np.triu_indices(m, 1)]))
-    got = _median_of_row_blocks(_sq_dist_row_blocks(z), m)
+    got = median_sq_distance(z)
     assert got == pytest.approx(median_upper_positive(d2), rel=1e-15)
     assert got != pytest.approx(with_zeros, rel=1e-3)
 
@@ -373,6 +372,16 @@ def test_kernel_from_sq_dists_accepts_the_smallest_normal_square(family):
     assert np.array_equal(np.diagonal(k), [1.0, 1.0])
 
 
+def row_block_sq_dists(z):
+    """The squared distances _sq_dist_row_blocks yields, in the upper
+    triangle of an m x m array of zeros."""
+    m = z.shape[0]
+    d2 = np.zeros((m, m))
+    for a, block in _sq_dist_row_blocks(z):
+        d2[a:a + block.shape[0], a:] = block
+    return d2
+
+
 def median_case(m, duplicates=()):
     z = np.random.default_rng(m).normal(size=(m, 3))
     for i, j in duplicates:
@@ -387,10 +396,10 @@ def median_case(m, duplicates=()):
     (median_case(7, [(1, 6), (2, 5)]), 21, 2),  # duplicate rows, 19 positive pairs
 ])
 def test_median_of_sq_dists_matches_upper_triangle_oracle(z, pairs, zeros):
-    d2 = sq_dist_matrix(z)
+    d2 = row_block_sq_dists(z)
     upper = d2[np.triu_indices(z.shape[0], 1)]
     assert (upper.size, int((upper == 0.0).sum())) == (pairs, zeros)
-    assert median_of_sq_dists(d2) == median_upper_positive(d2)
+    assert median_sq_distance(z) == median_upper_positive(d2)
 
 
 def test_as_embeddings_validation():
