@@ -21,7 +21,9 @@ from .kernels import (
     IMQ,
     KERNEL_FAMILIES,
     RADIAL_FAMILIES,
+    _TINY,
     _unit_rows,
+    _unit_sq_dist_matrix,
     _zero_diag_kernel,
     as_embeddings,
     as_labels,
@@ -125,6 +127,17 @@ def _unit_rows_backward(d_out: np.ndarray, z: np.ndarray,
     d_in = np.divide(proj, norms[:, None], out=np.zeros_like(proj),
                      where=norms[:, None] > 0)
     return d_in
+
+
+def _check_row_norms(norms: np.ndarray, what: str) -> None:
+    """Reject the first row whose norm squares below the smallest normal
+    float64 (a zero row included): it cannot be scaled to unit length."""
+    bad = np.flatnonzero(~(norms * norms >= _TINY))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"support row {i} has norm {norms[i]} {what}: its square is below "
+                         f"the smallest normal float64, so the normalized mokd step cannot "
+                         f"scale it to unit length")
 
 
 def _forward(head: LinearHead, u: np.ndarray,
@@ -265,7 +278,15 @@ class _DependencePlan:
     place or from them, the loss is read from the kernel's row sums and
     inner products, and the cotangents of both loss terms are summed in w
     and multiplied by the radial weight in place. The pull-back to the rows
-    is then one row-sum pass and one matrix product.
+    is dz = w.sum(1) z - w @ z.
+
+    With row normalization the rows z are unit vectors, so the distances
+    are 2 - 2 z z' (kernels._unit_sq_dist_matrix), and the pull-back is
+    dz = -w @ z: the w.sum(1) z term is radial, and the normalization's
+    backward pass removes it. That needs every row to have a direction:
+    a support row, or a row of the head's output, whose norm squares below
+    the smallest normal float64 is rejected by name, when the plan is built
+    and at each call.
     """
 
     def __init__(self, embeddings, labels, sigma_zy: float, sigma_zz: float,
@@ -278,6 +299,8 @@ class _DependencePlan:
         y = as_labels(labels, m)
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
+        if normalize:
+            _check_row_norms(np.linalg.norm(self.u, axis=1), "in the embeddings")
         self.lt = label_kernel_matrix(y, zero_diag=True)
         self.l_rows = self.lt.sum(axis=1)
         self.sum_l = float(self.l_rows.sum())
@@ -301,7 +324,11 @@ class _DependencePlan:
         z, norms = _forward(head, self.u, self.normalize)
         # the distances go to the buffer filled last, so each kernel reads
         # them before they are overwritten
-        d2 = sq_dist_matrix(z, out=k_zz)
+        if norms is None:
+            d2 = sq_dist_matrix(z, out=k_zz)
+        else:
+            _check_row_norms(norms, "after the head")
+            d2 = _unit_sq_dist_matrix(z, out=k_zz)
         kzy = _zero_diag_kernel(d2, family, self.sigma_zy, k_zy)
         kzz = _zero_diag_kernel(d2, family, self.sigma_zz, k_zz) if own_zz else kzy
         r_zy = kzy.sum(axis=1)
@@ -324,7 +351,10 @@ class _DependencePlan:
                 _gram_cotangent(kzz, r_zz, 2.0 * gamma, w)
                 w += self.label_cotangent
                 _times_radial_weight(w, kzy, family, self.sigma_zy, w)
-        dz = w.sum(axis=1)[:, None] * z - w @ z
+        if norms is None:
+            dz = w.sum(axis=1)[:, None] * z - w @ z
+        else:  # the w.sum(1) z term is radial, and _unit_rows_backward removes it
+            dz = -(w @ z)
         return float(loss), _head_gradient(dz, self.u, z, norms)
 
 
@@ -420,6 +450,11 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     configured number of update steps with those bandwidths frozen (mode
     "mokd" builds its label work once, in a plan every step calls), then
     classify the query set with the nearest-centroid rule.
+
+    In mode "mokd" a support set where no class has two rows has an all-zero
+    label kernel, so there is no dependence to fit: the episode runs no
+    search and no step, keeps the identity head and an empty loss trace,
+    and reports both bandwidths as NaN, as mode "ncc" does.
     """
     cfg = config if config is not None else AdaptConfig()
     support_x = as_embeddings(task.support_x)
@@ -439,26 +474,28 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
 
     head = LinearHead.identity(dim)
     state = AdadeltaState.zeros((dim, dim))
+    steps = cfg.steps
+    sigma_zy = sigma_zz = float("nan")
 
-    if cfg.loss == "mokd":
+    if cfg.loss == "mokd" and np.bincount(support_y).max() < 2:
+        steps = 0
+    elif cfg.loss == "mokd":
         z0 = transform(head, support_x, cfg.normalize_features)
         selection = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid)
         sigma_zy = selection.sigma
         if cfg.share_zz_coefficient:
             sigma_zz = sigma_zy
         else:
-            sigma_zz = select_bandwidth(z0, z0, cfg.kernel_family, cfg.grid).sigma
+            sigma_zz = select_bandwidth(z0, z0, cfg.kernel_family, cfg.grid,
+                                        _sigma_base=selection.sigma_base).sigma
         step = _DependencePlan(support_x, support_y, sigma_zy, sigma_zz, cfg.gamma,
                                cfg.kernel_family, cfg.normalize_features)
     else:
-        sigma_zy = float("nan")
-        sigma_zz = float("nan")
-
         def step(head):
             return ncc_loss_and_grad(head, support_x, support_y, cfg.normalize_features)
 
     trace: list[float] = []
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         loss, grad = step(head)
         head, state = adadelta_step(state, head, grad, cfg.learning_rate,
                                     cfg.weight_decay, cfg.rho, cfg.opt_eps)

@@ -21,7 +21,8 @@ from .tasks import EmbeddingDataset, SamplerConfig, sample_task
 @dataclass(frozen=True)
 class EpisodeSummary:
     """Per-episode record: stream seed (the episode index under the base
-    seed), query accuracy, selected bandwidth, and last loss value."""
+    seed), query accuracy, selected bandwidth, and last loss value (NaN when
+    the episode ran no step)."""
 
     seed: int
     accuracy: float
@@ -85,7 +86,7 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
     accuracies = [r.query_accuracy for r in results]
     per_episode = [
         EpisodeSummary(seed=i, accuracy=r.query_accuracy, sigma_zy=r.sigma_zy,
-                       final_loss=r.loss_trace[-1])
+                       final_loss=r.loss_trace[-1] if r.loss_trace else math.nan)
         for i, r in enumerate(results)
     ]
     return EvalReport(

@@ -91,11 +91,15 @@ def _check_gram_pair(kt, lt) -> tuple[np.ndarray, np.ndarray, int]:
     m = kt.shape[0]
     if m < 4:
         raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
+    for name, g in (("Kt", kt), ("Lt", lt)):
+        if not np.array_equal(g, g.T, equal_nan=True):
+            raise ValueError(f"Gram matrix {name} must be symmetric, got {name} != {name}.T")
     return kt, lt, m
 
 
 def hsic_unbiased(kt, lt) -> float:
-    """Unbiased dependence estimate from symmetric zero-diagonal Gram matrices.
+    """Unbiased dependence estimate from symmetric zero-diagonal Gram matrices
+    (an asymmetric one is rejected).
 
     value = [tr(Kt Lt) + (1'Kt1)(1'Lt1)/((m-1)(m-2)) - 2/(m-2) 1'KtLt1] / (m(m-3))
 
@@ -123,9 +127,10 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
 
     Builds the per-sample vector h of _hsic_from_rows from the row statistics
     of Kt and Lt and returns v = (16/m) (R - hsic_value^2). Both Grams must be
-    symmetric: the rows give tr(Kt Lt) as the sum of (Kt o Lt)1 and 1'KtLt1
-    as Kt1 . Lt1. Negative numerical estimates are clamped to zero unless
-    clamp=False, which returns the raw value for diagnostics.
+    symmetric (an asymmetric one is rejected): the rows give tr(Kt Lt) as
+    the sum of (Kt o Lt)1 and 1'KtLt1 as Kt1 . Lt1. Negative numerical
+    estimates are clamped to zero unless clamp=False, which returns the raw
+    value for diagnostics.
 
     Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
     identity): row sums are 3, (Kt o Lt)1 = 3, Kt Lt row sums are 9, and
@@ -245,20 +250,23 @@ def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON)
 
 
 def select_bandwidth(z, target, family: str = "gaussian",
-                     grid: BandwidthGrid | None = None) -> BandwidthSelection:
+                     grid: BandwidthGrid | None = None, *,
+                     _sigma_base: float | None = None) -> BandwidthSelection:
     """Grid-search the bandwidth maximizing the power ratio.
 
     The base scale is sqrt(kernels.median_sq_distance(z)), so every search
-    on the same rows has the same base, whatever the target. For each grid
-    coefficient c the candidate bandwidth is c * base; the Gram matrix of z
-    uses it, and the partner matrix is either the 0/1 label kernel (when
-    target is a label vector) or the same-family kernel of the target
-    embeddings with the same bandwidth (when target is a matrix). Ties in
-    the ratio go to the smaller coefficient.
+    on the same rows has the same base, whatever the target; _sigma_base, if
+    given, is that base from an earlier search on these rows, taken as is.
+    For each grid coefficient c the candidate bandwidth is c * base; the
+    Gram matrix of z uses it, and the partner matrix is either the 0/1
+    label kernel (when target is a label vector) or the same-family kernel
+    of the target embeddings with the same bandwidth (when target is a
+    matrix). Ties in the ratio go to the smaller coefficient.
 
-    A label target needs at least two classes, and its search reads class
-    sums with no m x m array (bar the cosine kernel's one Gram matrix): the
-    rows are grouped by class (a stable sort, skipped when the labels are
+    A label target needs at least two classes, one of them with two rows
+    (else the zero-diagonal label kernel is all zero), and its search reads
+    class sums with no m x m array (bar the cosine kernel's one Gram
+    matrix): the rows are grouped by class (a stable sort, skipped when the labels are
     already sorted), and the distances come kernels._ROW_BLOCK rows at a
     time (see kernels._sq_dist_row_blocks), each block built once for the
     whole grid. Every coefficient's kernel of a block adds to that
@@ -294,6 +302,10 @@ def select_bandwidth(z, target, family: str = "gaussian",
         if counts.size < 2:
             raise ValueError("a label target needs at least 2 classes: with one, every "
                              "pair of labels agrees and there is no dependence to estimate")
+        if counts.max() < 2:
+            raise ValueError("a label target needs a class with at least 2 rows: with "
+                             "none, no pair of labels agrees and there is no dependence "
+                             "to estimate")
     elif not self_target:
         t = as_embeddings(target)
         if t.shape[0] != m:
@@ -301,7 +313,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
                 f"target embeddings must pair with z row for row, got {t.shape[0]} vs {m}"
             )
 
-    base = float(np.sqrt(median_sq_distance(z)))
+    base = float(np.sqrt(median_sq_distance(z))) if _sigma_base is None else _sigma_base
     sigmas = [coeff * base for coeff in grid.coefficients]
     for coeff, sigma in zip(grid.coefficients, sigmas):
         if not math.isfinite(sigma):

@@ -3,10 +3,10 @@
 as_embeddings validates rows and returns them finite and float64, and
 as_labels validates class ids; label_kernel_matrix reads its labels through
 as_labels, and kernel_from_sq_dists checks its family and bandwidth. The
-array builders (sq_dist_matrix, _sq_dist_row_blocks, cosine_gram and
-median_sq_distance) check nothing and expect rows from as_embeddings: given
-float32 rows, the distances, kernels and Grams come out float32, and a NaN
-entry gives NaN distances. Gram matrices are exactly symmetric: radial
+array builders (sq_dist_matrix, _unit_sq_dist_matrix, _sq_dist_row_blocks,
+cosine_gram and median_sq_distance) check nothing and expect rows from
+as_embeddings: given float32 rows, the distances, kernels and Grams come out
+float32, and a NaN entry gives NaN distances. Gram matrices are exactly symmetric: radial
 kernels act elementwise on squared distances that are exactly symmetric
 (see sq_dist_matrix), and the cosine Gram is one symmetric rank-k update.
 """
@@ -91,11 +91,12 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
 
     block holds n_i + n_j - 2 zc_i . zc_j for the rows i = a, a+1, ... and
     the columns j = c, c+1, ... of z (c <= a), with zc the centred rows and
-    n their squared norms. Every pair within the cancellation threshold,
-    which takes in duplicate rows, any negative value and NaN, is recomputed
-    from the difference of its uncentred rows, so duplicates give exactly 0.
-    The pairs i == j are set to exactly 0. The threshold is tested
-    kernels._ROW_BLOCK rows at a time, so no temporary has more rows.
+    n their squared norms (or, for unit rows, zc = z and n = 1). Every pair
+    within the cancellation threshold, which takes in duplicate rows, any
+    negative value and NaN, is recomputed from the difference of its
+    uncentred rows, so duplicates give exactly 0. The pairs i == j are set
+    to exactly 0. The threshold is tested kernels._ROW_BLOCK rows at a time,
+    so no temporary has more rows.
     """
     rows, cols = block.shape
     n_cols = n[c:c + cols]
@@ -141,6 +142,23 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         block *= -2.0
         block += n[start:start + _ROW_BLOCK, None] + n
     _recompute_cancelled(z, d2, n, 0, 0)
+    return d2
+
+
+def _unit_sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sq_dist_matrix for rows of unit length: d2 = 2 - 2 G with G = z @ z.T.
+
+    G is one symmetric rank-k update, scaled and shifted in place, so the
+    result is exactly symmetric and needs no centring and no n_i + n_j pass.
+    With n_i = 1 the cancellation rule of _recompute_cancelled recomputes
+    the pairs with G_ij >= 1 - 1e-8 from their row differences, so
+    duplicate rows give exactly 0, and sets the diagonal to 0. The rows
+    must have unit norm to rounding; out is as in sq_dist_matrix.
+    """
+    d2 = np.matmul(z, z.T, out=out)
+    d2 *= -2.0
+    d2 += 2.0
+    _recompute_cancelled(z, d2, np.ones(z.shape[0]), 0, 0)
     return d2
 
 

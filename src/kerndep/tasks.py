@@ -153,7 +153,8 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig,
     least one support row, so it meets the episode preconditions of at least
     4 support rows over at least 2 classes.
     """
-    eligible = [i for i, size in enumerate(dataset.sizes) if size >= 2]
+    all_sizes = dataset.sizes  # a property that builds a list on every read
+    eligible = [i for i, size in enumerate(all_sizes) if size >= 2]
     if len(eligible) < 5:
         raise ValueError(
             f"dataset needs at least 5 classes with 2+ examples, got {len(eligible)}"
@@ -161,7 +162,7 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig,
     n_way = sample_way_count(rng, len(eligible), cfg.n_max)
     chosen = rng.choice(len(eligible), size=n_way, replace=False)
     class_ids = [eligible[i] for i in chosen]
-    sizes = [dataset.sizes[c] for c in class_ids]
+    sizes = [all_sizes[c] for c in class_ids]
     q = compute_query_size(sizes, cfg.max_query_per_class)
     s = compute_support_size(rng, sizes, q, cfg.max_support, cfg.max_shots_per_class)
     shots = compute_shots(rng, sizes, q, s)

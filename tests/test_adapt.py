@@ -32,8 +32,9 @@ from kerndep.kernels import (
     cosine_gram,
     label_kernel_matrix,
     median_sq_distance,
+    sq_dist_matrix,
 )
-from kerndep.tasks import synth_task
+from kerndep.tasks import Task, synth_task
 from oracles import KernelSpec, kernel_matrix
 
 
@@ -246,6 +247,48 @@ def test_dependence_loss_adds_weighted_self_term():
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_unit_sphere_step_with_duplicate_rows_matches_the_reference(family, gamma,
+                                                                   monkeypatch):
+    u, y, head = random_instance(90, m=10, d=4)
+    u[1] = u[0]  # an exact duplicate
+    u[5] = u[4] + 1e-9  # a near duplicate, deep in the cancellation range
+    tiny = underflow_sigma(head, u, True)
+    for sigma_zy, sigma_zz in ((1.1, 0.8), (tiny, tiny)):
+        args = (head, u, y, sigma_zy, sigma_zz, gamma, family, True)
+        loss, grad = dependence_loss_and_grad(*args)
+        assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
+        with monkeypatch.context() as patch:
+            # the same step on the general distance builder
+            patch.setattr("kerndep.adapt._unit_sq_dist_matrix", sq_dist_matrix)
+            general_loss, general_grad = dependence_loss_and_grad(*args)
+        assert loss == pytest.approx(general_loss, rel=1e-12)
+        assert rel_error(grad, general_grad) <= 1e-12
+
+
+@pytest.mark.parametrize("row", [np.zeros(3), np.full(3, 1e-160)])  # norm 0, square subnormal
+def test_normalized_step_rejects_a_support_row_without_direction(row):
+    u, y, head = random_instance(95, m=8, d=3)
+    u[3] = row
+    with pytest.raises(ValueError, match=r"support row 3 has norm .* in the embeddings"):
+        dependence_loss_and_grad(head, u, y, 1.0, 1.0, 3.0, GAUSSIAN)
+    loss, grad = dependence_loss_and_grad(head, u, y, 1.0, 1.0, 3.0, GAUSSIAN, normalize=False)
+    assert math.isfinite(loss) and np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-160])  # norm 0, square subnormal
+def test_normalized_step_rejects_a_row_the_head_collapses(scale):
+    u, y, _ = random_instance(96, m=8, d=3)
+    u[3] = [2.0, 0.0, 0.0]
+    theta = np.eye(3)
+    theta[0, 0] = scale  # maps row 3 to (2 scale, 0, 0)
+    plan = _DependencePlan(u, y, 1.0, 1.0, 3.0, GAUSSIAN, True)
+    plan(LinearHead.identity(3))
+    with pytest.raises(ValueError, match=r"support row 3 has norm .* after the head"):
+        plan(LinearHead(theta))
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 @pytest.mark.parametrize("sigmas", [(1e-160, 1.0), (1.0, 1e-160)])
 def test_dependence_loss_rejects_underflowing_bandwidth(family, sigmas):
     rng = np.random.default_rng(61)
@@ -437,7 +480,8 @@ def test_episode_is_deterministic():
 
 
 def count_episode_builds(count, task, share, steps):
-    targets = ("kerndep.adapt.sq_dist_matrix", "kerndep.hsic.sq_dist_matrix",
+    targets = ("kerndep.adapt._unit_sq_dist_matrix", "kerndep.adapt.sq_dist_matrix",
+               "kerndep.hsic.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
                "kerndep.adapt.label_kernel_matrix",
                "kerndep.kernels.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
@@ -453,7 +497,8 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     steps = 3
     count_episode_builds(count, separable_task(8), share=True, steps=steps)
     assert counts == {
-        "kerndep.adapt.sq_dist_matrix": steps,  # one per step
+        "kerndep.adapt._unit_sq_dist_matrix": steps,  # one per step, on unit rows
+        "kerndep.adapt.sq_dist_matrix": 0,
         "kerndep.hsic.sq_dist_matrix": 0,  # the label search reads row blocks
         "kerndep.kernels.sq_dist_matrix": 0,  # and so does the median
         "kerndep.hsic.median_sq_distance": 1,
@@ -477,10 +522,11 @@ def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
     result = count_episode_builds(count, separable_task(4), share=False, steps=steps)
     assert result.sigma_zz != result.sigma_zy
     assert counts == {
-        "kerndep.adapt.sq_dist_matrix": steps,
+        "kerndep.adapt._unit_sq_dist_matrix": steps,
+        "kerndep.adapt.sq_dist_matrix": 0,
         "kerndep.hsic.sq_dist_matrix": 1,  # the self search only, once for both sides
         "kerndep.kernels.sq_dist_matrix": 0,
-        "kerndep.hsic.median_sq_distance": 2,  # one base per search, both of z0
+        "kerndep.hsic.median_sq_distance": 1,  # the self search takes the label search's base
         "kerndep.adapt.label_kernel_matrix": 1,
         # two zero-diagonal kernels per step, and one per coefficient in the self search
         "kerndep.kernels.kernel_from_sq_dists": 2 * steps + len(DEFAULT_GRID_COEFFICIENTS),
@@ -509,6 +555,27 @@ def test_own_self_search_shares_the_label_search_base(monkeypatch):
     z0 = transform(LinearHead.identity(task.support_x.shape[1]), task.support_x)
     assert by_labels.sigma_base == math.sqrt(median_sq_distance(z0))
     assert (result.sigma_zy, result.sigma_zz) == (by_labels.sigma, by_self.sigma)
+
+
+def test_episode_with_no_same_class_pair_keeps_the_identity_head(monkeypatch):
+    # one support row per class: the zero-diagonal label kernel is all zero
+    rng = np.random.default_rng(97)
+    support_x = rng.normal(size=(6, 4))
+    support_y = np.array([2, 0, 5, 1, 4, 3])
+    query_x = np.repeat(support_x, 2, axis=0) + 0.5 * rng.normal(size=(12, 4))
+    task = Task(support_x, support_y, query_x, np.repeat(support_y, 2))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a bandwidth search ran")
+
+    monkeypatch.setattr("kerndep.adapt.select_bandwidth", no_search)
+    for family in (GAUSSIAN, IMQ):
+        result = run_episode(task, AdaptConfig(kernel_family=family))
+        assert np.array_equal(result.final_head.theta, np.eye(4))
+        assert result.loss_trace == []
+        assert math.isnan(result.sigma_zy) and math.isnan(result.sigma_zz)
+        preds = ncc_predict(LinearHead.identity(4), (support_x, support_y), query_x)
+        assert result.query_accuracy == float((preds == task.query_y).mean())
 
 
 def test_episode_rejects_malformed_query_labels():

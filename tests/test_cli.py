@@ -223,6 +223,18 @@ def test_hsic_single_class_exits_two(pool_path, tmp_path, capsys):
         assert "at least 2 classes" in stderr
 
 
+def test_hsic_labels_with_no_same_class_pair_exit_two(pool_path, tmp_path, capsys):
+    label_file = tmp_path / "singletons.txt"
+    n_rows = sum(load_embeddings(pool_path).sizes)
+    label_file.write_text("".join(f"{i}\n" for i in range(n_rows)))
+    code, stdout, stderr = run_cli(
+        capsys, ["hsic", "--embeddings", str(pool_path), "--labels-from", str(label_file),
+                 "--format", "csv"])
+    assert code == 2
+    assert stdout == ""
+    assert "a class with at least 2 rows" in stderr
+
+
 @pytest.mark.parametrize("grid, coeff", [
     ("1.0,1e-200", "1e-200"),  # sigma near 5e-200: its square is 0
     ("1e-155", "1e-155"),  # sigma near 5e-155: its square is subnormal

@@ -140,6 +140,17 @@ def fake_result(support_x=((1.0, 0.5), (0.5, 1.0)),
     )
 
 
+def test_evaluate_reports_nan_final_loss_for_an_episode_without_steps(monkeypatch):
+    def stepless(task, config=None):
+        result = fake_result()
+        result.loss_trace = []
+        return result
+
+    monkeypatch.setattr("kerndep.evaluation.run_episode", stepless)
+    report = evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 2, base_seed=0)
+    assert all(math.isnan(row.final_loss) for row in report.per_episode)
+
+
 def test_similarity_export_csv_layout(tmp_path):
     result = fake_result()
     path = tmp_path / "sim.csv"

@@ -173,6 +173,19 @@ def test_estimator_rejects_bad_shapes():
         hsic_unbiased(constant_gram(4), constant_gram(5))
 
 
+def test_estimator_rejects_asymmetric_grams():
+    rng = np.random.default_rng(0)
+    kt = rng.normal(size=(6, 6))
+    np.fill_diagonal(kt, 0.0)
+    lt = rand_gram(rng, 6)
+    for args, name in (((kt, lt), "Kt"), ((lt, kt), "Lt")):
+        with pytest.raises(ValueError, match=f"Gram matrix {name} must be symmetric"):
+            hsic_unbiased(*args)
+        with pytest.raises(ValueError, match=f"Gram matrix {name} must be symmetric"):
+            hsic_variance(*args, 0.0)
+    hsic_unbiased(lt, rand_gram(rng, 6))  # symmetric pairs still pass
+
+
 def test_power_ratio_hand_values():
     # 0.5 / sqrt(1e-5) with zero variance
     assert power_ratio(0.5, 0.0) == pytest.approx(158.11388300841895, rel=1e-12)
@@ -412,6 +425,15 @@ def test_label_search_rejects_a_single_class():
     z, _ = blob_data(5)
     with pytest.raises(ValueError, match="at least 2 classes"):
         select_bandwidth(z, np.zeros(z.shape[0], dtype=np.int64))
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_label_search_rejects_labels_with_no_same_class_pair(family):
+    # one row per class: the zero-diagonal label kernel is all zero
+    z = np.random.default_rng(3).normal(size=(6, 4))
+    with pytest.raises(ValueError, match="a class with at least 2 rows.*no dependence"):
+        select_bandwidth(z, np.array([3, 0, 5, 1, 4, 2]), family)
+    select_bandwidth(z, np.array([0, 1, 2, 3, 4, 4]), family)  # one pair is enough
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)

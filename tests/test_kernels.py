@@ -15,6 +15,7 @@ from kerndep.kernels import (
     IMQ,
     KERNEL_FAMILIES,
     _sq_dist_row_blocks,
+    _unit_sq_dist_matrix,
     as_embeddings,
     as_labels,
     cosine_gram,
@@ -234,6 +235,26 @@ def test_sq_dist_matrix_matches_differences(shift):
     pairs = want > 0
     assert np.count_nonzero(~pairs) == 40 + 2  # the diagonal and the duplicate pair
     assert np.all(np.abs(d2[pairs] - want[pairs]) <= 1e-14 * want[pairs])
+
+
+def test_unit_sq_dist_matrix_matches_differences_on_unit_rows():
+    rng = np.random.default_rng(37)
+    v = rng.normal(size=(40, 12))
+    v[7] = v[3]  # an exact duplicate
+    v[9] = v[2] + 1e-9  # a near duplicate, deep in the cancellation range
+    z = v / np.linalg.norm(v, axis=1, keepdims=True)
+    out = np.full((40, 40), np.nan)
+    d2 = _unit_sq_dist_matrix(z, out=out)
+    want = sq_dists_by_differences(z)
+    assert d2 is out
+    assert np.array_equal(d2, d2.T)
+    assert not d2.diagonal().any()
+    assert d2[3, 7] == 0.0 and d2[7, 3] == 0.0
+    # from 2 - 2 z_2 . z_9 this pair would keep no correct digit
+    assert abs(d2[2, 9] - want[2, 9]) <= 1e-14 * want[2, 9]
+    assert np.count_nonzero(d2 == 0.0) == 40 + 2  # the diagonal and the duplicate pair
+    # rows of unit norm to rounding: 2 - 2G is off by a few units of 2 at most
+    assert np.all(np.abs(d2 - want) <= 1e-14 * (1.0 + want))
 
 
 @pytest.mark.parametrize("m, d", [(1, 3), (40, 12), (130, 5), (200, 64)])
