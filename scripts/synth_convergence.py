@@ -30,15 +30,14 @@ def main():
     args = ap.parse_args()
 
     adapt_cfg = AdaptConfig(gamma=args.gamma, steps=args.steps)
-    sampler_cfg = SamplerConfig()
+    sampler_cfg = SamplerConfig(seed=args.seed)
 
     print(f"{'sep':>6} {'noise':>6} {'accuracy':>10} {'ci95':>8}")
     for sep in args.separations:
         for noise in args.noises:
             pool = synth_dataset(args.classes, args.per_class, args.dim,
                                  sep, noise, np.random.default_rng(args.seed))
-            report = evaluate(pool, sampler_cfg, adapt_cfg, args.episodes,
-                              base_seed=args.seed)
+            report = evaluate(pool, sampler_cfg, adapt_cfg, args.episodes)
             print(f"{sep:6.1f} {noise:6.1f} {report.mean_accuracy:10.4f} "
                   f"{report.ci95:8.4f}")
 

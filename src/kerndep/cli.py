@@ -56,10 +56,11 @@ _PARSERS = {key: _parse_bool if isinstance(default, bool)
 def read_config_file(path) -> dict[str, object]:
     """Parse a flat key=value config file with # comments.
 
-    Unknown keys are rejected by name; values are coerced to the type of the
-    matching config field.
+    Unknown keys, and a key given twice, are rejected by name; values are
+    coerced to the type of the matching config field.
     """
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,6 +73,10 @@ def read_config_file(path) -> dict[str, object]:
         value = value.strip()
         if key not in _PARSERS:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}: line {lineno}: config key {key!r} is already "
+                             f"set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _PARSERS[key](value)
         except ValueError as exc:
@@ -143,12 +148,10 @@ def cmd_eval(args) -> int:
     settings = {**_DEFAULTS, **file_values, **flags}  # flag > file > default
     adapt_cfg = AdaptConfig(**{f.name: settings.pop(f.name) for f in fields(AdaptConfig)})
     sampler_cfg = SamplerConfig(**settings)
-    seed = sampler_cfg.seed
 
     dataset = load_embeddings(args.embeddings)
     keep = args.dump_heatmaps is not None
-    report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, seed,
-                      jobs=args.jobs, keep_results=keep)
+    report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, keep_results=keep)
 
     if args.dump_heatmaps is not None:
         out_dir = Path(args.dump_heatmaps)
@@ -216,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file; flags win over it")
     p_eval.add_argument("--dump-heatmaps", default=None, metavar="DIR",
                         help="write per-episode similarity heatmaps (PGM)")
-    p_eval.add_argument("--jobs", type=int, default=1,
-                        help="episodes run at once in threads, at least 1 "
-                             "(default: 1, serial)")
     p_eval.add_argument("--verbose", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 

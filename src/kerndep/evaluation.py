@@ -1,14 +1,13 @@
 """Multi-episode evaluation and similarity-matrix export.
 
-Every episode derives its own random stream from (base_seed, episode index),
-so results do not depend on execution order and repeated runs are
-bit-identical.
+Episodes run one after another. Episode i draws its task from its own
+random stream, seeded by (SamplerConfig.seed, i), so repeated runs are
+bit-identical and a run's first k episodes are those of any longer run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,9 +19,9 @@ from .tasks import EmbeddingDataset, SamplerConfig, sample_task
 
 @dataclass(frozen=True)
 class EpisodeSummary:
-    """Per-episode record: stream seed (the episode index under the base
-    seed), query accuracy, selected bandwidth, and last loss value (NaN when
-    the episode ran no step)."""
+    """Per-episode record: the episode index (its stream is seeded by
+    (SamplerConfig.seed, index)), query accuracy, selected bandwidth, and
+    last loss value (NaN when the episode ran no step)."""
 
     seed: int
     accuracy: float
@@ -39,9 +38,9 @@ class EvalReport:
     episode_results: list[EpisodeResult] | None = None
 
 
-def episode_rng(base_seed: int, episode: int) -> np.random.Generator:
+def episode_rng(seed: int, episode: int) -> np.random.Generator:
     """Independent generator for one episode of one run."""
-    return np.random.default_rng([int(base_seed), int(episode)])
+    return np.random.default_rng([int(seed), int(episode)])
 
 
 def ci95(accuracies) -> float:
@@ -57,31 +56,23 @@ def ci95(accuracies) -> float:
 
 
 def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
-             adapt_cfg: AdaptConfig, n_episodes: int, base_seed: int,
-             jobs: int = 1, keep_results: bool = False) -> EvalReport:
-    """Run n_episodes independent episodes and aggregate their accuracies.
+             adapt_cfg: AdaptConfig, n_episodes: int,
+             keep_results: bool = False) -> EvalReport:
+    """Run n_episodes independent episodes in order and aggregate their accuracies.
 
-    Episodes may run concurrently (jobs > 1); the report is always ordered
-    by episode index and identical to a serial run.
+    Episode i samples its task with episode_rng(sampler_cfg.seed, i). The
+    first failing episode stops the run with a RuntimeError that names it
+    and wraps the cause.
     """
     if n_episodes < 1:
         raise ValueError(f"need at least one episode, got {n_episodes}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-    def one(i: int) -> EpisodeResult:
+    results = []
+    for i in range(n_episodes):
         try:
-            rng = episode_rng(base_seed, i)
-            task = sample_task(dataset, sampler_cfg, rng)
-            return run_episode(task, adapt_cfg)
+            task = sample_task(dataset, sampler_cfg, episode_rng(sampler_cfg.seed, i))
+            results.append(run_episode(task, adapt_cfg))
         except Exception as exc:
             raise RuntimeError(f"episode {i} failed: {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(n_episodes)))
-    else:
-        results = [one(i) for i in range(n_episodes)]
 
     accuracies = [r.query_accuracy for r in results]
     per_episode = [
@@ -94,7 +85,7 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
         mean_accuracy=float(np.mean(accuracies)),
         ci95=ci95(accuracies),
         per_episode=per_episode,
-        episode_results=list(results) if keep_results else None,
+        episode_results=results if keep_results else None,
     )
 
 

@@ -85,23 +85,21 @@ _PAIR_BLOCK = 4096
 _ROW_BLOCK = 64
 
 
-def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int,
-                         c: int) -> None:
+def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int) -> None:
     """The cancellation rule, in place, on a block of squared distances.
 
     block holds n_i + n_j - 2 zc_i . zc_j for the rows i = a, a+1, ... and
-    the columns j = c, c+1, ... of z (c <= a), with zc the centred rows and
-    n their squared norms (or, for unit rows, zc = z and n = 1). Every pair
-    within the cancellation threshold, which takes in duplicate rows, any
-    negative value and NaN, is recomputed from the difference of its
-    uncentred rows, so duplicates give exactly 0. The pairs i == j are set
-    to exactly 0. The threshold is tested kernels._ROW_BLOCK rows at a time,
-    so no temporary has more rows.
+    the columns j = a, a+1, ... of z (so block[k, k] is the pair i == j),
+    with zc the centred rows and n their squared norms (or, for unit rows,
+    zc = z and n = 1). Every pair within the cancellation threshold, which
+    takes in duplicate rows, any negative value and NaN, is recomputed from
+    the difference of its uncentred rows, so duplicates give exactly 0. The
+    pairs i == j are set to exactly 0. The threshold is tested
+    kernels._ROW_BLOCK rows at a time, so no temporary has more rows.
     """
     rows, cols = block.shape
-    n_cols = n[c:c + cols]
-    diagonal = block[:, a - c:]  # its diagonal holds the pairs i == j
-    np.fill_diagonal(diagonal, np.inf)
+    n_cols = n[a:a + cols]
+    np.fill_diagonal(block, np.inf)
     # a pair within the threshold has d2 <= _CANCELLATION (n_i + n_j), so a
     # larger least entry means there is none; NaN (overflowing rows) fails too
     if not block.min() > _CANCELLATION * (n[a:a + rows].max() + n_cols.max()):
@@ -114,9 +112,9 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
             i += r
             for start in range(0, i.size, _PAIR_BLOCK):
                 bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
-                diff = z[a + bi] - z[c + bj]  # near-equal coordinates subtract exactly
+                diff = z[a + bi] - z[a + bj]  # near-equal coordinates subtract exactly
                 block[bi, bj] = np.einsum("ij,ij->i", diff, diff)
-    np.fill_diagonal(diagonal, 0.0)
+    np.fill_diagonal(block, 0.0)
 
 
 def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,7 +139,7 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         block = d2[start:start + _ROW_BLOCK]
         block *= -2.0
         block += n[start:start + _ROW_BLOCK, None] + n
-    _recompute_cancelled(z, d2, n, 0, 0)
+    _recompute_cancelled(z, d2, n, 0)
     return d2
 
 
@@ -158,7 +156,7 @@ def _unit_sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.nda
     d2 = np.matmul(z, z.T, out=out)
     d2 *= -2.0
     d2 += 2.0
-    _recompute_cancelled(z, d2, np.ones(z.shape[0]), 0, 0)
+    _recompute_cancelled(z, d2, np.ones(z.shape[0]), 0)
     return d2
 
 
@@ -185,7 +183,7 @@ def _sq_dist_row_blocks(z: np.ndarray):
         block *= -2.0
         block += n[a:b, None]
         block += n[a:]
-        _recompute_cancelled(z, block, n, a, a)
+        _recompute_cancelled(z, block, n, a)
         yield a, block
 
 

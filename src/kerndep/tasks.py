@@ -195,8 +195,9 @@ def synth_dataset(n_classes: int, per_class: int, d: int, separation: float,
         raise ValueError(f"need at least 2 examples per class, got {per_class}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if separation < 0 or noise < 0:
-        raise ValueError("separation and noise must be non-negative")
+    if not (0 <= separation < math.inf and 0 <= noise < math.inf):
+        raise ValueError(f"separation and noise must be non-negative and finite, "
+                         f"got {separation} and {noise}")
     if n_classes <= d:
         a = rng.standard_normal((d, n_classes))
         q_mat, r_mat = np.linalg.qr(a)

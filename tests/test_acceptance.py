@@ -343,8 +343,8 @@ def test_criterion_09_exponential_mean_bound_sweep():
 def test_criterion_10_determinism_and_round_trips(tmp_path):
     pool = synth_dataset(8, 30, 8, 6.0, 1.0, np.random.default_rng(10))
     cfg = AdaptConfig(steps=5)
-    a = evaluate(pool, SamplerConfig(), cfg, 5, base_seed=77)
-    b = evaluate(pool, SamplerConfig(), cfg, 5, base_seed=77)
+    a = evaluate(pool, SamplerConfig(seed=77), cfg, 5)
+    b = evaluate(pool, SamplerConfig(seed=77), cfg, 5)
     deterministic = (
         a.mean_accuracy == b.mean_accuracy
         and a.ci95 == b.ci95

@@ -70,6 +70,19 @@ def test_synth_same_seed_same_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--separation", "--noise"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_value_exits_two_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "synth.emb"
+    code, stdout, stderr = run_cli(
+        capsys, ["synth", "--classes", "5", "--per-class", "4", "--dim", "3",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert "non-negative and finite" in stderr
+    assert not out.exists()
+
+
 def test_synth_csv_suffix_switches_format(tmp_path, capsys):
     out = tmp_path / "synth.csv"
     code, _, _ = run_cli(
@@ -288,21 +301,10 @@ def test_eval_invalid_gamma_exits_two(pool_path, capsys):
     code, _, stderr = run_cli(
         capsys,
         ["eval", "--embeddings", str(pool_path), "--episodes", "1",
-         "--gamma", "-1", "--jobs", "1"],
+         "--gamma", "-1"],
     )
     assert code == 2
     assert "gamma" in stderr
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_eval_fewer_than_one_job_exits_two_before_any_episode(pool_path, capsys, monkeypatch,
-                                                             jobs):
-    monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(AssertionError))
-    code, stdout, stderr = run_cli(
-        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--jobs", jobs])
-    assert code == 2
-    assert stdout == ""
-    assert f"jobs must be at least 1, got {jobs}" in stderr
 
 
 @pytest.mark.parametrize("flag, field", [("--gamma", "gamma"), ("--lr", "learning_rate"),
@@ -311,11 +313,19 @@ def test_eval_non_finite_value_exits_two_before_any_episode(pool_path, capsys, m
                                                             flag, field):
     monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(AssertionError))
     code, stdout, stderr = run_cli(
-        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1",
-                 "--jobs", "1", flag, "inf"])
+        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1", flag, "inf"])
     assert code == 2
     assert stdout == ""
     assert f"{field} must be finite" in stderr
+
+
+def test_eval_negative_seed_exits_two_before_any_episode(pool_path, capsys, monkeypatch):
+    monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(AssertionError))
+    code, stdout, stderr = run_cli(
+        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--seed", "-1"])
+    assert code == 2
+    assert stdout == ""
+    assert "seed must be non-negative, got -1" in stderr
 
 
 def failing_episode(exc_type):
@@ -327,7 +337,7 @@ def failing_episode(exc_type):
 def test_eval_episode_validation_error_exits_two(pool_path, capsys, monkeypatch):
     monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(ValueError))
     code, _, stderr = run_cli(
-        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--jobs", "1"])
+        capsys, ["eval", "--embeddings", str(pool_path), "--episodes", "1"])
     assert code == 2
     assert "episode 0 failed: injected" in stderr
 
@@ -335,7 +345,7 @@ def test_eval_episode_validation_error_exits_two(pool_path, capsys, monkeypatch)
 def test_eval_episode_internal_error_propagates(pool_path, monkeypatch):
     monkeypatch.setattr("kerndep.evaluation.run_episode", failing_episode(ZeroDivisionError))
     with pytest.raises(RuntimeError, match="episode 0 failed") as info:
-        main(["eval", "--embeddings", str(pool_path), "--episodes", "1", "--jobs", "1"])
+        main(["eval", "--embeddings", str(pool_path), "--episodes", "1"])
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
@@ -344,7 +354,7 @@ def test_eval_episode_internal_error_propagates(pool_path, monkeypatch):
 
 def eval_argv(pool_path, *extra):
     return ["eval", "--embeddings", str(pool_path), "--episodes", "3",
-            "--steps", "2", "--jobs", "1", *extra]
+            "--steps", "2", *extra]
 
 
 def test_eval_prints_report(pool_path, capsys):
@@ -390,7 +400,7 @@ def test_eval_dump_heatmaps_writes_pgm_files(pool_path, tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
         ["eval", "--embeddings", str(pool_path), "--episodes", "2",
-         "--steps", "2", "--jobs", "1", "--dump-heatmaps", str(heat_dir)],
+         "--steps", "2", "--dump-heatmaps", str(heat_dir)],
     )
     assert code == 0
     names = sorted(p.name for p in heat_dir.iterdir())
@@ -435,6 +445,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         read_config_file(cfg)
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("gamma = 1\nsteps = 4\n\ngamma = 3\n")
+    with pytest.raises(ValueError, match="line 4: config key 'gamma' is already set on line 1"):
+        read_config_file(cfg)
+
+
 def test_config_file_rejects_malformed_lines(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("gamma 1.0\n")
@@ -450,18 +467,28 @@ def test_eval_unknown_config_key_exits_two(pool_path, tmp_path, capsys):
     cfg.write_text("momentum=0.9\n")
     code, _, stderr = run_cli(
         capsys,
-        ["eval", "--embeddings", str(pool_path), "--episodes", "1",
-         "--jobs", "1", "--config", str(cfg)],
+        ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--config", str(cfg)],
     )
     assert code == 2
     assert "momentum" in stderr
 
 
+def test_eval_repeated_config_key_exits_two(pool_path, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("steps=3\nsteps=5\n")
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--config", str(cfg)],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "line 2: config key 'steps' is already set on line 1" in stderr
+
+
 def test_flag_beats_config_beats_default(pool_path, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps=5\ngamma=1.0\n")
-    base = ["eval", "--embeddings", str(pool_path), "--episodes", "2",
-            "--jobs", "1", "--verbose"]
+    base = ["eval", "--embeddings", str(pool_path), "--episodes", "2", "--verbose"]
 
     # config layer: file values behave exactly like explicit flags
     _, from_config, _ = run_cli(capsys, [*base, "--config", str(cfg)])
@@ -515,8 +542,8 @@ def captured_eval(monkeypatch):
     """Replace evaluate() with a recorder of the configs cmd_eval builds."""
     calls = []
 
-    def fake_evaluate(dataset, sampler_cfg, adapt_cfg, n_episodes, base_seed, **kwargs):
-        calls.append((adapt_cfg, sampler_cfg, base_seed))
+    def fake_evaluate(dataset, sampler_cfg, adapt_cfg, n_episodes, **kwargs):
+        calls.append((adapt_cfg, sampler_cfg))
         return EvalReport(episodes=n_episodes, mean_accuracy=1.0, ci95=0.0,
                           per_episode=[], episode_results=[])
 
@@ -543,13 +570,12 @@ def test_config_file_sets_every_key(pool_path, tmp_path, capsys, captured_eval):
     cfg.write_text("".join(
         f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
         for key, value in FULL_CONFIG.items()))
-    adapt_cfg, sampler_cfg, seed = captured_eval(
+    adapt_cfg, sampler_cfg = captured_eval(
         capsys, ["eval", "--embeddings", str(pool_path), "--config", str(cfg)])
     for key, value in FULL_CONFIG.items():
         assert resolved(adapt_cfg, sampler_cfg, key) == value, key
         assert value != resolved(AdaptConfig(), SamplerConfig(), key), key
     assert adapt_cfg.grid.epsilon == FULL_CONFIG["epsilon"]
-    assert seed == FULL_CONFIG["seed"]
 
 
 @pytest.mark.parametrize("flag,key,value", FLAG_OVERRIDES)
@@ -560,23 +586,21 @@ def test_each_flag_beats_the_config_file(pool_path, tmp_path, capsys, captured_e
                    "kernel_family = imq\nshare_zz_coefficient = false\nloss = mokd\n"
                    "seed = 3\n")
     file_only = read_config_file(cfg)
-    adapt_cfg, sampler_cfg, seed = captured_eval(
+    adapt_cfg, sampler_cfg = captured_eval(
         capsys, ["eval", "--embeddings", str(pool_path), "--config", str(cfg), *flag])
     assert file_only[key] != value
     assert resolved(adapt_cfg, sampler_cfg, key) == value
-    assert seed == sampler_cfg.seed
     for other, file_value in file_only.items():
         if other != key:
             assert resolved(adapt_cfg, sampler_cfg, other) == file_value, other
 
 
 def test_unset_keys_keep_dataclass_defaults(pool_path, capsys, captured_eval):
-    adapt_cfg, sampler_cfg, seed = captured_eval(
+    adapt_cfg, sampler_cfg = captured_eval(
         capsys, ["eval", "--embeddings", str(pool_path)])
     assert adapt_cfg == AdaptConfig()
     assert sampler_cfg == SamplerConfig()
     assert adapt_cfg.grid == BandwidthGrid()
-    assert seed == SamplerConfig().seed
 
 
 # ------------------------------------------------------------- entrypoints
@@ -643,6 +667,9 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_eval_runs_episodes_serially_by_default():
-    args = build_parser().parse_args(["eval", "--embeddings", "pool.emb"])
-    assert args.jobs == 1
+def test_eval_runs_episodes_serially_by_default(capsys):
+    # episodes run one after another; there is no option to run them at once
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["eval", "--embeddings", "pool.emb", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err

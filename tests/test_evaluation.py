@@ -16,7 +16,7 @@ from kerndep.evaluation import (
     evaluate,
     similarity_export,
 )
-from kerndep.tasks import EmbeddingDataset, SamplerConfig, Task, synth_dataset
+from kerndep.tasks import EmbeddingDataset, SamplerConfig, Task, sample_task, synth_dataset
 from oracles import exp_mean_bound_holds
 
 
@@ -60,24 +60,34 @@ def test_ci95_second_hand_value():
 
 def test_evaluate_same_seed_is_bit_identical():
     pool = eval_pool()
-    a = evaluate(pool, SamplerConfig(), quick_cfg(), 4, base_seed=5)
-    b = evaluate(pool, SamplerConfig(), quick_cfg(), 4, base_seed=5)
+    a = evaluate(pool, SamplerConfig(seed=5), quick_cfg(), 4)
+    b = evaluate(pool, SamplerConfig(seed=5), quick_cfg(), 4)
     assert a.mean_accuracy == b.mean_accuracy
     assert a.ci95 == b.ci95
     assert a.per_episode == b.per_episode
 
 
-def test_evaluate_parallel_matches_serial():
+def test_evaluate_draws_episode_i_from_the_sampler_seed(monkeypatch):
     pool = eval_pool()
-    serial = evaluate(pool, SamplerConfig(), quick_cfg(), 6, base_seed=2, jobs=1)
-    threaded = evaluate(pool, SamplerConfig(), quick_cfg(), 6, base_seed=2, jobs=3)
-    assert serial.mean_accuracy == threaded.mean_accuracy
-    assert serial.per_episode == threaded.per_episode
+    sampler_cfg = SamplerConfig(seed=7)
+    tasks = []
+
+    def record(task, config=None):
+        tasks.append(task)
+        return fake_result()
+
+    monkeypatch.setattr("kerndep.evaluation.run_episode", record)
+    evaluate(pool, sampler_cfg, quick_cfg(), 3)
+    assert len(tasks) == 3
+    for i, task in enumerate(tasks):
+        expected = sample_task(pool, sampler_cfg, episode_rng(7, i))
+        assert np.array_equal(task.support_x, expected.support_x)
+        assert np.array_equal(task.query_y, expected.query_y)
 
 
 def test_evaluate_report_aggregates_its_own_rows():
     pool = eval_pool()
-    report = evaluate(pool, SamplerConfig(), quick_cfg(), 5, base_seed=1)
+    report = evaluate(pool, SamplerConfig(seed=1), quick_cfg(), 5)
     assert isinstance(report, EvalReport)
     assert report.episodes == 5
     accs = [row.accuracy for row in report.per_episode]
@@ -89,8 +99,7 @@ def test_evaluate_report_aggregates_its_own_rows():
 
 def test_evaluate_keep_results_returns_full_episodes():
     pool = eval_pool()
-    report = evaluate(pool, SamplerConfig(), quick_cfg(), 3, base_seed=0,
-                      keep_results=True)
+    report = evaluate(pool, SamplerConfig(), quick_cfg(), 3, keep_results=True)
     assert report.episode_results is not None
     assert len(report.episode_results) == 3
     assert all(isinstance(r, EpisodeResult) for r in report.episode_results)
@@ -101,17 +110,7 @@ def test_evaluate_keep_results_returns_full_episodes():
 
 def test_evaluate_rejects_zero_episodes():
     with pytest.raises(ValueError):
-        evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 0, base_seed=0)
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_evaluate_rejects_fewer_than_one_job(jobs, monkeypatch):
-    def no_episode(task, config=None):
-        raise AssertionError("an episode ran")
-
-    monkeypatch.setattr("kerndep.evaluation.run_episode", no_episode)
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 2, base_seed=0, jobs=jobs)
+        evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 0)
 
 
 def test_evaluate_wraps_episode_failures_with_index():
@@ -120,7 +119,7 @@ def test_evaluate_wraps_episode_failures_with_index():
         classes=[np.ones((12, 4), dtype=np.float32) for _ in range(6)], d=4
     )
     with pytest.raises(RuntimeError, match="episode 0 failed"):
-        evaluate(degenerate, SamplerConfig(), quick_cfg(), 2, base_seed=0)
+        evaluate(degenerate, SamplerConfig(), quick_cfg(), 2)
 
 
 def fake_result(support_x=((1.0, 0.5), (0.5, 1.0)),
@@ -147,7 +146,7 @@ def test_evaluate_reports_nan_final_loss_for_an_episode_without_steps(monkeypatc
         return result
 
     monkeypatch.setattr("kerndep.evaluation.run_episode", stepless)
-    report = evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 2, base_seed=0)
+    report = evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 2)
     assert all(math.isnan(row.final_loss) for row in report.per_episode)
 
 

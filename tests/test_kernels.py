@@ -14,6 +14,7 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
+    _recompute_cancelled,
     _sq_dist_row_blocks,
     _unit_sq_dist_matrix,
     as_embeddings,
@@ -322,6 +323,41 @@ def test_sq_dist_row_blocks_recompute_pairs_across_blocks():
         ref = want[a:a + block.shape[0], a:]
         pairs = ref > 0
         assert np.all(np.abs(block[pairs] - ref[pairs]) <= 1e-12 * ref[pairs])
+
+
+def test_recompute_cancelled_rewrites_only_the_flagged_pairs():
+    # a trapezoid block d2[a:a + rows, a:] of more rows than one test pass
+    m, a, rows = 200, 30, _ROW_BLOCK + 20
+    rng = np.random.default_rng(61)
+    z = rng.normal(size=(m, 6)) + 100.0
+    z[a + 70] = z[a + 5]  # an exact duplicate
+    z[a + 80] = z[a + 66] + 1e-9  # a near duplicate, in the second pass
+    zc = z - z.mean(axis=0)
+    n = np.einsum("ij,ij->i", zc, zc)
+    block = n[a:a + rows, None] + n[a:] - 2.0 * (zc[a:a + rows] @ zc[a:].T)
+    block[3, 40] = -1.0
+    block[75, 120] = np.nan
+    bound = 1e-8 * (n[a:a + rows, None] + n[a:])
+    block[10, 50] = 0.99 * bound[10, 50]  # just inside the threshold
+    block[12, 60] = 1.01 * bound[12, 60]  # just outside it
+    before = block.copy()
+    _recompute_cancelled(z, block, n, a)
+
+    # the rule: a pair off the diagonal with d2 <= 1e-8 (n_i + n_j), or NaN
+    flagged = (before <= bound) | np.isnan(before)
+    np.fill_diagonal(flagged, False)
+    i, j = np.nonzero(flagged)
+    assert set(zip(i.tolist(), j.tolist())) == {
+        (5, 70), (70, 5), (66, 80), (80, 66), (3, 40), (75, 120), (10, 50)}
+    diff = z[a + i] - z[a + j]
+    want = (diff * diff).sum(axis=1)
+    assert np.all(np.abs(block[i, j] - want) <= 1e-15 * want)
+    assert block[5, 70] == block[70, 5] == 0.0
+    assert block[66, 80] > 0.0
+    assert not np.diagonal(block).any()
+    untouched = ~flagged
+    np.fill_diagonal(untouched, False)
+    assert block[untouched].tobytes() == before[untouched].tobytes()
 
 
 def test_median_of_row_blocks_drops_duplicates_across_blocks():

@@ -299,6 +299,13 @@ def test_synth_dataset_validation():
         synth_dataset(3, 10, 4, -1.0, 1.0, rng)
 
 
+@pytest.mark.parametrize("separation, noise", [(math.nan, 1.0), (math.inf, 1.0),
+                                               (6.0, math.nan), (6.0, math.inf)])
+def test_synth_dataset_rejects_non_finite_separation_and_noise(separation, noise):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        synth_dataset(3, 10, 4, separation, noise, np.random.default_rng(0))
+
+
 def test_synth_task_layout():
     task = synth_task(5, 7, 3, 6, 5.0, 0.5, np.random.default_rng(8))
     assert task.support_x.shape == (35, 6)
