@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    _EXP_ZERO,
     _ROW_BLOCK,
     COSINE,
+    GAUSSIAN,
     KERNEL_FAMILIES,
     _check_bandwidth,
     _sq_dist_row_blocks,
@@ -221,13 +223,16 @@ def _radial_class_sums(z: np.ndarray, family: str, sigmas, starts: np.ndarray) -
     bandwidths. Per bandwidth its kernel, with the diagonal and the lower
     half of the diagonal block zeroed, adds its class sums along columns to
     rows a:b, and its column sums over each class segment of rows a:b to
-    columns a:. So each pair i < j is evaluated once (and the lower half of
-    each diagonal block in vain) and counted as both Kt[i, j] and Kt[j, i].
+    columns a:. So each pair i < j is evaluated at most once (and the lower
+    half of each diagonal block in vain) and counted as both Kt[i, j] and
+    Kt[j, i]. A Gaussian block whose least distance off the diagonal, over
+    2 sigma^2, exceeds kernels._EXP_ZERO is all zeros, so it is skipped:
+    its class sums are the zeros they start as.
     """
     m = z.shape[0]
     sums = np.zeros((len(sigmas), m, starts.size))
     kern = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
-    for a, d in _sq_dist_row_blocks(z):
+    for a, d, least in _sq_dist_row_blocks(z):
         rows, cols = d.shape
         b = a + rows
         lower = np.tri(rows, dtype=bool)  # the diagonal and below it
@@ -235,6 +240,9 @@ def _radial_class_sums(z: np.ndarray, family: str, sigmas, starts: np.ndarray) -
         last = int(np.searchsorted(starts, b))  # classes first..last-1 meet rows a:b
         col_starts = np.maximum(starts[first:] - a, 0)
         for k_sums, sigma in zip(sums, sigmas):
+            # the same association as the kernel's exponent d2 / -(2 sigma^2)
+            if family == GAUSSIAN and least / (2.0 * sigma * sigma) > _EXP_ZERO:
+                continue
             k = kernel_from_sq_dists(d, family, sigma, out=kern[:d.size].reshape(rows, cols))
             np.copyto(k[:, :rows], 0.0, where=lower)
             k_sums[a:b, first:] += np.add.reduceat(k, col_starts, axis=1)
@@ -271,7 +279,8 @@ def select_bandwidth(z, target, family: str = "gaussian",
     time (see kernels._sq_dist_row_blocks), each block built once for the
     whole grid. Every coefficient's kernel of a block adds to that
     coefficient's class sums (see _radial_class_sums and _class_sum_hsic),
-    so each pair's kernel entry is evaluated once. The peak is the median's
+    so each pair's kernel entry is evaluated at most once: a Gaussian block
+    whose every entry rounds to 0 is skipped. The peak is the median's
     half-size buffer, then the (len(grid), m, C) class sums plus a few row
     blocks. An embedding target's search reads Grams: it builds the
     distance matrices of z and the target once, and costs, per coefficient,

@@ -85,8 +85,9 @@ _PAIR_BLOCK = 4096
 _ROW_BLOCK = 64
 
 
-def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int) -> None:
-    """The cancellation rule, in place, on a block of squared distances.
+def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int) -> float:
+    """The cancellation rule, in place, on a block of squared distances, and
+    the block's least entry off the diagonal.
 
     block holds n_i + n_j - 2 zc_i . zc_j for the rows i = a, a+1, ... and
     the columns j = a, a+1, ... of z (so block[k, k] is the pair i == j),
@@ -96,13 +97,20 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
     the difference of its uncentred rows, so duplicates give exactly 0. The
     pairs i == j are set to exactly 0. The threshold is tested
     kernels._ROW_BLOCK rows at a time, so no temporary has more rows.
+
+    The least entry off the diagonal is returned (inf when the block has
+    none), or 0.0 when some entry fell under the threshold or was NaN: then
+    pairs were recomputed and the block's least is not known. So every entry
+    off the diagonal is at least the value returned.
     """
     rows, cols = block.shape
     n_cols = n[a:a + cols]
     np.fill_diagonal(block, np.inf)
+    least = float(block.min())
     # a pair within the threshold has d2 <= _CANCELLATION (n_i + n_j), so a
     # larger least entry means there is none; NaN (overflowing rows) fails too
-    if not block.min() > _CANCELLATION * (n[a:a + rows].max() + n_cols.max()):
+    if not least > _CANCELLATION * (n[a:a + rows].max() + n_cols.max()):
+        least = 0.0
         scale = np.empty((min(rows, _ROW_BLOCK), cols))
         for r in range(0, rows, _ROW_BLOCK):
             chunk = block[r:r + _ROW_BLOCK]
@@ -115,6 +123,7 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
                 diff = z[a + bi] - z[a + bj]  # near-equal coordinates subtract exactly
                 block[bi, bj] = np.einsum("ij,ij->i", diff, diff)
     np.fill_diagonal(block, 0.0)
+    return least
 
 
 def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -161,9 +170,11 @@ def _unit_sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 def _sq_dist_row_blocks(z: np.ndarray):
-    """Yield (a, block) for each kernels._ROW_BLOCK rows [a, b) of the squared
-    distances of the rows of z, where block is the upper trapezoid
-    d2[a:b, a:] (the diagonal block and every column to its right).
+    """Yield (a, block, least) for each kernels._ROW_BLOCK rows [a, b) of the
+    squared distances of the rows of z, where block is the upper trapezoid
+    d2[a:b, a:] (the diagonal block and every column to its right), and
+    least, from _recompute_cancelled, is at most every entry of block off
+    its diagonal.
 
     Each block is one product zc[a:b] @ zc[a:].T of the centred rows, plus
     n_i and n_j added in place, finished by _recompute_cancelled, in one
@@ -183,8 +194,14 @@ def _sq_dist_row_blocks(z: np.ndarray):
         block *= -2.0
         block += n[a:b, None]
         block += n[a:]
-        _recompute_cancelled(z, block, n, a)
-        yield a, block
+        least = _recompute_cancelled(z, block, n, a)
+        yield a, block, least
+
+
+# exp(-x) is exactly 0 in float64 for every x > 745.14 (it rounds below
+# half the least subnormal, 2**-1075); a Gaussian kernel whose exponents all
+# lie beyond this bound is all zeros and need not be evaluated.
+_EXP_ZERO = 746.0
 
 
 def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
@@ -247,7 +264,9 @@ def median_sq_distance(z: np.ndarray) -> float:
     square of the median-heuristic bandwidth.
 
     Zero distances (duplicate points) are excluded; if every pair coincides
-    the heuristic is undefined and an error is raised.
+    the heuristic is undefined and an error is raised. An error is raised too
+    when every squared distance of distinct rows underflows to 0, or when the
+    median overflows to inf: the rows need rescaling.
 
     Only exactly-equal rows count as duplicates. Rows closer than the
     rounding unit of their coordinates are distinct pairs, so the value is
@@ -264,12 +283,20 @@ def median_sq_distance(z: np.ndarray) -> float:
     m = z.shape[0]
     upper = np.empty(m * (m - 1) // 2)
     end = 0
-    for _, block in _sq_dist_row_blocks(z):
-        for r, row in enumerate(block):
-            upper[end:end + row.size - 1 - r] = row[r + 1:]
-            end += row.size - 1 - r
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        for _, block, _ in _sq_dist_row_blocks(z):
+            for r, row in enumerate(block):
+                upper[end:end + row.size - 1 - r] = row[r + 1:]
+                end += row.size - 1 - r
     if not upper.min(initial=math.inf) > 0.0:  # NaN fails too, and is dropped
         upper = upper[upper > 0.0]
     if upper.size == 0:
-        raise ValueError("all points are identical; median distance is undefined")
-    return float(np.median(upper, overwrite_input=True))
+        if (z == z[:1]).all():
+            raise ValueError("all points are identical; median distance is undefined")
+        raise ValueError("the squared distances of the distinct rows all underflow to 0; "
+                         "median distance is undefined")
+    median = float(np.median(upper, overwrite_input=True))
+    if median == math.inf:
+        raise ValueError("the squared distances of the rows overflow float64: their "
+                         "median is inf")
+    return median

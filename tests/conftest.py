@@ -1,4 +1,6 @@
 import importlib
+import os
+from pathlib import Path
 
 import hypothesis
 import pytest
@@ -12,6 +14,17 @@ hypothesis.settings.register_profile(
     print_blob=True,
 )
 hypothesis.settings.load_profile("kerndep")
+
+
+@pytest.fixture()
+def src_env():
+    """The environment with the checkout's src/ first on PYTHONPATH, for a
+    subprocess that imports kerndep (pytest's pythonpath setting reaches
+    this process only)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture()

@@ -505,8 +505,9 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
         # the step's zero-diagonal kernel, shared by both loss terms
         "kerndep.kernels.kernel_from_sq_dists": steps,
-        # the label search's kernel row blocks
-        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
+        # the label search's kernel row blocks, one block here: 0.001's
+        # Gaussian kernel rounds to 0 and is skipped, 0.01's does not
+        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) - 1,
         "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
         "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
         "kerndep.hsic._gram_rows": 0,  # the label search reads class sums
@@ -530,7 +531,9 @@ def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
         "kerndep.adapt.label_kernel_matrix": 1,
         # two zero-diagonal kernels per step, and one per coefficient in the self search
         "kerndep.kernels.kernel_from_sq_dists": 2 * steps + len(DEFAULT_GRID_COEFFICIENTS),
-        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
+        # 0.001's Gaussian kernel rounds to 0 in the label search and is
+        # skipped, 0.01's does not; the self search evaluates every one
+        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) - 1,
         "kerndep.hsic.hsic_unbiased": 0,
         "kerndep.hsic.hsic_variance": 0,
         "kerndep.hsic._gram_rows": len(DEFAULT_GRID_COEFFICIENTS),  # the self search only

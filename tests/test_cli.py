@@ -1,6 +1,5 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
-import os
 import shutil
 import subprocess
 import sys
@@ -606,19 +605,20 @@ def test_unset_keys_keep_dataclass_defaults(pool_path, capsys, captured_eval):
 # ------------------------------------------------------------- entrypoints
 
 
-def test_module_entrypoint_runs(tmp_path):
+def test_module_entrypoint_runs(tmp_path, src_env):
     out = tmp_path / "m.emb"
     proc = subprocess.run(
         [sys.executable, "-m", "kerndep", "synth", "--classes", "5",
          "--per-class", "4", "--dim", "2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert out.exists()
 
 
-def test_console_script_help():
+def test_console_script_help(src_env):
     # Runs the [project.scripts] target the way an installer's `kerndep`
     # wrapper does, so the declaration is checked without an install.
     tomllib = pytest.importorskip("tomllib")
@@ -632,7 +632,7 @@ def test_console_script_help():
         "sys.exit(ep.load()())\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True
+        [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=src_env
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: kerndep" in proc.stdout
@@ -654,15 +654,12 @@ def test_installed_console_script_help():
     assert "eval" in proc.stdout
 
 
-def test_importing_the_cli_loads_no_scipy():
+def test_importing_the_cli_loads_no_scipy(src_env):
     # a fresh interpreter pays for every module the CLI imports, on every
     # command; kerndep needs numpy alone
-    import kerndep
-
-    src = str(Path(kerndep.__file__).resolve().parents[1])
     code = "import sys, kerndep.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+                          timeout=120, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

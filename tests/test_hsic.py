@@ -16,18 +16,22 @@ from kerndep.hsic import (
     BandwidthGrid,
     BandwidthSelection,
     HsicEstimate,
+    _radial_class_sums,
     hsic_unbiased,
     hsic_variance,
     power_ratio,
     select_bandwidth,
 )
 from kerndep.kernels import (
+    _EXP_ZERO,
     _ROW_BLOCK,
     GAUSSIAN,
+    IMQ,
     KERNEL_FAMILIES,
     kernel_from_sq_dists,
     label_kernel_matrix,
     median_sq_distance,
+    sq_dist_matrix,
 )
 from oracles import KernelSpec, hsic_unbiased_naive, kernel_matrix, permutation_test_rejects
 
@@ -350,41 +354,84 @@ def test_embedding_selection_rows_match_scalar_oracles(case, target):
                     family, coeff, got, ref)
 
 
+def vanishing_blocks(z, sigmas):
+    """The (first row, sigma) pairs whose Gaussian row block of the label
+    search is all zeros: the least squared distance off the diagonal of the
+    block's upper trapezoid, over 2 sigma^2, exceeds kernels._EXP_ZERO. The
+    distances are sq_dist_matrix's, so the test asserts a margin wide enough
+    that the rounding of the search's own blocks cannot change the answer."""
+    d2 = sq_dist_matrix(z)
+    np.fill_diagonal(d2, np.inf)
+    vanishing = set()
+    for a in range(0, z.shape[0], _ROW_BLOCK):
+        least = d2[a:a + _ROW_BLOCK, a:].min()
+        for sigma in sigmas:
+            x = least / (2.0 * sigma * sigma)
+            assert not 0.99 * _EXP_ZERO < x < 1.01 * _EXP_ZERO
+            if x > _EXP_ZERO:
+                vanishing.add((a, sigma))
+    return vanishing
+
+
 def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monkeypatch):
     counts, count = call_counts
     for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.hsic_unbiased",
                    "kerndep.hsic.hsic_variance", "kerndep.kernels.label_kernel_matrix"):
         count(target)
-    kernel_rows = []
-    entries = collections.Counter()  # kernel entries evaluated per bandwidth
+    calls = collections.Counter()  # kernel evaluations per (first row, bandwidth)
 
     def kernel_block(d2, family, sigma, **kwargs):
-        kernel_rows.append(d2.shape[0])
-        entries[sigma] += d2.shape[0] * d2.shape[1]
+        rows, cols = d2.shape
+        a = m - cols  # the block is the upper trapezoid d2[a:a + rows, a:]
+        assert rows == min(_ROW_BLOCK, cols)
+        calls[a, sigma] += 1
         return kernel_from_sq_dists(d2, family, sigma, **kwargs)
 
     monkeypatch.setattr("kerndep.hsic.kernel_from_sq_dists", kernel_block)
-    for m_half in (10, 70):  # one block, and three with a short last one
+    # one block, and three with a short last one; the Gaussian blocks that
+    # round to 0 everywhere are 0.001's at m = 20, and 0.001's first and last
+    # of three at m = 140 (its middle block holds a closer pair)
+    for family, m_half, skipped in ((GAUSSIAN, 10, 1), (GAUSSIAN, 70, 2), (IMQ, 10, 0),
+                                    (IMQ, 70, 0)):
         counts.update(dict.fromkeys(counts, 0))
-        kernel_rows.clear()
-        entries.clear()
+        calls.clear()
         z, y = blob_data(2, m_half=m_half)
         m = z.shape[0]
-        select_bandwidth(z, y)
+        sigmas = [row.sigma for row in select_bandwidth(z, y, family=family).table]
         assert counts == {
             "kerndep.hsic.sq_dist_matrix": 0,  # the distances come a block of rows at a time
             "kerndep.hsic.hsic_unbiased": 0,
             "kerndep.hsic.hsic_variance": 0,
             "kerndep.kernels.label_kernel_matrix": 0,
         }
-        # the kernel is only ever evaluated a block of rows at a time
-        assert len(kernel_rows) == len(DEFAULT_GRID_COEFFICIENTS) * math.ceil(m / _ROW_BLOCK)
-        assert max(kernel_rows) == min(m, _ROW_BLOCK)
-        assert sum(kernel_rows) == len(DEFAULT_GRID_COEFFICIENTS) * m
-        # each pair once, plus the lower half of each diagonal block
-        blocks = [min(_ROW_BLOCK, m - a) for a in range(0, m, _ROW_BLOCK)]
-        pairs = m * (m + 1) // 2 + sum(b * (b - 1) // 2 for b in blocks)
-        assert list(entries.values()) == [pairs] * len(DEFAULT_GRID_COEFFICIENTS)
+        # the kernel is only ever evaluated a block of rows at a time, once
+        # per bandwidth, bar the Gaussian blocks that round to 0 everywhere
+        vanishing = vanishing_blocks(z, sigmas) if family == GAUSSIAN else set()
+        assert len(vanishing) == skipped
+        assert calls == {(a, sigma): 1 for a in range(0, m, _ROW_BLOCK) for sigma in sigmas
+                         if (a, sigma) not in vanishing}
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_radial_class_sums_skip_changes_no_bit(monkeypatch, family):
+    # three row blocks; at 0.001 of the base the first and last Gaussian
+    # blocks round to 0 and the middle one does not
+    z, y = blob_data(2, m_half=70)
+    starts = np.array([0, 70])
+    base = math.sqrt(median_sq_distance(z))
+    sigmas = [c * base for c in DEFAULT_GRID_COEFFICIENTS]
+    if family == GAUSSIAN:
+        assert len(vanishing_blocks(z, sigmas)) == 2
+    got = _radial_class_sums(z, family, sigmas, starts)
+    monkeypatch.setattr("kerndep.hsic._EXP_ZERO", math.inf)  # evaluate every block
+    full = _radial_class_sums(z, family, sigmas, starts)
+    assert got.tobytes() == full.tobytes()
+    # against the class sums of the whole zero-diagonal kernel: exponents
+    # near -1e3 turn the distances' rounding into relative errors near 1e-11
+    onehot = np.eye(2)[y]
+    for sums, sigma in zip(got, sigmas):
+        want = kernel_matrix(KernelSpec(family, sigma), z, zero_diag=True) @ onehot
+        assert np.allclose(sums, want, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
@@ -477,6 +524,16 @@ def test_overflowing_bandwidth_is_rejected(family):
     z, y = blob_data(1)
     with pytest.raises(ValueError, match="overflows"):
         select_bandwidth(z, y, family=family, grid=BandwidthGrid(coefficients=(1.0, 1e308)))
+
+
+@pytest.mark.parametrize("target", ["labels", "embeddings"])
+def test_overflowing_distances_are_named(target):
+    # rows near 1e200: their squared distances, and so the median base, overflow
+    z, y = blob_data(1)
+    z = (z + 10.0) * 1e200
+    t = y if target == "labels" else z[:, ::-1]
+    with pytest.raises(ValueError, match="squared distances of the rows overflow float64"):
+        select_bandwidth(z, t)
 
 
 @pytest.mark.parametrize("target", ["labels", "embeddings"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kerndep.kernels import (
+    _EXP_ZERO,
     _ROW_BLOCK,
     COSINE,
     GAUSSIAN,
@@ -189,6 +191,21 @@ def test_median_requires_two_distinct_rows():
         median_sq_distance(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="identical"):
         median_sq_distance(np.array([[1.0, 1.0]]))
+    # distinct rows 1e-170 apart: every squared distance underflows to 0
+    tiny = as_embeddings(np.arange(6.0)[:, None] * 1e-170)
+    assert np.unique(tiny, axis=0).shape[0] == 6
+    with pytest.raises(ValueError, match="distinct rows all underflow to 0") as exc:
+        median_sq_distance(tiny)
+    assert "identical" not in str(exc.value)
+
+
+def test_median_names_overflowing_distances():
+    # rows near 1e200: every squared distance is inf
+    huge = as_embeddings(1e200 * (1.0 + np.random.default_rng(71).normal(size=(6, 3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error, with no overflow warning before it
+        with pytest.raises(ValueError, match="squared distances of the rows overflow float64"):
+            median_sq_distance(huge)
 
 
 @given(
@@ -295,11 +312,14 @@ def test_sq_dist_row_blocks_match_sq_dist_matrix(m):
     z = rng.normal(size=(m, 6)) * 2.0 + 3.0
     want = sq_dist_matrix(z)
     starts = []
-    for a, block in _sq_dist_row_blocks(z):
+    for a, block, least in _sq_dist_row_blocks(z):
         starts.append(a)
         assert block.shape == (min(_ROW_BLOCK, m - a), m - a)  # the upper trapezoid
         assert block.flags.c_contiguous
         assert not np.diagonal(block).any()  # the pairs i == j are exactly 0
+        off = block.copy()
+        np.fill_diagonal(off, np.inf)
+        assert least == off.min()  # no pair was recomputed; inf for a 1 x 1 block
         # a general product against sq_dist_matrix's symmetric update: the
         # two round differently, by a few units of n_i + n_j at most
         ref = want[a:a + block.shape[0], a:]
@@ -314,7 +334,13 @@ def test_sq_dist_row_blocks_recompute_pairs_across_blocks():
     z[100] = z[3]  # an exact duplicate, rows in blocks 0 and 1
     z[140] = z[70] + 1e-9  # a near duplicate, deep in the cancellation range, blocks 1 and 2
     want = sq_dists_by_differences(z)
-    blocks = {a: block.copy() for a, block in _sq_dist_row_blocks(z)}
+    blocks = {}
+    for a, block, least in _sq_dist_row_blocks(z):
+        blocks[a] = block.copy()
+        off = block.copy()
+        np.fill_diagonal(off, np.inf)
+        # 0.0 where a pair was recomputed, else the least entry off the diagonal
+        assert least == (0.0 if a < 128 else off.min())
     assert blocks[0][3, 100] == 0.0
     near = blocks[64][70 - 64, 140 - 64]
     # from the product of centred rows this pair would keep no correct digit
@@ -341,7 +367,7 @@ def test_recompute_cancelled_rewrites_only_the_flagged_pairs():
     block[10, 50] = 0.99 * bound[10, 50]  # just inside the threshold
     block[12, 60] = 1.01 * bound[12, 60]  # just outside it
     before = block.copy()
-    _recompute_cancelled(z, block, n, a)
+    assert _recompute_cancelled(z, block, n, a) == 0.0  # pairs were recomputed
 
     # the rule: a pair off the diagonal with d2 <= 1e-8 (n_i + n_j), or NaN
     flagged = (before <= bound) | np.isnan(before)
@@ -358,6 +384,34 @@ def test_recompute_cancelled_rewrites_only_the_flagged_pairs():
     untouched = ~flagged
     np.fill_diagonal(untouched, False)
     assert block[untouched].tobytes() == before[untouched].tobytes()
+
+
+@pytest.mark.parametrize("case", ["distinct", "duplicate", "nan"])
+def test_recompute_cancelled_returns_the_least_entry_off_the_diagonal(case):
+    m, a = 90, 20
+    z = np.random.default_rng(67).normal(size=(m, 4)) + 10.0
+    if case == "duplicate":
+        z[a + 50] = z[a + 7]
+    zc = z - z.mean(axis=0)
+    n = np.einsum("ij,ij->i", zc, zc)
+    block = n[a:, None] + n[a:] - 2.0 * (zc[a:] @ zc[a:].T)
+    if case == "nan":
+        block[30, 4] = np.nan
+    off = block.copy()
+    np.fill_diagonal(off, np.inf)
+    least = _recompute_cancelled(z, block, n, a)
+    if case == "distinct":
+        assert least == off.min() > 0.0
+    else:  # a pair was recomputed, or NaN seen: no least is known
+        assert least == 0.0
+
+
+def test_exp_is_exactly_zero_beyond_exp_zero():
+    # the bound past which the label search skips a Gaussian kernel block
+    x = np.concatenate([[_EXP_ZERO, np.nextafter(_EXP_ZERO, math.inf)],
+                        np.geomspace(_EXP_ZERO, 1e300, 200)])
+    assert (np.exp(-x) == 0.0).all()
+    assert np.exp(-745.0) > 0.0  # still a subnormal, so the bound wastes less than 1
 
 
 def test_median_of_row_blocks_drops_duplicates_across_blocks():
@@ -434,7 +488,7 @@ def row_block_sq_dists(z):
     triangle of an m x m array of zeros."""
     m = z.shape[0]
     d2 = np.zeros((m, m))
-    for a, block in _sq_dist_row_blocks(z):
+    for a, block, _ in _sq_dist_row_blocks(z):
         d2[a:a + block.shape[0], a:] = block
     return d2
 

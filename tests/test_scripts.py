@@ -1,6 +1,5 @@
 """The experiment scripts under scripts/ run end to end on tiny arguments."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
                               "--steps", "2", "--classes", "5", "--per-class", "12",
                               "--dim", "4"]),
 ])
-def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+def test_script_runs(script, args, src_env):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=src_env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2  # header and one result row
