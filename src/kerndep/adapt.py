@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hsic import (DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid,
-                   _unbiased_from_sums, select_bandwidth)
+                   _gram_cotangent, select_bandwidth)
 from .kernels import (
     COSINE,
     GAUSSIAN,
@@ -232,26 +232,6 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     return sims.argmax(axis=1)
 
 
-def _gram_cotangent(lt: np.ndarray, l_rows: np.ndarray, weight: float,
-                    out: np.ndarray) -> np.ndarray:
-    """weight * d(hsic_unbiased(Kt, Lt))/d(Kt) with Lt fixed, symmetrized,
-    written to out; l_rows are the row sums of Lt.
-
-    The three estimator terms contribute Lt, a constant matrix, and a
-    rank-one correction from l_rows, built as c Lt - t_i - t_j + const with
-    the constant folded into the row term. The penalty reads Kt twice, so
-    its cotangent is this one with Lt = Kt and weight 2 gamma. The diagonal
-    is not zeroed; the radial weight, which is zero there, does that.
-    """
-    m = lt.shape[0]
-    c = 2.0 * weight / (m * (m - 3.0))
-    t = l_rows * (c / (m - 2.0))
-    np.multiply(lt, c, out=out)
-    out -= (t - c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
-    out -= t
-    return out
-
-
 def _times_radial_weight(cot: np.ndarray, k: np.ndarray, family: str, sigma: float,
                          out: np.ndarray) -> np.ndarray:
     """out = cot * 2 dk/dr at r = squared distance, the derivative expressed
@@ -268,17 +248,19 @@ class _DependencePlan:
     """dependence_loss_and_grad for one support set with frozen bandwidths.
 
     What does not depend on the head is done once, here: the rows and labels
-    are validated, the label Gram, its row sums and its cotangent are built,
-    and the m x m buffers every call works in are allocated: one kernel
-    buffer, a second one only when the penalty has its own bandwidth, and the
-    weight matrix w = d(loss)/d(d2).
+    are validated, the label cotangent is built in the label Gram's buffer
+    (the Gram is not kept), and the m x m buffers every call works in are
+    allocated: one kernel buffer, a second one only when the penalty has its
+    own bandwidth, and the weight matrix w = d(loss)/d(d2). That is three
+    m x m arrays, or four.
 
     Calling the plan on a head gives the loss and gradient without any m x m
     temporary: the distances are built in a kernel buffer and each kernel in
-    place or from them, the loss is read from the kernel's row sums and
-    inner products, and the cotangents of both loss terms are summed in w
-    and multiplied by the radial weight in place. The pull-back to the rows
-    is dz = w.sum(1) z - w @ z.
+    place or from them, each loss term is one inner product of its kernel
+    with the Gram cotangent the gradient uses (<Kt, C> = 2 weight hsic, see
+    hsic._gram_cotangent), and the cotangents of both loss terms are summed
+    in w and multiplied by the radial weight in place. The pull-back to the
+    rows is dz = w.sum(1) z - w @ z.
 
     With row normalization the rows z are unit vectors, so the distances
     are 2 - 2 z z' (kernels._unit_sq_dist_matrix), and the pull-back is
@@ -301,11 +283,9 @@ class _DependencePlan:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
         if normalize:
             _check_row_norms(np.linalg.norm(self.u, axis=1), "in the embeddings")
-        self.lt = label_kernel_matrix(y, zero_diag=True)
-        self.l_rows = self.lt.sum(axis=1)
-        self.sum_l = float(self.l_rows.sum())
-        # the loss carries -dependence(z, labels)
-        self.label_cotangent = _gram_cotangent(self.lt, self.l_rows, -1.0, np.empty((m, m)))
+        # the loss carries -dependence(z, labels); the cotangent overwrites the Gram
+        lt = label_kernel_matrix(y, zero_diag=True)
+        self.label_cotangent = _gram_cotangent(lt, lt.sum(axis=1), -1.0, lt)
         self.sigma_zy = sigma_zy
         self.sigma_zz = sigma_zz
         self.gamma = gamma
@@ -319,7 +299,6 @@ class _DependencePlan:
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
         family, gamma = self.family, self.gamma
         k_zy, k_zz, w = self.k_zy, self.k_zz, self.w
-        m = w.shape[0]
         own_zz = k_zz is not k_zy
         z, norms = _forward(head, self.u, self.normalize)
         # the distances go to the buffer filled last, so each kernel reads
@@ -331,31 +310,27 @@ class _DependencePlan:
             d2 = _unit_sq_dist_matrix(z, out=k_zz)
         kzy = _zero_diag_kernel(d2, family, self.sigma_zy, k_zy)
         kzz = _zero_diag_kernel(d2, family, self.sigma_zz, k_zz) if own_zz else kzy
-        r_zy = kzy.sum(axis=1)
-        loss = -_unbiased_from_sums(float(np.vdot(kzy, self.lt)), float(r_zy.sum()),
-                                    self.sum_l, float(r_zy @ self.l_rows), m)
+        # each loss term from its Gram cotangent: <Kt, C> = 2 weight hsic(Kt, Lt)
+        loss = 0.5 * float(np.vdot(kzy, self.label_cotangent))
         # w = d(loss)/d(d2): each Gram cotangent times its kernel's radial weight
         if gamma == 0.0:
             _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
+        elif own_zz:
+            _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
+            # kzy has been read; its buffer takes the penalty's cotangent
+            cot = _gram_cotangent(kzz, kzz.sum(axis=1), 2.0 * gamma, k_zy)
+            loss += 0.25 * float(np.vdot(kzz, cot))
+            w += _times_radial_weight(cot, kzz, family, self.sigma_zz, cot)
         else:
-            r_zz = kzz.sum(axis=1) if own_zz else r_zy
-            sum_zz = float(r_zz.sum())
-            loss += gamma * _unbiased_from_sums(float(np.vdot(kzz, kzz)), sum_zz, sum_zz,
-                                                float(r_zz @ r_zz), m)
-            if own_zz:
-                _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
-                # kzy has been read; its buffer takes the penalty's cotangent
-                cot = _gram_cotangent(kzz, r_zz, 2.0 * gamma, k_zy)
-                w += _times_radial_weight(cot, kzz, family, self.sigma_zz, cot)
-            else:
-                _gram_cotangent(kzz, r_zz, 2.0 * gamma, w)
-                w += self.label_cotangent
-                _times_radial_weight(w, kzy, family, self.sigma_zy, w)
+            _gram_cotangent(kzz, kzz.sum(axis=1), 2.0 * gamma, w)
+            loss += 0.25 * float(np.vdot(kzz, w))
+            w += self.label_cotangent
+            _times_radial_weight(w, kzy, family, self.sigma_zy, w)
         if norms is None:
             dz = w.sum(axis=1)[:, None] * z - w @ z
         else:  # the w.sum(1) z term is radial, and _unit_rows_backward removes it
             dz = -(w @ z)
-        return float(loss), _head_gradient(dz, self.u, z, norms)
+        return loss, _head_gradient(dz, self.u, z, norms)
 
 
 def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
@@ -367,11 +342,12 @@ def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
 
     The first term uses the kernel at sigma_zy against the 0/1 label kernel;
     the penalty uses the kernel at sigma_zz against itself. Both kernels come
-    from one squared-distance matrix, and each loss term is read from the
-    Gram matrix whose cotangent feeds the gradient. The gradient chains that
-    cotangent through the radial kernel derivative (radial families only),
-    the optional row normalization, and the linear map; the penalty chains
-    through both Gram arguments.
+    from one squared-distance matrix, and each loss term is one inner product
+    of its kernel with the Gram cotangent that feeds the gradient (the
+    estimate is linear in its Gram; see hsic._gram_cotangent). The gradient
+    chains that cotangent through the radial kernel derivative (radial
+    families only), the optional row normalization, and the linear map; the
+    penalty chains through both Gram arguments.
 
     run_episode builds the plan once per episode and calls it every step;
     this function builds it and calls it once.

@@ -151,11 +151,12 @@ def cmd_eval(args) -> int:
 
     dataset = load_embeddings(args.embeddings)
     keep = args.dump_heatmaps is not None
-    report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, keep_results=keep)
-
-    if args.dump_heatmaps is not None:
+    if keep:  # before the episodes run, so a bad DIR fails at once
         out_dir = Path(args.dump_heatmaps)
         out_dir.mkdir(parents=True, exist_ok=True)
+    report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, keep_results=keep)
+
+    if keep:
         for i, result in enumerate(report.episode_results):
             similarity_export(result, out_dir / f"episode_{i:04d}_support.pgm",
                               "pgm", which="support")

@@ -8,7 +8,9 @@ and keeps the one whose estimate has the largest power ratio.
 The estimate and its variance are read in one place, _hsic_from_rows, from
 five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased,
 hsic_variance and the embedding search take them from the Grams
-(_gram_rows), the label search from class sums (_class_sum_hsic).
+(_gram_rows), the label search from class sums (_class_sum_hsic). Its
+derivative in Kt, from which the mokd step reads its loss and gradient, is
+_gram_cotangent.
 """
 
 from __future__ import annotations
@@ -116,14 +118,6 @@ def hsic_unbiased(kt, lt) -> float:
     return _hsic_from_rows(*_gram_rows(kt, lt))[0]
 
 
-def _unbiased_from_sums(trace_kl: float, sum_k: float, sum_l: float, cross: float,
-                        m: int) -> float:
-    """The unbiased estimate from its four sums: tr(Kt Lt), 1'Kt1, 1'Lt1 and
-    1'KtLt1 (see hsic_unbiased)."""
-    total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
-    return total / (m * (m - 3.0))
-
-
 def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     """Variance estimate for the unbiased dependence statistic.
 
@@ -182,7 +176,8 @@ def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndar
     trace_kl = float(kl_products.sum())
     cross = float(k_rows @ l_rows)
     if value is None:
-        value = _unbiased_from_sums(trace_kl, sum_k, sum_l, cross, m)
+        total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
+        value = total / (m * (m - 3.0))
     h = (
         (m - 2.0) ** 2 * kl_products
         - m * (k_rows * l_rows)
@@ -194,6 +189,28 @@ def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndar
     denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
     r = float(h @ h) / (4.0 * m) / (denom * denom)
     return value, (16.0 / m) * (r - value * value)
+
+
+def _gram_cotangent(lt: np.ndarray, l_rows: np.ndarray, weight: float,
+                    out: np.ndarray) -> np.ndarray:
+    """weight * d(hsic_unbiased(Kt, Lt))/d(Kt) with Lt fixed, symmetrized,
+    written to out (which may be lt); l_rows are the row sums of Lt.
+
+    The three estimator terms contribute Lt, a constant matrix, and a
+    rank-one correction from l_rows, built as c Lt - t_i - t_j + const with
+    the constant folded into the row term. The estimate is linear in Kt, so
+    the result C gives it back: <Kt, C> = 2 weight hsic_unbiased(Kt, Lt)
+    for every symmetric zero-diagonal Kt, whose diagonal hides C's (the
+    radial weight, zero there, hides it from the gradient). The penalty
+    reads Kt twice: its C has Lt = Kt and weight 2 gamma.
+    """
+    m = lt.shape[0]
+    c = 2.0 * weight / (m * (m - 3.0))
+    t = l_rows * (c / (m - 2.0))
+    np.multiply(lt, c, out=out)
+    out -= (t - c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
+    out -= t
+    return out
 
 
 def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float]:

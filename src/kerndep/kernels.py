@@ -135,20 +135,23 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     symmetric rank-k update, and n_i + n_j is added as one sum, a block of
     rows at a time, so the result is exactly symmetric. The cancellation
     rule of _recompute_cancelled then makes duplicate rows exactly 0, and
-    the diagonal 0.
+    the diagonal 0. A row far from the rest (say near 1e200) overflows G to
+    inf and cancels to NaN, which that rule recomputes: numpy's overflow and
+    invalid warnings are ignored while the matrix is built.
 
     out, if given, is a C-contiguous (m, m) float64 array that receives the
     result and is returned; its bytes are those of out=None, and no m x m
     temporary is made.
     """
     zc = z - z.mean(axis=0)
-    d2 = np.matmul(zc, zc.T, out=out)
-    n = d2.diagonal().copy()
-    for start in range(0, n.size, _ROW_BLOCK):
-        block = d2[start:start + _ROW_BLOCK]
-        block *= -2.0
-        block += n[start:start + _ROW_BLOCK, None] + n
-    _recompute_cancelled(z, d2, n, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.matmul(zc, zc.T, out=out)
+        n = d2.diagonal().copy()
+        for start in range(0, n.size, _ROW_BLOCK):
+            block = d2[start:start + _ROW_BLOCK]
+            block *= -2.0
+            block += n[start:start + _ROW_BLOCK, None] + n
+        _recompute_cancelled(z, d2, n, 0)
     return d2
 
 
@@ -182,7 +185,8 @@ def _sq_dist_row_blocks(z: np.ndarray):
     array, and no temporary the size of a block, is built. The entries agree
     with sq_dist_matrix's to rounding; pairs within the cancellation
     threshold, duplicates included, are computed from the same row
-    differences.
+    differences. As in sq_dist_matrix, overflow and invalid warnings are
+    ignored while a block is built, not while the caller reads it.
     """
     m = z.shape[0]
     zc = z - z.mean(axis=0)
@@ -190,11 +194,13 @@ def _sq_dist_row_blocks(z: np.ndarray):
     buf = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
     for a in range(0, m, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, m)
-        block = np.matmul(zc[a:b], zc[a:].T, out=buf[:(b - a) * (m - a)].reshape(b - a, m - a))
-        block *= -2.0
-        block += n[a:b, None]
-        block += n[a:]
-        least = _recompute_cancelled(z, block, n, a)
+        block = buf[:(b - a) * (m - a)].reshape(b - a, m - a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(zc[a:b], zc[a:].T, out=block)
+            block *= -2.0
+            block += n[a:b, None]
+            block += n[a:]
+            least = _recompute_cancelled(z, block, n, a)
         yield a, block, least
 
 
@@ -283,11 +289,10 @@ def median_sq_distance(z: np.ndarray) -> float:
     m = z.shape[0]
     upper = np.empty(m * (m - 1) // 2)
     end = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        for _, block, _ in _sq_dist_row_blocks(z):
-            for r, row in enumerate(block):
-                upper[end:end + row.size - 1 - r] = row[r + 1:]
-                end += row.size - 1 - r
+    for _, block, _ in _sq_dist_row_blocks(z):
+        for r, row in enumerate(block):
+            upper[end:end + row.size - 1 - r] = row[r + 1:]
+            end += row.size - 1 - r
     if not upper.min(initial=math.inf) > 0.0:  # NaN fails too, and is dropped
         upper = upper[upper > 0.0]
     if upper.size == 0:

@@ -240,7 +240,7 @@ def test_dependence_loss_adds_weighted_self_term():
         for family, normalize, gamma in itertools.product(
                 (GAUSSIAN, IMQ), (True, False), (0.0, 3.0)):
             tiny = underflow_sigma(head, u, normalize)
-            for sigma_zy, sigma_zz in ((1.1, 0.8), (tiny, tiny)):
+            for sigma_zy, sigma_zz in ((1.1, 0.8), (1.1, 1.1), (tiny, tiny)):
                 args = (head, u, y, sigma_zy, sigma_zz, gamma, family, normalize)
                 loss, _ = dependence_loss_and_grad(*args)
                 assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
@@ -337,6 +337,26 @@ def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma_zz):
     finally:
         tracemalloc.stop()
     assert peak < 2 * m * m * 8  # bytes of two m x m float64 arrays
+
+
+@pytest.mark.parametrize("sigma_zz, arrays", [(1.1, 3), (0.8, 4)])
+def test_warm_plan_holds_no_label_gram(sigma_zz, arrays):
+    # the label cotangent, one kernel buffer (two when the penalty has its
+    # own bandwidth) and the weight matrix
+    rng = np.random.default_rng(43)
+    m, d = 200, 8
+    u = rng.normal(size=(m, d))
+    y = np.repeat(np.arange(5), m // 5)
+    head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
+    _DependencePlan(u, y, 1.1, sigma_zz, 3.0, GAUSSIAN, True)(head)  # warm-up
+    tracemalloc.start()
+    try:
+        plan = _DependencePlan(u, y, 1.1, sigma_zz, 3.0, GAUSSIAN, True)
+        plan(head)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held // (m * m * 8) == arrays  # whole m x m float64 arrays
 
 
 def test_ncc_loss_hand_value():

@@ -413,6 +413,22 @@ def test_eval_dump_heatmaps_writes_pgm_files(pool_path, tmp_path, capsys):
         assert p.read_bytes().startswith(b"P5\n")
 
 
+def test_eval_dump_heatmaps_into_a_file_exits_one_before_any_episode(pool_path, tmp_path,
+                                                                     capsys, monkeypatch):
+    not_a_dir = tmp_path / "heat"
+    not_a_dir.write_text("")
+    calls = []
+    monkeypatch.setattr("kerndep.cli.evaluate", lambda *args, **kwargs: calls.append(args))
+    code, _, err = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "2",
+         "--steps", "2", "--dump-heatmaps", str(not_a_dir)],
+    )
+    assert code == 1
+    assert "error:" in err
+    assert calls == []
+
+
 # ------------------------------------------------------- config precedence
 
 

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kerndep.hsic import (
     BandwidthGrid,
     BandwidthSelection,
     HsicEstimate,
+    _gram_cotangent,
     _radial_class_sums,
     hsic_unbiased,
     hsic_variance,
@@ -97,6 +99,23 @@ def test_estimator_oracle_agreement_property(seed, m):
     assert hsic_unbiased(kt, lt) == pytest.approx(
         hsic_unbiased_naive(kt, lt), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [4, 7, 12])
+def test_gram_cotangent_reads_back_the_estimate(seed, m):
+    # the estimate is linear in Kt: <Kt, C> = 2 weight hsic(Kt, Lt)
+    rng = np.random.default_rng(seed)
+    kt = rand_gram(rng, m)
+    labels = rng.permutation(np.arange(m) % 2)
+    for lt in (rand_gram(rng, m), label_kernel_matrix(labels, zero_diag=True), kt):
+        for weight in (-1.0, 6.0):
+            cot = _gram_cotangent(lt, lt.sum(axis=1), weight, np.empty((m, m)))
+            assert np.vdot(kt, cot) == pytest.approx(2.0 * weight * hsic_unbiased(kt, lt),
+                                                     rel=1e-12)
+            in_place = lt.copy()
+            _gram_cotangent(in_place, lt.sum(axis=1), weight, in_place)
+            assert in_place.tobytes() == cot.tobytes()
 
 
 def test_constant_kernel_hand_case_is_exactly_zero():
@@ -534,6 +553,21 @@ def test_overflowing_distances_are_named(target):
     t = y if target == "labels" else z[:, ::-1]
     with pytest.raises(ValueError, match="squared distances of the rows overflow float64"):
         select_bandwidth(z, t)
+
+
+@pytest.mark.parametrize("target", ["labels", "self"])
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_one_far_row_is_searched_without_warnings(family, target):
+    # every centred row carries the far row's mean, so every distance
+    # overflows or cancels on the way and is recomputed from row differences
+    z = np.random.default_rng(7).normal(size=(40, 3))
+    z[0] = 1e200
+    y = np.repeat(np.arange(4), 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sel = select_bandwidth(z, y if target == "labels" else z, family)
+    assert all(math.isfinite(row.value) and math.isfinite(row.raw_variance)
+               for row in sel.table)
 
 
 @pytest.mark.parametrize("target", ["labels", "embeddings"])
