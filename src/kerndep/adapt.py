@@ -16,12 +16,10 @@ import numpy as np
 from .hsic import (DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid,
                    _gram_cotangent, select_bandwidth)
 from .kernels import (
-    COSINE,
     GAUSSIAN,
     IMQ,
-    KERNEL_FAMILIES,
-    RADIAL_FAMILIES,
     _TINY,
+    _check_family,
     _unit_rows,
     _unit_sq_dist_matrix,
     _zero_diag_kernel,
@@ -104,12 +102,9 @@ class AdaptConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.kernel_family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.kernel_family!r}")
+        _check_family(self.kernel_family)
         if self.loss not in LOSS_MODES:
             raise ValueError(f"loss mode must be one of {LOSS_MODES}, got {self.loss!r}")
-        if self.loss == "mokd" and self.kernel_family == COSINE:
-            raise ValueError("the cosine kernel family is only available with the ncc loss")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         self.grid_coefficients = self.grid.coefficients  # validated, as floats
@@ -273,9 +268,7 @@ class _DependencePlan:
 
     def __init__(self, embeddings, labels, sigma_zy: float, sigma_zz: float,
                  gamma: float, family: str, normalize: bool) -> None:
-        if family not in RADIAL_FAMILIES:
-            raise ValueError(
-                "analytic gradient requires a radial kernel family (gaussian or imq)")
+        _check_family(family)  # before the m x m buffers are allocated
         self.u = as_embeddings(embeddings)
         m = self.u.shape[0]
         y = as_labels(labels, m)
@@ -345,9 +338,9 @@ def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
     from one squared-distance matrix, and each loss term is one inner product
     of its kernel with the Gram cotangent that feeds the gradient (the
     estimate is linear in its Gram; see hsic._gram_cotangent). The gradient
-    chains that cotangent through the radial kernel derivative (radial
-    families only), the optional row normalization, and the linear map; the
-    penalty chains through both Gram arguments.
+    chains that cotangent through the radial kernel derivative, the optional
+    row normalization, and the linear map; the penalty chains through both
+    Gram arguments.
 
     run_episode builds the plan once per episode and calls it every step;
     this function builds it and calls it once.

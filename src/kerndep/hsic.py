@@ -7,7 +7,7 @@ and keeps the one whose estimate has the largest power ratio.
 
 The estimate and its variance are read in one place, _hsic_from_rows, from
 five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased,
-hsic_variance and the embedding search take them from the Grams
+hsic_variance and the self-dependence search take them from the Grams
 (_gram_rows), the label search from class sums (_class_sum_hsic). Its
 derivative in Kt, from which the mokd step reads its loss and gradient, is
 _gram_cotangent.
@@ -23,15 +23,13 @@ import numpy as np
 from .kernels import (
     _EXP_ZERO,
     _ROW_BLOCK,
-    COSINE,
     GAUSSIAN,
-    KERNEL_FAMILIES,
     _check_bandwidth,
+    _check_family,
     _sq_dist_row_blocks,
     _zero_diag_kernel,
     as_embeddings,
     as_labels,
-    cosine_gram,
     kernel_from_sq_dists,
     median_sq_distance,
     sq_dist_matrix,
@@ -279,33 +277,29 @@ def select_bandwidth(z, target, family: str = "gaussian",
                      _sigma_base: float | None = None) -> BandwidthSelection:
     """Grid-search the bandwidth maximizing the power ratio.
 
-    The base scale is sqrt(kernels.median_sq_distance(z)), so every search
-    on the same rows has the same base, whatever the target; _sigma_base, if
-    given, is that base from an earlier search on these rows, taken as is.
-    For each grid coefficient c the candidate bandwidth is c * base; the
-    Gram matrix of z uses it, and the partner matrix is either the 0/1
-    label kernel (when target is a label vector) or the same-family kernel
-    of the target embeddings with the same bandwidth (when target is a
-    matrix). Ties in the ratio go to the smaller coefficient.
+    The target is a label vector, or z itself for its self-dependence (a
+    matrix equal to z counts as z; any other matrix is rejected). The base
+    scale is sqrt(kernels.median_sq_distance(z)), so both searches on the
+    same rows have the same base; _sigma_base, if given, is that base from
+    an earlier search on these rows, taken as is. For each grid coefficient
+    c the candidate bandwidth is c * base; the Gram matrix of z uses it, and
+    the partner matrix is either the 0/1 label kernel or that same Gram.
+    Ties in the ratio go to the smaller coefficient.
 
     A label target needs at least two classes, one of them with two rows
     (else the zero-diagonal label kernel is all zero), and its search reads
-    class sums with no m x m array (bar the cosine kernel's one Gram
-    matrix): the rows are grouped by class (a stable sort, skipped when the labels are
-    already sorted), and the distances come kernels._ROW_BLOCK rows at a
-    time (see kernels._sq_dist_row_blocks), each block built once for the
-    whole grid. Every coefficient's kernel of a block adds to that
-    coefficient's class sums (see _radial_class_sums and _class_sum_hsic),
-    so each pair's kernel entry is evaluated at most once: a Gaussian block
-    whose every entry rounds to 0 is skipped. The peak is the median's
-    half-size buffer, then the (len(grid), m, C) class sums plus a few row
-    blocks. An embedding target's search reads Grams: it builds the
-    distance matrices of z and the target once, and costs, per coefficient,
-    two kernels, their row sums, the row sums of their product and two
-    matrix-vector products (see _gram_rows and _hsic_from_rows); a target
-    that is z itself reuses z's distances and kernel and needs one of each.
-    The cosine kernel ignores the bandwidth, so its one estimate fills every
-    row.
+    class sums with no m x m array: the rows are grouped by class (a stable
+    sort, skipped when the labels are already sorted), and the distances
+    come kernels._ROW_BLOCK rows at a time (see kernels._sq_dist_row_blocks),
+    each block built once for the whole grid. Every coefficient's kernel of
+    a block adds to that coefficient's class sums (see _radial_class_sums and
+    _class_sum_hsic), so each pair's kernel entry is evaluated at most once:
+    a Gaussian block whose every entry rounds to 0 is skipped. The peak is
+    the median's half-size buffer, then the (len(grid), m, C) class sums
+    plus a few row blocks. The self-dependence search builds z's distance
+    matrix once and costs, per coefficient, one kernel, its row sums (plain
+    and squared) and one matrix-vector product (see _gram_rows and
+    _hsic_from_rows).
 
     Every bandwidth must be finite and its square a normal float64 (see
     kernels._check_bandwidth); a coefficient that breaks either is named
@@ -316,8 +310,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
     m = z.shape[0]
     if m < 4:
         raise ValueError(f"bandwidth selection needs at least 4 samples, got {m}")
-    if family not in KERNEL_FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
+    _check_family(family)
     if grid is None:
         grid = BandwidthGrid()
 
@@ -332,12 +325,9 @@ def select_bandwidth(z, target, family: str = "gaussian",
             raise ValueError("a label target needs a class with at least 2 rows: with "
                              "none, no pair of labels agrees and there is no dependence "
                              "to estimate")
-    elif not self_target:
-        t = as_embeddings(target)
-        if t.shape[0] != m:
-            raise ValueError(
-                f"target embeddings must pair with z row for row, got {t.shape[0]} vs {m}"
-            )
+    elif not (self_target or np.array_equal(as_embeddings(target), z)):
+        raise ValueError("a matrix target must be z itself (self-dependence); "
+                         "any other target must be a label vector")
 
     base = float(np.sqrt(median_sq_distance(z))) if _sigma_base is None else _sigma_base
     sigmas = [coeff * base for coeff in grid.coefficients]
@@ -350,37 +340,21 @@ def select_bandwidth(z, target, family: str = "gaussian",
         except ValueError as exc:
             raise ValueError(f"bandwidth coefficient {coeff} times base {base}: {exc}") from None
 
-    def gram(x, d2, sigma):
-        """The zero-diagonal Gram matrix of the rows x, whose squared distances are d2."""
-        if family != COSINE:
-            return _zero_diag_kernel(d2, family, sigma)
-        k = cosine_gram(x)
-        np.fill_diagonal(k, 0.0)
-        return k
-
-    def estimate(sigma):
-        kt = gram(z, d2_z, sigma)
-        lt = kt if self_target else gram(t, d2_t, sigma)
-        return _hsic_from_rows(*_gram_rows(kt, lt))
-
     if labels_mode:
         if (y[1:] < y[:-1]).any():
             by_class = np.argsort(y, kind="stable")
             z, y = z[by_class], y[by_class]
         starts = np.cumsum(counts) - counts  # strictly increasing: no class is empty
-        if family == COSINE:
-            class_sums = np.add.reduceat(gram(z, None, None), starts, axis=1)
-            estimates = [_class_sum_hsic(class_sums, y)] * len(sigmas)
-        else:
-            estimates = (_class_sum_hsic(sums, y)
-                         for sums in _radial_class_sums(z, family, sigmas, starts))
-    elif family == COSINE:
-        d2_z = d2_t = None  # the cosine Gram reads the rows
-        estimates = [estimate(None)] * len(sigmas)
+        estimates = (_class_sum_hsic(sums, y)
+                     for sums in _radial_class_sums(z, family, sigmas, starts))
     else:
-        d2_z = sq_dist_matrix(z)
-        d2_t = None if self_target else sq_dist_matrix(t)
-        estimates = map(estimate, sigmas)  # lazy, so one candidate's Grams are live at a time
+        d2 = sq_dist_matrix(z)
+
+        def self_estimate(sigma):
+            kt = _zero_diag_kernel(d2, family, sigma)
+            return _hsic_from_rows(*_gram_rows(kt, kt))
+
+        estimates = map(self_estimate, sigmas)  # lazy, so one Gram is live at a time
     rows: list[HsicEstimate] = []
     for sigma, (value, raw) in zip(sigmas, estimates):
         variance = raw if raw > 0.0 else 0.0

@@ -19,9 +19,7 @@ import numpy as np
 
 GAUSSIAN = "gaussian"
 IMQ = "imq"
-COSINE = "cosine"
-KERNEL_FAMILIES = (GAUSSIAN, IMQ, COSINE)
-RADIAL_FAMILIES = (GAUSSIAN, IMQ)
+KERNEL_FAMILIES = (GAUSSIAN, IMQ)
 
 
 def as_embeddings(z) -> np.ndarray:
@@ -64,6 +62,11 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
 # the kernel's scale 0 or subnormal: the zero diagonal of the distances then
 # divides to NaN, or every other entry to an infinity.
 _TINY = float(np.finfo(np.float64).tiny)
+
+
+def _check_family(family: str) -> None:
+    if family not in KERNEL_FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}; expected one of {KERNEL_FAMILIES}")
 
 
 def _check_bandwidth(sigma: float) -> None:
@@ -219,8 +222,7 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
     which may be d2 itself), else a new array; d2 is left untouched unless
     it is out. The bytes do not depend on out.
     """
-    if family not in RADIAL_FAMILIES:
-        raise ValueError(f"expected a radial kernel family, got {family!r}")
+    _check_family(family)
     _check_bandwidth(sigma)
     if family == GAUSSIAN:
         k = np.divide(d2, -(2.0 * sigma * sigma), out=out)

@@ -15,13 +15,10 @@ import numpy as np
 
 from kerndep.hsic import _check_gram_pair, _class_sum_hsic
 from kerndep.kernels import (
-    COSINE,
     GAUSSIAN,
     KERNEL_FAMILIES,
-    RADIAL_FAMILIES,
     _check_bandwidth,
     as_embeddings,
-    cosine_gram,
     kernel_from_sq_dists,
     sq_dist_matrix,
 )
@@ -29,7 +26,7 @@ from kerndep.kernels import (
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family plus its bandwidth (the bandwidth is ignored by cosine)."""
+    """A kernel family plus its bandwidth."""
 
     family: str
     sigma: float = 1.0
@@ -39,8 +36,7 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if self.family in RADIAL_FAMILIES:
-            _check_bandwidth(self.sigma)
+        _check_bandwidth(self.sigma)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -48,7 +44,6 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
     gaussian: exp(-||x-y||^2 / (2 sigma^2))
     imq:      (1 + ||x-y||^2 / sigma^2)^(-1/2)
-    cosine:   <x, y> / (||x|| ||y||), 0 if either norm is zero
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -56,12 +51,6 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
         raise ValueError(f"expected 1-D vectors of equal length, got {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("kernel inputs contain non-finite entries")
-    if spec.family == COSINE:
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
-        if nx == 0.0 or ny == 0.0:
-            return 0.0
-        return float(x @ y / (nx * ny))
     r = float(((x - y) ** 2).sum())
     if spec.family == GAUSSIAN:
         return float(np.exp(-r / (2.0 * spec.sigma * spec.sigma)))
@@ -72,10 +61,7 @@ def kernel_matrix(spec: KernelSpec, z, zero_diag: bool = False) -> np.ndarray:
     """Gram matrix K[i, j] = eval_kernel(spec, z_i, z_j), optionally with the
     diagonal forced to zero."""
     z = as_embeddings(z)
-    if spec.family == COSINE:
-        k = cosine_gram(z)
-    else:
-        k = kernel_from_sq_dists(sq_dist_matrix(z), spec.family, spec.sigma)
+    k = kernel_from_sq_dists(sq_dist_matrix(z), spec.family, spec.sigma)
     if zero_diag:
         np.fill_diagonal(k, 0.0)
     return k

@@ -172,7 +172,7 @@ def test_hsic_duplicate_grid_coefficients_exit_two(pool_path, capsys):
     (["--grid", "inf"], "finite"),
     (["--grid", "nan"], "finite"),
     (["--grid", "1e308"], "overflows"),  # coeff times the median base
-    (["--kernel", "cosine", "--grid", "1e308"], "overflows"),
+    (["--kernel", "imq", "--grid", "1e308"], "overflows"),
     (["--epsilon", "inf"], "finite"),
 ])
 def test_hsic_non_finite_grid_values_exit_two(pool_path, capsys, flags, message):
@@ -181,6 +181,16 @@ def test_hsic_non_finite_grid_values_exit_two(pool_path, capsys, flags, message)
     assert code == 2
     assert stdout == ""
     assert message in stderr
+
+
+@pytest.mark.parametrize("subcommand", ["hsic", "eval"])
+def test_cosine_kernel_flag_exits_two(pool_path, capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--embeddings", str(pool_path), "--kernel", "cosine"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'cosine'" in captured.err
 
 
 def test_hsic_label_file_changes_the_pairing(pool_path, tmp_path, capsys):
@@ -486,6 +496,19 @@ def test_eval_unknown_config_key_exits_two(pool_path, tmp_path, capsys):
     )
     assert code == 2
     assert "momentum" in stderr
+
+
+@pytest.mark.parametrize("loss", ["mokd", "ncc"])
+def test_eval_cosine_config_family_exits_two(pool_path, tmp_path, capsys, loss):
+    cfg = tmp_path / "cosine.cfg"
+    cfg.write_text(f"kernel_family = cosine\nloss = {loss}\n")
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--config", str(cfg)],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "unknown kernel family 'cosine'" in stderr
 
 
 def test_eval_repeated_config_key_exits_two(pool_path, tmp_path, capsys):

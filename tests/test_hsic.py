@@ -287,7 +287,7 @@ def test_every_search_on_the_same_rows_has_one_base():
     y = np.repeat(np.arange(3), 10)
     z = rng.normal(size=(30, 5)) + 2.0 * y[:, None]
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    targets = (y, rng.permutation(y), z, z.copy(), 1.5 * z[:, ::-1], rng.normal(size=(30, 2)))
+    targets = (y, rng.permutation(y), z, z.copy())
     for family in KERNEL_FAMILIES:
         bases = [select_bandwidth(z, target, family=family).sigma_base for target in targets]
         assert bases == [math.sqrt(median_sq_distance(z))] * len(targets), family
@@ -353,21 +353,19 @@ def test_selection_rows_match_manual_composition():
 @pytest.mark.parametrize("target", ["self", "embeddings"])
 @pytest.mark.parametrize("case", ROW_CASES)
 def test_embedding_selection_rows_match_scalar_oracles(case, target):
-    # every row of a self- or embedding-target search against the scalar
-    # oracles, on at most 80 rows so that their cubic loops stay fast
+    # every row of a self-dependence search, its target z itself or an equal
+    # copy, against the scalar oracles, on at most 80 rows so that their
+    # cubic loops stay fast
     z = ROW_CASES[case][0][:80]
-    t = z if target == "self" else 1.5 * z[:, ::-1]
+    t = z if target == "self" else z.copy()
     for family in KERNEL_FAMILIES:
         sel = select_bandwidth(z, t, family=family)
         assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
-        want = None
         for coeff, row in zip(DEFAULT_GRID_COEFFICIENTS, sel.table):
             assert row.sigma == coeff * sel.sigma_base
-            if want is None or family != "cosine":  # cosine rows repeat one estimate
-                kt = kernel_matrix(KernelSpec(family, row.sigma), z, zero_diag=True)
-                lt = kernel_matrix(KernelSpec(family, row.sigma), t, zero_diag=True)
-                value = hsic_unbiased_naive(kt, lt)
-                want = value, variance_scalar_oracle(kt, lt, value)
+            kt = kernel_matrix(KernelSpec(family, row.sigma), z, zero_diag=True)
+            value = hsic_unbiased_naive(kt, kt)
+            want = value, variance_scalar_oracle(kt, kt, value)
             for got, ref in zip((row.value, row.raw_variance), want):
                 assert math.isclose(got, ref, rel_tol=1e-9, abs_tol=1e-13), (
                     family, coeff, got, ref)
@@ -506,36 +504,22 @@ def test_label_search_rejects_labels_with_no_same_class_pair(family):
 def test_self_target_search_reuses_distances_and_grams(call_counts, family):
     counts, count = call_counts
     z, _ = blob_data(4)
-    copy = select_bandwidth(z, z.copy(), family=family)
     for target in ("kerndep.hsic.median_sq_distance", "kerndep.hsic.sq_dist_matrix",
-                   "kerndep.hsic.kernel_from_sq_dists", "kerndep.kernels.kernel_from_sq_dists",
-                   "kerndep.hsic.cosine_gram"):
+                   "kerndep.hsic.kernel_from_sq_dists", "kerndep.kernels.kernel_from_sq_dists"):
         count(target)
-    same = select_bandwidth(z, z, family=family)
-    assert same == copy  # every table entry equals the search against an equal copy
-    radial = family != "cosine"
-    assert counts == {
-        "kerndep.hsic.median_sq_distance": 1,  # the base, from row blocks of z
-        "kerndep.hsic.sq_dist_matrix": 1 if radial else 0,  # z's distances, for both sides
-        "kerndep.hsic.kernel_from_sq_dists": 0,  # the label search's row blocks only
-        # one zero-diagonal kernel per coefficient, for both sides
-        "kerndep.kernels.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) if radial else 0,
-        "kerndep.hsic.cosine_gram": 0 if radial else 1,
-    }
-
-
-@pytest.mark.parametrize("target, grams", [("labels", 1), ("embeddings", 2)])
-def test_cosine_search_estimates_once(call_counts, target, grams):
-    counts, count = call_counts
-    count("kerndep.hsic.cosine_gram")
-    count("kerndep.hsic._class_sum_hsic")
-    count("kerndep.hsic._gram_rows")
-    z, y = blob_data(3)
-    sel = select_bandwidth(z, y if target == "labels" else z[:, ::-1], family="cosine")
-    assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
-    assert len({(row.value, row.raw_variance) for row in sel.table}) == 1
-    assert counts["kerndep.hsic.cosine_gram"] == grams
-    assert counts["kerndep.hsic._class_sum_hsic"] + counts["kerndep.hsic._gram_rows"] == 1
+    # z itself, then an equal copy, which takes the same path
+    selections = []
+    for target in (z, z.copy()):
+        counts.update(dict.fromkeys(counts, 0))
+        selections.append(select_bandwidth(z, target, family=family))
+        assert counts == {
+            "kerndep.hsic.median_sq_distance": 1,  # the base, from row blocks of z
+            "kerndep.hsic.sq_dist_matrix": 1,  # z's distances, for both sides
+            "kerndep.hsic.kernel_from_sq_dists": 0,  # the label search's row blocks only
+            # one zero-diagonal kernel per coefficient, for both sides
+            "kerndep.kernels.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
+        }
+    assert selections[0] == selections[1]  # every table entry, too
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -550,7 +534,7 @@ def test_overflowing_distances_are_named(target):
     # rows near 1e200: their squared distances, and so the median base, overflow
     z, y = blob_data(1)
     z = (z + 10.0) * 1e200
-    t = y if target == "labels" else z[:, ::-1]
+    t = y if target == "labels" else z.copy()
     with pytest.raises(ValueError, match="squared distances of the rows overflow float64"):
         select_bandwidth(z, t)
 
@@ -575,7 +559,7 @@ def test_one_far_row_is_searched_without_warnings(family, target):
 def test_underflowing_bandwidth_is_rejected(family, target):
     z, y = blob_data(1)
     z = z * 1e-152  # a base near 1e-152, so 0.001 times it squares to a subnormal
-    t = y if target == "labels" else z[:, ::-1]
+    t = y if target == "labels" else z.copy()
     sel = select_bandwidth(z, t, family=family, grid=BandwidthGrid(coefficients=(1.0, 2.0)))
     assert sel.sigma_base * sel.sigma_base > np.finfo(np.float64).tiny
     with pytest.raises(ValueError, match=r"coefficient 0\.001 times base \S+: .* underflows"):
@@ -583,15 +567,17 @@ def test_underflowing_bandwidth_is_rejected(family, target):
 
 
 def test_all_ratio_ties_resolve_to_smallest_coefficient():
-    # the cosine family ignores the bandwidth entirely, so every grid row
-    # carries bit-identical estimates and the whole table is one big tie
+    # at these bandwidths the Gaussian kernel rounds to 0 off the diagonal,
+    # so both rows are exact zeros and the table is one tie; the grid lists
+    # the larger coefficient first, so grid order cannot break it
     rng = np.random.default_rng(21)
     z = rng.normal(size=(10, 4))
     y = np.repeat([0, 1], 5)
-    sel = select_bandwidth(z, y, family="cosine")
-    ratios = {row.power_ratio for row in sel.table}
-    assert len(ratios) == 1
-    assert sel.coefficient == 0.001
+    for target, coefficients in ((y, (0.001, 0.0001)), (z, (0.01, 0.001))):
+        sel = select_bandwidth(z, target, grid=BandwidthGrid(coefficients))
+        assert [(row.value, row.raw_variance, row.power_ratio) for row in sel.table] == [
+            (0.0, 0.0, 0.0)] * 2
+        assert sel.coefficient == min(coefficients)
 
 
 def test_blob_fixture_selects_frozen_coefficient():
@@ -614,8 +600,10 @@ def test_embeddings_mode_pairs_rows_and_checks_length():
     sel = select_bandwidth(z, z)
     assert isinstance(sel, BandwidthSelection)
     assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
-    with pytest.raises(ValueError):
-        select_bandwidth(z, rng.normal(size=(7, 3)))
+    for target in (rng.normal(size=(7, 3)), 1.5 * z[:, ::-1]):
+        with pytest.raises(ValueError,
+                           match=r"a matrix target must be z itself \(self-dependence\)"):
+            select_bandwidth(z, target)
 
 
 def test_self_dependence_of_generic_embeddings_is_positive():
@@ -630,8 +618,10 @@ def test_selection_rejects_small_samples_and_bad_family():
     z = np.eye(3)
     with pytest.raises(ValueError):
         select_bandwidth(z, np.array([0, 1, 2]))
-    with pytest.raises(ValueError):
-        select_bandwidth(np.eye(4), np.array([0, 1, 0, 1]), family="triangle")
+    for family in ("triangle", "cosine"):
+        with pytest.raises(ValueError, match=f"unknown kernel family '{family}'; expected "
+                                             r"one of \('gaussian', 'imq'\)"):
+            select_bandwidth(np.eye(4), np.array([0, 1, 0, 1]), family=family)
 
 
 def test_estimate_carries_raw_variance():

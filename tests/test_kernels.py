@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kerndep.kernels import (
     _EXP_ZERO,
     _ROW_BLOCK,
-    COSINE,
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
@@ -74,30 +73,24 @@ def test_radial_kernel_is_one_at_identical_points(family):
 
 
 def test_cosine_hand_values():
-    spec = KernelSpec(COSINE)
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 2.0])
-    assert eval_kernel(spec, e1, e1) == pytest.approx(1.0)
-    assert eval_kernel(spec, e1, e2) == pytest.approx(0.0)
-    assert eval_kernel(spec, e1, -e1) == pytest.approx(-1.0)
+    # the similarity exports' Gram: e1 against itself, an orthogonal row of
+    # norm 2, and -e1
+    g = cosine_gram(np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]]))
+    assert np.array_equal(g, [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 
 
 def test_cosine_zero_vector_maps_to_zero():
-    spec = KernelSpec(COSINE)
-    z = np.array([0.0, 0.0])
-    x = np.array([1.0, 1.0])
-    assert eval_kernel(spec, z, x) == 0.0
     g = cosine_gram(np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert g[0, 0] == 0.0
     assert g[0, 1] == 0.0
     assert g[1, 1] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@pytest.mark.parametrize("family", sorted(("cosine", *KERNEL_FAMILIES)))
 @given(z=embeddings())
 def test_kernel_matrix_is_exactly_symmetric(family, z):
-    spec = KernelSpec(family, 1.3) if family != COSINE else KernelSpec(family)
-    k = kernel_matrix(spec, z)
+    # cosine: the similarity exports' Gram, one symmetric rank-k update
+    k = cosine_gram(z) if family == "cosine" else kernel_matrix(KernelSpec(family, 1.3), z)
     assert (k == k.T).all()
 
 
@@ -137,8 +130,7 @@ def test_gaussian_strictly_increases_with_bandwidth(sigmas):
 def test_kernel_matrix_zero_diag_zeroes_the_diagonal():
     z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
     for family in sorted(KERNEL_FAMILIES):
-        spec = KernelSpec(family, 1.0) if family != COSINE else KernelSpec(family)
-        k = kernel_matrix(spec, z, zero_diag=True)
+        k = kernel_matrix(KernelSpec(family, 1.0), z, zero_diag=True)
         assert (np.diag(k) == 0.0).all()
 
 
@@ -547,4 +539,5 @@ def test_kernel_spec_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             KernelSpec(GAUSSIAN, bad)
-    KernelSpec(COSINE)  # bandwidth-free
+    with pytest.raises(ValueError, match="unknown kernel family 'cosine'"):
+        KernelSpec("cosine")
