@@ -29,7 +29,7 @@ from .kernels import (
     label_kernel_matrix,
     sq_dist_matrix,
 )
-from .tasks import Task
+from .tasks import Task, _check_integer
 
 LOSS_MODES = ("mokd", "ncc")
 
@@ -85,7 +85,6 @@ class AdaptConfig:
     epsilon: float = DEFAULT_EPSILON
     grid_coefficients: tuple[float, ...] = DEFAULT_GRID_COEFFICIENTS
     kernel_family: str = GAUSSIAN
-    share_zz_coefficient: bool = True
     normalize_features: bool = True
     loss: str = "mokd"
     rho: float = 0.9
@@ -100,7 +99,8 @@ class AdaptConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+        _check_integer("steps", self.steps)
+        if self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         _check_family(self.kernel_family)
         if self.loss not in LOSS_MODES:
@@ -377,7 +377,8 @@ def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
 @dataclass
 class EpisodeResult:
     """What one episode produced, plus the task and row normalization it ran
-    with (references, not copies).
+    with (references, not copies). sigma_zy is the one bandwidth both loss
+    terms used (NaN when the episode ran no search).
 
     The similarity matrices and class boundaries are computed from the final
     head each time they are read, since only an export needs them.
@@ -386,7 +387,6 @@ class EpisodeResult:
     final_head: LinearHead
     loss_trace: list[float]
     sigma_zy: float
-    sigma_zz: float
     query_accuracy: float
     task: Task
     normalize: bool
@@ -413,17 +413,16 @@ class EpisodeResult:
 def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     """Adapt a fresh identity head on the task's support set and score the query.
 
-    Phases: select bandwidths on the untouched support representation (mode
-    "mokd" only; the self-dependence bandwidth either reuses the selected
-    coefficient on the same base or runs its own search), then run the
-    configured number of update steps with those bandwidths frozen (mode
-    "mokd" builds its label work once, in a plan every step calls), then
-    classify the query set with the nearest-centroid rule.
+    Phases: select one bandwidth on the untouched support representation by
+    a search against the support labels (mode "mokd" only), then run the
+    configured number of update steps with that bandwidth frozen for both
+    loss terms (mode "mokd" builds its label work once, in a plan every step
+    calls), then classify the query set with the nearest-centroid rule.
 
     In mode "mokd" a support set where no class has two rows has an all-zero
     label kernel, so there is no dependence to fit: the episode runs no
     search and no step, keeps the identity head and an empty loss trace,
-    and reports both bandwidths as NaN, as mode "ncc" does.
+    and reports the bandwidth as NaN, as mode "ncc" does.
     """
     cfg = config if config is not None else AdaptConfig()
     support_x = as_embeddings(task.support_x)
@@ -444,20 +443,14 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     head = LinearHead.identity(dim)
     state = AdadeltaState.zeros((dim, dim))
     steps = cfg.steps
-    sigma_zy = sigma_zz = float("nan")
+    sigma_zy = float("nan")
 
     if cfg.loss == "mokd" and np.bincount(support_y).max() < 2:
         steps = 0
     elif cfg.loss == "mokd":
         z0 = transform(head, support_x, cfg.normalize_features)
-        selection = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid)
-        sigma_zy = selection.sigma
-        if cfg.share_zz_coefficient:
-            sigma_zz = sigma_zy
-        else:
-            sigma_zz = select_bandwidth(z0, z0, cfg.kernel_family, cfg.grid,
-                                        _sigma_base=selection.sigma_base).sigma
-        step = _DependencePlan(support_x, support_y, sigma_zy, sigma_zz, cfg.gamma,
+        sigma_zy = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid).sigma
+        step = _DependencePlan(support_x, support_y, sigma_zy, sigma_zy, cfg.gamma,
                                cfg.kernel_family, cfg.normalize_features)
     else:
         def step(head):
@@ -477,7 +470,6 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
         final_head=head,
         loss_trace=trace,
         sigma_zy=sigma_zy,
-        sigma_zz=sigma_zz,
         query_accuracy=accuracy,
         task=task,
         normalize=cfg.normalize_features,

@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--weight-decay", type=float, default=None)
     p_eval.add_argument("--kernel", choices=KERNEL_FAMILIES, default=None,
                         dest="kernel_family")
-    p_eval.add_argument("--share-zz", action=argparse.BooleanOptionalAction,
-                        default=None, dest="share_zz_coefficient")
     p_eval.add_argument("--loss", choices=LOSS_MODES, default=None)
     p_eval.add_argument("--config", default=None,
                         help="flat key=value config file; flags win over it")

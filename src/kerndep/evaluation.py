@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, EpisodeResult, run_episode
-from .tasks import EmbeddingDataset, SamplerConfig, sample_task
+from .tasks import EmbeddingDataset, SamplerConfig, _check_integer, sample_task
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
     first failing episode stops the run with a RuntimeError that names it
     and wraps the cause.
     """
+    _check_integer("n_episodes", n_episodes)
     if n_episodes < 1:
         raise ValueError(f"need at least one episode, got {n_episodes}")
     results = []

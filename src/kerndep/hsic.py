@@ -131,7 +131,7 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     h_i = 4*3 - 4*9 + 12*3 + 12*3 - 36 + 2*(12 - 9 - 9) = 0 per entry,
     so R = 0 and v = (16/4)(0 - 0) = 0 exactly.
     """
-    kt, lt, m = _check_gram_pair(kt, lt)
+    kt, lt, _ = _check_gram_pair(kt, lt)
     v = _hsic_from_rows(*_gram_rows(kt, lt), value=hsic_value)[1]
     if clamp and v < 0.0:
         return 0.0
@@ -272,16 +272,13 @@ def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON)
     return float(value / np.sqrt(variance + epsilon))
 
 
-def select_bandwidth(z, target, family: str = "gaussian",
-                     grid: BandwidthGrid | None = None, *,
-                     _sigma_base: float | None = None) -> BandwidthSelection:
+def select_bandwidth(z, target, family: str = GAUSSIAN,
+                     grid: BandwidthGrid | None = None) -> BandwidthSelection:
     """Grid-search the bandwidth maximizing the power ratio.
 
     The target is a label vector, or z itself for its self-dependence (a
     matrix equal to z counts as z; any other matrix is rejected). The base
-    scale is sqrt(kernels.median_sq_distance(z)), so both searches on the
-    same rows have the same base; _sigma_base, if given, is that base from
-    an earlier search on these rows, taken as is. For each grid coefficient
+    scale is sqrt(kernels.median_sq_distance(z)). For each grid coefficient
     c the candidate bandwidth is c * base; the Gram matrix of z uses it, and
     the partner matrix is either the 0/1 label kernel or that same Gram.
     Ties in the ratio go to the smaller coefficient.
@@ -329,7 +326,7 @@ def select_bandwidth(z, target, family: str = "gaussian",
         raise ValueError("a matrix target must be z itself (self-dependence); "
                          "any other target must be a label vector")
 
-    base = float(np.sqrt(median_sq_distance(z))) if _sigma_base is None else _sigma_base
+    base = float(np.sqrt(median_sq_distance(z)))
     sigmas = [coeff * base for coeff in grid.coefficients]
     for coeff, sigma in zip(grid.coefficients, sigmas):
         if not math.isfinite(sigma):

@@ -13,7 +13,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,13 @@ class EmbeddingDataset:
         return [mat.shape[0] for mat in self.classes]
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject, by name, a value that is not an integer; a bool counts as not
+    one, a numpy integer as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SamplerConfig:
     n_max: int = 50
@@ -81,6 +88,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # every field is an integer setting
+            _check_integer(field.name, getattr(self, field.name))
         if self.n_max < 5:
             raise ValueError(f"n_max must be at least 5, got {self.n_max}")
         if self.max_support < 1 or self.max_query_per_class < 1 or self.max_shots_per_class < 1:

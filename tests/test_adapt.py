@@ -120,7 +120,6 @@ def test_config_defaults_are_frozen():
     assert cfg.weight_decay == 0.0
     assert cfg.epsilon == 1e-5
     assert cfg.kernel_family == GAUSSIAN
-    assert cfg.share_zz_coefficient is True
     assert cfg.normalize_features is True
     assert cfg.loss == "mokd"
     assert cfg.rho == 0.9
@@ -174,6 +173,8 @@ def test_config_epsilon_and_coefficients_reach_the_search(monkeypatch):
         {"opt_eps": 0.0},
         {"kernel_family": "cosine"},  # not a kernel family, with either loss
         {"kernel_family": "cosine", "loss": "ncc"},
+        {"steps": True},
+        {"steps": np.float64(3.0)},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -512,7 +513,6 @@ def test_episode_on_separable_task_reaches_perfect_accuracy():
     assert len(result.loss_trace) == 40
     assert result.loss_trace[-1] < result.loss_trace[0]
     assert result.sigma_zy > 0.0
-    assert result.sigma_zz > 0.0
 
 
 def test_episode_is_deterministic():
@@ -524,7 +524,7 @@ def test_episode_is_deterministic():
     assert a.sigma_zy == b.sigma_zy
 
 
-def count_episode_builds(count, task, share, steps):
+def count_episode_builds(count, task, steps):
     targets = ("kerndep.adapt._unit_sq_dist_matrix", "kerndep.adapt.sq_dist_matrix",
                "kerndep.hsic.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
@@ -534,13 +534,13 @@ def count_episode_builds(count, task, share, steps):
                "kerndep.hsic._gram_rows", "kerndep.adapt._gram_cotangent")
     for target in targets:
         count(target)
-    return run_episode(task, AdaptConfig(steps=steps, share_zz_coefficient=share))
+    return run_episode(task, AdaptConfig(steps=steps))
 
 
 def test_mokd_step_builds_one_distance_matrix(call_counts):
     counts, count = call_counts
     steps = 3
-    count_episode_builds(count, separable_task(8), share=True, steps=steps)
+    count_episode_builds(count, separable_task(8), steps=steps)
     assert counts == {
         "kerndep.adapt._unit_sq_dist_matrix": steps,  # one per step, on unit rows
         "kerndep.adapt.sq_dist_matrix": 0,
@@ -561,50 +561,6 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     }
 
 
-def test_mokd_own_search_builds_one_distance_matrix_per_search(call_counts):
-    counts, count = call_counts
-    steps = 3
-    # this task's two searches pick different bandwidths, so each step needs two kernels
-    result = count_episode_builds(count, separable_task(4), share=False, steps=steps)
-    assert result.sigma_zz != result.sigma_zy
-    assert counts == {
-        "kerndep.adapt._unit_sq_dist_matrix": steps,
-        "kerndep.adapt.sq_dist_matrix": 0,
-        "kerndep.hsic.sq_dist_matrix": 1,  # the self search only, once for both sides
-        "kerndep.kernels.sq_dist_matrix": 0,
-        "kerndep.hsic.median_sq_distance": 1,  # the self search takes the label search's base
-        "kerndep.adapt.label_kernel_matrix": 1,
-        # two zero-diagonal kernels per step, and one per coefficient in the self search
-        "kerndep.kernels.kernel_from_sq_dists": 2 * steps + len(DEFAULT_GRID_COEFFICIENTS),
-        # 0.001's Gaussian kernel rounds to 0 in the label search and is
-        # skipped, 0.01's does not; the self search evaluates every one
-        "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) - 1,
-        "kerndep.hsic.hsic_unbiased": 0,
-        "kerndep.hsic.hsic_variance": 0,
-        "kerndep.hsic._gram_rows": len(DEFAULT_GRID_COEFFICIENTS),  # the self search only
-        "kerndep.adapt._gram_cotangent": 1 + steps,
-    }
-
-
-def test_own_self_search_shares_the_label_search_base(monkeypatch):
-    # on this task's unit rows sq_dist_matrix and the row blocks round the
-    # median differently; both searches must still read one base
-    selections = []
-
-    def recording(*args, **kwargs):
-        selections.append(select_bandwidth(*args, **kwargs))
-        return selections[-1]
-
-    monkeypatch.setattr("kerndep.adapt.select_bandwidth", recording)
-    task = separable_task(2)
-    result = run_episode(task, AdaptConfig(steps=1, share_zz_coefficient=False))
-    by_labels, by_self = selections
-    assert by_labels.sigma_base == by_self.sigma_base
-    z0 = transform(LinearHead.identity(task.support_x.shape[1]), task.support_x)
-    assert by_labels.sigma_base == math.sqrt(median_sq_distance(z0))
-    assert (result.sigma_zy, result.sigma_zz) == (by_labels.sigma, by_self.sigma)
-
-
 def test_episode_with_no_same_class_pair_keeps_the_identity_head(monkeypatch):
     # one support row per class: the zero-diagonal label kernel is all zero
     rng = np.random.default_rng(97)
@@ -621,7 +577,7 @@ def test_episode_with_no_same_class_pair_keeps_the_identity_head(monkeypatch):
         result = run_episode(task, AdaptConfig(kernel_family=family))
         assert np.array_equal(result.final_head.theta, np.eye(4))
         assert result.loss_trace == []
-        assert math.isnan(result.sigma_zy) and math.isnan(result.sigma_zz)
+        assert math.isnan(result.sigma_zy)
         preds = ncc_predict(LinearHead.identity(4), (support_x, support_y), query_x)
         assert result.query_accuracy == float((preds == task.query_y).mean())
 
@@ -639,24 +595,32 @@ def test_episode_rejects_malformed_query_labels():
             run_episode(bad, AdaptConfig(steps=1))
 
 
-def test_episode_shared_mode_reuses_zy_bandwidth():
-    result = run_episode(separable_task(1))
-    assert result.sigma_zz == result.sigma_zy
+def test_episode_plan_uses_the_label_bandwidth_for_both_terms(monkeypatch):
+    plans = []
 
+    class RecordingPlan(_DependencePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
 
-def test_episode_own_search_mode_matches_manual_selection():
+    monkeypatch.setattr("kerndep.adapt._DependencePlan", RecordingPlan)
     task = separable_task(2)
-    cfg = AdaptConfig(share_zz_coefficient=False, steps=1)
-    result = run_episode(task, config=cfg)
+    cfg = AdaptConfig(steps=1)
+    result = run_episode(task, cfg)
+    [plan] = plans
     z0 = transform(LinearHead.identity(16), task.support_x)
-    expected = select_bandwidth(z0, z0, cfg.kernel_family, cfg.grid).sigma
-    assert result.sigma_zz == expected
+    expected = select_bandwidth(z0, task.support_y, cfg.kernel_family, cfg.grid).sigma
+    assert plan.sigma_zy == plan.sigma_zz == result.sigma_zy == expected
+    assert plan.k_zz is plan.k_zy  # one kernel buffer serves both terms
+
+
+def test_config_steps_accepts_numpy_integers():
+    assert AdaptConfig(steps=np.int64(2)).steps == 2
 
 
 def test_episode_ncc_mode_skips_bandwidth_selection():
     result = run_episode(separable_task(4), config=AdaptConfig(loss="ncc"))
     assert math.isnan(result.sigma_zy)
-    assert math.isnan(result.sigma_zz)
     assert result.query_accuracy == 1.0
     assert result.loss_trace[-1] < result.loss_trace[0]
 

@@ -397,11 +397,14 @@ def test_eval_ncc_loss_mode(pool_path, capsys):
     assert "mean_accuracy:" in stdout
 
 
-def test_eval_share_zz_flags_parse(pool_path, capsys):
-    code, _, _ = run_cli(capsys, eval_argv(pool_path, "--share-zz"))
-    assert code == 0
-    code, _, _ = run_cli(capsys, eval_argv(pool_path, "--no-share-zz"))
-    assert code == 0
+@pytest.mark.parametrize("flag", ["--share-zz", "--no-share-zz"])
+def test_eval_removed_share_zz_flags_exit_two(pool_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(eval_argv(pool_path, flag))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
 
 
 def test_eval_dump_heatmaps_writes_pgm_files(pool_path, tmp_path, capsys):
@@ -449,7 +452,7 @@ def test_config_file_parsing(tmp_path):
         "\n"
         "gamma = 1.5   # trailing comment\n"
         "steps=7\n"
-        "share_zz_coefficient = off\n"
+        "normalize_features = off\n"
         "grid_coefficients = 0.5, 1.0\n"
         "n_max = 12\n"
     )
@@ -457,7 +460,7 @@ def test_config_file_parsing(tmp_path):
     assert values == {
         "gamma": 1.5,
         "steps": 7,
-        "share_zz_coefficient": False,
+        "normalize_features": False,
         "grid_coefficients": (0.5, 1.0),
         "n_max": 12,
     }
@@ -511,6 +514,18 @@ def test_eval_cosine_config_family_exits_two(pool_path, tmp_path, capsys, loss):
     assert "unknown kernel family 'cosine'" in stderr
 
 
+def test_eval_removed_share_zz_config_key_exits_two(pool_path, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("share_zz_coefficient = false\n")
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--config", str(cfg)],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "unknown config key 'share_zz_coefficient'" in stderr
+
+
 def test_eval_repeated_config_key_exits_two(pool_path, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("steps=3\nsteps=5\n")
@@ -551,7 +566,6 @@ FULL_CONFIG = {
     "weight_decay": 0.1,
     "epsilon": 2e-5,
     "kernel_family": "imq",
-    "share_zz_coefficient": False,
     "normalize_features": False,
     "loss": "ncc",
     "rho": 0.8,
@@ -569,7 +583,6 @@ FLAG_OVERRIDES = [
     (["--steps", "9"], "steps", 9),
     (["--weight-decay", "0.2"], "weight_decay", 0.2),
     (["--kernel", "gaussian"], "kernel_family", "gaussian"),
-    (["--share-zz"], "share_zz_coefficient", True),
     (["--loss", "ncc"], "loss", "ncc"),
     (["--seed", "11"], "seed", 11),
 ]
@@ -621,7 +634,7 @@ def test_each_flag_beats_the_config_file(pool_path, tmp_path, capsys, captured_e
                                           flag, key, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("gamma = 2.0\nlearning_rate = 0.3\nsteps = 3\nweight_decay = 0.1\n"
-                   "kernel_family = imq\nshare_zz_coefficient = false\nloss = mokd\n"
+                   "kernel_family = imq\nloss = mokd\n"
                    "seed = 3\n")
     file_only = read_config_file(cfg)
     adapt_cfg, sampler_cfg = captured_eval(

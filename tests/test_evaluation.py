@@ -113,6 +113,29 @@ def test_evaluate_rejects_zero_episodes():
         evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 0)
 
 
+@pytest.mark.parametrize("n_episodes", [2.5, True, np.float64(2.0), "2"])
+def test_evaluate_rejects_a_non_integer_episode_count(n_episodes):
+    with pytest.raises(ValueError, match="n_episodes must be an integer"):
+        evaluate(eval_pool(), SamplerConfig(), quick_cfg(), n_episodes)
+
+
+def test_numpy_integer_seed_and_episode_count_run_their_int_values(monkeypatch):
+    pool = eval_pool()
+    tasks = []
+
+    def record(task, config=None):
+        tasks.append(task)
+        return fake_result()
+
+    monkeypatch.setattr("kerndep.evaluation.run_episode", record)
+    report = evaluate(pool, SamplerConfig(seed=np.int64(3)), quick_cfg(), np.int64(2))
+    assert report.episodes == len(tasks) == 2
+    for i, task in enumerate(tasks):
+        expected = sample_task(pool, SamplerConfig(seed=3), episode_rng(3, i))
+        assert np.array_equal(task.support_x, expected.support_x)
+        assert np.array_equal(task.query_y, expected.query_y)
+
+
 def test_evaluate_wraps_episode_failures_with_index():
     # identical rows everywhere leave the median base scale undefined
     degenerate = EmbeddingDataset(
@@ -132,7 +155,6 @@ def fake_result(support_x=((1.0, 0.5), (0.5, 1.0)),
         final_head=LinearHead.identity(2),
         loss_trace=[0.5, 0.25],
         sigma_zy=1.0,
-        sigma_zz=1.0,
         query_accuracy=1.0,
         task=task,
         normalize=True,

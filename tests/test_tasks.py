@@ -91,6 +91,19 @@ def test_sampler_config_validation():
         SamplerConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field", ["n_max", "max_support", "max_query_per_class",
+                                   "max_shots_per_class", "seed"])
+@pytest.mark.parametrize("value", [7.5, True, np.float64(7.0), "7"])
+def test_sampler_config_rejects_non_integer_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SamplerConfig(**{field: value})
+
+
+def test_sampler_config_accepts_numpy_integers():
+    cfg = SamplerConfig(n_max=np.int64(9), max_support=np.int32(120), seed=np.uint8(3))
+    assert (cfg.n_max, cfg.max_support, cfg.seed) == (9, 120, 3)
+
+
 # ------------------------------------------------------- sampler formulas
 
 
