@@ -29,7 +29,7 @@ from .kernels import (
     label_kernel_matrix,
     sq_dist_matrix,
 )
-from .tasks import Task, _check_integer
+from .tasks import Task, _check_integer, _check_real
 
 LOSS_MODES = ("mokd", "ncc")
 
@@ -91,6 +91,11 @@ class AdaptConfig:
     opt_eps: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "learning_rate", "weight_decay", "epsilon", "rho", "opt_eps"):
+            _check_real(name, getattr(self, name))
+        if not isinstance(self.normalize_features, (bool, np.bool_)):
+            raise ValueError(f"normalize_features must be a bool, got "
+                             f"{self.normalize_features!r}")
         for name in ("gamma", "weight_decay"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

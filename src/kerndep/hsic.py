@@ -8,7 +8,7 @@ and keeps the one whose estimate has the largest power ratio.
 The estimate and its variance are read in one place, _hsic_from_rows, from
 five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased,
 hsic_variance and the self-dependence search take them from the Grams
-(_gram_rows), the label search from class sums (_class_sum_hsic). Its
+(_gram_rows), the label search from three of them (_label_rows_hsic). Its
 derivative in Kt, from which the mokd step reads its loss and gradient, is
 _gram_cotangent.
 """
@@ -34,6 +34,7 @@ from .kernels import (
     median_sq_distance,
     sq_dist_matrix,
 )
+from .tasks import _check_real
 
 DEFAULT_GRID_COEFFICIENTS = (
     0.001, 0.01, 0.1, 0.2, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0, 1.25, 1.5, 2.0, 5.0, 10.0,
@@ -50,6 +51,9 @@ class BandwidthGrid:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
+        for c in self.coefficients:
+            _check_real("grid coefficient", c)
+        _check_real("epsilon", self.epsilon)
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) == 0:
             raise ValueError("bandwidth grid must contain at least one coefficient")
@@ -211,58 +215,68 @@ def _gram_cotangent(lt: np.ndarray, l_rows: np.ndarray, weight: float,
     return out
 
 
-def _class_sum_hsic(class_sums: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _label_rows_hsic(rows: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """The estimate and raw variance of _hsic_from_rows for the zero-diagonal
-    0/1 label kernel Lt of y, read from the class sums R = Kt Y of a
-    symmetric zero-diagonal Gram matrix Kt (Y the m x C one-hot label
-    matrix), so that neither Kt nor Lt is needed.
+    0/1 label kernel Lt of y, read from three row statistics of a symmetric
+    zero-diagonal Gram matrix Kt, so that neither Kt nor Lt is needed.
 
-    With n the class counts: (Kt o Lt)1 = R[i, y_i], Kt1 = R1,
-    Lt1 = n[y] - 1, Kt Lt1 = R (n - 1), and Lt Kt1 = (Y'Kt1)[y] - Kt1.
+    rows is (3, m): the within-class sums (Kt o Lt)1, the row sums Kt1, and
+    Kt (n[y] - 1) = Kt Lt1, with n the class counts (see _radial_label_rows).
+    The other two statistics follow: Lt1 = n[y] - 1, and Lt Kt1 is each
+    row's class total of Kt1 less its own entry.
     """
-    m = y.size
-    counts = np.bincount(y).astype(np.float64)
-    k_rows = class_sums.sum(axis=1)
-    return _hsic_from_rows(class_sums[np.arange(m), y], k_rows, counts[y] - 1.0,
-                           class_sums @ (counts - 1.0),
+    within, k_rows, kl_rows = rows
+    l_rows = np.bincount(y).astype(np.float64)[y] - 1.0
+    return _hsic_from_rows(within, k_rows, l_rows, kl_rows,
                            np.bincount(y, weights=k_rows)[y] - k_rows)
 
 
-def _radial_class_sums(z: np.ndarray, family: str, sigmas, starts: np.ndarray) -> np.ndarray:
-    """Kt Y for the zero-diagonal radial Gram matrix Kt of the class-sorted
-    rows of z at every bandwidth in sigmas, shape (len(sigmas), m, C), with
-    C classes starting at rows starts.
+def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.ndarray:
+    """The three row statistics of _label_rows_hsic for the zero-diagonal
+    radial Gram matrix Kt of the rows of z at every bandwidth in sigmas,
+    shape (len(sigmas), 3, m); y must be sorted by class.
 
     The distances come from kernels._sq_dist_row_blocks, one upper trapezoid
     d2[a:b, a:] of kernels._ROW_BLOCK rows at a time, each built once for all
-    bandwidths. Per bandwidth its kernel, with the diagonal and the lower
-    half of the diagonal block zeroed, adds its class sums along columns to
-    rows a:b, and its column sums over each class segment of rows a:b to
-    columns a:. So each pair i < j is evaluated at most once (and the lower
-    half of each diagonal block in vain) and counted as both Kt[i, j] and
-    Kt[j, i]. A Gaussian block whose least distance off the diagonal, over
-    2 sigma^2, exceeds kernels._EXP_ZERO is all zeros, so it is skipped:
-    its class sums are the zeros they start as.
+    bandwidths. The columns a: get the weights right = [1, n[y] - 1, the
+    one-hot labels of the classes that meet rows a:b]. Per bandwidth the
+    block's kernel k, with the diagonal and the lower half of the diagonal
+    block zeroed, adds k @ right to rows a:b and right[:rows].T @ k to
+    columns a:, each row reading its own class's column. So each pair
+    i < j is evaluated at most once (and the lower half of each diagonal
+    block in vain) and counted as both Kt[i, j] and Kt[j, i]. A Gaussian
+    block whose least distance off the diagonal, over 2 sigma^2, exceeds
+    kernels._EXP_ZERO is all zeros, so it is skipped: it adds nothing.
     """
     m = z.shape[0]
-    sums = np.zeros((len(sigmas), m, starts.size))
+    counts = np.bincount(y)
+    stats = np.zeros((len(sigmas), 3, m))
     kern = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
     for a, d, least in _sq_dist_row_blocks(z):
         rows, cols = d.shape
         b = a + rows
         lower = np.tri(rows, dtype=bool)  # the diagonal and below it
-        first = int(np.searchsorted(starts, a, side="right")) - 1  # the class of row a
-        last = int(np.searchsorted(starts, b))  # classes first..last-1 meet rows a:b
-        col_starts = np.maximum(starts[first:] - a, 0)
-        for k_sums, sigma in zip(sums, sigmas):
+        first, last = int(y[a]), int(y[b - 1]) + 1  # the classes that meet rows a:b
+        end = int(np.searchsorted(y, last))  # ... and their columns a:end
+        right = np.empty((cols, 2 + last - first))
+        right[:, 0] = 1.0
+        right[:, 1] = counts[y[a:]] - 1.0
+        np.equal(y[a:, None], np.arange(first, last), out=right[:, 2:], casting="unsafe")
+        own_rows = (np.arange(rows), 2 + y[a:b] - first)
+        own_cols = (2 + y[a:end] - first, np.arange(end - a))
+        for k_stats, sigma in zip(stats, sigmas):
             # the same association as the kernel's exponent d2 / -(2 sigma^2)
             if family == GAUSSIAN and least / (2.0 * sigma * sigma) > _EXP_ZERO:
                 continue
             k = kernel_from_sq_dists(d, family, sigma, out=kern[:d.size].reshape(rows, cols))
             np.copyto(k[:, :rows], 0.0, where=lower)
-            k_sums[a:b, first:] += np.add.reduceat(k, col_starts, axis=1)
-            k_sums[a:, first:last] += np.add.reduceat(k, col_starts[:last - first], axis=0).T
-    return sums
+            row_part = k @ right
+            k_stats[0, a:b] += row_part[own_rows]
+            k_stats[1:, a:b] += row_part[:, :2].T
+            col_part = right[:rows].T @ k
+            k_stats[0, a:end] += col_part[own_cols]
+            k_stats[1:, a:] += col_part[:2]
+    return stats
 
 
 def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -285,15 +299,16 @@ def select_bandwidth(z, target, family: str = GAUSSIAN,
 
     A label target needs at least two classes, one of them with two rows
     (else the zero-diagonal label kernel is all zero), and its search reads
-    class sums with no m x m array: the rows are grouped by class (a stable
-    sort, skipped when the labels are already sorted), and the distances
-    come kernels._ROW_BLOCK rows at a time (see kernels._sq_dist_row_blocks),
-    each block built once for the whole grid. Every coefficient's kernel of
-    a block adds to that coefficient's class sums (see _radial_class_sums and
-    _class_sum_hsic), so each pair's kernel entry is evaluated at most once:
-    a Gaussian block whose every entry rounds to 0 is skipped. The peak is
-    the median's half-size buffer, then the (len(grid), m, C) class sums
-    plus a few row blocks. The self-dependence search builds z's distance
+    three row statistics with no m x m array: the rows are grouped by class
+    (a stable sort, skipped when the labels are already sorted), and the
+    distances come kernels._ROW_BLOCK rows at a time (see
+    kernels._sq_dist_row_blocks), each block built once for the whole grid.
+    Every coefficient's kernel of a block adds to that coefficient's row
+    statistics (see _radial_label_rows and _label_rows_hsic), so each pair's
+    kernel entry is evaluated at most once: a Gaussian block whose every
+    entry rounds to 0 is skipped. The peak is a few row blocks plus the
+    (len(grid), 3, m) statistics, after the median's own peak of a few row
+    blocks and its candidates. The self-dependence search builds z's distance
     matrix once and costs, per coefficient, one kernel, its row sums (plain
     and squared) and one matrix-vector product (see _gram_rows and
     _hsic_from_rows).
@@ -341,9 +356,8 @@ def select_bandwidth(z, target, family: str = GAUSSIAN,
         if (y[1:] < y[:-1]).any():
             by_class = np.argsort(y, kind="stable")
             z, y = z[by_class], y[by_class]
-        starts = np.cumsum(counts) - counts  # strictly increasing: no class is empty
-        estimates = (_class_sum_hsic(sums, y)
-                     for sums in _radial_class_sums(z, family, sigmas, starts))
+        estimates = (_label_rows_hsic(rows, y)
+                     for rows in _radial_label_rows(z, family, sigmas, y))
     else:
         d2 = sq_dist_matrix(z)
 

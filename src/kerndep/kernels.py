@@ -267,6 +267,50 @@ def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
     return mat
 
 
+# median_sq_distance buckets a positive float64 by its bits >> _KEY_SHIFT
+# (the exponent and the top 6 mantissa bits: 64 buckets per binade), a key
+# that grows with the value. _BUCKETS keys, counted down from the key of a
+# bound on the distances, get a bucket each; clipping puts every larger key
+# in bucket 0 and every smaller one in the last bucket. Clipping keeps the
+# order of the buckets, so the median is still exact, only with more
+# candidates when it falls in a clipped bucket.
+_KEY_SHIFT = 46
+_BUCKETS = 4096
+
+
+def _bucket_key(value: float) -> int:
+    return int(np.float64(value).view(np.int64)) >> _KEY_SHIFT
+
+
+def _key_floor(key: int) -> float:
+    """The least float64 with key `key`, at least the least positive one."""
+    return float(np.int64(max(key << _KEY_SHIFT, 1)).view(np.float64))
+
+
+def _upper_row_blocks(z: np.ndarray):
+    """Each block of _sq_dist_row_blocks with the diagonal and the lower
+    half of its diagonal block zeroed in place: its nonzero entries are
+    those of the strict upper triangle, each pair once."""
+    for _, block, _ in _sq_dist_row_blocks(z):
+        rows = block.shape[0]
+        np.copyto(block[:, :rows], 0.0, where=np.tri(rows, dtype=bool))
+        yield block
+
+
+def _median_buckets(counts: np.ndarray, top: int, lo: int, hi: int):
+    """The ranks lo <= hi of the ascending positive entries, counted within
+    the buckets that hold them, and the range [lower, upper] of the values
+    in those buckets. counts holds the entries per bucket, bucket 0 the
+    largest (see median_sq_distance)."""
+    below = np.cumsum(counts[::-1])  # entries in the last k + 1 buckets
+    first, last = (_BUCKETS - 1 - int(np.searchsorted(below, r, side="right"))
+                   for r in (lo, hi))  # first holds rank lo, last holds rank hi
+    skipped = int(below[_BUCKETS - 2 - first]) if first < _BUCKETS - 1 else 0
+    lower = _key_floor(top - first if first < _BUCKETS - 1 else 0)
+    upper = float(np.nextafter(_key_floor(top - last + 1), 0.0)) if last > 0 else math.inf
+    return (lo - skipped, hi - skipped), lower, upper
+
+
 def median_sq_distance(z: np.ndarray) -> float:
     """Median of the nonzero pairwise squared distances of the rows of z: the
     square of the median-heuristic bandwidth.
@@ -282,27 +326,40 @@ def median_sq_distance(z: np.ndarray) -> float:
     float64, ``[[0.0], [1e-17]] + 1.0`` is two equal rows.
 
     The distances come from _sq_dist_row_blocks, so the value depends on z
-    alone. Each block's strict upper triangle (each pair once) is copied a
-    row at a time into one buffer of m(m-1)/2 entries, which np.median then
-    partitions in place; so the peak is that half-size buffer and one row
-    block. Only when a pair is zero (duplicate rows) are the positive
-    entries copied out.
+    alone. It is exactly np.median of the positive entries of the strict
+    upper triangle (each pair once), found in two passes over the row
+    blocks with no array of all the pairs. The first pass counts the
+    positive entries per bucket of their float64 bits. The second rebuilds
+    the blocks and keeps only the entries of the one or two buckets that
+    hold the middle ranks (see _median_buckets), and partitions those. The
+    peak is a few row blocks plus those candidates: a small share of the
+    pairs when the distances spread, all of them when every distance is
+    equal.
     """
-    m = z.shape[0]
-    upper = np.empty(m * (m - 1) // 2)
-    end = 0
-    for _, block, _ in _sq_dist_row_blocks(z):
-        for r, row in enumerate(block):
-            upper[end:end + row.size - 1 - r] = row[r + 1:]
-            end += row.size - 1 - r
-    if not upper.min(initial=math.inf) > 0.0:  # NaN fails too, and is dropped
-        upper = upper[upper > 0.0]
-    if upper.size == 0:
+    zc = z - z.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every squared distance is at most 2 (n_i + n_j); the larger ones,
+        # rounding or inf, share bucket 0 (fmax skips the norms of NaN rows)
+        top = _bucket_key(4.0 * float(np.fmax.reduce(np.einsum("ij,ij->i", zc, zc),
+                                                     initial=0.0)))
+    counts = np.zeros(_BUCKETS, dtype=np.int64)
+    for block in _upper_row_blocks(z):
+        keys = block[block > 0.0].view(np.int64)  # NaN is dropped
+        keys >>= _KEY_SHIFT
+        np.subtract(top, keys, out=keys)
+        counts += np.bincount(np.clip(keys, 0, _BUCKETS - 1, out=keys), minlength=_BUCKETS)
+    n = int(counts.sum())
+    if n == 0:
         if (z == z[:1]).all():
             raise ValueError("all points are identical; median distance is undefined")
         raise ValueError("the squared distances of the distinct rows all underflow to 0; "
                          "median distance is undefined")
-    median = float(np.median(upper, overwrite_input=True))
+    ranks, lower, upper = _median_buckets(counts, top, (n - 1) // 2, n // 2)
+    candidates = np.concatenate([block[(block >= lower) & (block <= upper)]  # NaN is dropped
+                                 for block in _upper_row_blocks(z)])
+    candidates.partition(ranks)
+    middle = candidates[list(ranks)]
+    median = float(middle[0] if ranks[0] == ranks[1] else np.mean(middle))
     if median == math.inf:
         raise ValueError("the squared distances of the rows overflow float64: their "
                          "median is inf")

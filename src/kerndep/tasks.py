@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -77,6 +78,13 @@ def _check_integer(name: str, value) -> None:
     one, a numpy integer as one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject, by name, a value that is not a real number; a bool counts as
+    not one, a Python int or a numpy real as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kerndep.hsic import _check_gram_pair, _class_sum_hsic
+from kerndep.hsic import _check_gram_pair, hsic_unbiased
 from kerndep.kernels import (
     GAUSSIAN,
     KERNEL_FAMILIES,
     _check_bandwidth,
     as_embeddings,
     kernel_from_sq_dists,
+    label_kernel_matrix,
     sq_dist_matrix,
 )
 
@@ -134,8 +135,7 @@ def permutation_test_rejects(x, labels, sigma: float, rng: np.random.Generator,
     y = np.asarray(labels)
 
     def estimate(labelling):
-        onehot = (labelling[:, None] == np.arange(labelling.max() + 1)).astype(np.float64)
-        return _class_sum_hsic(kt @ onehot, labelling)[0]
+        return hsic_unbiased(kt, label_kernel_matrix(labelling, zero_diag=True))
 
     observed = estimate(y)
     exceed = sum(estimate(rng.permutation(y)) >= observed for _ in range(permutations))

@@ -190,6 +190,37 @@ def test_config_rejects_non_finite_values(field, value):
         AdaptConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["gamma", "learning_rate", "weight_decay", "epsilon",
+                                   "opt_eps", "rho"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_config_rejects_a_float_field_that_is_not_a_number(field, value):
+    # Python counts a bool as an int, but True is no learning rate
+    with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
+        AdaptConfig(**{field: value})
+
+
+@pytest.mark.parametrize("coefficients, bad", [((True, 2.0), True), ((1.0, "2"), "'2'")])
+def test_config_rejects_a_grid_coefficient_that_is_not_a_number(coefficients, bad):
+    with pytest.raises(ValueError, match=f"grid coefficient must be a real number, got {bad}"):
+        AdaptConfig(grid_coefficients=coefficients)
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.float64(1.0)])
+def test_config_rejects_a_normalize_flag_that_is_not_a_bool(value):
+    # "no" is truthy, so it must not be read as a setting
+    with pytest.raises(ValueError, match="normalize_features must be a bool"):
+        AdaptConfig(normalize_features=value)
+
+
+def test_config_accepts_python_ints_and_numpy_reals():
+    config = AdaptConfig(gamma=1, learning_rate=np.float32(0.5), weight_decay=np.int64(0),
+                         epsilon=np.float64(1e-5), rho=np.float16(0.5), opt_eps=1e-6,
+                         grid_coefficients=(1, np.float64(2.0)),
+                         normalize_features=np.bool_(False))
+    assert config.grid_coefficients == (1.0, 2.0)
+    assert not config.normalize_features
+
+
 def test_transform_identity_normalizes_rows():
     u = np.array([[3.0, 4.0], [0.0, 2.0], [0.0, 0.0]])
     z = transform(LinearHead.identity(2), u)
@@ -555,7 +586,7 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) - 1,
         "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
         "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
-        "kerndep.hsic._gram_rows": 0,  # the label search reads class sums
+        "kerndep.hsic._gram_rows": 0,  # the label search reads its own row statistics
         # the label cotangent once per episode, and the penalty's once per step
         "kerndep.adapt._gram_cotangent": 1 + steps,
     }

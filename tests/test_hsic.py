@@ -18,7 +18,7 @@ from kerndep.hsic import (
     BandwidthSelection,
     HsicEstimate,
     _gram_cotangent,
-    _radial_class_sums,
+    _radial_label_rows,
     hsic_unbiased,
     hsic_variance,
     power_ratio,
@@ -252,6 +252,13 @@ def test_grid_validation():
             BandwidthGrid(epsilon=bad)
     with pytest.raises(ValueError, match="distinct"):
         BandwidthGrid(coefficients=(1.0, 1.0, 2.0))
+    for bad in (True, "1.0", None):
+        with pytest.raises(ValueError, match="grid coefficient must be a real number"):
+            BandwidthGrid(coefficients=(2.0, bad))
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            BandwidthGrid(epsilon=bad)
+    grid = BandwidthGrid(coefficients=(1, np.float32(0.5)), epsilon=np.float64(1e-3))
+    assert grid.coefficients == (1.0, 0.5)
 
 
 def blob_data(seed, m_half=10, d=3, offset=4.0):
@@ -429,44 +436,72 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
                          if (a, sigma) not in vanishing}
 
 
+def dense_label_rows(z, y, family, sigma):
+    """The three row statistics of _radial_label_rows from the whole
+    zero-diagonal kernel Kt and the one-hot labels: R = Kt Y, then R[i, y_i],
+    R 1 and R (n - 1)."""
+    counts = np.bincount(y)
+    r = kernel_matrix(KernelSpec(family, sigma), z, zero_diag=True) @ np.eye(counts.size)[y]
+    return np.stack([r[np.arange(y.size), y], r.sum(axis=1), r @ (counts - 1.0)])
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
-def test_radial_class_sums_skip_changes_no_bit(monkeypatch, family):
+def test_radial_label_rows_skip_changes_no_bit(monkeypatch, family):
     # three row blocks; at 0.001 of the base the first and last Gaussian
     # blocks round to 0 and the middle one does not
     z, y = blob_data(2, m_half=70)
-    starts = np.array([0, 70])
     base = math.sqrt(median_sq_distance(z))
     sigmas = [c * base for c in DEFAULT_GRID_COEFFICIENTS]
     if family == GAUSSIAN:
         assert len(vanishing_blocks(z, sigmas)) == 2
-    got = _radial_class_sums(z, family, sigmas, starts)
+    got = _radial_label_rows(z, family, sigmas, y)
     monkeypatch.setattr("kerndep.hsic._EXP_ZERO", math.inf)  # evaluate every block
-    full = _radial_class_sums(z, family, sigmas, starts)
+    full = _radial_label_rows(z, family, sigmas, y)
     assert got.tobytes() == full.tobytes()
-    # against the class sums of the whole zero-diagonal kernel: exponents
-    # near -1e3 turn the distances' rounding into relative errors near 1e-11
-    onehot = np.eye(2)[y]
-    for sums, sigma in zip(got, sigmas):
-        want = kernel_matrix(KernelSpec(family, sigma), z, zero_diag=True) @ onehot
-        assert np.allclose(sums, want, rtol=1e-9, atol=0.0)
+    # against the whole zero-diagonal kernel's: exponents near -1e3 turn the
+    # distances' rounding into relative errors near 1e-11
+    for rows, sigma in zip(got, sigmas):
+        assert np.allclose(rows, dense_label_rows(z, y, family, sigma), rtol=1e-9, atol=0.0)
+
+
+LABEL_LAYOUTS = {
+    # class 1 spans rows 30-170: part of three row blocks, all of the middle one
+    "class_over_three_blocks": np.repeat([0, 1, 2], [30, 141, 29]),
+    # 1- and 2-row classes, over 40 of them inside the first row block
+    "small_classes": np.repeat(np.arange(60), np.resize([1, 2], 60)),
+    # classes of 32 rows: a class boundary exactly at row 64, a block boundary
+    "boundary_at_a_block": np.repeat(np.arange(4), 32),
+}
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("layout", LABEL_LAYOUTS)
+def test_radial_label_rows_match_the_dense_kernel(family, layout):
+    y = LABEL_LAYOUTS[layout]
+    z = np.random.default_rng(5).normal(size=(y.size, 4)) + 0.5 * y[:, None]
+    base = math.sqrt(median_sq_distance(z))
+    sigmas = [c * base for c in (0.25, 1.0, 4.0)]
+    for rows, sigma in zip(_radial_label_rows(z, family, sigmas, y), sigmas):
+        assert np.allclose(rows, dense_label_rows(z, y, family, sigma), rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
 def test_warm_label_search_holds_no_distance_matrix(family):
-    rng = np.random.default_rng(3)
-    m = 600
-    z = rng.normal(size=(m, 16))
-    y = np.repeat(np.arange(6), m // 6)
-    select_bandwidth(z, y, family=family)
-    tracemalloc.start()
-    try:
+    # a few row blocks, the median's candidates and the (grid, 3, m) row
+    # statistics: never the distances, nor a copy of their upper triangle
+    # (half of m x m)
+    for m, share in ((600, 0.75), (2000, 0.2)):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(m, 16))
+        y = np.repeat(np.arange(6), -(-m // 6))[:m]
         select_bandwidth(z, y, family=family)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the median's copy of the upper triangle (half of m x m) plus a few
-    # row blocks, never the distances themselves
-    assert peak < 0.75 * m * m * 8
+        tracemalloc.start()
+        try:
+            select_bandwidth(z, y, family=family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < share * m * m * 8, (m, peak / (m * m * 8))
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)

@@ -10,8 +10,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kerndep.kernels import (
+    _BUCKETS,
     _EXP_ZERO,
     _ROW_BLOCK,
+    _bucket_key,
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
@@ -194,10 +196,16 @@ def test_median_requires_two_distinct_rows():
 def test_median_names_overflowing_distances():
     # rows near 1e200: every squared distance is inf
     huge = as_embeddings(1e200 * (1.0 + np.random.default_rng(71).normal(size=(6, 3))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the error, with no overflow warning before it
-        with pytest.raises(ValueError, match="squared distances of the rows overflow float64"):
-            median_sq_distance(huge)
+    # two ordinary rows and six near 1e200: 1 finite pair, 27 that overflow
+    mixed = np.concatenate([[[0.0, 0.0], [1.0, 1.0]],
+                            1e200 * np.random.default_rng(29).normal(size=(6, 2))])
+    assert np.isfinite(row_block_sq_dists(mixed)[np.triu_indices(8, 1)]).sum() == 1
+    for z in (huge, mixed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error, with no overflow warning before it
+            with pytest.raises(ValueError,
+                               match="squared distances of the rows overflow float64"):
+                median_sq_distance(z)
 
 
 @given(
@@ -492,17 +500,73 @@ def median_case(m, duplicates=()):
     return z
 
 
+def spread_over_binades():
+    # 1-D rows at 1.5 ** k: the squared distances span over 200 binades, far
+    # more than the 64 that the buckets below the bound cover, so the median
+    # falls in the last bucket with many other values
+    return 1.5 ** np.arange(-100.0, 100.0)[:, None]
+
+
+def opposite_rows():
+    # +v and -v alternating: every positive distance is exactly 4 |v|^2, the
+    # bound, so the median falls in bucket 0
+    return np.resize([[1.0, 2.0], [-1.0, -2.0]], (130, 2))
+
+
+def subnormal_rows():
+    # rows 1e-160 apart at 1e-159: the squared distances are subnormal
+    return (1e-159 + 1e-160 * np.random.default_rng(23).permutation(np.arange(90.0)))[:, None]
+
+
 @pytest.mark.parametrize("z, pairs, zeros", [
     (median_case(9, [(0, 4), (0, 7), (2, 3)]), 36, 4),  # duplicate rows, 32 positive pairs
     (median_case(10), 45, 0),  # no zero pair, an odd pair count
     (median_case(8), 28, 0),  # no zero pair, an even pair count
     (median_case(7, [(1, 6), (2, 5)]), 21, 2),  # duplicate rows, 19 positive pairs
+    (median_case(150), 11175, 0),  # three row blocks, an odd pair count
+    (median_case(161), 12880, 0),  # an even pair count
+    (np.tile(median_case(70), (2, 1)), 9730, 70),  # duplicate rows across blocks
+    (np.eye(100), 4950, 0),  # every distance 2: one bucket holds every candidate
+    (np.eye(99), 4851, 0),
+    (spread_over_binades(), 19900, 0),
+    (opposite_rows(), 8385, 4160),
+    (subnormal_rows(), 4005, 0),
 ])
 def test_median_of_sq_dists_matches_upper_triangle_oracle(z, pairs, zeros):
     d2 = row_block_sq_dists(z)
     upper = d2[np.triu_indices(z.shape[0], 1)]
     assert (upper.size, int((upper == 0.0).sum())) == (pairs, zeros)
-    assert median_sq_distance(z) == median_upper_positive(d2)
+    got = median_sq_distance(z)
+    assert np.float64(got).tobytes() == np.float64(median_upper_positive(d2)).tobytes()
+
+
+@pytest.mark.parametrize("z, bucket", [(spread_over_binades(), _BUCKETS - 1),
+                                       (opposite_rows(), 0)])
+def test_median_falls_in_a_clipped_bucket(z, bucket):
+    # the bound is 4 x the largest centred squared norm; bucket 0 holds the
+    # largest values
+    zc = z - z.mean(axis=0)
+    top = _bucket_key(4.0 * float(np.einsum("ij,ij->i", zc, zc).max()))
+    key = _bucket_key(median_sq_distance(z))
+    assert min(max(top - key, 0), _BUCKETS - 1) == bucket
+
+
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 200), d=st.integers(1, 6),
+       log_scale=st.floats(-5.0, 5.0), layout=st.sampled_from(["normal", "duplicates",
+                                                                "lattice"]))
+def test_median_matches_upper_triangle_oracle_property(seed, m, d, log_scale, layout):
+    rng = np.random.default_rng(seed)
+    if layout == "lattice":  # many equal distances
+        z = rng.integers(0, 3, size=(m, d)).astype(np.float64)
+    else:
+        z = rng.normal(size=(m, d))
+    if layout == "duplicates":
+        z[rng.integers(0, m, size=m // 2)] = z[rng.integers(0, m, size=m // 2)]
+    z *= 10.0 ** log_scale
+    d2 = row_block_sq_dists(z)
+    assume((d2 > 0.0).any())
+    got = median_sq_distance(z)
+    assert np.float64(got).tobytes() == np.float64(median_upper_positive(d2)).tobytes()
 
 
 def test_as_embeddings_validation():
