@@ -2,8 +2,9 @@
 
 A d x d head, initialized to the identity, is trained per task with Adadelta
 on either the kernel-dependence objective (mode "mokd") or the plain
-nearest-centroid cross-entropy (mode "ncc"). Bandwidths are selected once,
-before the gradient loop, and stay frozen afterwards.
+nearest-centroid cross-entropy (mode "ncc"). In mode "mokd" one bandwidth
+is selected, before the gradient loop, and stays frozen afterwards for both
+loss terms.
 """
 
 from __future__ import annotations
@@ -245,18 +246,17 @@ def _times_radial_weight(cot: np.ndarray, k: np.ndarray, family: str, sigma: flo
 
 
 class _DependencePlan:
-    """dependence_loss_and_grad for one support set with frozen bandwidths.
+    """dependence_loss_and_grad for one support set at a frozen bandwidth.
 
     What does not depend on the head is done once, here: the rows and labels
     are validated, the label cotangent is built in the label Gram's buffer
     (the Gram is not kept), and the m x m buffers every call works in are
-    allocated: one kernel buffer, a second one only when the penalty has its
-    own bandwidth, and the weight matrix w = d(loss)/d(d2). That is three
-    m x m arrays, or four.
+    allocated: the kernel buffer and the weight matrix w = d(loss)/d(d2).
+    That is three m x m arrays, whatever gamma is.
 
     Calling the plan on a head gives the loss and gradient without any m x m
-    temporary: the distances are built in a kernel buffer and each kernel in
-    place or from them, each loss term is one inner product of its kernel
+    temporary: the distances are built in the kernel buffer and the kernel
+    in place from them, each loss term is one inner product of the kernel
     with the Gram cotangent the gradient uses (<Kt, C> = 2 weight hsic, see
     hsic._gram_cotangent), and the cotangents of both loss terms are summed
     in w and multiplied by the radial weight in place. The pull-back to the
@@ -271,8 +271,8 @@ class _DependencePlan:
     and at each call.
     """
 
-    def __init__(self, embeddings, labels, sigma_zy: float, sigma_zz: float,
-                 gamma: float, family: str, normalize: bool) -> None:
+    def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
+                 normalize: bool) -> None:
         _check_family(family)  # before the m x m buffers are allocated
         self.u = as_embeddings(embeddings)
         m = self.u.shape[0]
@@ -284,46 +284,32 @@ class _DependencePlan:
         # the loss carries -dependence(z, labels); the cotangent overwrites the Gram
         lt = label_kernel_matrix(y, zero_diag=True)
         self.label_cotangent = _gram_cotangent(lt, lt.sum(axis=1), -1.0, lt)
-        self.sigma_zy = sigma_zy
-        self.sigma_zz = sigma_zz
+        self.sigma = sigma
         self.gamma = gamma
         self.family = family
         self.normalize = normalize
-        self.k_zy = np.empty((m, m))
-        own_zz = gamma > 0.0 and sigma_zz != sigma_zy
-        self.k_zz = np.empty((m, m)) if own_zz else self.k_zy
+        self.kernel = np.empty((m, m))
         self.w = np.empty((m, m))
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
-        family, gamma = self.family, self.gamma
-        k_zy, k_zz, w = self.k_zy, self.k_zz, self.w
-        own_zz = k_zz is not k_zy
+        family, sigma, gamma, w = self.family, self.sigma, self.gamma, self.w
         z, norms = _forward(head, self.u, self.normalize)
-        # the distances go to the buffer filled last, so each kernel reads
-        # them before they are overwritten
         if norms is None:
-            d2 = sq_dist_matrix(z, out=k_zz)
+            d2 = sq_dist_matrix(z, out=self.kernel)
         else:
             _check_row_norms(norms, "after the head")
-            d2 = _unit_sq_dist_matrix(z, out=k_zz)
-        kzy = _zero_diag_kernel(d2, family, self.sigma_zy, k_zy)
-        kzz = _zero_diag_kernel(d2, family, self.sigma_zz, k_zz) if own_zz else kzy
+            d2 = _unit_sq_dist_matrix(z, out=self.kernel)
+        kt = _zero_diag_kernel(d2, family, sigma, self.kernel)
         # each loss term from its Gram cotangent: <Kt, C> = 2 weight hsic(Kt, Lt)
-        loss = 0.5 * float(np.vdot(kzy, self.label_cotangent))
-        # w = d(loss)/d(d2): each Gram cotangent times its kernel's radial weight
+        loss = 0.5 * float(np.vdot(kt, self.label_cotangent))
+        # w = d(loss)/d(d2): the summed Gram cotangents times the radial weight
         if gamma == 0.0:
-            _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
-        elif own_zz:
-            _times_radial_weight(self.label_cotangent, kzy, family, self.sigma_zy, w)
-            # kzy has been read; its buffer takes the penalty's cotangent
-            cot = _gram_cotangent(kzz, kzz.sum(axis=1), 2.0 * gamma, k_zy)
-            loss += 0.25 * float(np.vdot(kzz, cot))
-            w += _times_radial_weight(cot, kzz, family, self.sigma_zz, cot)
+            _times_radial_weight(self.label_cotangent, kt, family, sigma, w)
         else:
-            _gram_cotangent(kzz, kzz.sum(axis=1), 2.0 * gamma, w)
-            loss += 0.25 * float(np.vdot(kzz, w))
+            _gram_cotangent(kt, kt.sum(axis=1), 2.0 * gamma, w)
+            loss += 0.25 * float(np.vdot(kt, w))
             w += self.label_cotangent
-            _times_radial_weight(w, kzy, family, self.sigma_zy, w)
+            _times_radial_weight(w, kt, family, sigma, w)
         if norms is None:
             dz = w.sum(axis=1)[:, None] * z - w @ z
         else:  # the w.sum(1) z term is radial, and _unit_rows_backward removes it
@@ -331,27 +317,24 @@ class _DependencePlan:
         return loss, _head_gradient(dz, self.u, z, norms)
 
 
-def dependence_loss_and_grad(head: LinearHead, embeddings, labels,
-                             sigma_zy: float, sigma_zz: float, gamma: float,
-                             family: str = GAUSSIAN,
+def dependence_loss_and_grad(head: LinearHead, embeddings, labels, sigma: float,
+                             gamma: float, family: str = GAUSSIAN,
                              normalize: bool = True) -> tuple[float, np.ndarray]:
     """-dependence(z, labels) + gamma * self-dependence(z, z) at
     z = transform(head, embeddings), and its analytic gradient w.r.t. the head.
 
-    The first term uses the kernel at sigma_zy against the 0/1 label kernel;
-    the penalty uses the kernel at sigma_zz against itself. Both kernels come
-    from one squared-distance matrix, and each loss term is one inner product
-    of its kernel with the Gram cotangent that feeds the gradient (the
-    estimate is linear in its Gram; see hsic._gram_cotangent). The gradient
-    chains that cotangent through the radial kernel derivative, the optional
-    row normalization, and the linear map; the penalty chains through both
-    Gram arguments.
+    Both terms use the one kernel at bandwidth sigma: the first against the
+    0/1 label kernel, the penalty against itself. Each loss term is one
+    inner product of the kernel with the Gram cotangent that feeds the
+    gradient (the estimate is linear in its Gram; see hsic._gram_cotangent).
+    The gradient chains that cotangent through the radial kernel derivative,
+    the optional row normalization, and the linear map; the penalty chains
+    through both Gram arguments.
 
     run_episode builds the plan once per episode and calls it every step;
     this function builds it and calls it once.
     """
-    return _DependencePlan(embeddings, labels, sigma_zy, sigma_zz, gamma,
-                           family, normalize)(head)
+    return _DependencePlan(embeddings, labels, sigma, gamma, family, normalize)(head)
 
 
 def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
@@ -455,7 +438,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     elif cfg.loss == "mokd":
         z0 = transform(head, support_x, cfg.normalize_features)
         sigma_zy = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid).sigma
-        step = _DependencePlan(support_x, support_y, sigma_zy, sigma_zy, cfg.gamma,
+        step = _DependencePlan(support_x, support_y, sigma_zy, cfg.gamma,
                                cfg.kernel_family, cfg.normalize_features)
     else:
         def step(head):

@@ -6,11 +6,11 @@ bandwidth search scales a median-heuristic base by a grid of coefficients
 and keeps the one whose estimate has the largest power ratio.
 
 The estimate and its variance are read in one place, _hsic_from_rows, from
-five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased,
-hsic_variance and the self-dependence search take them from the Grams
-(_gram_rows), the label search from three of them (_label_rows_hsic). Its
-derivative in Kt, from which the mokd step reads its loss and gradient, is
-_gram_cotangent.
+five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased
+and hsic_variance take them from the Grams (_gram_rows), the bandwidth
+search, whose target is always a label vector, from three of them
+(_label_rows_hsic). Its derivative in Kt, from which the mokd step reads
+its loss and gradient, is _gram_cotangent.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .kernels import (
     _check_bandwidth,
     _check_family,
     _sq_dist_row_blocks,
-    _zero_diag_kernel,
     as_embeddings,
     as_labels,
     kernel_from_sq_dists,
     median_sq_distance,
-    sq_dist_matrix,
 )
 from .tasks import _check_real
 
@@ -144,12 +142,8 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
 
 def _gram_rows(kt: np.ndarray, lt: np.ndarray) -> tuple[np.ndarray, ...]:
     """The row statistics (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1 of two
-    symmetric zero-diagonal Gram matrices, read without an m x m temporary.
-    When lt is kt, the second product is the first."""
+    symmetric zero-diagonal Gram matrices, read without an m x m temporary."""
     k_rows = kt.sum(axis=1)
-    if lt is kt:
-        kl_rows = kt @ k_rows
-        return np.einsum("ij,ij->i", kt, kt), k_rows, k_rows, kl_rows, kl_rows
     l_rows = lt.sum(axis=1)
     return np.einsum("ij,ij->i", kt, lt), k_rows, l_rows, kt @ l_rows, lt @ k_rows
 
@@ -286,38 +280,32 @@ def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON)
     return float(value / np.sqrt(variance + epsilon))
 
 
-def select_bandwidth(z, target, family: str = GAUSSIAN,
+def select_bandwidth(z, labels, family: str = GAUSSIAN,
                      grid: BandwidthGrid | None = None) -> BandwidthSelection:
-    """Grid-search the bandwidth maximizing the power ratio.
+    """Grid-search the bandwidth maximizing the power ratio of the estimate
+    of dependence between z and a label vector.
 
-    The target is a label vector, or z itself for its self-dependence (a
-    matrix equal to z counts as z; any other matrix is rejected). The base
-    scale is sqrt(kernels.median_sq_distance(z)). For each grid coefficient
-    c the candidate bandwidth is c * base; the Gram matrix of z uses it, and
-    the partner matrix is either the 0/1 label kernel or that same Gram.
-    Ties in the ratio go to the smaller coefficient.
+    The base scale is sqrt(kernels.median_sq_distance(z)). For each grid
+    coefficient c the candidate bandwidth is c * base; the Gram matrix of z
+    uses it, and its partner is the 0/1 label kernel. Ties in the ratio go
+    to the smaller coefficient. The labels need at least two classes, one
+    of them with two rows (else the zero-diagonal label kernel is all zero).
 
-    A label target needs at least two classes, one of them with two rows
-    (else the zero-diagonal label kernel is all zero), and its search reads
-    three row statistics with no m x m array: the rows are grouped by class
-    (a stable sort, skipped when the labels are already sorted), and the
-    distances come kernels._ROW_BLOCK rows at a time (see
+    The search reads three row statistics with no m x m array: the rows are
+    grouped by class (a stable sort, skipped when the labels are already
+    sorted), and the distances come kernels._ROW_BLOCK rows at a time (see
     kernels._sq_dist_row_blocks), each block built once for the whole grid.
     Every coefficient's kernel of a block adds to that coefficient's row
     statistics (see _radial_label_rows and _label_rows_hsic), so each pair's
     kernel entry is evaluated at most once: a Gaussian block whose every
     entry rounds to 0 is skipped. The peak is a few row blocks plus the
     (len(grid), 3, m) statistics, after the median's own peak of a few row
-    blocks and its candidates. The self-dependence search builds z's distance
-    matrix once and costs, per coefficient, one kernel, its row sums (plain
-    and squared) and one matrix-vector product (see _gram_rows and
-    _hsic_from_rows).
+    blocks and its candidates.
 
     Every bandwidth must be finite and its square a normal float64 (see
     kernels._check_bandwidth); a coefficient that breaks either is named
     with the base in the error.
     """
-    self_target = target is z
     z = as_embeddings(z)
     m = z.shape[0]
     if m < 4:
@@ -326,20 +314,15 @@ def select_bandwidth(z, target, family: str = GAUSSIAN,
     if grid is None:
         grid = BandwidthGrid()
 
-    labels_mode = np.asarray(target).ndim == 1
-    if labels_mode:
-        y = as_labels(target, m)
-        counts = np.bincount(y)
-        if counts.size < 2:
-            raise ValueError("a label target needs at least 2 classes: with one, every "
-                             "pair of labels agrees and there is no dependence to estimate")
-        if counts.max() < 2:
-            raise ValueError("a label target needs a class with at least 2 rows: with "
-                             "none, no pair of labels agrees and there is no dependence "
-                             "to estimate")
-    elif not (self_target or np.array_equal(as_embeddings(target), z)):
-        raise ValueError("a matrix target must be z itself (self-dependence); "
-                         "any other target must be a label vector")
+    y = as_labels(labels, m)
+    counts = np.bincount(y)
+    if counts.size < 2:
+        raise ValueError("a label target needs at least 2 classes: with one, every "
+                         "pair of labels agrees and there is no dependence to estimate")
+    if counts.max() < 2:
+        raise ValueError("a label target needs a class with at least 2 rows: with "
+                         "none, no pair of labels agrees and there is no dependence "
+                         "to estimate")
 
     base = float(np.sqrt(median_sq_distance(z)))
     sigmas = [coeff * base for coeff in grid.coefficients]
@@ -352,22 +335,12 @@ def select_bandwidth(z, target, family: str = GAUSSIAN,
         except ValueError as exc:
             raise ValueError(f"bandwidth coefficient {coeff} times base {base}: {exc}") from None
 
-    if labels_mode:
-        if (y[1:] < y[:-1]).any():
-            by_class = np.argsort(y, kind="stable")
-            z, y = z[by_class], y[by_class]
-        estimates = (_label_rows_hsic(rows, y)
-                     for rows in _radial_label_rows(z, family, sigmas, y))
-    else:
-        d2 = sq_dist_matrix(z)
-
-        def self_estimate(sigma):
-            kt = _zero_diag_kernel(d2, family, sigma)
-            return _hsic_from_rows(*_gram_rows(kt, kt))
-
-        estimates = map(self_estimate, sigmas)  # lazy, so one Gram is live at a time
+    if (y[1:] < y[:-1]).any():
+        by_class = np.argsort(y, kind="stable")
+        z, y = z[by_class], y[by_class]
     rows: list[HsicEstimate] = []
-    for sigma, (value, raw) in zip(sigmas, estimates):
+    for sigma, stats in zip(sigmas, _radial_label_rows(z, family, sigmas, y)):
+        value, raw = _label_rows_hsic(stats, y)
         variance = raw if raw > 0.0 else 0.0
         ratio = power_ratio(value, variance, grid.epsilon)
         rows.append(HsicEstimate(value, variance, ratio, sigma, raw))

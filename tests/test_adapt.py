@@ -66,15 +66,24 @@ def underflow_sigma(head, u, normalize):
     return 0.001 * math.sqrt(median_sq_distance(transform(head, u, normalize)))
 
 
-def reference_loss(head, u, y, sigma_zy, sigma_zz, gamma, family, normalize):
+# the bandwidths the step tests run at; UNDERFLOW_EDGE stands for
+# underflow_sigma of the test's own instance
+UNDERFLOW_EDGE = "underflow-edge"
+SIGMAS = (1.1, 0.8, UNDERFLOW_EDGE)
+
+
+def bandwidth(sigma, head, u, normalize):
+    return underflow_sigma(head, u, normalize) if sigma == UNDERFLOW_EDGE else sigma
+
+
+def reference_loss(head, u, y, sigma, gamma, family, normalize):
     """The objective assembled from the public Gram builder and estimator."""
     z = transform(head, u, normalize)
-    kt = kernel_matrix(KernelSpec(family, sigma_zy), z, zero_diag=True)
+    kt = kernel_matrix(KernelSpec(family, sigma), z, zero_diag=True)
     lt = label_kernel_matrix(y, zero_diag=True)
     loss = -hsic_unbiased(kt, lt)
     if gamma != 0.0:
-        kzz = kernel_matrix(KernelSpec(family, sigma_zz), z, zero_diag=True)
-        loss += gamma * hsic_unbiased(kzz, kzz)
+        loss += gamma * hsic_unbiased(kt, kt)
     return loss
 
 
@@ -252,28 +261,27 @@ def test_dependence_loss_gamma_zero_is_negative_dependence():
     z = transform(head, u)
     kt = kernel_matrix(KernelSpec(GAUSSIAN, 0.9), z, zero_diag=True)
     lt = label_kernel_matrix(y, zero_diag=True)
-    loss, _ = dependence_loss_and_grad(head, u, y, 0.9, 1.7, 0.0, GAUSSIAN)
+    loss, _ = dependence_loss_and_grad(head, u, y, 0.9, 0.0, GAUSSIAN)
     assert loss == pytest.approx(-hsic_unbiased(kt, lt), rel=1e-12)
 
 
 def test_dependence_loss_adds_weighted_self_term():
     u, y, head = random_instance(2, m=9, d=3)
     z = transform(head, u)
-    base, _ = dependence_loss_and_grad(head, u, y, 1.1, 0.8, 0.0, GAUSSIAN)
-    kzz = kernel_matrix(KernelSpec(GAUSSIAN, 0.8), z, zero_diag=True)
-    self_term = hsic_unbiased(kzz, kzz)
+    base, _ = dependence_loss_and_grad(head, u, y, 1.1, 0.0, GAUSSIAN)
+    kt = kernel_matrix(KernelSpec(GAUSSIAN, 1.1), z, zero_diag=True)
+    self_term = hsic_unbiased(kt, kt)
     for gamma in (1.0, 3.0):
-        loss, _ = dependence_loss_and_grad(head, u, y, 1.1, 0.8, gamma, GAUSSIAN)
+        loss, _ = dependence_loss_and_grad(head, u, y, 1.1, gamma, GAUSSIAN)
         assert loss == pytest.approx(base + gamma * self_term, rel=1e-12)
     # m = 4, duplicate rows, unnormalized features, IMQ, underflowing bandwidth
     for u, y, head in edge_instances(20):
-        for family, normalize, gamma in itertools.product(
-                (GAUSSIAN, IMQ), (True, False), (0.0, 3.0)):
-            tiny = underflow_sigma(head, u, normalize)
-            for sigma_zy, sigma_zz in ((1.1, 0.8), (1.1, 1.1), (tiny, tiny)):
-                args = (head, u, y, sigma_zy, sigma_zz, gamma, family, normalize)
-                loss, _ = dependence_loss_and_grad(*args)
-                assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
+        for family, normalize, gamma, sigma in itertools.product(
+                (GAUSSIAN, IMQ), (True, False), (0.0, 3.0), SIGMAS):
+            args = (head, u, y, bandwidth(sigma, head, u, normalize), gamma, family,
+                    normalize)
+            loss, _ = dependence_loss_and_grad(*args)
+            assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
@@ -283,9 +291,8 @@ def test_unit_sphere_step_with_duplicate_rows_matches_the_reference(family, gamm
     u, y, head = random_instance(90, m=10, d=4)
     u[1] = u[0]  # an exact duplicate
     u[5] = u[4] + 1e-9  # a near duplicate, deep in the cancellation range
-    tiny = underflow_sigma(head, u, True)
-    for sigma_zy, sigma_zz in ((1.1, 0.8), (tiny, tiny)):
-        args = (head, u, y, sigma_zy, sigma_zz, gamma, family, True)
+    for sigma in SIGMAS:
+        args = (head, u, y, bandwidth(sigma, head, u, True), gamma, family, True)
         loss, grad = dependence_loss_and_grad(*args)
         assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
         with monkeypatch.context() as patch:
@@ -301,8 +308,8 @@ def test_normalized_step_rejects_a_support_row_without_direction(row):
     u, y, head = random_instance(95, m=8, d=3)
     u[3] = row
     with pytest.raises(ValueError, match=r"support row 3 has norm .* in the embeddings"):
-        dependence_loss_and_grad(head, u, y, 1.0, 1.0, 3.0, GAUSSIAN)
-    loss, grad = dependence_loss_and_grad(head, u, y, 1.0, 1.0, 3.0, GAUSSIAN, normalize=False)
+        dependence_loss_and_grad(head, u, y, 1.0, 3.0, GAUSSIAN)
+    loss, grad = dependence_loss_and_grad(head, u, y, 1.0, 3.0, GAUSSIAN, normalize=False)
     assert math.isfinite(loss) and np.isfinite(grad).all()
 
 
@@ -312,53 +319,53 @@ def test_normalized_step_rejects_a_row_the_head_collapses(scale):
     u[3] = [2.0, 0.0, 0.0]
     theta = np.eye(3)
     theta[0, 0] = scale  # maps row 3 to (2 scale, 0, 0)
-    plan = _DependencePlan(u, y, 1.0, 1.0, 3.0, GAUSSIAN, True)
+    plan = _DependencePlan(u, y, 1.0, 3.0, GAUSSIAN, True)
     plan(LinearHead.identity(3))
     with pytest.raises(ValueError, match=r"support row 3 has norm .* after the head"):
         plan(LinearHead(theta))
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
-@pytest.mark.parametrize("sigmas", [(1e-160, 1.0), (1.0, 1e-160)])
-def test_dependence_loss_rejects_underflowing_bandwidth(family, sigmas):
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_dependence_loss_rejects_underflowing_bandwidth(family, gamma):
     rng = np.random.default_rng(61)
     u, y = rng.normal(size=(8, 3)), np.repeat([0, 1], 4)
     with pytest.raises(ValueError, match="underflows"):
-        dependence_loss_and_grad(LinearHead.identity(3), u, y, *sigmas, 3.0, family)
+        dependence_loss_and_grad(LinearHead.identity(3), u, y, 1e-160, gamma, family)
 
 
 def test_dependence_loss_needs_four_samples():
     with pytest.raises(ValueError):
         dependence_loss_and_grad(LinearHead.identity(3), np.eye(3), np.array([0, 1, 2]),
-                                 1.0, 1.0, 1.0, GAUSSIAN)
+                                 1.0, 1.0, GAUSSIAN)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 @pytest.mark.parametrize("gamma", [0.0, 3.0])
 @pytest.mark.parametrize("normalize", [True, False])
-@pytest.mark.parametrize("sigma_zz", [1.1, 0.8])
-def test_plan_reused_across_heads_matches_fresh_calls(family, gamma, normalize, sigma_zz):
-    # sigma_zz = sigma_zy shares one kernel buffer; 0.8 gives the penalty its own
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_plan_reused_across_heads_matches_fresh_calls(family, gamma, normalize, sigma):
     u, y, head_a = random_instance(40, m=12, d=4)
     head_b = LinearHead(head_a.theta + 0.3 * np.random.default_rng(41).normal(size=(4, 4)))
-    plan = _DependencePlan(u, y, 1.1, sigma_zz, gamma, family, normalize)
+    sigma = bandwidth(sigma, head_a, u, normalize)
+    plan = _DependencePlan(u, y, sigma, gamma, family, normalize)
     for head in (head_a, head_b, head_a):
         loss, grad = plan(head)
-        fresh_loss, fresh_grad = dependence_loss_and_grad(head, u, y, 1.1, sigma_zz, gamma,
+        fresh_loss, fresh_grad = dependence_loss_and_grad(head, u, y, sigma, gamma,
                                                           family, normalize)
         assert loss == fresh_loss
         assert grad.tobytes() == fresh_grad.tobytes()
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
-@pytest.mark.parametrize("sigma_zz", [1.1, 0.8])
-def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma_zz):
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma):
     rng = np.random.default_rng(42)
     m, d = 200, 64
     u = rng.normal(size=(m, d))
     y = np.repeat(np.arange(5), m // 5)
     head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
-    plan = _DependencePlan(u, y, 1.1, sigma_zz, 3.0, family, True)
+    plan = _DependencePlan(u, y, bandwidth(sigma, head, u, True), 3.0, family, True)
     plan(head)
     tracemalloc.start()
     try:
@@ -369,24 +376,23 @@ def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma_zz):
     assert peak < 2 * m * m * 8  # bytes of two m x m float64 arrays
 
 
-@pytest.mark.parametrize("sigma_zz, arrays", [(1.1, 3), (0.8, 4)])
-def test_warm_plan_holds_no_label_gram(sigma_zz, arrays):
-    # the label cotangent, one kernel buffer (two when the penalty has its
-    # own bandwidth) and the weight matrix
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_warm_plan_holds_no_label_gram(gamma):
+    # the label cotangent, the kernel buffer and the weight matrix
     rng = np.random.default_rng(43)
     m, d = 200, 8
     u = rng.normal(size=(m, d))
     y = np.repeat(np.arange(5), m // 5)
     head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
-    _DependencePlan(u, y, 1.1, sigma_zz, 3.0, GAUSSIAN, True)(head)  # warm-up
+    _DependencePlan(u, y, 1.1, gamma, GAUSSIAN, True)(head)  # warm-up
     tracemalloc.start()
     try:
-        plan = _DependencePlan(u, y, 1.1, sigma_zz, 3.0, GAUSSIAN, True)
+        plan = _DependencePlan(u, y, 1.1, gamma, GAUSSIAN, True)
         plan(head)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held // (m * m * 8) == arrays  # whole m x m float64 arrays
+    assert held // (m * m * 8) == 3  # whole m x m float64 arrays
 
 
 def test_ncc_loss_hand_value():
@@ -420,20 +426,19 @@ def test_ncc_predict_recovers_separated_classes():
 @pytest.mark.parametrize("normalize", [True, False])
 def test_dependence_gradient_matches_finite_differences(family, gamma, normalize):
     seed = 100 * (family == IMQ) + 10 * int(gamma) + int(normalize)
-    # the random instance, m = 4, duplicate rows, then an underflowing bandwidth
-    for u, y, head in edge_instances(seed):
-        tiny = underflow_sigma(head, u, normalize)
-        for sigma_zy, sigma_zz in ((1.2, 0.8), (tiny, tiny)):
+    # the random instance, m = 4 and duplicate rows, each up to an
+    # underflowing bandwidth
+    for (u, y, head), sigma in itertools.product(edge_instances(seed), SIGMAS):
+        sigma = bandwidth(sigma, head, u, normalize)
 
-            def loss_at(theta):
-                return dependence_loss_and_grad(LinearHead(theta), u, y, sigma_zy,
-                                                sigma_zz, gamma, family, normalize)[0]
+        def loss_at(theta):
+            return dependence_loss_and_grad(LinearHead(theta), u, y, sigma, gamma, family,
+                                            normalize)[0]
 
-            loss, grad = dependence_loss_and_grad(head, u, y, sigma_zy, sigma_zz,
-                                                  gamma, family, normalize)
-            assert math.isfinite(loss) and np.isfinite(grad).all()
-            fd = fd_gradient(loss_at, head.theta)
-            assert rel_error(grad, fd) <= 1e-4
+        loss, grad = dependence_loss_and_grad(head, u, y, sigma, gamma, family, normalize)
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+        fd = fd_gradient(loss_at, head.theta)
+        assert rel_error(grad, fd) <= 1e-4
 
 
 @pytest.mark.parametrize("normalize", [True, False])
@@ -451,7 +456,7 @@ def test_ncc_gradient_matches_finite_differences(normalize):
 def test_dependence_gradient_rejects_cosine_family():
     u, y, head = random_instance(5, m=8, d=3)
     with pytest.raises(ValueError, match="unknown kernel family 'cosine'"):
-        dependence_loss_and_grad(head, u, y, 1.0, 1.0, 1.0, "cosine", True)
+        dependence_loss_and_grad(head, u, y, 1.0, 1.0, "cosine", True)
 
 
 def test_every_family_check_gives_one_message():
@@ -460,7 +465,7 @@ def test_every_family_check_gives_one_message():
     checks = (lambda: AdaptConfig(kernel_family="cosine"),
               lambda: select_bandwidth(u, y, "cosine"),
               lambda: kernel_from_sq_dists(np.zeros((3, 3)), "cosine", 1.0),
-              lambda: _DependencePlan(u, y, 1.0, 1.0, 3.0, "cosine", True))
+              lambda: _DependencePlan(u, y, 1.0, 3.0, "cosine", True))
     for check in checks:
         with pytest.raises(ValueError) as exc:
             check()
@@ -474,7 +479,7 @@ def test_plan_rejects_a_family_before_its_buffers():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="unknown kernel family"):
-            _DependencePlan(u, y, 1.0, 1.0, 3.0, "cosine", True)
+            _DependencePlan(u, y, 1.0, 3.0, "cosine", True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,7 +562,6 @@ def test_episode_is_deterministic():
 
 def count_episode_builds(count, task, steps):
     targets = ("kerndep.adapt._unit_sq_dist_matrix", "kerndep.adapt.sq_dist_matrix",
-               "kerndep.hsic.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
                "kerndep.adapt.label_kernel_matrix",
                "kerndep.kernels.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
@@ -575,8 +579,8 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     assert counts == {
         "kerndep.adapt._unit_sq_dist_matrix": steps,  # one per step, on unit rows
         "kerndep.adapt.sq_dist_matrix": 0,
-        "kerndep.hsic.sq_dist_matrix": 0,  # the label search reads row blocks
-        "kerndep.kernels.sq_dist_matrix": 0,  # and so does the median
+        # the label search reads row blocks, and so does the median
+        "kerndep.kernels.sq_dist_matrix": 0,
         "kerndep.hsic.median_sq_distance": 1,
         "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
         # the step's zero-diagonal kernel, shared by both loss terms
@@ -641,8 +645,7 @@ def test_episode_plan_uses_the_label_bandwidth_for_both_terms(monkeypatch):
     [plan] = plans
     z0 = transform(LinearHead.identity(16), task.support_x)
     expected = select_bandwidth(z0, task.support_y, cfg.kernel_family, cfg.grid).sigma
-    assert plan.sigma_zy == plan.sigma_zz == result.sigma_zy == expected
-    assert plan.k_zz is plan.k_zy  # one kernel buffer serves both terms
+    assert plan.sigma == result.sigma_zy == expected
 
 
 def test_config_steps_accepts_numpy_integers():

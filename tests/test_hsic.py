@@ -15,7 +15,6 @@ from kerndep.hsic import (
     DEFAULT_EPSILON,
     DEFAULT_GRID_COEFFICIENTS,
     BandwidthGrid,
-    BandwidthSelection,
     HsicEstimate,
     _gram_cotangent,
     _radial_label_rows,
@@ -288,13 +287,13 @@ def test_selection_base_is_median_scale():
 
 
 def test_every_search_on_the_same_rows_has_one_base():
-    # unit rows in three classes: rows on which sq_dist_matrix and the row
-    # blocks round the median differently
+    # unit rows in three classes; shuffled labels make the search reorder
+    # the rows by class, and the base must not see that order
     rng = np.random.default_rng(4)
     y = np.repeat(np.arange(3), 10)
     z = rng.normal(size=(30, 5)) + 2.0 * y[:, None]
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    targets = (y, rng.permutation(y), z, z.copy())
+    targets = (y, rng.permutation(y))
     for family in KERNEL_FAMILIES:
         bases = [select_bandwidth(z, target, family=family).sigma_base for target in targets]
         assert bases == [math.sqrt(median_sq_distance(z))] * len(targets), family
@@ -357,27 +356,6 @@ def test_selection_rows_match_manual_composition():
                     case, family, coeff, got, want)
 
 
-@pytest.mark.parametrize("target", ["self", "embeddings"])
-@pytest.mark.parametrize("case", ROW_CASES)
-def test_embedding_selection_rows_match_scalar_oracles(case, target):
-    # every row of a self-dependence search, its target z itself or an equal
-    # copy, against the scalar oracles, on at most 80 rows so that their
-    # cubic loops stay fast
-    z = ROW_CASES[case][0][:80]
-    t = z if target == "self" else z.copy()
-    for family in KERNEL_FAMILIES:
-        sel = select_bandwidth(z, t, family=family)
-        assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
-        for coeff, row in zip(DEFAULT_GRID_COEFFICIENTS, sel.table):
-            assert row.sigma == coeff * sel.sigma_base
-            kt = kernel_matrix(KernelSpec(family, row.sigma), z, zero_diag=True)
-            value = hsic_unbiased_naive(kt, kt)
-            want = value, variance_scalar_oracle(kt, kt, value)
-            for got, ref in zip((row.value, row.raw_variance), want):
-                assert math.isclose(got, ref, rel_tol=1e-9, abs_tol=1e-13), (
-                    family, coeff, got, ref)
-
-
 def vanishing_blocks(z, sigmas):
     """The (first row, sigma) pairs whose Gaussian row block of the label
     search is all zeros: the least squared distance off the diagonal of the
@@ -399,7 +377,7 @@ def vanishing_blocks(z, sigmas):
 
 def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monkeypatch):
     counts, count = call_counts
-    for target in ("kerndep.hsic.sq_dist_matrix", "kerndep.hsic.hsic_unbiased",
+    for target in ("kerndep.kernels.sq_dist_matrix", "kerndep.hsic.hsic_unbiased",
                    "kerndep.hsic.hsic_variance", "kerndep.kernels.label_kernel_matrix"):
         count(target)
     calls = collections.Counter()  # kernel evaluations per (first row, bandwidth)
@@ -423,7 +401,7 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
         m = z.shape[0]
         sigmas = [row.sigma for row in select_bandwidth(z, y, family=family).table]
         assert counts == {
-            "kerndep.hsic.sq_dist_matrix": 0,  # the distances come a block of rows at a time
+            "kerndep.kernels.sq_dist_matrix": 0,  # the distances come a block of rows at a time
             "kerndep.hsic.hsic_unbiased": 0,
             "kerndep.hsic.hsic_variance": 0,
             "kerndep.kernels.label_kernel_matrix": 0,
@@ -536,47 +514,22 @@ def test_label_search_rejects_labels_with_no_same_class_pair(family):
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-def test_self_target_search_reuses_distances_and_grams(call_counts, family):
-    counts, count = call_counts
-    z, _ = blob_data(4)
-    for target in ("kerndep.hsic.median_sq_distance", "kerndep.hsic.sq_dist_matrix",
-                   "kerndep.hsic.kernel_from_sq_dists", "kerndep.kernels.kernel_from_sq_dists"):
-        count(target)
-    # z itself, then an equal copy, which takes the same path
-    selections = []
-    for target in (z, z.copy()):
-        counts.update(dict.fromkeys(counts, 0))
-        selections.append(select_bandwidth(z, target, family=family))
-        assert counts == {
-            "kerndep.hsic.median_sq_distance": 1,  # the base, from row blocks of z
-            "kerndep.hsic.sq_dist_matrix": 1,  # z's distances, for both sides
-            "kerndep.hsic.kernel_from_sq_dists": 0,  # the label search's row blocks only
-            # one zero-diagonal kernel per coefficient, for both sides
-            "kerndep.kernels.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS),
-        }
-    assert selections[0] == selections[1]  # every table entry, too
-
-
-@pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_overflowing_bandwidth_is_rejected(family):
     z, y = blob_data(1)
     with pytest.raises(ValueError, match="overflows"):
         select_bandwidth(z, y, family=family, grid=BandwidthGrid(coefficients=(1.0, 1e308)))
 
 
-@pytest.mark.parametrize("target", ["labels", "embeddings"])
-def test_overflowing_distances_are_named(target):
+def test_overflowing_distances_are_named():
     # rows near 1e200: their squared distances, and so the median base, overflow
     z, y = blob_data(1)
     z = (z + 10.0) * 1e200
-    t = y if target == "labels" else z.copy()
     with pytest.raises(ValueError, match="squared distances of the rows overflow float64"):
-        select_bandwidth(z, t)
+        select_bandwidth(z, y)
 
 
-@pytest.mark.parametrize("target", ["labels", "self"])
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
-def test_one_far_row_is_searched_without_warnings(family, target):
+def test_one_far_row_is_searched_without_warnings(family):
     # every centred row carries the far row's mean, so every distance
     # overflows or cancels on the way and is recomputed from row differences
     z = np.random.default_rng(7).normal(size=(40, 3))
@@ -584,21 +537,19 @@ def test_one_far_row_is_searched_without_warnings(family, target):
     y = np.repeat(np.arange(4), 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sel = select_bandwidth(z, y if target == "labels" else z, family)
+        sel = select_bandwidth(z, y, family)
     assert all(math.isfinite(row.value) and math.isfinite(row.raw_variance)
                for row in sel.table)
 
 
-@pytest.mark.parametrize("target", ["labels", "embeddings"])
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-def test_underflowing_bandwidth_is_rejected(family, target):
+def test_underflowing_bandwidth_is_rejected(family):
     z, y = blob_data(1)
     z = z * 1e-152  # a base near 1e-152, so 0.001 times it squares to a subnormal
-    t = y if target == "labels" else z.copy()
-    sel = select_bandwidth(z, t, family=family, grid=BandwidthGrid(coefficients=(1.0, 2.0)))
+    sel = select_bandwidth(z, y, family=family, grid=BandwidthGrid(coefficients=(1.0, 2.0)))
     assert sel.sigma_base * sel.sigma_base > np.finfo(np.float64).tiny
     with pytest.raises(ValueError, match=r"coefficient 0\.001 times base \S+: .* underflows"):
-        select_bandwidth(z, t, family=family)
+        select_bandwidth(z, y, family=family)
 
 
 def test_all_ratio_ties_resolve_to_smallest_coefficient():
@@ -608,11 +559,11 @@ def test_all_ratio_ties_resolve_to_smallest_coefficient():
     rng = np.random.default_rng(21)
     z = rng.normal(size=(10, 4))
     y = np.repeat([0, 1], 5)
-    for target, coefficients in ((y, (0.001, 0.0001)), (z, (0.01, 0.001))):
-        sel = select_bandwidth(z, target, grid=BandwidthGrid(coefficients))
-        assert [(row.value, row.raw_variance, row.power_ratio) for row in sel.table] == [
-            (0.0, 0.0, 0.0)] * 2
-        assert sel.coefficient == min(coefficients)
+    coefficients = (0.001, 0.0001)
+    sel = select_bandwidth(z, y, grid=BandwidthGrid(coefficients))
+    assert [(row.value, row.raw_variance, row.power_ratio) for row in sel.table] == [
+        (0.0, 0.0, 0.0)] * 2
+    assert sel.coefficient == min(coefficients)
 
 
 def test_blob_fixture_selects_frozen_coefficient():
@@ -629,24 +580,12 @@ def test_blob_fixture_selects_frozen_coefficient():
     assert chosen.value == pytest.approx(0.18060599181986806, rel=1e-10)
 
 
-def test_embeddings_mode_pairs_rows_and_checks_length():
-    rng = np.random.default_rng(2)
-    z = rng.normal(size=(8, 3))
-    sel = select_bandwidth(z, z)
-    assert isinstance(sel, BandwidthSelection)
-    assert len(sel.table) == len(DEFAULT_GRID_COEFFICIENTS)
-    for target in (rng.normal(size=(7, 3)), 1.5 * z[:, ::-1]):
-        with pytest.raises(ValueError,
-                           match=r"a matrix target must be z itself \(self-dependence\)"):
+def test_matrix_targets_are_rejected_as_labels():
+    # z itself included: the search is against labels only
+    z = np.random.default_rng(2).normal(size=(8, 3))
+    for target in (z, z.copy(), 1.5 * z[:, ::-1]):
+        with pytest.raises(ValueError, match="labels must be a non-empty 1-D vector"):
             select_bandwidth(z, target)
-
-
-def test_self_dependence_of_generic_embeddings_is_positive():
-    rng = np.random.default_rng(8)
-    z = rng.normal(size=(10, 4))
-    sel = select_bandwidth(z, z)
-    best = next(row for row in sel.table if row.sigma == sel.sigma)
-    assert best.value > 0.0
 
 
 def test_selection_rejects_small_samples_and_bad_family():
