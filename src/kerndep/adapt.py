@@ -10,19 +10,19 @@ loss terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hsic import (DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid,
-                   _gram_cotangent, select_bandwidth)
+from .hsic import DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid, select_bandwidth
 from .kernels import (
     GAUSSIAN,
     IMQ,
     _TINY,
+    _check_bandwidth,
     _check_family,
     _unit_rows,
-    _unit_sq_dist_matrix,
+    _unit_zero_diag_kernel,
     _zero_diag_kernel,
     as_embeddings,
     as_labels,
@@ -60,10 +60,15 @@ class LinearHead:
 
 @dataclass
 class AdadeltaState:
-    """Running squared-gradient and squared-update averages."""
+    """Running squared-gradient and squared-update averages.
+
+    adadelta_step works in two more arrays of the head's shape, kept here
+    from its first step on, so that no step allocates them anew.
+    """
 
     sq_grad_avg: np.ndarray
     sq_delta_avg: np.ndarray
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, shape) -> "AdadeltaState":
@@ -133,6 +138,9 @@ def _unit_rows_backward(d_out: np.ndarray, z: np.ndarray,
 def _check_row_norms(norms: np.ndarray, what: str) -> None:
     """Reject the first row whose norm squares below the smallest normal
     float64 (a zero row included): it cannot be scaled to unit length."""
+    least = norms.min()
+    if least * least >= _TINY:  # every row passes (a NaN norm fails here)
+        return
     bad = np.flatnonzero(~(norms * norms >= _TINY))
     if bad.size:
         i = int(bad[0])
@@ -141,15 +149,20 @@ def _check_row_norms(norms: np.ndarray, what: str) -> None:
                          f"scale it to unit length")
 
 
-def _forward(head: LinearHead, u: np.ndarray,
-             normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Transformed rows z of validated embeddings u, and the row norms of
-    u @ theta.T before normalization (None when not normalizing)."""
+def _linear(head: LinearHead, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u @ theta.T for validated embeddings u, into out if given."""
     if u.shape[1] != head.dim:
         raise ValueError(
             f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
         )
-    v = u @ head.theta.T
+    return np.matmul(u, head.theta.T, out=out)
+
+
+def _forward(head: LinearHead, u: np.ndarray,
+             normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Transformed rows z of validated embeddings u, and the row norms of
+    u @ theta.T before normalization (None when not normalizing)."""
+    v = _linear(head, u)
     if not normalize:
         return v, None
     return _unit_rows(v)
@@ -233,88 +246,120 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     return sims.argmax(axis=1)
 
 
-def _times_radial_weight(cot: np.ndarray, k: np.ndarray, family: str, sigma: float,
-                         out: np.ndarray) -> np.ndarray:
-    """out = cot * 2 dk/dr at r = squared distance, the derivative expressed
-    through the kernel value k; out may be cot."""
-    np.multiply(cot, k, out=out)
-    if family == IMQ:
-        out *= k
-        out *= k
-    out /= -(sigma * sigma)
-    return out
-
-
 class _DependencePlan:
     """dependence_loss_and_grad for one support set at a frozen bandwidth.
 
-    What does not depend on the head is done once, here: the rows and labels
-    are validated, the label cotangent is built in the label Gram's buffer
-    (the Gram is not kept), and the m x m buffers every call works in are
-    allocated: the kernel buffer and the weight matrix w = d(loss)/d(d2).
-    That is three m x m arrays, whatever gamma is.
+    What does not depend on the head is done once, here: the family and the
+    bandwidth are checked, the rows and labels validated, the label term
+    reduced to three constants and a flat index of its same-class pairs
+    (the label Gram is not kept), and the buffers allocated: two m x m
+    arrays whatever gamma is, the kernel and the weights w = d(loss)/d(d2),
+    and three m x d arrays for the rows and their pull-back.
 
-    Calling the plan on a head gives the loss and gradient without any m x m
-    temporary: the distances are built in the kernel buffer and the kernel
-    in place from them, each loss term is one inner product of the kernel
-    with the Gram cotangent the gradient uses (<Kt, C> = 2 weight hsic, see
-    hsic._gram_cotangent), and the cotangents of both loss terms are summed
-    in w and multiplied by the radial weight in place. The pull-back to the
-    rows is dz = w.sum(1) z - w @ z.
+    weight * d hsic(Kt, L) / d Kt, with L fixed, is the Gram cotangent
+    C = c L - t_i - t_j + k with c = 2 weight / (m (m - 3)),
+    t = L1 c / (m - 2) and k = c 1'L1 / ((m - 1)(m - 2)) (tests/oracles.py
+    keeps it as the reference); the estimate is linear in Kt, so
+    2 weight hsic(Kt, L) = <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1. The
+    label term -hsic(Kt, Lt) has weight -1, and <Kt, Lt> is Kt summed over
+    the same-class index, so the rows need not be sorted by class. The
+    penalty gamma hsic(Kt, Kt) reads Kt twice: its C has L = Kt and weight
+    2 gamma, it is <Kt, C> / 4, and it reads <Kt, Kt> and t from Kt1.
 
-    With row normalization the rows z are unit vectors, so the distances
-    are 2 - 2 z z' (kernels._unit_sq_dist_matrix), and the pull-back is
-    dz = -w @ z: the w.sum(1) z term is radial, and the normalization's
-    backward pass removes it. That needs every row to have a direction:
-    a support row, or a row of the head's output, whose norm squares below
-    the smallest normal float64 is rejected by name, when the plan is built
-    and at each call.
+    w is the summed C times 2 dk/d(d2) = -Kt / sigma^2 (-Kt^3 / sigma^2 for
+    the IMQ). Its scale -c / sigma^2, c the penalty's (the label's when
+    gamma is 0), is applied to the d x d gradient instead, so two passes
+    write Kt and the rank-one terms, the label's Lt is added through the
+    index, and one w *= Kt finishes w (IMQ: twice more). The pull-back is
+    dz = w.sum(1) z - w @ z, in which a duplicate pair's two terms cancel
+    exactly. No m x m temporary is made.
+
+    With row normalization (the default) the rows are unit vectors, the
+    kernel is read straight from their Gram z z' (kernels._unit_zero_diag_kernel),
+    and dz goes through the backward pass of the normalization. That needs
+    every row to have a direction: a support row, or a row of the head's
+    output, whose norm squares below the smallest normal float64 is
+    rejected by name, when the plan is built and at each call. Without it
+    the kernel comes from sq_dist_matrix's distances, in the kernel buffer.
     """
 
     def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
                  normalize: bool) -> None:
-        _check_family(family)  # before the m x m buffers are allocated
+        _check_family(family)  # both checks once, before the m x m buffers
+        _check_bandwidth(sigma)
         self.u = as_embeddings(embeddings)
-        m = self.u.shape[0]
+        m, d = self.u.shape
         y = as_labels(labels, m)
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
         if normalize:
             _check_row_norms(np.linalg.norm(self.u, axis=1), "in the embeddings")
-        # the loss carries -dependence(z, labels); the cotangent overwrites the Gram
+        # the label term's index and constants (weight -1); Lt is not kept
         lt = label_kernel_matrix(y, zero_diag=True)
-        self.label_cotangent = _gram_cotangent(lt, lt.sum(axis=1), -1.0, lt)
+        self.same_class = np.flatnonzero(lt)
+        l_rows = lt.sum(axis=1)
+        self.label_c = -2.0 / (m * (m - 3.0))
+        self.label_t = l_rows * (self.label_c / (m - 2.0))
+        self.label_k = self.label_c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0))
+        self.penalty_c = 4.0 * gamma / (m * (m - 3.0))  # weight 2 gamma
         self.sigma = sigma
         self.gamma = gamma
         self.family = family
         self.normalize = normalize
         self.kernel = np.empty((m, m))
         self.w = np.empty((m, m))
+        self.rows = np.empty((m, d))
+        self.wz = np.empty((m, d))
+        self.dz = np.empty((m, d))
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
-        family, sigma, gamma, w = self.family, self.sigma, self.gamma, self.w
-        z, norms = _forward(head, self.u, self.normalize)
-        if norms is None:
-            d2 = sq_dist_matrix(z, out=self.kernel)
-        else:
+        family, sigma, w = self.family, self.sigma, self.w
+        m = self.u.shape[0]
+        z = _linear(head, self.u, out=self.rows)
+        if self.normalize:
+            norms = np.linalg.norm(z, axis=1)
             _check_row_norms(norms, "after the head")
-            d2 = _unit_sq_dist_matrix(z, out=self.kernel)
-        kt = _zero_diag_kernel(d2, family, sigma, self.kernel)
-        # each loss term from its Gram cotangent: <Kt, C> = 2 weight hsic(Kt, Lt)
-        loss = 0.5 * float(np.vdot(kt, self.label_cotangent))
-        # w = d(loss)/d(d2): the summed Gram cotangents times the radial weight
-        if gamma == 0.0:
-            _times_radial_weight(self.label_cotangent, kt, family, sigma, w)
+            z /= norms[:, None]
+            kt = _unit_zero_diag_kernel(z, family, sigma, out=self.kernel)
         else:
-            _gram_cotangent(kt, kt.sum(axis=1), 2.0 * gamma, w)
-            loss += 0.25 * float(np.vdot(kt, w))
-            w += self.label_cotangent
-            _times_radial_weight(w, kt, family, sigma, w)
-        if norms is None:
-            dz = w.sum(axis=1)[:, None] * z - w @ z
-        else:  # the w.sum(1) z term is radial, and _unit_rows_backward removes it
-            dz = -(w @ z)
-        return loss, _head_gradient(dz, self.u, z, norms)
+            norms = None
+            kt = _zero_diag_kernel(sq_dist_matrix(z, out=self.kernel), family, sigma,
+                                   self.kernel)
+        k_rows = kt.sum(axis=1)
+        k_total = float(k_rows.sum())
+        # each loss term from its cotangent: <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1
+        c, t, k = self.label_c, self.label_t, self.label_k
+        same = float(kt.take(self.same_class).sum())
+        loss = 0.5 * (c * same - 2.0 * float(t @ k_rows) + k * k_total)
+        if self.gamma != 0.0:  # the penalty's, with L = Kt
+            c = self.penalty_c
+            t_self = k_rows * (c / (m - 2.0))
+            k_self = c * k_total / ((m - 1.0) * (m - 2.0))
+            loss += 0.25 * (c * float(np.vdot(kt, kt)) - 2.0 * float(t_self @ k_rows)
+                            + k_self * k_total)
+            t, k = t + t_self, k + k_self
+        # w = B Kt, with B = (C_label + C_penalty) / c: its scale -c / sigma^2
+        # is applied to the gradient
+        if self.gamma != 0.0:
+            np.subtract(kt, ((t - k) / c)[:, None], out=w)
+        else:
+            np.negative(((t - k) / c)[:, None], out=w)
+        w -= t / c
+        w.ravel()[self.same_class] += self.label_c / c
+        w *= kt
+        if family == IMQ:
+            w *= kt
+            w *= kt
+        # dz = w.sum(1) z - w @ z: a duplicate pair's terms cancel exactly
+        dz = np.multiply(z, w.sum(axis=1)[:, None], out=self.dz)
+        dz -= np.matmul(w, z, out=self.wz)
+        if norms is not None:  # the backward pass of the normalization
+            z *= np.einsum("ij,ij->i", z, dz)[:, None]
+            dz -= z
+            dz /= norms[:, None]
+        grad = dz.T @ self.u
+        grad *= c / -(sigma * sigma)
+        return loss, grad
 
 
 def dependence_loss_and_grad(head: LinearHead, embeddings, labels, sigma: float,
@@ -324,12 +369,11 @@ def dependence_loss_and_grad(head: LinearHead, embeddings, labels, sigma: float,
     z = transform(head, embeddings), and its analytic gradient w.r.t. the head.
 
     Both terms use the one kernel at bandwidth sigma: the first against the
-    0/1 label kernel, the penalty against itself. Each loss term is one
-    inner product of the kernel with the Gram cotangent that feeds the
-    gradient (the estimate is linear in its Gram; see hsic._gram_cotangent).
-    The gradient chains that cotangent through the radial kernel derivative,
-    the optional row normalization, and the linear map; the penalty chains
-    through both Gram arguments.
+    0/1 label kernel, the penalty against itself. Each loss term is read
+    from the Gram cotangent that feeds the gradient (the estimate is linear
+    in its Gram; see _DependencePlan). The gradient chains that cotangent
+    through the radial kernel derivative, the optional row normalization,
+    and the linear map; the penalty chains through both Gram arguments.
 
     run_episode builds the plan once per episode and calls it every step;
     this function builds it and calls it once.
@@ -341,25 +385,53 @@ def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
                   learning_rate: float, weight_decay: float,
                   rho: float = 0.9, opt_eps: float = 1e-6
                   ) -> tuple[LinearHead, AdadeltaState]:
-    """One Adadelta update with decoupled weight decay.
+    """One Adadelta update with decoupled weight decay, in place: the new
+    averages are written into state's arrays and the new head into
+    head.theta, and (head, state), the same objects, are returned.
 
     sq_grad_avg  <- rho * sq_grad_avg + (1 - rho) g^2
     delta        =  -sqrt(sq_delta_avg + eps) / sqrt(sq_grad_avg + eps) * g
     sq_delta_avg <- rho * sq_delta_avg + (1 - rho) delta^2
     theta        <- theta + lr * delta, then theta <- theta - lr * wd * theta
+
+    Each product keeps the association written here, so the bytes are those
+    of computing every line into a new array. A gradient of the wrong shape
+    or with a non-finite entry is rejected before anything is written; a
+    new head with a non-finite entry is rejected after it is written.
     """
     g = np.asarray(grad, dtype=np.float64)
-    if g.shape != head.theta.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match head shape {head.theta.shape}")
+    theta = head.theta
+    if g.shape != theta.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match head shape {theta.shape}")
     if not np.isfinite(g).all():
         raise ValueError("gradient contains non-finite entries")
-    sq_grad = rho * state.sq_grad_avg + (1.0 - rho) * g * g
-    delta = -np.sqrt(state.sq_delta_avg + opt_eps) / np.sqrt(sq_grad + opt_eps) * g
-    sq_delta = rho * state.sq_delta_avg + (1.0 - rho) * delta * delta
-    theta = head.theta + learning_rate * delta
+    if state._scratch is None or state._scratch.shape[1:] != theta.shape:
+        state._scratch = np.empty((2, *theta.shape))
+    scratch, step = state._scratch
+    sq_grad, sq_delta = state.sq_grad_avg, state.sq_delta_avg
+    np.multiply(g, 1.0 - rho, out=scratch)
+    scratch *= g
+    sq_grad *= rho
+    sq_grad += scratch
+    # -delta: negating both factors of delta^2 and the sign of lr * delta is exact
+    np.add(sq_delta, opt_eps, out=step)
+    np.sqrt(step, out=step)
+    np.add(sq_grad, opt_eps, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    step /= scratch
+    step *= g
+    np.multiply(step, 1.0 - rho, out=scratch)
+    scratch *= step
+    sq_delta *= rho
+    sq_delta += scratch
+    step *= learning_rate
+    theta -= step
     if weight_decay != 0.0:
-        theta = theta - learning_rate * weight_decay * theta
-    return LinearHead(theta), AdadeltaState(sq_grad, sq_delta)
+        np.multiply(theta, learning_rate * weight_decay, out=scratch)
+        theta -= scratch
+    if not np.isfinite(theta).all():
+        raise ValueError("head contains non-finite entries")
+    return head, state
 
 
 @dataclass

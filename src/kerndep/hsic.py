@@ -9,8 +9,9 @@ The estimate and its variance are read in one place, _hsic_from_rows, from
 five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased
 and hsic_variance take them from the Grams (_gram_rows), the bandwidth
 search, whose target is always a label vector, from three of them
-(_label_rows_hsic). Its derivative in Kt, from which the mokd step reads
-its loss and gradient, is _gram_cotangent.
+(_label_rows_hsic). The mokd step reads its loss and gradient from the
+same estimate, written through the Kt row sums and the same-class entries
+of Kt (see adapt._DependencePlan).
 """
 
 from __future__ import annotations
@@ -185,28 +186,6 @@ def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndar
     denom = (m - 1.0) * (m - 2.0) * (m - 3.0)
     r = float(h @ h) / (4.0 * m) / (denom * denom)
     return value, (16.0 / m) * (r - value * value)
-
-
-def _gram_cotangent(lt: np.ndarray, l_rows: np.ndarray, weight: float,
-                    out: np.ndarray) -> np.ndarray:
-    """weight * d(hsic_unbiased(Kt, Lt))/d(Kt) with Lt fixed, symmetrized,
-    written to out (which may be lt); l_rows are the row sums of Lt.
-
-    The three estimator terms contribute Lt, a constant matrix, and a
-    rank-one correction from l_rows, built as c Lt - t_i - t_j + const with
-    the constant folded into the row term. The estimate is linear in Kt, so
-    the result C gives it back: <Kt, C> = 2 weight hsic_unbiased(Kt, Lt)
-    for every symmetric zero-diagonal Kt, whose diagonal hides C's (the
-    radial weight, zero there, hides it from the gradient). The penalty
-    reads Kt twice: its C has Lt = Kt and weight 2 gamma.
-    """
-    m = lt.shape[0]
-    c = 2.0 * weight / (m * (m - 3.0))
-    t = l_rows * (c / (m - 2.0))
-    np.multiply(lt, c, out=out)
-    out -= (t - c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
-    out -= t
-    return out
 
 
 def _label_rows_hsic(rows: np.ndarray, y: np.ndarray) -> tuple[float, float]:

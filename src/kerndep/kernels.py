@@ -3,7 +3,7 @@
 as_embeddings validates rows and returns them finite and float64, and
 as_labels validates class ids; label_kernel_matrix reads its labels through
 as_labels, and kernel_from_sq_dists checks its family and bandwidth. The
-array builders (sq_dist_matrix, _unit_sq_dist_matrix, _sq_dist_row_blocks,
+array builders (sq_dist_matrix, _sq_dist_row_blocks, _unit_zero_diag_kernel,
 cosine_gram and median_sq_distance) check nothing and expect rows from
 as_embeddings: given float32 rows, the distances, kernels and Grams come out
 float32, and a NaN entry gives NaN distances. Gram matrices are exactly symmetric: radial
@@ -88,18 +88,52 @@ _PAIR_BLOCK = 4096
 _ROW_BLOCK = 64
 
 
+def _cancelled_pairs(z: np.ndarray, block: np.ndarray, n: np.ndarray | None, a: int):
+    """The cancellation rule's pairs in a block: yield (i, j, d2) for up to
+    kernels._PAIR_BLOCK pairs at a time, with i, j their indices in block and
+    d2 their squared distances from the differences of the uncentred rows,
+    so duplicates give exactly 0.
+
+    block covers the rows i = a, a+1, ... and the columns j = a, a+1, ... of
+    z (so block[k, k] is the pair i == j). It holds either the squared
+    distances n_i + n_j - 2 zc_i . zc_j, with zc the centred rows and n
+    their squared norms, or, with n None, the Gram z_i . z_j of rows of
+    unit length. A pair is within the threshold when d2 <= 1e-8 (n_i + n_j),
+    which takes in duplicate rows, any negative value and NaN; on unit rows,
+    where d2 = 2 - 2 G, that reads G >= 1 - 1e-8 (G > 1 and NaN included).
+    The diagonal must hold inf (distances) or -inf (Gram), so that it is
+    never taken. The threshold is tested kernels._ROW_BLOCK rows at a time,
+    so no temporary has more rows.
+    """
+    rows, cols = block.shape
+    if n is not None:
+        n_cols = n[a:a + cols]
+        scale = np.empty((min(rows, _ROW_BLOCK), cols))
+    for r in range(0, rows, _ROW_BLOCK):
+        chunk = block[r:r + _ROW_BLOCK]
+        if n is None:
+            i, j = np.nonzero(~(chunk < 1.0 - _CANCELLATION))
+        else:
+            bound = np.add(n[a + r:a + r + len(chunk), None], n_cols, out=scale[:len(chunk)])
+            bound *= _CANCELLATION
+            i, j = np.nonzero(~(chunk > bound))
+        i += r
+        for start in range(0, i.size, _PAIR_BLOCK):
+            bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+            diff = z[a + bi] - z[a + bj]  # near-equal coordinates subtract exactly
+            yield bi, bj, np.einsum("ij,ij->i", diff, diff)
+
+
 def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int) -> float:
     """The cancellation rule, in place, on a block of squared distances, and
     the block's least entry off the diagonal.
 
     block holds n_i + n_j - 2 zc_i . zc_j for the rows i = a, a+1, ... and
     the columns j = a, a+1, ... of z (so block[k, k] is the pair i == j),
-    with zc the centred rows and n their squared norms (or, for unit rows,
-    zc = z and n = 1). Every pair within the cancellation threshold, which
-    takes in duplicate rows, any negative value and NaN, is recomputed from
-    the difference of its uncentred rows, so duplicates give exactly 0. The
-    pairs i == j are set to exactly 0. The threshold is tested
-    kernels._ROW_BLOCK rows at a time, so no temporary has more rows.
+    with zc the centred rows and n their squared norms. Every pair within
+    the cancellation threshold (see _cancelled_pairs) is recomputed from the
+    difference of its uncentred rows, so duplicates give exactly 0. The
+    pairs i == j are set to exactly 0.
 
     The least entry off the diagonal is returned (inf when the block has
     none), or 0.0 when some entry fell under the threshold or was NaN: then
@@ -107,24 +141,14 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
     off the diagonal is at least the value returned.
     """
     rows, cols = block.shape
-    n_cols = n[a:a + cols]
     np.fill_diagonal(block, np.inf)
     least = float(block.min())
     # a pair within the threshold has d2 <= _CANCELLATION (n_i + n_j), so a
     # larger least entry means there is none; NaN (overflowing rows) fails too
-    if not least > _CANCELLATION * (n[a:a + rows].max() + n_cols.max()):
+    if not least > _CANCELLATION * (n[a:a + rows].max() + n[a:a + cols].max()):
         least = 0.0
-        scale = np.empty((min(rows, _ROW_BLOCK), cols))
-        for r in range(0, rows, _ROW_BLOCK):
-            chunk = block[r:r + _ROW_BLOCK]
-            bound = np.add(n[a + r:a + r + len(chunk), None], n_cols, out=scale[:len(chunk)])
-            bound *= _CANCELLATION
-            i, j = np.nonzero(~(chunk > bound))
-            i += r
-            for start in range(0, i.size, _PAIR_BLOCK):
-                bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
-                diff = z[a + bi] - z[a + bj]  # near-equal coordinates subtract exactly
-                block[bi, bj] = np.einsum("ij,ij->i", diff, diff)
+        for i, j, d2 in _cancelled_pairs(z, block, n, a):
+            block[i, j] = d2
     np.fill_diagonal(block, 0.0)
     return least
 
@@ -155,23 +179,6 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             block *= -2.0
             block += n[start:start + _ROW_BLOCK, None] + n
         _recompute_cancelled(z, d2, n, 0)
-    return d2
-
-
-def _unit_sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sq_dist_matrix for rows of unit length: d2 = 2 - 2 G with G = z @ z.T.
-
-    G is one symmetric rank-k update, scaled and shifted in place, so the
-    result is exactly symmetric and needs no centring and no n_i + n_j pass.
-    With n_i = 1 the cancellation rule of _recompute_cancelled recomputes
-    the pairs with G_ij >= 1 - 1e-8 from their row differences, so
-    duplicate rows give exactly 0, and sets the diagonal to 0. The rows
-    must have unit norm to rounding; out is as in sq_dist_matrix.
-    """
-    d2 = np.matmul(z, z.T, out=out)
-    d2 *= -2.0
-    d2 += 2.0
-    _recompute_cancelled(z, d2, np.ones(z.shape[0]), 0)
     return d2
 
 
@@ -224,6 +231,13 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
     """
     _check_family(family)
     _check_bandwidth(sigma)
+    return _radial_kernel(d2, family, sigma, out)
+
+
+def _radial_kernel(d2: np.ndarray, family: str, sigma: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """kernel_from_sq_dists without its checks of the family and the
+    bandwidth, which the caller has made."""
     if family == GAUSSIAN:
         k = np.divide(d2, -(2.0 * sigma * sigma), out=out)
         return np.exp(k, out=k)
@@ -235,11 +249,53 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
 
 def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """kernel_from_sq_dists with its diagonal set to 0: the Gram matrix Kt
-    that the dependence estimate reads."""
-    k = kernel_from_sq_dists(d2, family, sigma, out=out)
+    """The Gram matrix Kt that the dependence estimate reads: the radial
+    kernel of the squared distances d2 with its diagonal set to 0, in out
+    as in kernel_from_sq_dists. The family and the bandwidth are not
+    checked."""
+    k = _radial_kernel(d2, family, sigma, out=out)
     np.fill_diagonal(k, 0.0)
     return k
+
+
+def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """_zero_diag_kernel of the rows of z, which have unit length, read
+    straight from their Gram G = z z' with no distance matrix.
+
+    G is one symmetric rank-k update, written to out (a C-contiguous (m, m)
+    float64 array) if given, and the kernel replaces it in place. With unit
+    rows the squared distances are 2 - 2 G, so the Gaussian is
+    exp((G - 1) / sigma^2) and the IMQ 1 / sqrt(1 + 2/sigma^2 - (2/sigma^2) G):
+    two affine passes and the family's map. The cancellation rule is applied
+    to G first (see _cancelled_pairs): the pairs with G_ij >= 1 - 1e-8 are
+    recomputed from their row differences, and their kernel entries are
+    written from those distances after the map, so a duplicate row gives
+    exactly 1. Those pairs and the diagonal are set to -inf before the map,
+    which sends them to 0, so it meets no entry that would overflow or
+    divide by 0. The result is exactly symmetric. The family and the
+    bandwidth are not checked.
+    """
+    g = np.matmul(z, z.T, out=out)
+    np.fill_diagonal(g, -np.inf)  # never a close pair; each map gives 0 there
+    close = []
+    if not g.max() < 1.0 - _CANCELLATION:
+        close = list(_cancelled_pairs(z, g, None, 0))
+        for i, j, _ in close:  # as the diagonal: the map meets no overflow or 1 / 0
+            g[i, j] = -np.inf
+    if family == GAUSSIAN:
+        g -= 1.0
+        g *= 1.0 / (sigma * sigma)
+        np.exp(g, out=g)
+    else:
+        scale = 2.0 / (sigma * sigma)
+        g *= -scale
+        g += 1.0 + scale
+        np.sqrt(g, out=g)
+        np.divide(1.0, g, out=g)
+    for i, j, d2 in close:
+        g[i, j] = _radial_kernel(d2, family, sigma)
+    return g
 
 
 def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

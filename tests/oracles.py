@@ -1,9 +1,10 @@
 """Slow reference implementations that the tests check the library against.
 
 None of these is called by the library itself: the pairwise kernel, the
-Gram builder on top of it, the median of the pairwise distances, the
-scalar-loop dependence estimator, the exponential-mean bound, and a label
-permutation test of independence.
+Gram builder on top of it, the squared distances of unit rows, the median
+of the pairwise distances, the scalar-loop dependence estimator, the
+estimator's Gram cotangent, the Adadelta update written into new arrays,
+the exponential-mean bound, and a label permutation test of independence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from kerndep.kernels import (
     GAUSSIAN,
     KERNEL_FAMILIES,
     _check_bandwidth,
+    _recompute_cancelled,
     as_embeddings,
     kernel_from_sq_dists,
     label_kernel_matrix,
@@ -68,6 +70,19 @@ def kernel_matrix(spec: KernelSpec, z, zero_diag: bool = False) -> np.ndarray:
     return k
 
 
+def unit_sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances of rows of unit length read as d2 = 2 - 2 G with
+    G = z @ z.T, into out if given. With n_i = 1 the cancellation rule of
+    kernels._recompute_cancelled recomputes the pairs with G_ij >= 1 - 1e-8
+    from their row differences, so duplicate rows give exactly 0, and sets
+    the diagonal to 0."""
+    d2 = np.matmul(z, z.T, out=out)
+    d2 *= -2.0
+    d2 += 2.0
+    _recompute_cancelled(z, d2, np.ones(z.shape[0]), 0)
+    return d2
+
+
 def median_upper_positive(d2) -> float:
     """np.median of the positive entries of the strict upper triangle of d2,
     gathered by index rather than row by row."""
@@ -103,6 +118,41 @@ def hsic_unbiased_naive(kt, lt) -> float:
                 cross += kij * row_l[t]
     total = trace_term + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
     return total / (m * (m - 3.0))
+
+
+def gram_cotangent(lt: np.ndarray, l_rows: np.ndarray, weight: float,
+                   out: np.ndarray) -> np.ndarray:
+    """weight * d(hsic_unbiased(Kt, Lt))/d(Kt) with Lt fixed, symmetrized,
+    written to out (which may be lt); l_rows are the row sums of Lt.
+
+    The three estimator terms contribute Lt, a constant matrix, and a
+    rank-one correction from l_rows, built as c Lt - t_i - t_j + const with
+    the constant folded into the row term. The estimate is linear in Kt, so
+    the result C gives it back: <Kt, C> = 2 weight hsic_unbiased(Kt, Lt)
+    for every symmetric zero-diagonal Kt, whose diagonal hides C's (the
+    radial weight, zero there, hides it from the gradient). The penalty
+    reads Kt twice: its C has Lt = Kt and weight 2 gamma.
+    """
+    m = lt.shape[0]
+    c = 2.0 * weight / (m * (m - 3.0))
+    t = l_rows * (c / (m - 2.0))
+    np.multiply(lt, c, out=out)
+    out -= (t - c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0)))[:, None]
+    out -= t
+    return out
+
+
+def adadelta_update(sq_grad_avg, sq_delta_avg, theta, g, learning_rate: float,
+                    weight_decay: float, rho: float = 0.9, opt_eps: float = 1e-6):
+    """One Adadelta update with decoupled weight decay, each line into a new
+    array; returns the new (sq_grad_avg, sq_delta_avg, theta)."""
+    sq_grad = rho * sq_grad_avg + (1.0 - rho) * g * g
+    delta = -np.sqrt(sq_delta_avg + opt_eps) / np.sqrt(sq_grad + opt_eps) * g
+    sq_delta = rho * sq_delta_avg + (1.0 - rho) * delta * delta
+    theta = theta + learning_rate * delta
+    if weight_decay != 0.0:
+        theta = theta - learning_rate * weight_decay * theta
+    return sq_grad, sq_delta, theta
 
 
 def exp_mean_bound_holds(values) -> bool:

@@ -16,6 +16,7 @@ from kerndep.adapt import (
     EpisodeResult,
     LinearHead,
     _DependencePlan,
+    _unit_rows_backward,
     adadelta_step,
     dependence_loss_and_grad,
     ncc_loss_and_grad,
@@ -28,6 +29,9 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
+    _unit_rows,
+    _unit_zero_diag_kernel,
+    _zero_diag_kernel,
     cosine_gram,
     kernel_from_sq_dists,
     label_kernel_matrix,
@@ -35,7 +39,7 @@ from kerndep.kernels import (
     sq_dist_matrix,
 )
 from kerndep.tasks import Task, synth_task
-from oracles import KernelSpec, kernel_matrix
+from oracles import KernelSpec, adadelta_update, gram_cotangent, kernel_matrix
 
 
 def random_instance(seed, m=None, d=None):
@@ -284,6 +288,11 @@ def test_dependence_loss_adds_weighted_self_term():
             assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
 
 
+def general_kernel(z, family, sigma, out):
+    """The unit-row kernel builder's result, from sq_dist_matrix."""
+    return _zero_diag_kernel(sq_dist_matrix(z, out=out), family, sigma, out)
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 @pytest.mark.parametrize("gamma", [0.0, 3.0])
 def test_unit_sphere_step_with_duplicate_rows_matches_the_reference(family, gamma,
@@ -296,8 +305,8 @@ def test_unit_sphere_step_with_duplicate_rows_matches_the_reference(family, gamm
         loss, grad = dependence_loss_and_grad(*args)
         assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
         with monkeypatch.context() as patch:
-            # the same step on the general distance builder
-            patch.setattr("kerndep.adapt._unit_sq_dist_matrix", sq_dist_matrix)
+            # the same step with its kernel from the general distance builder
+            patch.setattr("kerndep.adapt._unit_zero_diag_kernel", general_kernel)
             general_loss, general_grad = dependence_loss_and_grad(*args)
         assert loss == pytest.approx(general_loss, rel=1e-12)
         assert rel_error(grad, general_grad) <= 1e-12
@@ -357,6 +366,47 @@ def test_plan_reused_across_heads_matches_fresh_calls(family, gamma, normalize, 
         assert grad.tobytes() == fresh_grad.tobytes()
 
 
+def dense_cotangent_step(head, u, y, sigma, gamma, family, normalize):
+    """The mokd step from the dense label Gram, the oracle Gram cotangents
+    and the radial weight, on the kernel the step's own builder makes."""
+    z, norms = _unit_rows(u @ head.theta.T) if normalize else (u @ head.theta.T, None)
+    if normalize:
+        kt = _unit_zero_diag_kernel(z, family, sigma)
+    else:
+        kt = _zero_diag_kernel(sq_dist_matrix(z), family, sigma)
+    lt = label_kernel_matrix(y, zero_diag=True)
+    cot = gram_cotangent(lt, lt.sum(axis=1), -1.0, np.empty_like(lt))
+    loss = 0.5 * np.vdot(kt, cot)
+    if gamma != 0.0:
+        self_cot = gram_cotangent(kt, kt.sum(axis=1), 2.0 * gamma, np.empty_like(kt))
+        loss += 0.25 * np.vdot(kt, self_cot)
+        cot += self_cot
+    # 2 dk/d(d2) = -k / sigma^2, and -k^3 / sigma^2 for the IMQ
+    w = cot * kt ** (3 if family == IMQ else 1) / -(sigma * sigma)
+    dz = w.sum(axis=1)[:, None] * z - w @ z
+    if normalize:
+        dz = _unit_rows_backward(dz, z, norms)
+    return loss, dz.T @ u
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_plan_matches_dense_cotangent_oracle(family, gamma, normalize, sigma, order):
+    u, y, head = random_instance(44, m=12, d=4)
+    if order == "shuffled":
+        rows = np.random.default_rng(45).permutation(12)
+        u, y = u[rows], y[rows]
+        assert (np.diff(y) < 0).any()
+    sigma = bandwidth(sigma, head, u, normalize)
+    loss, grad = _DependencePlan(u, y, sigma, gamma, family, normalize)(head)
+    want_loss, want_grad = dense_cotangent_step(head, u, y, sigma, gamma, family, normalize)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert rel_error(grad, want_grad) <= 1e-12
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma):
@@ -378,7 +428,8 @@ def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma):
 
 @pytest.mark.parametrize("gamma", [0.0, 3.0])
 def test_warm_plan_holds_no_label_gram(gamma):
-    # the label cotangent, the kernel buffer and the weight matrix
+    # the kernel buffer and the weight matrix; the label term keeps only
+    # the same-class index
     rng = np.random.default_rng(43)
     m, d = 200, 8
     u = rng.normal(size=(m, d))
@@ -392,7 +443,7 @@ def test_warm_plan_holds_no_label_gram(gamma):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held // (m * m * 8) == 3  # whole m x m float64 arrays
+    assert held // (m * m * 8) == 2  # whole m x m float64 arrays
 
 
 def test_ncc_loss_hand_value():
@@ -504,11 +555,12 @@ def test_adadelta_single_step_hand_arithmetic():
 
 
 def test_adadelta_weight_decay_is_decoupled():
-    head = LinearHead(np.array([[1.0]]))
-    state = AdadeltaState.zeros((1, 1))
     lr, wd = 0.25, 0.2
-    no_decay, _ = adadelta_step(state, head, np.array([[2.0]]), lr, 0.0)
-    decayed, _ = adadelta_step(state, head, np.array([[2.0]]), lr, wd)
+    # each update from its own head and state: the step writes into both
+    no_decay, _ = adadelta_step(AdadeltaState.zeros((1, 1)), LinearHead(np.array([[1.0]])),
+                                np.array([[2.0]]), lr, 0.0)
+    decayed, _ = adadelta_step(AdadeltaState.zeros((1, 1)), LinearHead(np.array([[1.0]])),
+                               np.array([[2.0]]), lr, wd)
     assert decayed.theta[0, 0] == pytest.approx(
         no_decay.theta[0, 0] * (1.0 - lr * wd), rel=1e-15
     )
@@ -528,6 +580,24 @@ def test_adadelta_threads_accumulators_across_steps():
     assert head.theta[0, 0] == pytest.approx(theta, rel=1e-14)
     assert state.sq_grad_avg[0, 0] == pytest.approx(eg, rel=1e-14)
     assert state.sq_delta_avg[0, 0] == pytest.approx(ed, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [16, 64, 512])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.25])
+def test_adadelta_writes_the_functional_update_in_place(d, weight_decay):
+    rng = np.random.default_rng([d, int(100 * weight_decay)])
+    theta = np.eye(d) + 0.1 * rng.normal(size=(d, d))
+    head, state = LinearHead(theta.copy()), AdadeltaState.zeros((d, d))
+    want = (np.zeros((d, d)), np.zeros((d, d)), theta)
+    arrays = (state.sq_grad_avg, state.sq_delta_avg, head.theta)
+    for _ in range(40):
+        g = 10.0 ** rng.uniform(-6.0, 0.0) * rng.normal(size=(d, d))
+        new_head, new_state = adadelta_step(state, head, g, 0.25, weight_decay)
+        assert new_head is head and new_state is state
+        want = adadelta_update(*want, g, 0.25, weight_decay)
+    got = (state.sq_grad_avg, state.sq_delta_avg, head.theta)
+    assert all(a is b for a, b in zip(got, arrays))  # written into, not replaced
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_adadelta_rejects_bad_gradients():
@@ -561,12 +631,12 @@ def test_episode_is_deterministic():
 
 
 def count_episode_builds(count, task, steps):
-    targets = ("kerndep.adapt._unit_sq_dist_matrix", "kerndep.adapt.sq_dist_matrix",
+    targets = ("kerndep.adapt._unit_zero_diag_kernel", "kerndep.adapt.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
                "kerndep.adapt.label_kernel_matrix",
                "kerndep.kernels.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
                "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
-               "kerndep.hsic._gram_rows", "kerndep.adapt._gram_cotangent")
+               "kerndep.hsic._gram_rows")
     for target in targets:
         count(target)
     return run_episode(task, AdaptConfig(steps=steps))
@@ -577,22 +647,20 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     steps = 3
     count_episode_builds(count, separable_task(8), steps=steps)
     assert counts == {
-        "kerndep.adapt._unit_sq_dist_matrix": steps,  # one per step, on unit rows
+        "kerndep.adapt._unit_zero_diag_kernel": steps,  # one per step, on unit rows
         "kerndep.adapt.sq_dist_matrix": 0,
         # the label search reads row blocks, and so does the median
         "kerndep.kernels.sq_dist_matrix": 0,
         "kerndep.hsic.median_sq_distance": 1,
-        "kerndep.adapt.label_kernel_matrix": 1,  # one per episode
-        # the step's zero-diagonal kernel, shared by both loss terms
-        "kerndep.kernels.kernel_from_sq_dists": steps,
+        "kerndep.adapt.label_kernel_matrix": 1,  # one per episode, for the same-class index
+        # the step reads its kernel from the Gram, checked once per episode
+        "kerndep.kernels.kernel_from_sq_dists": 0,
         # the label search's kernel row blocks, one block here: 0.001's
         # Gaussian kernel rounds to 0 and is skipped, 0.01's does not
         "kerndep.hsic.kernel_from_sq_dists": len(DEFAULT_GRID_COEFFICIENTS) - 1,
         "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
         "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
         "kerndep.hsic._gram_rows": 0,  # the label search reads its own row statistics
-        # the label cotangent once per episode, and the penalty's once per step
-        "kerndep.adapt._gram_cotangent": 1 + steps,
     }
 
 

@@ -19,7 +19,7 @@ from kerndep.kernels import (
     KERNEL_FAMILIES,
     _recompute_cancelled,
     _sq_dist_row_blocks,
-    _unit_sq_dist_matrix,
+    _unit_zero_diag_kernel,
     as_embeddings,
     as_labels,
     cosine_gram,
@@ -28,7 +28,13 @@ from kerndep.kernels import (
     median_sq_distance,
     sq_dist_matrix,
 )
-from oracles import KernelSpec, eval_kernel, kernel_matrix, median_upper_positive
+from oracles import (
+    KernelSpec,
+    eval_kernel,
+    kernel_matrix,
+    median_upper_positive,
+    unit_sq_dist_matrix,
+)
 
 
 def embeddings(min_rows=2, max_rows=8, min_cols=1, max_cols=5):
@@ -262,7 +268,7 @@ def test_unit_sq_dist_matrix_matches_differences_on_unit_rows():
     v[9] = v[2] + 1e-9  # a near duplicate, deep in the cancellation range
     z = v / np.linalg.norm(v, axis=1, keepdims=True)
     out = np.full((40, 40), np.nan)
-    d2 = _unit_sq_dist_matrix(z, out=out)
+    d2 = unit_sq_dist_matrix(z, out=out)
     want = sq_dists_by_differences(z)
     assert d2 is out
     assert np.array_equal(d2, d2.T)
@@ -273,6 +279,31 @@ def test_unit_sq_dist_matrix_matches_differences_on_unit_rows():
     assert np.count_nonzero(d2 == 0.0) == 40 + 2  # the diagonal and the duplicate pair
     # rows of unit norm to rounding: 2 - 2G is off by a few units of 2 at most
     assert np.all(np.abs(d2 - want) <= 1e-14 * (1.0 + want))
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_unit_kernel_from_the_gram_recomputes_close_pairs(family):
+    rng = np.random.default_rng(37)
+    v = rng.normal(size=(40, 12))
+    v[7] = v[3]  # an exact duplicate
+    v[9] = v[2] + 1e-9  # a near duplicate, deep in the cancellation range
+    z = v / np.linalg.norm(v, axis=1, keepdims=True)
+    want = sq_dists_by_differences(z)
+    # at sigma^2 = d2 the near pair's entry is exp(-1/2) (IMQ: 1/sqrt(2));
+    # read from its Gram entry, 1 - d2/2, it would keep no correct digit
+    for sigma in (math.sqrt(want[2, 9]), 0.8):
+        out = np.full((40, 40), np.nan)
+        k = _unit_zero_diag_kernel(z, family, sigma, out=out)
+        assert k is out
+        assert np.array_equal(k, k.T)
+        assert not k.diagonal().any()
+        assert k[3, 7] == 1.0 and k[7, 3] == 1.0
+        near = eval_kernel(KernelSpec(family, sigma), z[2], z[9])  # from the row difference
+        assert k[2, 9] == pytest.approx(near, rel=1e-12)
+    # every entry against the kernel of 2 - 2G, off by a few units of 2 at most
+    ref = kernel_from_sq_dists(unit_sq_dist_matrix(z), family, sigma)
+    np.fill_diagonal(ref, 0.0)
+    assert np.allclose(k, ref, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("m, d", [(1, 3), (40, 12), (130, 5), (200, 64)])
