@@ -18,7 +18,6 @@ from .hsic import DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid, sel
 from .kernels import (
     GAUSSIAN,
     IMQ,
-    _TINY,
     _check_bandwidth,
     _check_family,
     _unit_rows,
@@ -128,25 +127,12 @@ class AdaptConfig:
 
 def _unit_rows_backward(d_out: np.ndarray, z: np.ndarray,
                         norms: np.ndarray) -> np.ndarray:
-    """Pull a cotangent back through kernels._unit_rows (z = v / ||v||)."""
-    proj = d_out - (z * d_out).sum(axis=1, keepdims=True) * z
-    d_in = np.divide(proj, norms[:, None], out=np.zeros_like(proj),
-                     where=norms[:, None] > 0)
-    return d_in
-
-
-def _check_row_norms(norms: np.ndarray, what: str) -> None:
-    """Reject the first row whose norm squares below the smallest normal
-    float64 (a zero row included): it cannot be scaled to unit length."""
-    least = norms.min()
-    if least * least >= _TINY:  # every row passes (a NaN norm fails here)
-        return
-    bad = np.flatnonzero(~(norms * norms >= _TINY))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"support row {i} has norm {norms[i]} {what}: its square is below "
-                         f"the smallest normal float64, so the normalized mokd step cannot "
-                         f"scale it to unit length")
+    """Pull a cotangent back through kernels._unit_rows (z = v / ||v||), in
+    place: d_out receives the result and is returned, and z is overwritten."""
+    z *= np.einsum("ij,ij->i", z, d_out)[:, None]
+    d_out -= z
+    d_out /= norms[:, None]
+    return d_out
 
 
 def _linear(head: LinearHead, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -158,26 +144,28 @@ def _linear(head: LinearHead, u: np.ndarray, out: np.ndarray | None = None) -> n
     return np.matmul(u, head.theta.T, out=out)
 
 
-def _forward(head: LinearHead, u: np.ndarray,
-             normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Transformed rows z of validated embeddings u, and the row norms of
-    u @ theta.T before normalization (None when not normalizing)."""
-    v = _linear(head, u)
+def _forward(head: LinearHead, u: np.ndarray, normalize: bool, what: str = "row",
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Transformed rows z of validated embeddings u, in out if given, and the
+    row norms of u @ theta.T before normalization (None when not
+    normalizing); a row with no direction is rejected as `what`."""
+    v = _linear(head, u, out=out)
     if not normalize:
         return v, None
-    return _unit_rows(v)
+    return _unit_rows(v, what, "after the head", out=v)
 
 
 def _head_gradient(dz: np.ndarray, u: np.ndarray, z: np.ndarray,
                    norms: np.ndarray | None) -> np.ndarray:
     """Pull a cotangent on z back to the head, through the optional row
-    normalization and the linear map."""
+    normalization and the linear map; dz and z are overwritten."""
     dv = dz if norms is None else _unit_rows_backward(dz, z, norms)
     return dv.T @ u
 
 
 def transform(head: LinearHead, embeddings, normalize: bool = True) -> np.ndarray:
-    """Apply the head to every row, then optionally L2-normalize each row."""
+    """Apply the head to every row, then optionally L2-normalize each row; a
+    row with no direction after the head is rejected."""
     return _forward(head, as_embeddings(embeddings), normalize)[0]
 
 
@@ -197,17 +185,18 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
     Prototypes are class means of the transformed rows; the per-sample logit
     vector is the cosine similarity to every prototype. The gradient chains
     both through that similarity and through each sample's own class mean.
+    A support row or a class prototype with no direction is rejected.
     """
     u = as_embeddings(embeddings)
-    z, v_norms = _forward(head, u, normalize)
+    z, v_norms = _forward(head, u, normalize, "support row")
     m = u.shape[0]
     y = as_labels(labels, m)
     if int(y.max()) + 1 < 2:
         raise ValueError("nearest-centroid loss needs at least two classes")
 
     protos, counts = _prototypes(z, y)
-    zn, z_norms = _unit_rows(z)
-    pn, p_norms = _unit_rows(protos)
+    zn, z_norms = _unit_rows(z, "support row", "after the head")
+    pn, p_norms = _unit_rows(protos, "class prototype")
     sims = zn @ pn.T
     shifted = sims - sims.max(axis=1, keepdims=True)
     grad_sims = np.exp(shifted)
@@ -231,17 +220,18 @@ def ncc_predict(head: LinearHead, support: tuple, query,
                 normalize: bool = True) -> np.ndarray:
     """Classify query rows by cosine similarity to transformed class means.
 
-    Ties resolve to the lower class id.
+    Ties resolve to the lower class id. A support or query row, or a class
+    prototype, with no direction is rejected.
     """
     support_x, support_y = support
-    zs = transform(head, support_x, normalize)
+    zs = _forward(head, as_embeddings(support_x), normalize, "support row")[0]
     y = as_labels(support_y, zs.shape[0])
     if int(y.max()) + 1 < 2:
         raise ValueError("nearest-centroid prediction needs at least two classes")
-    zq = transform(head, query, normalize)
+    zq = _forward(head, as_embeddings(query), normalize, "query row")[0]
     protos, _ = _prototypes(zs, y)
-    qn, _ = _unit_rows(zq)
-    pn, _ = _unit_rows(protos)
+    qn, _ = _unit_rows(zq, "query row", "after the head", out=zq)
+    pn, _ = _unit_rows(protos, "class prototype", out=protos)
     sims = qn @ pn.T
     return sims.argmax(axis=1)
 
@@ -274,13 +264,13 @@ class _DependencePlan:
     dz = w.sum(1) z - w @ z, in which a duplicate pair's two terms cancel
     exactly. No m x m temporary is made.
 
-    With row normalization (the default) the rows are unit vectors, the
-    kernel is read straight from their Gram z z' (kernels._unit_zero_diag_kernel),
-    and dz goes through the backward pass of the normalization. That needs
-    every row to have a direction: a support row, or a row of the head's
-    output, whose norm squares below the smallest normal float64 is
-    rejected by name, when the plan is built and at each call. Without it
-    the kernel comes from sq_dist_matrix's distances, in the kernel buffer.
+    The rows go through _forward and dz back through _head_gradient, the
+    passes transform and the ncc loss use. With row normalization (the
+    default) the kernel is read straight from the Gram z z' of the unit rows
+    (kernels._unit_zero_diag_kernel), and kernels._unit_rows rejects a
+    support row with no direction by name: in the embeddings when the plan
+    is built, after the head at each call. Without it the kernel comes from
+    sq_dist_matrix's distances, in the kernel buffer.
     """
 
     def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
@@ -292,8 +282,9 @@ class _DependencePlan:
         y = as_labels(labels, m)
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
-        if normalize:
-            _check_row_norms(np.linalg.norm(self.u, axis=1), "in the embeddings")
+        self.rows = np.empty((m, d))
+        if normalize:  # the row buffer as scratch, before the m x m buffers
+            _unit_rows(self.u, "support row", "in the embeddings", out=self.rows)
         # the label term's index and constants (weight -1); Lt is not kept
         lt = label_kernel_matrix(y, zero_diag=True)
         self.same_class = np.flatnonzero(lt)
@@ -308,21 +299,16 @@ class _DependencePlan:
         self.normalize = normalize
         self.kernel = np.empty((m, m))
         self.w = np.empty((m, m))
-        self.rows = np.empty((m, d))
         self.wz = np.empty((m, d))
         self.dz = np.empty((m, d))
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
         family, sigma, w = self.family, self.sigma, self.w
         m = self.u.shape[0]
-        z = _linear(head, self.u, out=self.rows)
+        z, norms = _forward(head, self.u, self.normalize, "support row", out=self.rows)
         if self.normalize:
-            norms = np.linalg.norm(z, axis=1)
-            _check_row_norms(norms, "after the head")
-            z /= norms[:, None]
             kt = _unit_zero_diag_kernel(z, family, sigma, out=self.kernel)
         else:
-            norms = None
             kt = _zero_diag_kernel(sq_dist_matrix(z, out=self.kernel), family, sigma,
                                    self.kernel)
         k_rows = kt.sum(axis=1)
@@ -353,11 +339,7 @@ class _DependencePlan:
         # dz = w.sum(1) z - w @ z: a duplicate pair's terms cancel exactly
         dz = np.multiply(z, w.sum(axis=1)[:, None], out=self.dz)
         dz -= np.matmul(w, z, out=self.wz)
-        if norms is not None:  # the backward pass of the normalization
-            z *= np.einsum("ij,ij->i", z, dz)[:, None]
-            dz -= z
-            dz /= norms[:, None]
-        grad = dz.T @ self.u
+        grad = _head_gradient(dz, self.u, z, norms)
         grad *= c / -(sigma * sigma)
         return loss, grad
 
@@ -451,17 +433,21 @@ class EpisodeResult:
     task: Task
     normalize: bool
 
+    def _rows(self, embeddings, what: str) -> np.ndarray:
+        return _forward(self.final_head, as_embeddings(embeddings), self.normalize, what)[0]
+
     @property
     def support_similarity(self) -> np.ndarray:
         """m x m cosine similarities of the transformed support rows."""
-        return cosine_gram(transform(self.final_head, self.task.support_x, self.normalize))
+        return cosine_gram(self._rows(self.task.support_x, "support row"))
 
     @property
     def query_support_similarity(self) -> np.ndarray:
         """q x m cosine similarities of transformed query to support rows."""
-        zs = transform(self.final_head, self.task.support_x, self.normalize)
-        zq = transform(self.final_head, self.task.query_x, self.normalize)
-        return _unit_rows(zq)[0] @ _unit_rows(zs)[0].T
+        zs = self._rows(self.task.support_x, "support row")
+        zq = self._rows(self.task.query_x, "query row")
+        return (_unit_rows(zq, "query row", "after the head", out=zq)[0]
+                @ _unit_rows(zs, "support row", "after the head", out=zs)[0].T)
 
     @property
     def class_boundaries(self) -> tuple[int, ...]:
@@ -508,7 +494,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     if cfg.loss == "mokd" and np.bincount(support_y).max() < 2:
         steps = 0
     elif cfg.loss == "mokd":
-        z0 = transform(head, support_x, cfg.normalize_features)
+        z0 = _forward(head, support_x, cfg.normalize_features, "support row")[0]
         sigma_zy = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid).sigma
         step = _DependencePlan(support_x, support_y, sigma_zy, cfg.gamma,
                                cfg.kernel_family, cfg.normalize_features)

@@ -119,15 +119,15 @@ def hsic_unbiased(kt, lt) -> float:
     return _hsic_from_rows(*_gram_rows(kt, lt))[0]
 
 
-def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
+def hsic_variance(kt, lt, *, clamp: bool = True) -> float:
     """Variance estimate for the unbiased dependence statistic.
 
-    Builds the per-sample vector h of _hsic_from_rows from the row statistics
-    of Kt and Lt and returns v = (16/m) (R - hsic_value^2). Both Grams must be
-    symmetric (an asymmetric one is rejected): the rows give tr(Kt Lt) as
-    the sum of (Kt o Lt)1 and 1'KtLt1 as Kt1 . Lt1. Negative numerical
-    estimates are clamped to zero unless clamp=False, which returns the raw
-    value for diagnostics.
+    Reads the estimate and the per-sample vector h of _hsic_from_rows from
+    the row statistics of Kt and Lt and returns v = (16/m) (R - estimate^2).
+    Both Grams must be symmetric (an asymmetric one is rejected): the rows
+    give tr(Kt Lt) as the sum of (Kt o Lt)1 and 1'KtLt1 as Kt1 . Lt1.
+    Negative estimates are clamped to zero unless clamp=False, which
+    returns the raw value for diagnostics.
 
     Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
     identity): row sums are 3, (Kt o Lt)1 = 3, Kt Lt row sums are 9, and
@@ -135,7 +135,7 @@ def hsic_variance(kt, lt, hsic_value: float, clamp: bool = True) -> float:
     so R = 0 and v = (16/4)(0 - 0) = 0 exactly.
     """
     kt, lt, _ = _check_gram_pair(kt, lt)
-    v = _hsic_from_rows(*_gram_rows(kt, lt), value=hsic_value)[1]
+    v = _hsic_from_rows(*_gram_rows(kt, lt))[1]
     if clamp and v < 0.0:
         return 0.0
     return v
@@ -150,12 +150,10 @@ def _gram_rows(kt: np.ndarray, lt: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndarray,
-                    kl_rows: np.ndarray, lk_rows: np.ndarray,
-                    value: float | None = None) -> tuple[float, float]:
+                    kl_rows: np.ndarray, lk_rows: np.ndarray) -> tuple[float, float]:
     """The unbiased estimate and its raw variance from the five row
     statistics (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1 of symmetric
-    zero-diagonal Grams. value, if given, replaces the estimate read from
-    the rows in the variance and the result.
+    zero-diagonal Grams.
 
     The rows give tr(Kt Lt) = 1'(Kt o Lt)1, 1'Kt1, 1'Lt1 and 1'KtLt1 =
     Kt1 . Lt1, hence the estimate (see hsic_unbiased), and the per-sample
@@ -172,9 +170,8 @@ def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndar
     sum_l = float(l_rows.sum())
     trace_kl = float(kl_products.sum())
     cross = float(k_rows @ l_rows)
-    if value is None:
-        total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
-        value = total / (m * (m - 3.0))
+    total = trace_kl + sum_k * sum_l / ((m - 1.0) * (m - 2.0)) - 2.0 * cross / (m - 2.0)
+    value = total / (m * (m - 3.0))
     h = (
         (m - 2.0) ** 2 * kl_products
         - m * (k_rows * l_rows)

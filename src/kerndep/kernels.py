@@ -2,13 +2,15 @@
 
 as_embeddings validates rows and returns them finite and float64, and
 as_labels validates class ids; label_kernel_matrix reads its labels through
-as_labels, and kernel_from_sq_dists checks its family and bandwidth. The
-array builders (sq_dist_matrix, _sq_dist_row_blocks, _unit_zero_diag_kernel,
-cosine_gram and median_sq_distance) check nothing and expect rows from
-as_embeddings: given float32 rows, the distances, kernels and Grams come out
-float32, and a NaN entry gives NaN distances. Gram matrices are exactly symmetric: radial
-kernels act elementwise on squared distances that are exactly symmetric
-(see sq_dist_matrix), and the cosine Gram is one symmetric rank-k update.
+as_labels, kernel_from_sq_dists checks its family and bandwidth, and
+_unit_rows, the one row normalization, rejects a row with no direction. The
+other array builders (sq_dist_matrix, _sq_dist_row_blocks,
+_unit_zero_diag_kernel and median_sq_distance) check nothing and expect
+rows from as_embeddings: given float32 rows, the distances and kernels come
+out float32, and a NaN entry gives NaN distances. Gram matrices are exactly
+symmetric: radial kernels act elementwise on exactly symmetric squared
+distances (see sq_dist_matrix), and the cosine Gram is one symmetric
+rank-k update.
 """
 
 from __future__ import annotations
@@ -298,19 +300,27 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
     return g
 
 
-def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of v scaled to unit length, and their norms; a row of norm 0
-    becomes a zero row."""
+def _unit_rows(v: np.ndarray, what: str = "row", where: str = "",
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of v scaled to unit length, in out if given (v itself
+    allowed), and their norms. A row whose norm squares below the smallest
+    normal float64 (a zero row included) has no direction, and the first is
+    rejected by what, index and where: "support row 3 has norm 0.0 after
+    the head"."""
     norms = np.linalg.norm(v, axis=1)
-    unit = np.divide(v, norms[:, None], out=np.zeros_like(v), where=norms[:, None] > 0)
-    return unit, norms
+    if not norms.min() ** 2 >= _TINY:  # a NaN norm fails too
+        i = int(np.flatnonzero(~(norms * norms >= _TINY))[0])
+        at = f" {where}" if where else ""
+        raise ValueError(f"{what} {i} has norm {norms[i]}{at}: its square is below the "
+                         f"smallest normal float64, so it cannot be scaled to unit length")
+    return np.divide(v, norms[:, None], out=out), norms
 
 
 def cosine_gram(z: np.ndarray) -> np.ndarray:
-    """Cosine-similarity Gram matrix; zero rows get similarity 0 everywhere."""
-    nz, norms = _unit_rows(z)
+    """Cosine-similarity Gram matrix; a row with no direction is rejected."""
+    nz, _ = _unit_rows(z)
     g = nz @ nz.T  # one symmetric rank-k update, so exactly symmetric
-    np.fill_diagonal(g, np.where(norms > 0, 1.0, 0.0))
+    np.fill_diagonal(g, 1.0)
     return g
 
 

@@ -66,8 +66,8 @@ def test_criterion_01_estimator_oracle_equivalence():
 def test_criterion_02_closed_form_zero_cases():
     kt = np.ones((4, 4)) - np.eye(4)
     value = hsic_unbiased(kt, kt)
-    variance = hsic_variance(kt, kt, value)
-    raw = hsic_variance(kt, kt, value, clamp=False)
+    variance = hsic_variance(kt, kt)
+    raw = hsic_variance(kt, kt, clamp=False)
     ok = abs(value) <= 1e-12 and abs(variance) <= 1e-12 and abs(raw) <= 1e-12
     report(2, "closed-form zero cases", ok,
            f"value={value!r} variance={variance!r} raw={raw!r}")
@@ -107,11 +107,11 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
         lt = label_kernel_matrix(y, zero_diag=True)
         v = hsic_unbiased(kt, lt)
         vals.append(v)
-        est_sq.append(hsic_variance(kt, lt, v))
+        est_sq.append(hsic_variance(kt, lt))
         # the rejected linear reading divides the second moment by D, not D^2
         n = len(y)
         big_d = (n - 1.0) * (n - 2.0) * (n - 3.0)
-        raw = hsic_variance(kt, lt, v, clamp=False)
+        raw = hsic_variance(kt, lt, clamp=False)
         est_lin.append(big_d * raw + (16.0 / n) * (big_d - 1.0) * v * v)
     empirical = np.var(vals, ddof=1)
     ratio_squared = float(np.mean(est_sq)) / empirical

@@ -236,9 +236,66 @@ def test_config_accepts_python_ints_and_numpy_reals():
 
 def test_transform_identity_normalizes_rows():
     u = np.array([[3.0, 4.0], [0.0, 2.0], [0.0, 0.0]])
-    z = transform(LinearHead.identity(2), u)
-    assert np.allclose(np.linalg.norm(z[:2], axis=1), 1.0)
-    assert np.array_equal(z[2], np.zeros(2))  # zero row passes through
+    z = transform(LinearHead.identity(2), u[:2])
+    assert np.allclose(np.linalg.norm(z, axis=1), 1.0)
+    with pytest.raises(ValueError, match=r"^row 2 has norm 0\.0 after the head"):
+        transform(LinearHead.identity(2), u)  # a zero row has no direction
+
+
+# a row of norm 0, and one whose norm squares below the smallest normal float64
+NO_DIRECTION = [0.0, 1e-160]
+BELOW = "its square is below the smallest normal float64"
+
+
+@pytest.mark.parametrize("scale", NO_DIRECTION)
+def test_transform_rejects_a_row_without_direction(scale):
+    u, _, head = random_instance(91, m=6, d=3)
+    u[4] = scale
+    with pytest.raises(ValueError, match=rf"^row 4 has norm .* after the head: {BELOW}"):
+        transform(head, u)
+    assert np.isfinite(transform(head, u, normalize=False)).all()
+
+
+@pytest.mark.parametrize("scale", NO_DIRECTION)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_ncc_loss_rejects_a_support_row_without_direction(scale, normalize):
+    u, y, head = random_instance(92, m=8, d=3)
+    u[3] = scale
+    with pytest.raises(ValueError, match=rf"^support row 3 has norm .* after the head: {BELOW}"):
+        ncc_loss_and_grad(head, u, y, normalize)
+
+
+@pytest.mark.parametrize("scale", NO_DIRECTION)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_ncc_loss_rejects_a_class_prototype_without_direction(scale, normalize):
+    u = np.random.default_rng(93).normal(size=(6, 3))
+    y = np.array([0, 0, 1, 1, 2, 2])
+    u[2], u[3] = [2.0 * scale, 1.0, 0.0], [0.0, -1.0, 0.0]  # opposite rows at scale 0
+    with pytest.raises(ValueError, match=rf"^class prototype 1 has norm \S+: {BELOW}"):
+        ncc_loss_and_grad(LinearHead.identity(3), u, y, normalize)
+
+
+@pytest.mark.parametrize("scale", NO_DIRECTION)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_ncc_predict_rejects_a_query_row_without_direction(scale, normalize):
+    u, y, head = random_instance(94, m=8, d=3)
+    query = np.random.default_rng(95).normal(size=(5, 3))
+    query[2] = scale
+    with pytest.raises(ValueError, match=rf"^query row 2 has norm .* after the head: {BELOW}"):
+        ncc_predict(head, (u, y), query, normalize)
+
+
+@pytest.mark.parametrize("scale", NO_DIRECTION)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_similarity_exports_reject_a_row_without_direction(scale, normalize):
+    task = separable_task(7)
+    result = run_episode(task, AdaptConfig(steps=2, normalize_features=normalize))
+    task.support_x[3] = scale
+    # normalized rows are rejected after the head, raw ones by cosine_gram
+    with pytest.raises(ValueError, match=rf"^(support )?row 3 has norm .*: {BELOW}"):
+        result.support_similarity
+    with pytest.raises(ValueError, match=rf"^support row 3 has norm .* after the head: {BELOW}"):
+        result.query_support_similarity
 
 
 def test_transform_unnormalized_is_plain_linear_map():

@@ -11,13 +11,14 @@ import pytest
 
 from kerndep.adapt import AdaptConfig
 from kerndep.cli import build_parser, main, read_config_file
-from kerndep.evaluation import EvalReport
+from kerndep.evaluation import EvalReport, episode_rng
 from kerndep.hsic import BandwidthGrid, select_bandwidth
 from kerndep.tasks import (
     EmbeddingDataset,
     SamplerConfig,
     flatten_dataset,
     load_embeddings,
+    sample_task,
     save_embeddings,
     synth_dataset,
 )
@@ -395,6 +396,27 @@ def test_eval_ncc_loss_mode(pool_path, capsys):
     code, stdout, _ = run_cli(capsys, eval_argv(pool_path, "--loss", "ncc"))
     assert code == 0
     assert "mean_accuracy:" in stdout
+
+
+@pytest.mark.parametrize("loss", ["mokd", "ncc"])
+@pytest.mark.parametrize("which", ["support", "query"])
+def test_eval_zero_row_exits_two_and_names_it(tmp_path, capsys, loss, which):
+    ds = synth_dataset(6, 24, 4, 6.0, 1.0, np.random.default_rng(0))
+    task = sample_task(ds, SamplerConfig(), episode_rng(0, 0))
+    drawn = (task.support_x if which == "support" else task.query_x)[3]
+    # the sampler reads no values, so episode 0 still draws this pool row as row 3
+    hits = 0
+    for mat in ds.classes:
+        match = (mat == drawn).all(axis=1)
+        mat[match] = 0.0
+        hits += int(match.sum())
+    assert hits == 1
+    path = tmp_path / "zero.emb"
+    save_embeddings(ds, path)
+    code, stdout, stderr = run_cli(capsys, eval_argv(path, "--loss", loss))
+    assert code == 2
+    assert stdout == ""
+    assert f"episode 0 failed: {which} row 3 has norm 0.0 after the head" in stderr
 
 
 @pytest.mark.parametrize("flag", ["--share-zz", "--no-share-zz"])

@@ -127,8 +127,8 @@ def test_constant_kernel_hand_case_is_exactly_zero():
     kt = constant_gram(4)
     assert hsic_unbiased(kt, kt) == 0.0
     assert hsic_unbiased_naive(kt, kt) == 0.0
-    assert hsic_variance(kt, kt, 0.0) == 0.0
-    assert hsic_variance(kt, kt, 0.0, clamp=False) == 0.0
+    assert hsic_variance(kt, kt) == 0.0
+    assert hsic_variance(kt, kt, clamp=False) == 0.0
 
 
 @pytest.mark.parametrize("m", [5, 8, 12])
@@ -137,7 +137,7 @@ def test_variance_matches_scalar_transcription(m):
     kt = rand_gram(rng, m)
     lt = rand_gram(rng, m)
     value = hsic_unbiased(kt, lt)
-    got = hsic_variance(kt, lt, value, clamp=False)
+    got = hsic_variance(kt, lt, clamp=False)
     want = variance_scalar_oracle(kt, lt, value)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -147,9 +147,8 @@ def test_clamped_variance_is_positive_part_of_raw(seed, m):
     rng = np.random.default_rng(seed)
     kt = rand_gram(rng, m)
     lt = rand_gram(rng, m)
-    value = hsic_unbiased(kt, lt)
-    raw = hsic_variance(kt, lt, value, clamp=False)
-    clamped = hsic_variance(kt, lt, value)
+    raw = hsic_variance(kt, lt, clamp=False)
+    clamped = hsic_variance(kt, lt)
     assert clamped == max(0.0, raw)
     assert clamped >= 0.0
 
@@ -163,9 +162,8 @@ def test_permutation_leaves_estimates_unchanged(seed, m):
     kp = kt[np.ix_(perm, perm)]
     lp = lt[np.ix_(perm, perm)]
     assert hsic_unbiased(kp, lp) == pytest.approx(hsic_unbiased(kt, lt), rel=1e-12, abs=1e-14)
-    v = hsic_unbiased(kt, lt)
-    assert hsic_variance(kp, lp, v, clamp=False) == pytest.approx(
-        hsic_variance(kt, lt, v, clamp=False), rel=1e-12, abs=1e-14
+    assert hsic_variance(kp, lp, clamp=False) == pytest.approx(
+        hsic_variance(kt, lt, clamp=False), rel=1e-12, abs=1e-14
     )
 
 
@@ -209,7 +207,7 @@ def test_estimator_rejects_asymmetric_grams():
         with pytest.raises(ValueError, match=f"Gram matrix {name} must be symmetric"):
             hsic_unbiased(*args)
         with pytest.raises(ValueError, match=f"Gram matrix {name} must be symmetric"):
-            hsic_variance(*args, 0.0)
+            hsic_variance(*args)
     hsic_unbiased(lt, rand_gram(rng, 6))  # symmetric pairs still pass
 
 
@@ -353,7 +351,7 @@ def test_selection_rows_match_manual_composition():
             if family == GAUSSIAN and coeff == 0.001:
                 assert not kt.any()  # the Gaussian underflows to 0 everywhere
             value = hsic_unbiased(kt, lt)
-            raw = hsic_variance(kt, lt, value, clamp=False)
+            raw = hsic_variance(kt, lt, clamp=False)
             ratio = value / math.sqrt(max(raw, 0.0) + DEFAULT_EPSILON)
             for got, want in ((row.value, value), (row.raw_variance, raw),
                               (row.power_ratio, ratio)):

@@ -87,18 +87,33 @@ def test_cosine_hand_values():
     assert np.array_equal(g, [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 
 
-def test_cosine_zero_vector_maps_to_zero():
-    g = cosine_gram(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert g[0, 0] == 0.0
-    assert g[0, 1] == 0.0
-    assert g[1, 1] == pytest.approx(1.0)
+def test_cosine_rejects_a_row_without_direction():
+    # norm 0, and a norm whose square is below the smallest normal float64
+    for scale in (0.0, 1e-160):
+        with pytest.raises(ValueError, match=r"^row 0 has norm .*: its square is below "
+                                             r"the smallest normal float64"):
+            cosine_gram(np.array([[scale, scale], [1.0, 1.0]]))
+
+
+def first_row_without_direction(z):
+    """The index of the first row whose norm squares below the smallest
+    normal float64, or None."""
+    norms = np.linalg.norm(z, axis=1)
+    flat = np.flatnonzero(~(norms * norms >= np.finfo(np.float64).tiny))
+    return int(flat[0]) if flat.size else None
 
 
 @pytest.mark.parametrize("family", sorted(("cosine", *KERNEL_FAMILIES)))
 @given(z=embeddings())
 def test_kernel_matrix_is_exactly_symmetric(family, z):
-    # cosine: the similarity exports' Gram, one symmetric rank-k update
-    k = cosine_gram(z) if family == "cosine" else kernel_matrix(KernelSpec(family, 1.3), z)
+    if family != "cosine":
+        k = kernel_matrix(KernelSpec(family, 1.3), z)
+    elif (row := first_row_without_direction(z)) is not None:
+        with pytest.raises(ValueError, match=rf"^row {row} has norm"):
+            cosine_gram(z)
+        return
+    else:  # the similarity exports' Gram, one symmetric rank-k update
+        k = cosine_gram(z)
     assert (k == k.T).all()
 
 

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("synth_convergence.py", ["--separations", "6", "--noises", "1", "--episodes", "2",
                               "--steps", "2", "--classes", "5", "--per-class", "12",
                               "--dim", "4"]),
+    ("row_normalization_gate.py", ["--pools", "isotropic", "--losses", "mokd",
+                                   "--learning-rates", "2.5", "--steps", "2", "--tasks", "2"]),
 ])
 def test_script_runs(script, args, src_env):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
