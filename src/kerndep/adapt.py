@@ -18,6 +18,7 @@ from .hsic import DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid, sel
 from .kernels import (
     GAUSSIAN,
     IMQ,
+    _ROW_BLOCK,
     _check_bandwidth,
     _check_family,
     _unit_rows,
@@ -26,7 +27,6 @@ from .kernels import (
     as_embeddings,
     as_labels,
     cosine_gram,
-    label_kernel_matrix,
     sq_dist_matrix,
 )
 from .tasks import Task, _check_integer, _check_real
@@ -195,7 +195,10 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
         raise ValueError("nearest-centroid loss needs at least two classes")
 
     protos, counts = _prototypes(z, y)
-    zn, z_norms = _unit_rows(z, "support row", "after the head")
+    if normalize:  # _forward's rows have unit length already
+        zn = z
+    else:
+        zn, z_norms = _unit_rows(z, "support row", "after the head")
     pn, p_norms = _unit_rows(protos, "class prototype")
     sims = zn @ pn.T
     shifted = sims - sims.max(axis=1, keepdims=True)
@@ -210,7 +213,7 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
 
     d_zn = grad_sims @ pn
     d_pn = grad_sims.T @ zn
-    dz = _unit_rows_backward(d_zn, zn, z_norms)
+    dz = d_zn if normalize else _unit_rows_backward(d_zn, zn, z_norms)
     d_protos = _unit_rows_backward(d_pn, pn, p_norms)
     dz += d_protos[y] / counts[y][:, None]
     return loss, _head_gradient(dz, u, z, v_norms)
@@ -228,9 +231,8 @@ def ncc_predict(head: LinearHead, support: tuple, query,
     y = as_labels(support_y, zs.shape[0])
     if int(y.max()) + 1 < 2:
         raise ValueError("nearest-centroid prediction needs at least two classes")
-    zq = _forward(head, as_embeddings(query), normalize, "query row")[0]
+    qn = _forward(head, as_embeddings(query), True, "query row")[0]  # cosine: unit rows
     protos, _ = _prototypes(zs, y)
-    qn, _ = _unit_rows(zq, "query row", "after the head", out=zq)
     pn, _ = _unit_rows(protos, "class prototype", out=protos)
     sims = qn @ pn.T
     return sims.argmax(axis=1)
@@ -241,28 +243,34 @@ class _DependencePlan:
 
     What does not depend on the head is done once, here: the family and the
     bandwidth are checked, the rows and labels validated, the label term
-    reduced to three constants and a flat index of its same-class pairs
-    (the label Gram is not kept), and the buffers allocated: two m x m
-    arrays whatever gamma is, the kernel and the weights w = d(loss)/d(d2),
-    and three m x d arrays for the rows and their pull-back.
+    reduced to three constants and a sorted flat index of its same-class
+    pairs (no label Gram is built), and the buffers allocated: one m x m
+    array whatever gamma is, which holds the kernel and then the weights
+    w = d(loss)/d(d2), a kernels._ROW_BLOCK x m scratch, and three m x d
+    arrays for the rows and their pull-back. The index has sum n_c (n_c - 1)
+    int64 entries over the class sizes n_c, and is built a row block at a
+    time; the offsets of its row blocks are kept too.
 
     weight * d hsic(Kt, L) / d Kt, with L fixed, is the Gram cotangent
     C = c L - t_i - t_j + k with c = 2 weight / (m (m - 3)),
     t = L1 c / (m - 2) and k = c 1'L1 / ((m - 1)(m - 2)) (tests/oracles.py
     keeps it as the reference); the estimate is linear in Kt, so
     2 weight hsic(Kt, L) = <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1. The
-    label term -hsic(Kt, Lt) has weight -1, and <Kt, Lt> is Kt summed over
-    the same-class index, so the rows need not be sorted by class. The
-    penalty gamma hsic(Kt, Kt) reads Kt twice: its C has L = Kt and weight
-    2 gamma, it is <Kt, C> / 4, and it reads <Kt, Kt> and t from Kt1.
+    label term -hsic(Kt, Lt) has weight -1, its Lt1 is n_c - 1 for a row of
+    class c, and <Kt, Lt> is Kt summed over the same-class index, so the
+    rows need not be sorted by class. The penalty gamma hsic(Kt, Kt) reads
+    Kt twice: its C has L = Kt and weight 2 gamma, it is <Kt, C> / 4, and it
+    reads <Kt, Kt> and t from Kt1.
 
     w is the summed C times 2 dk/d(d2) = -Kt / sigma^2 (-Kt^3 / sigma^2 for
     the IMQ). Its scale -c / sigma^2, c the penalty's (the label's when
-    gamma is 0), is applied to the d x d gradient instead, so two passes
-    write Kt and the rank-one terms, the label's Lt is added through the
-    index, and one w *= Kt finishes w (IMQ: twice more). The pull-back is
+    gamma is 0), is applied to the d x d gradient instead. Once the loss
+    has read Kt, w is written over it a row block at a time: in the scratch
+    the block of Kt (gamma > 0) less the two rank-one terms, plus the
+    label's Lt through the block's part of the index, times Kt (IMQ: twice
+    more), and the last product is written over the block. The pull-back is
     dz = w.sum(1) z - w @ z, in which a duplicate pair's two terms cancel
-    exactly. No m x m temporary is made.
+    exactly.
 
     The rows go through _forward and dz back through _head_gradient, the
     passes transform and the ncc loss use. With row normalization (the
@@ -275,7 +283,7 @@ class _DependencePlan:
 
     def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
                  normalize: bool) -> None:
-        _check_family(family)  # both checks once, before the m x m buffers
+        _check_family(family)  # both checks once, before the m x m buffer
         _check_bandwidth(sigma)
         self.u = as_embeddings(embeddings)
         m, d = self.u.shape
@@ -283,12 +291,20 @@ class _DependencePlan:
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
         self.rows = np.empty((m, d))
-        if normalize:  # the row buffer as scratch, before the m x m buffers
+        if normalize:  # the row buffer as scratch, before the m x m buffer
             _unit_rows(self.u, "support row", "in the embeddings", out=self.rows)
-        # the label term's index and constants (weight -1); Lt is not kept
-        lt = label_kernel_matrix(y, zero_diag=True)
-        self.same_class = np.flatnonzero(lt)
-        l_rows = lt.sum(axis=1)
+        # the label term's index and constants (weight -1): Lt1 = n_c - 1
+        lt1 = np.bincount(y)[y] - 1
+        offsets = np.concatenate(([0], np.cumsum(lt1)))
+        # (a, lo, hi): the rows [a, a + _ROW_BLOCK) own same_class[lo:hi]
+        self.blocks = [(a, int(offsets[a]), int(offsets[min(a + _ROW_BLOCK, m)]))
+                       for a in range(0, m, _ROW_BLOCK)]
+        self.same_class = np.empty(int(offsets[-1]), dtype=np.int64)
+        for a, lo, hi in self.blocks:
+            same = y[a:a + _ROW_BLOCK, None] == y
+            np.fill_diagonal(same[:, a:], False)
+            np.add(np.flatnonzero(same), a * m, out=self.same_class[lo:hi])
+        l_rows = lt1.astype(np.float64)
         self.label_c = -2.0 / (m * (m - 3.0))
         self.label_t = l_rows * (self.label_c / (m - 2.0))
         self.label_k = self.label_c * float(l_rows.sum()) / ((m - 1.0) * (m - 2.0))
@@ -298,12 +314,12 @@ class _DependencePlan:
         self.family = family
         self.normalize = normalize
         self.kernel = np.empty((m, m))
-        self.w = np.empty((m, m))
+        self.scratch = np.empty((min(_ROW_BLOCK, m), m))
         self.wz = np.empty((m, d))
         self.dz = np.empty((m, d))
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
-        family, sigma, w = self.family, self.sigma, self.w
+        family, sigma = self.family, self.sigma
         m = self.u.shape[0]
         z, norms = _forward(head, self.u, self.normalize, "support row", out=self.rows)
         if self.normalize:
@@ -324,18 +340,23 @@ class _DependencePlan:
             loss += 0.25 * (c * float(np.vdot(kt, kt)) - 2.0 * float(t_self @ k_rows)
                             + k_self * k_total)
             t, k = t + t_self, k + k_self
-        # w = B Kt, with B = (C_label + C_penalty) / c: its scale -c / sigma^2
-        # is applied to the gradient
-        if self.gamma != 0.0:
-            np.subtract(kt, ((t - k) / c)[:, None], out=w)
-        else:
-            np.negative(((t - k) / c)[:, None], out=w)
-        w -= t / c
-        w.ravel()[self.same_class] += self.label_c / c
-        w *= kt
-        if family == IMQ:
-            w *= kt
-            w *= kt
+        # w = B Kt, with B = (C_label + C_penalty) / c, over Kt a row block at
+        # a time: its scale -c / sigma^2 is applied to the gradient
+        row, col, label = (t - k) / c, t / c, self.label_c / c
+        for a, lo, hi in self.blocks:
+            kt_blk = kt[a:a + _ROW_BLOCK]
+            s = self.scratch[:len(kt_blk)]
+            if self.gamma != 0.0:
+                np.subtract(kt_blk, row[a:a + _ROW_BLOCK, None], out=s)
+            else:
+                np.negative(row[a:a + _ROW_BLOCK, None], out=s)
+            s -= col
+            s.ravel()[self.same_class[lo:hi] - a * m] += label
+            if family == IMQ:
+                s *= kt_blk
+                s *= kt_blk
+            np.multiply(s, kt_blk, out=kt_blk)
+        w = kt
         # dz = w.sum(1) z - w @ z: a duplicate pair's terms cancel exactly
         dz = np.multiply(z, w.sum(axis=1)[:, None], out=self.dz)
         dz -= np.matmul(w, z, out=self.wz)
@@ -433,21 +454,19 @@ class EpisodeResult:
     task: Task
     normalize: bool
 
-    def _rows(self, embeddings, what: str) -> np.ndarray:
-        return _forward(self.final_head, as_embeddings(embeddings), self.normalize, what)[0]
+    def _rows(self, embeddings, what: str, normalize: bool) -> np.ndarray:
+        return _forward(self.final_head, as_embeddings(embeddings), normalize, what)[0]
 
     @property
     def support_similarity(self) -> np.ndarray:
         """m x m cosine similarities of the transformed support rows."""
-        return cosine_gram(self._rows(self.task.support_x, "support row"))
+        return cosine_gram(self._rows(self.task.support_x, "support row", self.normalize))
 
     @property
     def query_support_similarity(self) -> np.ndarray:
         """q x m cosine similarities of transformed query to support rows."""
-        zs = self._rows(self.task.support_x, "support row")
-        zq = self._rows(self.task.query_x, "query row")
-        return (_unit_rows(zq, "query row", "after the head", out=zq)[0]
-                @ _unit_rows(zs, "support row", "after the head", out=zs)[0].T)
+        zs = self._rows(self.task.support_x, "support row", True)  # cosine: unit rows
+        return self._rows(self.task.query_x, "query row", True) @ zs.T
 
     @property
     def class_boundaries(self) -> tuple[int, ...]:

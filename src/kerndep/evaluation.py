@@ -31,6 +31,10 @@ class EpisodeSummary:
 
 @dataclass
 class EvalReport:
+    """A run's aggregate and one summary per episode. episode_results holds
+    every episode's full EpisodeResult, its task included, only when the run
+    was asked to keep them (keep_results), and is None otherwise."""
+
     episodes: int
     mean_accuracy: float
     ci95: float
@@ -62,25 +66,29 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
 
     Episode i samples its task with episode_rng(sampler_cfg.seed, i). The
     first failing episode stops the run with a RuntimeError that names it
-    and wraps the cause.
+    and wraps the cause. Each episode's summary is taken as it ends; its
+    EpisodeResult, which holds the task's arrays, is kept only with
+    keep_results, so without it the run holds nothing of a finished episode
+    but its summary.
     """
     _check_integer("n_episodes", n_episodes)
     if n_episodes < 1:
         raise ValueError(f"need at least one episode, got {n_episodes}")
-    results = []
+    per_episode, results = [], []
     for i in range(n_episodes):
         try:
             task = sample_task(dataset, sampler_cfg, episode_rng(sampler_cfg.seed, i))
-            results.append(run_episode(task, adapt_cfg))
+            result = run_episode(task, adapt_cfg)
         except Exception as exc:
             raise RuntimeError(f"episode {i} failed: {exc}") from exc
+        per_episode.append(EpisodeSummary(
+            seed=i, accuracy=result.query_accuracy, sigma_zy=result.sigma_zy,
+            final_loss=result.loss_trace[-1] if result.loss_trace else math.nan))
+        if keep_results:
+            results.append(result)
+        del task, result  # not held while the next episode runs
 
-    accuracies = [r.query_accuracy for r in results]
-    per_episode = [
-        EpisodeSummary(seed=i, accuracy=r.query_accuracy, sigma_zy=r.sigma_zy,
-                       final_loss=r.loss_trace[-1] if r.loss_trace else math.nan)
-        for i, r in enumerate(results)
-    ]
+    accuracies = [ep.accuracy for ep in per_episode]
     return EvalReport(
         episodes=n_episodes,
         mean_accuracy=float(np.mean(accuracies)),

@@ -90,22 +90,21 @@ _PAIR_BLOCK = 4096
 _ROW_BLOCK = 64
 
 
-def _cancelled_pairs(z: np.ndarray, block: np.ndarray, n: np.ndarray | None, a: int):
-    """The cancellation rule's pairs in a block: yield (i, j, d2) for up to
-    kernels._PAIR_BLOCK pairs at a time, with i, j their indices in block and
-    d2 their squared distances from the differences of the uncentred rows,
-    so duplicates give exactly 0.
+def _cancelled_pairs(block: np.ndarray, n: np.ndarray | None, a: int):
+    """The cancellation rule's pairs in a block: yield (i, j), their indices
+    in block, for one kernels._ROW_BLOCK-row chunk of block at a time, so no
+    temporary has more rows.
 
     block covers the rows i = a, a+1, ... and the columns j = a, a+1, ... of
-    z (so block[k, k] is the pair i == j). It holds either the squared
-    distances n_i + n_j - 2 zc_i . zc_j, with zc the centred rows and n
-    their squared norms, or, with n None, the Gram z_i . z_j of rows of
+    the rows z (so block[k, k] is the pair i == j). It holds either the
+    squared distances n_i + n_j - 2 zc_i . zc_j, with zc the centred rows and
+    n their squared norms, or, with n None, the Gram z_i . z_j of rows of
     unit length. A pair is within the threshold when d2 <= 1e-8 (n_i + n_j),
     which takes in duplicate rows, any negative value and NaN; on unit rows,
     where d2 = 2 - 2 G, that reads G >= 1 - 1e-8 (G > 1 and NaN included).
     The diagonal must hold inf (distances) or -inf (Gram), so that it is
-    never taken. The threshold is tested kernels._ROW_BLOCK rows at a time,
-    so no temporary has more rows.
+    never taken. The caller may rewrite a chunk's pairs before the next
+    chunk is tested.
     """
     rows, cols = block.shape
     if n is not None:
@@ -120,9 +119,27 @@ def _cancelled_pairs(z: np.ndarray, block: np.ndarray, n: np.ndarray | None, a: 
             bound *= _CANCELLATION
             i, j = np.nonzero(~(chunk > bound))
         i += r
+        yield i, j
+
+
+def _nan_pairs(block: np.ndarray):
+    """Yield (i, j), the indices of block's NaN entries, for one
+    kernels._ROW_BLOCK-row chunk of block at a time."""
+    for r in range(0, block.shape[0], _ROW_BLOCK):
+        i, j = np.nonzero(np.isnan(block[r:r + _ROW_BLOCK]))
+        i += r
+        yield i, j
+
+
+def _difference_sq_dists(z: np.ndarray, pairs):
+    """For each (i, j) of pairs, row indices of z, yield (i, j, d2) for up
+    to kernels._PAIR_BLOCK pairs at a time, with d2 their squared distances
+    from the differences of the rows, so duplicates give exactly 0."""
+    for i, j in pairs:
         for start in range(0, i.size, _PAIR_BLOCK):
             bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
-            diff = z[a + bi] - z[a + bj]  # near-equal coordinates subtract exactly
+            diff = z[bi]
+            diff -= z[bj]  # near-equal coordinates subtract exactly
             yield bi, bj, np.einsum("ij,ij->i", diff, diff)
 
 
@@ -149,7 +166,7 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
     # larger least entry means there is none; NaN (overflowing rows) fails too
     if not least > _CANCELLATION * (n[a:a + rows].max() + n[a:a + cols].max()):
         least = 0.0
-        for i, j, d2 in _cancelled_pairs(z, block, n, a):
+        for i, j, d2 in _difference_sq_dists(z[a:], _cancelled_pairs(block, n, a)):
             block[i, j] = d2
     np.fill_diagonal(block, 0.0)
     return least
@@ -271,20 +288,20 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
     exp((G - 1) / sigma^2) and the IMQ 1 / sqrt(1 + 2/sigma^2 - (2/sigma^2) G):
     two affine passes and the family's map. The cancellation rule is applied
     to G first (see _cancelled_pairs): the pairs with G_ij >= 1 - 1e-8 are
-    recomputed from their row differences, and their kernel entries are
-    written from those distances after the map, so a duplicate row gives
-    exactly 1. Those pairs and the diagonal are set to -inf before the map,
-    which sends them to 0, so it meets no entry that would overflow or
-    divide by 0. The result is exactly symmetric. The family and the
-    bandwidth are not checked.
+    set to NaN, which each map step carries through without a warning, and
+    after the map each row block's NaN entries are written from the squared
+    distances of their row differences, so a duplicate row gives exactly 1.
+    So no more than a row block of those pairs is held at once. The diagonal
+    is set to -inf before the map, which sends it to 0, and no entry the map
+    meets overflows or divides by 0. The result is exactly symmetric. The
+    family and the bandwidth are not checked.
     """
     g = np.matmul(z, z.T, out=out)
     np.fill_diagonal(g, -np.inf)  # never a close pair; each map gives 0 there
-    close = []
-    if not g.max() < 1.0 - _CANCELLATION:
-        close = list(_cancelled_pairs(z, g, None, 0))
-        for i, j, _ in close:  # as the diagonal: the map meets no overflow or 1 / 0
-            g[i, j] = -np.inf
+    close = not g.max() < 1.0 - _CANCELLATION
+    if close:
+        for i, j in _cancelled_pairs(g, None, 0):
+            g[i, j] = np.nan
     if family == GAUSSIAN:
         g -= 1.0
         g *= 1.0 / (sigma * sigma)
@@ -295,8 +312,9 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
         g += 1.0 + scale
         np.sqrt(g, out=g)
         np.divide(1.0, g, out=g)
-    for i, j, d2 in close:
-        g[i, j] = _radial_kernel(d2, family, sigma)
+    if close:
+        for i, j, d2 in _difference_sq_dists(z, _nan_pairs(g)):
+            g[i, j] = _radial_kernel(d2, family, sigma)
     return g
 
 

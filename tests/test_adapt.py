@@ -29,6 +29,7 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
+    _ROW_BLOCK,
     _unit_rows,
     _unit_zero_diag_kernel,
     _zero_diag_kernel,
@@ -446,15 +447,10 @@ def dense_cotangent_step(head, u, y, sigma, gamma, family, normalize):
     return loss, dz.T @ u
 
 
-@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
-@pytest.mark.parametrize("gamma", [0.0, 3.0])
-@pytest.mark.parametrize("normalize", [True, False])
-@pytest.mark.parametrize("sigma", SIGMAS)
-@pytest.mark.parametrize("order", ["sorted", "shuffled"])
-def test_plan_matches_dense_cotangent_oracle(family, gamma, normalize, sigma, order):
-    u, y, head = random_instance(44, m=12, d=4)
+def check_plan_against_dense_oracle(m, family, gamma, normalize, sigma, order):
+    u, y, head = random_instance(44, m=m, d=4)
     if order == "shuffled":
-        rows = np.random.default_rng(45).permutation(12)
+        rows = np.random.default_rng(45).permutation(m)
         u, y = u[rows], y[rows]
         assert (np.diff(y) < 0).any()
     sigma = bandwidth(sigma, head, u, normalize)
@@ -462,6 +458,26 @@ def test_plan_matches_dense_cotangent_oracle(family, gamma, normalize, sigma, or
     want_loss, want_grad = dense_cotangent_step(head, u, y, sigma, gamma, family, normalize)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     assert rel_error(grad, want_grad) <= 1e-12
+
+
+PLAN_CASES = {"family": [GAUSSIAN, IMQ], "gamma": [0.0, 3.0], "normalize": [True, False],
+              "sigma": SIGMAS, "order": ["sorted", "shuffled"]}
+
+
+@pytest.mark.parametrize("family", PLAN_CASES["family"])
+@pytest.mark.parametrize("gamma", PLAN_CASES["gamma"])
+@pytest.mark.parametrize("normalize", PLAN_CASES["normalize"])
+@pytest.mark.parametrize("sigma", PLAN_CASES["sigma"])
+@pytest.mark.parametrize("order", PLAN_CASES["order"])
+def test_plan_matches_dense_cotangent_oracle(family, gamma, normalize, sigma, order):
+    check_plan_against_dense_oracle(12, family, gamma, normalize, sigma, order)
+
+
+@pytest.mark.parametrize("m", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+def test_plan_matches_dense_cotangent_oracle_across_row_blocks(m):
+    # the plan builds its index and writes its weights a row block at a time
+    for case in itertools.product(*PLAN_CASES.values()):
+        check_plan_against_dense_oracle(m, *case)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
@@ -485,7 +501,7 @@ def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma):
 
 @pytest.mark.parametrize("gamma", [0.0, 3.0])
 def test_warm_plan_holds_no_label_gram(gamma):
-    # the kernel buffer and the weight matrix; the label term keeps only
+    # one buffer for the kernel and the weights; the label term keeps only
     # the same-class index
     rng = np.random.default_rng(43)
     m, d = 200, 8
@@ -500,7 +516,33 @@ def test_warm_plan_holds_no_label_gram(gamma):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held // (m * m * 8) == 2  # whole m x m float64 arrays
+    assert held // (m * m * 8) == 1  # whole m x m float64 arrays
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_cold_plan_build_and_step_peak_at_one_m_by_m_array(family, gamma, order):
+    rng = np.random.default_rng(48)
+    m, d = 300, 8
+    u = rng.normal(size=(m, d))
+    y = np.repeat(np.arange(10), m // 10)
+    if order == "shuffled":
+        y = rng.permutation(y)
+    head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
+    _DependencePlan(u[:8], y[:8] % 2, 1.1, gamma, family, True)(LinearHead.identity(d))
+    tracemalloc.start()  # after numpy's lazy imports
+    try:
+        plan = _DependencePlan(u, y, 1.1, gamma, family, True)
+        plan(head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel buffer, the same-class index and the loss's read of it,
+    # two row blocks (the scratch and a block's part of the index), and the
+    # m x d rows and pull-back
+    index = plan.same_class.nbytes
+    assert peak <= m * m * 8 + 2 * index + 2 * _ROW_BLOCK * m * 8 + 4 * m * d * 8
 
 
 def test_ncc_loss_hand_value():
@@ -690,7 +732,7 @@ def test_episode_is_deterministic():
 def count_episode_builds(count, task, steps):
     targets = ("kerndep.adapt._unit_zero_diag_kernel", "kerndep.adapt.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
-               "kerndep.adapt.label_kernel_matrix",
+               "kerndep.kernels.label_kernel_matrix",
                "kerndep.kernels.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
                "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
                "kerndep.hsic._gram_rows")
@@ -709,7 +751,8 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         # the label search reads row blocks, and so does the median
         "kerndep.kernels.sq_dist_matrix": 0,
         "kerndep.hsic.median_sq_distance": 1,
-        "kerndep.adapt.label_kernel_matrix": 1,  # one per episode, for the same-class index
+        # the plan reads the same-class index from the labels, a row block at a time
+        "kerndep.kernels.label_kernel_matrix": 0,
         # the step reads its kernel from the Gram, checked once per episode
         "kerndep.kernels.kernel_from_sq_dists": 0,
         # the label search's kernel row blocks, one block here: 0.001's
@@ -796,7 +839,8 @@ def test_episode_builds_similarity_matrices_only_when_read(call_counts, normaliz
     zs = transform(result.final_head, task.support_x, normalize)
     zq = transform(result.final_head, task.query_x, normalize)
     assert support.tobytes() == cosine_gram(zs).tobytes()
-    unit = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in (zq, zs)]
+    # cosine of the rows: transform's rows are unit already when normalizing
+    unit = [v if normalize else v / np.linalg.norm(v, axis=1, keepdims=True) for v in (zq, zs)]
     assert result.query_support_similarity.tobytes() == (unit[0] @ unit[1].T).tobytes()
     assert counts["kerndep.adapt.cosine_gram"] == 1
 

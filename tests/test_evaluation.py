@@ -1,6 +1,7 @@
 """Evaluation harness, similarity exports, and the mean-exponential bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from kerndep.evaluation import (
     evaluate,
     similarity_export,
 )
-from kerndep.tasks import EmbeddingDataset, SamplerConfig, Task, sample_task, synth_dataset
+from kerndep.tasks import (
+    EmbeddingDataset,
+    SamplerConfig,
+    Task,
+    sample_task,
+    synth_dataset,
+    synth_task,
+)
 from oracles import exp_mean_bound_holds
 
 
@@ -106,6 +114,31 @@ def test_evaluate_keep_results_returns_full_episodes():
     for row, result in zip(report.per_episode, report.episode_results):
         assert row.accuracy == result.query_accuracy
         assert row.final_loss == result.loss_trace[-1]
+    lean = evaluate(pool, SamplerConfig(), quick_cfg(), 3)  # the same report, no results
+    assert lean.episode_results is None
+    assert lean.per_episode == report.per_episode
+    assert (lean.mean_accuracy, lean.ci95) == (report.mean_accuracy, report.ci95)
+
+
+def test_evaluate_holds_nothing_of_a_finished_episode(monkeypatch):
+    # every episode draws a fresh task of one size: 100 support and 75 query
+    # rows of width 64, about 90 kB, which a kept result would hold
+    def fixed_size_task(dataset, sampler_cfg, rng):
+        return synth_task(5, 20, 15, 64, 6.0, 1.0, rng)
+
+    monkeypatch.setattr("kerndep.evaluation.sample_task", fixed_size_task)
+    pool = eval_pool()
+    evaluate(pool, SamplerConfig(), quick_cfg(), 1)  # numpy's lazy imports
+
+    def peak(n_episodes):
+        tracemalloc.start()
+        try:
+            evaluate(pool, SamplerConfig(), quick_cfg(), n_episodes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) <= peak(2) + 32_000  # ten more summaries, not one more task
 
 
 def test_evaluate_rejects_zero_episodes():

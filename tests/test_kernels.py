@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kerndep.kernels import (
     _BUCKETS,
     _EXP_ZERO,
+    _PAIR_BLOCK,
     _ROW_BLOCK,
     _bucket_key,
     GAUSSIAN,
@@ -319,6 +320,31 @@ def test_unit_kernel_from_the_gram_recomputes_close_pairs(family):
     ref = kernel_from_sq_dists(unit_sq_dist_matrix(z), family, sigma)
     np.fill_diagonal(ref, 0.0)
     assert np.allclose(k, ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("classes", [2, 4])
+def test_unit_kernel_holds_no_more_than_a_row_block_of_close_pairs(family, classes):
+    # every row repeats a class row: close to half (2 classes) or a quarter
+    # of all pairs are duplicates, which the kernel writes from their rows
+    m, d = 400, 16
+    base = np.random.default_rng(53).normal(size=(classes, d))
+    z = base[np.arange(m) % classes]
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    out = np.empty((m, m))
+    _unit_zero_diag_kernel(z, family, 0.8, out=out)
+    tracemalloc.start()
+    try:
+        k = _unit_zero_diag_kernel(z, family, 0.8, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    same = np.equal.outer(np.arange(m) % classes, np.arange(m) % classes)
+    np.fill_diagonal(same, False)
+    assert (k[same] == 1.0).all()
+    assert not k.diagonal().any()
+    # a row block's pair indices and masks, and two pair blocks of rows
+    assert peak <= 4 * _ROW_BLOCK * m * 8 + 2 * _PAIR_BLOCK * (d + 2) * 8
 
 
 @pytest.mark.parametrize("m, d", [(1, 3), (40, 12), (130, 5), (200, 64)])
