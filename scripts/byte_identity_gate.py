@@ -1,0 +1,192 @@
+"""Byte-identity gate: do two source trees give the same kerndep CLI output?
+
+Runs one list of kerndep commands under this checkout's src/ and under the
+src/ of another checkout (--against DIR, a git clone or git archive of the
+commit to compare with), each tree in its own Python process with
+OPENBLAS_NUM_THREADS=1, and compares each command's stdout, exit code and
+heatmap files. With each heatmap the worker also writes the float64 bytes of
+the similarity matrix it shows, so a change below the 8-bit pixels counts as
+a difference too. The commands run on pools this script writes with numpy:
+
+- eval --episodes 6 --verbose on each of 16 pools of 32 classes x 40 rows
+  (d = 64, separation 6, noise 1.5), in five modes: the default with
+  --dump-heatmaps; --kernel imq; --gamma 0; --loss ncc with --dump-heatmaps;
+  normalize_features = false (a config file) with --dump-heatmaps;
+- hsic --format csv, Gaussian and --kernel imq, on each of 4 pools of
+  40 classes x 60 rows (d = 64).
+
+That is 88 commands; --quick runs one pool of each kind, one episode and
+a few rows per class instead. stdout gets a header and one row: commands,
+identical, different. Each differing command goes to stderr with what
+differs (stdout, exit, pgm: the heatmap files, f64: the matrices' float64
+bytes), and the exit code is 1 on any difference. Every command is meant to
+succeed: when one exits nonzero in this checkout, its name goes to stderr
+too, and the exit code is 2 if nothing differs.
+
+    python scripts/byte_identity_gate.py --against ../parent-checkout
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+DIM = 64  # at least the class count, so every class has its own mean direction
+EVAL_MODES = {
+    "default": ["--dump-heatmaps", "{dump}"],
+    "imq": ["--kernel", "imq"],
+    "gamma0": ["--gamma", "0"],
+    "ncc": ["--loss", "ncc", "--dump-heatmaps", "{dump}"],
+    "raw-rows": ["--config", "{raw_rows}", "--dump-heatmaps", "{dump}"],
+}
+HSIC_KERNELS = ("gaussian", "imq")
+# (pools, episodes, rows per class) of each kind, in full and with --quick
+EVAL_SIZE = {False: (16, 6, 40), True: (1, 1, 6)}
+HSIC_SIZE = {False: (4, 60), True: (1, 5)}
+
+
+def write_pool(path, seed, classes, per_class, separation=6.0, noise=1.5):
+    """Gaussian blobs around class means on orthonormal directions, written
+    in the EMB1 binary format (magic, version byte, uint32 class count, then
+    per class uint32 rows, uint32 dimension and little-endian float32 rows)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((DIM, classes)))
+    with open(path, "wb") as fh:
+        fh.write(b"EMB1" + struct.pack("<BI", 1, classes))
+        for mean in separation * q.T:
+            rows = mean + noise * rng.standard_normal((per_class, DIM))
+            fh.write(struct.pack("<II", per_class, DIM) + rows.astype("<f4").tobytes())
+
+
+def plan(quick: bool, pools: Path) -> dict:
+    """Write the pools and return {command name: argv}, with {dump} left for
+    each tree's heatmap directory."""
+    raw_rows = pools / "raw-rows.cfg"
+    raw_rows.write_text("normalize_features = false\n", encoding="utf-8")
+    commands = {}
+    variants, episodes, per_class = EVAL_SIZE[quick]
+    for v in range(variants):
+        pool = pools / f"eval-{v}.emb"
+        write_pool(pool, [v, 32], 32, per_class)
+        for mode, extra in EVAL_MODES.items():
+            argv = ["eval", "--embeddings", str(pool), "--episodes", str(episodes),
+                    "--verbose", *extra]
+            commands[f"eval-{v}-{mode}"] = [a.replace("{raw_rows}", str(raw_rows))
+                                            for a in argv]
+    variants, per_class = HSIC_SIZE[quick]
+    for v in range(variants):
+        pool = pools / f"hsic-{v}.emb"
+        write_pool(pool, [v, 40], 40, per_class)
+        for kernel in HSIC_KERNELS:
+            commands[f"hsic-{v}-{kernel}"] = ["hsic", "--embeddings", str(pool),
+                                              "--format", "csv", "--kernel", kernel]
+    return commands
+
+
+def worker(plan_path, out_dir):
+    """Run every command of the plan in this process with kerndep.cli.main,
+    each dumping into out_dir/<name>, and write out_dir/results.json: per
+    command its exit code (or the exception it raised) and stdout, and the
+    kerndep package file imported. Beside each heatmap X.pgm goes X.f64,
+    the float64 bytes of the matrix it shows."""
+    import kerndep.cli
+
+    export = kerndep.cli.similarity_export
+
+    def export_with_values(result, path, fmt="csv", which="support"):
+        export(result, path, fmt, which=which)
+        matrix = (result.support_similarity if which == "support"
+                  else result.query_support_similarity)
+        Path(path).with_suffix(".f64").write_bytes(np.asarray(matrix, np.float64).tobytes())
+
+    kerndep.cli.similarity_export = export_with_values
+    out_dir = Path(out_dir)
+    results = {"kerndep": kerndep.__file__, "commands": {}}
+    for name, argv in json.loads(Path(plan_path).read_text(encoding="utf-8")).items():
+        argv = [a.replace("{dump}", str(out_dir / name)) for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = kerndep.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a bug in the tree: reported, and the run goes on
+                traceback.print_exc(file=sys.__stderr__)
+                code = f"raised {type(exc).__name__}"
+        results["commands"][name] = {"exit": code, "stdout": stdout.getvalue()}
+    (out_dir / "results.json").write_text(json.dumps(results), encoding="utf-8")
+
+
+def dumps(directory: Path, suffix: str) -> dict:
+    if not directory.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(directory.glob(f"*{suffix}"))}
+
+
+def differences(name: str, tmp: Path, results: dict) -> list:
+    """What differs between the two trees' runs of one command."""
+    this, against = (results[tree]["commands"][name] for tree in ("this", "against"))
+    parts = [part for part in ("stdout", "exit") if this[part] != against[part]]
+    return parts + [suffix[1:] for suffix in (".pgm", ".f64")
+                    if dumps(tmp / "this" / name, suffix)
+                    != dumps(tmp / "against" / name, suffix)]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", required=True, type=Path,
+                    help="the checkout to compare with; its src/ is imported")
+    ap.add_argument("--quick", action="store_true",
+                    help="one pool of each kind, one episode, a few rows per class")
+    args = ap.parse_args()
+
+    trees = {"this": ROOT / "src", "against": args.against.resolve() / "src"}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        commands = plan(args.quick, tmp)
+        plan_path = tmp / "plan.json"
+        plan_path.write_text(json.dumps(commands), encoding="utf-8")
+        procs = {}
+        for tree, src in trees.items():
+            (tmp / tree).mkdir()
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+            procs[tree] = subprocess.Popen(
+                [sys.executable, __file__, "--worker", str(plan_path), str(tmp / tree)],
+                env=env)
+        for tree, proc in procs.items():
+            if proc.wait() != 0:
+                sys.exit(f"the worker for {trees[tree]} exited with {proc.returncode}")
+        results = {tree: json.loads((tmp / tree / "results.json").read_text(encoding="utf-8"))
+                   for tree in trees}
+        for tree, src in trees.items():
+            if not Path(results[tree]["kerndep"]).resolve().is_relative_to(src):
+                sys.exit(f"kerndep was imported from {results[tree]['kerndep']}, not {src}")
+        different = {name: parts for name in commands
+                     if (parts := differences(name, tmp, results))}
+        failed = {name: r["exit"] for name, r in results["this"]["commands"].items()
+                  if r["exit"] != 0}
+
+    print(f"{'commands':>8} {'identical':>9} {'different':>9}")
+    print(f"{len(commands):>8} {len(commands) - len(different):>9} {len(different):>9}")
+    for name, parts in different.items():
+        print(f"different: {name} ({', '.join(parts)})", file=sys.stderr)
+    for name, code in failed.items():
+        print(f"exited {code}: {name}", file=sys.stderr)
+    return 1 if different else 2 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(*sys.argv[2:])
+    else:
+        sys.exit(main())

@@ -23,10 +23,9 @@ from .kernels import (
     _check_family,
     _unit_rows,
     _unit_zero_diag_kernel,
-    _zero_diag_kernel,
     as_embeddings,
     as_labels,
-    cosine_gram,
+    kernel_from_sq_dists,
     sq_dist_matrix,
 )
 from .tasks import Task, _check_integer, _check_real
@@ -135,21 +134,16 @@ def _unit_rows_backward(d_out: np.ndarray, z: np.ndarray,
     return d_out
 
 
-def _linear(head: LinearHead, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """u @ theta.T for validated embeddings u, into out if given."""
-    if u.shape[1] != head.dim:
-        raise ValueError(
-            f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
-        )
-    return np.matmul(u, head.theta.T, out=out)
-
-
 def _forward(head: LinearHead, u: np.ndarray, normalize: bool, what: str = "row",
              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Transformed rows z of validated embeddings u, in out if given, and the
     row norms of u @ theta.T before normalization (None when not
     normalizing); a row with no direction is rejected as `what`."""
-    v = _linear(head, u, out=out)
+    if u.shape[1] != head.dim:
+        raise ValueError(
+            f"embedding dimension {u.shape[1]} does not match head dimension {head.dim}"
+        )
+    v = np.matmul(u, head.theta.T, out=out)
     if not normalize:
         return v, None
     return _unit_rows(v, what, "after the head", out=v)
@@ -277,8 +271,9 @@ class _DependencePlan:
     default) the kernel is read straight from the Gram z z' of the unit rows
     (kernels._unit_zero_diag_kernel), and kernels._unit_rows rejects a
     support row with no direction by name: in the embeddings when the plan
-    is built, after the head at each call. Without it the kernel comes from
-    sq_dist_matrix's distances, in the kernel buffer.
+    is built, after the head at each call. Without it sq_dist_matrix writes
+    the distances into the kernel buffer and kernel_from_sq_dists maps them
+    in place.
     """
 
     def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
@@ -325,8 +320,9 @@ class _DependencePlan:
         if self.normalize:
             kt = _unit_zero_diag_kernel(z, family, sigma, out=self.kernel)
         else:
-            kt = _zero_diag_kernel(sq_dist_matrix(z, out=self.kernel), family, sigma,
-                                   self.kernel)
+            kt = kernel_from_sq_dists(sq_dist_matrix(z, out=self.kernel), family, sigma,
+                                      self.kernel)
+            np.fill_diagonal(kt, 0.0)
         k_rows = kt.sum(axis=1)
         k_total = float(k_rows.sum())
         # each loss term from its cotangent: <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1
@@ -439,12 +435,16 @@ def adadelta_step(state: AdadeltaState, head: LinearHead, grad,
 
 @dataclass
 class EpisodeResult:
-    """What one episode produced, plus the task and row normalization it ran
-    with (references, not copies). sigma_zy is the one bandwidth both loss
-    terms used (NaN when the episode ran no search).
+    """What one episode produced, plus the task it ran on (a reference, not
+    a copy). sigma_zy is the one bandwidth both loss terms used (NaN when
+    the episode ran no search).
 
     The similarity matrices and class boundaries are computed from the final
-    head each time they are read, since only an export needs them.
+    head each time they are read, since only an export needs them. Both
+    matrices are products of the unit rows _forward makes after the head,
+    whatever row normalization the episode ran with: a cosine does not
+    depend on it. So a row with no direction after the head is rejected as
+    "support row i" or "query row i".
     """
 
     final_head: LinearHead
@@ -452,21 +452,24 @@ class EpisodeResult:
     sigma_zy: float
     query_accuracy: float
     task: Task
-    normalize: bool
 
-    def _rows(self, embeddings, what: str, normalize: bool) -> np.ndarray:
-        return _forward(self.final_head, as_embeddings(embeddings), normalize, what)[0]
+    def _rows(self, embeddings, what: str) -> np.ndarray:
+        return _forward(self.final_head, as_embeddings(embeddings), True, what)[0]
 
     @property
     def support_similarity(self) -> np.ndarray:
-        """m x m cosine similarities of the transformed support rows."""
-        return cosine_gram(self._rows(self.task.support_x, "support row", self.normalize))
+        """m x m cosine similarities of the transformed support rows, with a
+        diagonal of exactly 1."""
+        zs = self._rows(self.task.support_x, "support row")
+        g = zs @ zs.T  # one symmetric rank-k update, so exactly symmetric
+        np.fill_diagonal(g, 1.0)
+        return g
 
     @property
     def query_support_similarity(self) -> np.ndarray:
         """q x m cosine similarities of transformed query to support rows."""
-        zs = self._rows(self.task.support_x, "support row", True)  # cosine: unit rows
-        return self._rows(self.task.query_x, "query row", True) @ zs.T
+        zs = self._rows(self.task.support_x, "support row")
+        return self._rows(self.task.query_x, "query row") @ zs.T
 
     @property
     def class_boundaries(self) -> tuple[int, ...]:
@@ -537,5 +540,4 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
         sigma_zy=sigma_zy,
         query_accuracy=accuracy,
         task=task,
-        normalize=cfg.normalize_features,
     )

@@ -1,16 +1,18 @@
 """Kernel functions, Gram matrices, the label kernel, and the median heuristic.
 
 as_embeddings validates rows and returns them finite and float64, and
-as_labels validates class ids; label_kernel_matrix reads its labels through
-as_labels, kernel_from_sq_dists checks its family and bandwidth, and
-_unit_rows, the one row normalization, rejects a row with no direction. The
-other array builders (sq_dist_matrix, _sq_dist_row_blocks,
-_unit_zero_diag_kernel and median_sq_distance) check nothing and expect
-rows from as_embeddings: given float32 rows, the distances and kernels come
-out float32, and a NaN entry gives NaN distances. Gram matrices are exactly
-symmetric: radial kernels act elementwise on exactly symmetric squared
-distances (see sq_dist_matrix), and the cosine Gram is one symmetric
-rank-k update.
+as_labels validates class ids. Three builders check their inputs:
+label_kernel_matrix reads its labels through as_labels;
+kernel_from_sq_dists, the one radial map of squared distances, checks its
+family and bandwidth; and _unit_rows, the one row normalization, rejects a
+row with no direction. The other array builders (sq_dist_matrix,
+_sq_dist_row_blocks, _unit_zero_diag_kernel and median_sq_distance) check
+nothing and expect rows from as_embeddings: given float32 rows, the
+distances and kernels come out float32, and a NaN entry gives NaN
+distances. Gram matrices are exactly symmetric: radial kernels act
+elementwise on exactly symmetric squared distances (see sq_dist_matrix).
+No cosine Gram is built here; a cosine similarity is a product of rows
+that _unit_rows has scaled.
 """
 
 from __future__ import annotations
@@ -83,8 +85,6 @@ def _check_bandwidth(sigma: float) -> None:
 # most of their digits to cancellation in n_i + n_j - 2 z_i.z_j, and are
 # recomputed from the row differences.
 _CANCELLATION = 1e-8
-# Rows of differences formed at once when recomputing such pairs.
-_PAIR_BLOCK = 4096
 # Rows of distances formed or tested at once, so that neither the outer sum
 # n_i + n_j nor the recompute mask is ever an m x m temporary.
 _ROW_BLOCK = 64
@@ -132,12 +132,15 @@ def _nan_pairs(block: np.ndarray):
 
 
 def _difference_sq_dists(z: np.ndarray, pairs):
-    """For each (i, j) of pairs, row indices of z, yield (i, j, d2) for up
-    to kernels._PAIR_BLOCK pairs at a time, with d2 their squared distances
-    from the differences of the rows, so duplicates give exactly 0."""
+    """For each (i, j) of pairs, row indices of the (m, d) rows z, yield
+    (i, j, d2) in groups of max(1, kernels._ROW_BLOCK * m // d) pairs, with
+    d2 their squared distances from the differences of the rows, so
+    duplicates give exactly 0. So each (pairs, d) temporary of a group is
+    no larger than a kernels._ROW_BLOCK x m block."""
+    group = max(1, _ROW_BLOCK * z.shape[0] // z.shape[1])
     for i, j in pairs:
-        for start in range(0, i.size, _PAIR_BLOCK):
-            bi, bj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+        for start in range(0, i.size, group):
+            bi, bj = i[start:start + group], j[start:start + group]
             diff = z[bi]
             diff -= z[bj]  # near-equal coordinates subtract exactly
             yield bi, bj, np.einsum("ij,ij->i", diff, diff)
@@ -250,13 +253,6 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
     """
     _check_family(family)
     _check_bandwidth(sigma)
-    return _radial_kernel(d2, family, sigma, out)
-
-
-def _radial_kernel(d2: np.ndarray, family: str, sigma: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """kernel_from_sq_dists without its checks of the family and the
-    bandwidth, which the caller has made."""
     if family == GAUSSIAN:
         k = np.divide(d2, -(2.0 * sigma * sigma), out=out)
         return np.exp(k, out=k)
@@ -266,21 +262,12 @@ def _radial_kernel(d2: np.ndarray, family: str, sigma: float,
     return np.divide(1.0, k, out=k)
 
 
-def _zero_diag_kernel(d2: np.ndarray, family: str, sigma: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The Gram matrix Kt that the dependence estimate reads: the radial
-    kernel of the squared distances d2 with its diagonal set to 0, in out
-    as in kernel_from_sq_dists. The family and the bandwidth are not
-    checked."""
-    k = _radial_kernel(d2, family, sigma, out=out)
-    np.fill_diagonal(k, 0.0)
-    return k
-
-
 def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
                            out: np.ndarray | None = None) -> np.ndarray:
-    """_zero_diag_kernel of the rows of z, which have unit length, read
-    straight from their Gram G = z z' with no distance matrix.
+    """The Gram matrix Kt that the dependence estimate reads, for the rows
+    of z, which have unit length: the radial kernel of their squared
+    distances with its diagonal set to 0, read straight from their Gram
+    G = z z' with no distance matrix.
 
     G is one symmetric rank-k update, written to out (a C-contiguous (m, m)
     float64 array) if given, and the kernel replaces it in place. With unit
@@ -289,12 +276,15 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
     two affine passes and the family's map. The cancellation rule is applied
     to G first (see _cancelled_pairs): the pairs with G_ij >= 1 - 1e-8 are
     set to NaN, which each map step carries through without a warning, and
-    after the map each row block's NaN entries are written from the squared
-    distances of their row differences, so a duplicate row gives exactly 1.
-    So no more than a row block of those pairs is held at once. The diagonal
-    is set to -inf before the map, which sends it to 0, and no entry the map
-    meets overflows or divides by 0. The result is exactly symmetric. The
-    family and the bandwidth are not checked.
+    after the map each row block's NaN entries are written by
+    kernel_from_sq_dists from the squared distances of their row
+    differences, so a duplicate row gives exactly 1. So no more than a row
+    block of those pairs, and no more than a kernels._ROW_BLOCK x m block of
+    their differences, is held at once. The diagonal is set to -inf before
+    the map, which sends it to 0, and no entry the map meets overflows or
+    divides by 0. The result is exactly symmetric. The family and the
+    bandwidth are checked only when there are close pairs; the caller checks
+    them once.
     """
     g = np.matmul(z, z.T, out=out)
     np.fill_diagonal(g, -np.inf)  # never a close pair; each map gives 0 there
@@ -314,7 +304,7 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
         np.divide(1.0, g, out=g)
     if close:
         for i, j, d2 in _difference_sq_dists(z, _nan_pairs(g)):
-            g[i, j] = _radial_kernel(d2, family, sigma)
+            g[i, j] = kernel_from_sq_dists(d2, family, sigma)
     return g
 
 
@@ -332,14 +322,6 @@ def _unit_rows(v: np.ndarray, what: str = "row", where: str = "",
         raise ValueError(f"{what} {i} has norm {norms[i]}{at}: its square is below the "
                          f"smallest normal float64, so it cannot be scaled to unit length")
     return np.divide(v, norms[:, None], out=out), norms
-
-
-def cosine_gram(z: np.ndarray) -> np.ndarray:
-    """Cosine-similarity Gram matrix; a row with no direction is rejected."""
-    nz, _ = _unit_rows(z)
-    g = nz @ nz.T  # one symmetric rank-k update, so exactly symmetric
-    np.fill_diagonal(g, 1.0)
-    return g
 
 
 def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:

@@ -32,8 +32,6 @@ from kerndep.kernels import (
     _ROW_BLOCK,
     _unit_rows,
     _unit_zero_diag_kernel,
-    _zero_diag_kernel,
-    cosine_gram,
     kernel_from_sq_dists,
     label_kernel_matrix,
     median_sq_distance,
@@ -292,8 +290,9 @@ def test_similarity_exports_reject_a_row_without_direction(scale, normalize):
     task = separable_task(7)
     result = run_episode(task, AdaptConfig(steps=2, normalize_features=normalize))
     task.support_x[3] = scale
-    # normalized rows are rejected after the head, raw ones by cosine_gram
-    with pytest.raises(ValueError, match=rf"^(support )?row 3 has norm .*: {BELOW}"):
+    # both matrices read the unit rows after the head, whatever the episode's
+    # row normalization
+    with pytest.raises(ValueError, match=rf"^support row 3 has norm .* after the head: {BELOW}"):
         result.support_similarity
     with pytest.raises(ValueError, match=rf"^support row 3 has norm .* after the head: {BELOW}"):
         result.query_support_similarity
@@ -346,9 +345,12 @@ def test_dependence_loss_adds_weighted_self_term():
             assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
 
 
-def general_kernel(z, family, sigma, out):
-    """The unit-row kernel builder's result, from sq_dist_matrix."""
-    return _zero_diag_kernel(sq_dist_matrix(z, out=out), family, sigma, out)
+def zero_diag_kernel(z, family, sigma, out=None):
+    """The radial kernel of sq_dist_matrix's distances with its diagonal set
+    to 0, in out if given."""
+    kt = kernel_from_sq_dists(sq_dist_matrix(z, out=out), family, sigma, out)
+    np.fill_diagonal(kt, 0.0)
+    return kt
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
@@ -364,7 +366,7 @@ def test_unit_sphere_step_with_duplicate_rows_matches_the_reference(family, gamm
         assert loss == pytest.approx(reference_loss(*args), rel=1e-12)
         with monkeypatch.context() as patch:
             # the same step with its kernel from the general distance builder
-            patch.setattr("kerndep.adapt._unit_zero_diag_kernel", general_kernel)
+            patch.setattr("kerndep.adapt._unit_zero_diag_kernel", zero_diag_kernel)
             general_loss, general_grad = dependence_loss_and_grad(*args)
         assert loss == pytest.approx(general_loss, rel=1e-12)
         assert rel_error(grad, general_grad) <= 1e-12
@@ -431,7 +433,7 @@ def dense_cotangent_step(head, u, y, sigma, gamma, family, normalize):
     if normalize:
         kt = _unit_zero_diag_kernel(z, family, sigma)
     else:
-        kt = _zero_diag_kernel(sq_dist_matrix(z), family, sigma)
+        kt = zero_diag_kernel(z, family, sigma)
     lt = label_kernel_matrix(y, zero_diag=True)
     cot = gram_cotangent(lt, lt.sum(axis=1), -1.0, np.empty_like(lt))
     loss = 0.5 * np.vdot(kt, cot)
@@ -828,21 +830,28 @@ def test_episode_ncc_mode_skips_bandwidth_selection():
 
 
 @pytest.mark.parametrize("normalize", [True, False])
-def test_episode_builds_similarity_matrices_only_when_read(call_counts, normalize):
-    counts, count = call_counts
-    count("kerndep.adapt.cosine_gram")
+def test_episode_builds_similarity_matrices_only_when_read(monkeypatch, normalize):
+    rows, built = EpisodeResult._rows, []
+
+    def counted_rows(self, embeddings, what):
+        built.append(what)
+        return rows(self, embeddings, what)
+
+    monkeypatch.setattr(EpisodeResult, "_rows", counted_rows)
     task = separable_task(6)
     result = run_episode(task, AdaptConfig(steps=2, normalize_features=normalize))
-    assert counts["kerndep.adapt.cosine_gram"] == 0
+    assert built == []
     support = result.support_similarity
-    assert counts["kerndep.adapt.cosine_gram"] == 1
-    zs = transform(result.final_head, task.support_x, normalize)
-    zq = transform(result.final_head, task.query_x, normalize)
-    assert support.tobytes() == cosine_gram(zs).tobytes()
-    # cosine of the rows: transform's rows are unit already when normalizing
-    unit = [v if normalize else v / np.linalg.norm(v, axis=1, keepdims=True) for v in (zq, zs)]
-    assert result.query_support_similarity.tobytes() == (unit[0] @ unit[1].T).tobytes()
-    assert counts["kerndep.adapt.cosine_gram"] == 1
+    assert built == ["support row"]
+    query = result.query_support_similarity
+    assert built == ["support row", "support row", "query row"]
+    # cosine of the rows: the unit rows after the head, whatever the episode ran with
+    zs = transform(result.final_head, task.support_x)
+    zq = transform(result.final_head, task.query_x)
+    gram = zs @ zs.T
+    np.fill_diagonal(gram, 1.0)
+    assert support.tobytes() == gram.tobytes()
+    assert query.tobytes() == (zq @ zs.T).tobytes()
 
 
 def test_episode_records_class_boundaries():

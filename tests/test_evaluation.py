@@ -190,7 +190,6 @@ def fake_result(support_x=((1.0, 0.5), (0.5, 1.0)),
         sigma_zy=1.0,
         query_accuracy=1.0,
         task=task,
-        normalize=True,
     )
 
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from kerndep.adapt import EpisodeResult, LinearHead
 from kerndep.kernels import (
     _BUCKETS,
     _EXP_ZERO,
-    _PAIR_BLOCK,
     _ROW_BLOCK,
     _bucket_key,
     GAUSSIAN,
@@ -23,12 +23,12 @@ from kerndep.kernels import (
     _unit_zero_diag_kernel,
     as_embeddings,
     as_labels,
-    cosine_gram,
     kernel_from_sq_dists,
     label_kernel_matrix,
     median_sq_distance,
     sq_dist_matrix,
 )
+from kerndep.tasks import Task
 from oracles import (
     KernelSpec,
     eval_kernel,
@@ -81,19 +81,28 @@ def test_radial_kernel_is_one_at_identical_points(family):
     assert eval_kernel(KernelSpec(family, 0.7), x, x) == 1.0
 
 
+def support_cosine(z):
+    """The similarity exports' Gram: support_similarity of an identity-head
+    episode whose support rows are z."""
+    z = np.asarray(z, dtype=np.float64)
+    task = Task(z, np.zeros(len(z), dtype=np.int64), z[:1], np.zeros(1, dtype=np.int64))
+    return EpisodeResult(LinearHead.identity(z.shape[1]), [], math.nan, 1.0,
+                         task).support_similarity
+
+
 def test_cosine_hand_values():
-    # the similarity exports' Gram: e1 against itself, an orthogonal row of
-    # norm 2, and -e1
-    g = cosine_gram(np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]]))
+    # e1 against itself, an orthogonal row of norm 2, and -e1
+    g = support_cosine([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]])
     assert np.array_equal(g, [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 
 
 def test_cosine_rejects_a_row_without_direction():
     # norm 0, and a norm whose square is below the smallest normal float64
     for scale in (0.0, 1e-160):
-        with pytest.raises(ValueError, match=r"^row 0 has norm .*: its square is below "
-                                             r"the smallest normal float64"):
-            cosine_gram(np.array([[scale, scale], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"^support row 0 has norm .* after the head: "
+                                             r"its square is below the smallest normal "
+                                             r"float64"):
+            support_cosine([[scale, scale], [1.0, 1.0]])
 
 
 def first_row_without_direction(z):
@@ -110,11 +119,11 @@ def test_kernel_matrix_is_exactly_symmetric(family, z):
     if family != "cosine":
         k = kernel_matrix(KernelSpec(family, 1.3), z)
     elif (row := first_row_without_direction(z)) is not None:
-        with pytest.raises(ValueError, match=rf"^row {row} has norm"):
-            cosine_gram(z)
+        with pytest.raises(ValueError, match=rf"^support row {row} has norm"):
+            support_cosine(z)
         return
     else:  # the similarity exports' Gram, one symmetric rank-k update
-        k = cosine_gram(z)
+        k = support_cosine(z)
     assert (k == k.T).all()
 
 
@@ -327,24 +336,25 @@ def test_unit_kernel_from_the_gram_recomputes_close_pairs(family):
 def test_unit_kernel_holds_no_more_than_a_row_block_of_close_pairs(family, classes):
     # every row repeats a class row: close to half (2 classes) or a quarter
     # of all pairs are duplicates, which the kernel writes from their rows
-    m, d = 400, 16
-    base = np.random.default_rng(53).normal(size=(classes, d))
-    z = base[np.arange(m) % classes]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    out = np.empty((m, m))
-    _unit_zero_diag_kernel(z, family, 0.8, out=out)
-    tracemalloc.start()
-    try:
-        k = _unit_zero_diag_kernel(z, family, 0.8, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    same = np.equal.outer(np.arange(m) % classes, np.arange(m) % classes)
-    np.fill_diagonal(same, False)
-    assert (k[same] == 1.0).all()
-    assert not k.diagonal().any()
-    # a row block's pair indices and masks, and two pair blocks of rows
-    assert peak <= 4 * _ROW_BLOCK * m * 8 + 2 * _PAIR_BLOCK * (d + 2) * 8
+    for m, d in ((400, 16), (500, 512)):
+        base = np.random.default_rng(53).normal(size=(classes, d))
+        z = base[np.arange(m) % classes]
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        out = np.empty((m, m))
+        _unit_zero_diag_kernel(z, family, 0.8, out=out)
+        tracemalloc.start()
+        try:
+            k = _unit_zero_diag_kernel(z, family, 0.8, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        same = np.equal.outer(np.arange(m) % classes, np.arange(m) % classes)
+        np.fill_diagonal(same, False)
+        assert (k[same] == 1.0).all()
+        assert not k.diagonal().any()
+        # a row block's pair indices and masks, and two groups of row differences
+        group = max(1, _ROW_BLOCK * m // d)
+        assert peak <= 4 * _ROW_BLOCK * m * 8 + 2 * group * (d + 2) * 8
 
 
 @pytest.mark.parametrize("m, d", [(1, 3), (40, 12), (130, 5), (200, 64)])

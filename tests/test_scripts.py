@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
                               "--dim", "4"]),
     ("row_normalization_gate.py", ["--pools", "isotropic", "--losses", "mokd",
                                    "--learning-rates", "2.5", "--steps", "2", "--tasks", "2"]),
+    # the checkout against itself: every command identical, none failing
+    ("byte_identity_gate.py", ["--against", str(ROOT), "--quick"]),
 ])
 def test_script_runs(script, args, src_env):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
