@@ -19,9 +19,14 @@ That is 88 commands; --quick runs one pool of each kind, one episode and
 a few rows per class instead. stdout gets a header and one row: commands,
 identical, different. Each differing command goes to stderr with what
 differs (stdout, exit, pgm: the heatmap files, f64: the matrices' float64
-bytes), and the exit code is 1 on any difference. Every command is meant to
-succeed: when one exits nonzero in this checkout, its name goes to stderr
-too, and the exit code is 2 if nothing differs.
+bytes) and how much: the largest relative difference of the numbers that
+differ, |a - b| / max(|a|, |b|) for each number in its stdout (when the two
+print the same text around their numbers), and over each f64 matrix the
+largest |a - b| against its largest entry. So a change that moves numbers
+at rounding level reads its tolerance from here. The exit code is 1
+on any difference. Every command is meant to succeed: when one exits
+nonzero in this checkout, its name goes to stderr too, and the exit code is
+2 if nothing differs.
 
     python scripts/byte_identity_gate.py --against ../parent-checkout
 """
@@ -31,6 +36,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -133,13 +139,55 @@ def dumps(directory: Path, suffix: str) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.glob(f"*{suffix}"))}
 
 
-def differences(name: str, tmp: Path, results: dict) -> list:
-    """What differs between the two trees' runs of one command."""
+# a decimal number as Python prints a float or an int
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def relative_difference(this: np.ndarray, against: np.ndarray, entrywise: bool) -> float:
+    """The largest relative difference of two float64 arrays of one shape
+    over the entries that differ (NaN equals NaN), or 0.0 when none does.
+    Entrywise it is the largest |a - b| / max(|a|, |b|), 1.0 when one of a
+    pair is 0. Otherwise it is the largest |a - b| over the largest |a| or
+    |b| in the whole array: the measure for a matrix, whose entries near 0
+    (a cosine of 1e-9, say) hold no digits of their own."""
+    differ = ~((this == against) | (np.isnan(this) & np.isnan(against)))
+    if not differ.any():
+        return 0.0
+    gap = np.abs(this[differ] - against[differ])
+    if entrywise:
+        return float(np.max(gap / np.maximum(np.abs(this[differ]), np.abs(against[differ]))))
+    return float(np.max(gap) / np.max(np.maximum(np.abs(this), np.abs(against))))
+
+
+def difference_size(this_stdout: str, against_stdout: str, this_f64: dict,
+                    against_f64: dict) -> float | None:
+    """The largest relative difference between two runs of one command (see
+    relative_difference): entrywise over the numbers of the two stdouts,
+    when the text around them is the same, and over each pair of f64
+    matrices (bytes, by file name) of one size. None when neither can be
+    compared."""
+    sizes = []
+    if NUMBER.sub("#", this_stdout) == NUMBER.sub("#", against_stdout):
+        sizes.append(relative_difference(
+            *(np.array([float(x) for x in NUMBER.findall(text)])
+              for text in (this_stdout, against_stdout)), entrywise=True))
+    for name in sorted(this_f64.keys() & against_f64.keys()):
+        a, b = (np.frombuffer(f64[name], dtype=np.float64) for f64 in (this_f64, against_f64))
+        if a.shape == b.shape:
+            sizes.append(relative_difference(a, b, entrywise=False))
+    return max(sizes) if sizes else None
+
+
+def differences(name: str, tmp: Path, results: dict) -> tuple[list, float | None]:
+    """What differs between the two trees' runs of one command, and by how
+    much (see difference_size)."""
     this, against = (results[tree]["commands"][name] for tree in ("this", "against"))
     parts = [part for part in ("stdout", "exit") if this[part] != against[part]]
-    return parts + [suffix[1:] for suffix in (".pgm", ".f64")
-                    if dumps(tmp / "this" / name, suffix)
-                    != dumps(tmp / "against" / name, suffix)]
+    dumped = {suffix: [dumps(tmp / tree / name, suffix) for tree in ("this", "against")]
+              for suffix in (".pgm", ".f64")}
+    parts += [suffix[1:] for suffix, (a, b) in dumped.items() if a != b]
+    size = difference_size(this["stdout"], against["stdout"], *dumped[".f64"]) if parts else None
+    return parts, size
 
 
 def main():
@@ -171,15 +219,16 @@ def main():
         for tree, src in trees.items():
             if not Path(results[tree]["kerndep"]).resolve().is_relative_to(src):
                 sys.exit(f"kerndep was imported from {results[tree]['kerndep']}, not {src}")
-        different = {name: parts for name in commands
-                     if (parts := differences(name, tmp, results))}
+        different = {name: found for name in commands
+                     if (found := differences(name, tmp, results))[0]}
         failed = {name: r["exit"] for name, r in results["this"]["commands"].items()
                   if r["exit"] != 0}
 
     print(f"{'commands':>8} {'identical':>9} {'different':>9}")
     print(f"{len(commands):>8} {len(commands) - len(different):>9} {len(different):>9}")
-    for name, parts in different.items():
-        print(f"different: {name} ({', '.join(parts)})", file=sys.stderr)
+    for name, (parts, size) in different.items():
+        by = "" if size is None else f": largest relative difference {size:.3g}"
+        print(f"different: {name} ({', '.join(parts)}){by}", file=sys.stderr)
     for name, code in failed.items():
         print(f"exited {code}: {name}", file=sys.stderr)
     return 1 if different else 2 if failed else 0

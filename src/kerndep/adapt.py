@@ -237,13 +237,14 @@ class _DependencePlan:
 
     What does not depend on the head is done once, here: the family and the
     bandwidth are checked, the rows and labels validated, the label term
-    reduced to three constants and a sorted flat index of its same-class
-    pairs (no label Gram is built), and the buffers allocated: one m x m
-    array whatever gamma is, which holds the kernel and then the weights
+    reduced to three constants and a flat index of its same-class pairs (no
+    label Gram is built), and the buffers allocated: one m x m array
+    whatever gamma is, which holds the kernel and then the weights
     w = d(loss)/d(d2), a kernels._ROW_BLOCK x m scratch, and three m x d
     arrays for the rows and their pull-back. The index has sum n_c (n_c - 1)
     int64 entries over the class sizes n_c, and is built a row block at a
-    time; the offsets of its row blocks are kept too.
+    time: each block's part, whose offsets are kept too, is sorted and
+    counts from the block's first entry.
 
     weight * d hsic(Kt, L) / d Kt, with L fixed, is the Gram cotangent
     C = c L - t_i - t_j + k with c = 2 weight / (m (m - 3)),
@@ -259,12 +260,14 @@ class _DependencePlan:
     w is the summed C times 2 dk/d(d2) = -Kt / sigma^2 (-Kt^3 / sigma^2 for
     the IMQ). Its scale -c / sigma^2, c the penalty's (the label's when
     gamma is 0), is applied to the d x d gradient instead. Once the loss
-    has read Kt, w is written over it a row block at a time: in the scratch
-    the block of Kt (gamma > 0) less the two rank-one terms, plus the
-    label's Lt through the block's part of the index, times Kt (IMQ: twice
-    more), and the last product is written over the block. The pull-back is
-    dz = w.sum(1) z - w @ z, in which a duplicate pair's two terms cancel
-    exactly.
+    has read the row sums of Kt (and <Kt, Kt>), w is written over it a row
+    block at a time: in the scratch the block of Kt (gamma > 0) less the
+    two rank-one terms, plus the label's Lt through the block's part of the
+    index, which first sums the block's same-class entries of Kt for
+    <Kt, Lt>, times Kt (IMQ: twice more), and the last product is written
+    over the block. So the same-class entries are never copied all at once.
+    The pull-back is dz = w.sum(1) z - w @ z, in which a duplicate pair's
+    two terms cancel exactly.
 
     The rows go through _forward and dz back through _head_gradient, the
     passes transform and the ncc loss use. With row normalization (the
@@ -291,14 +294,15 @@ class _DependencePlan:
         # the label term's index and constants (weight -1): Lt1 = n_c - 1
         lt1 = np.bincount(y)[y] - 1
         offsets = np.concatenate(([0], np.cumsum(lt1)))
-        # (a, lo, hi): the rows [a, a + _ROW_BLOCK) own same_class[lo:hi]
+        # (a, lo, hi): the rows [a, a + _ROW_BLOCK) own same_class[lo:hi],
+        # flat indices into those rows of an m x m array
         self.blocks = [(a, int(offsets[a]), int(offsets[min(a + _ROW_BLOCK, m)]))
                        for a in range(0, m, _ROW_BLOCK)]
         self.same_class = np.empty(int(offsets[-1]), dtype=np.int64)
         for a, lo, hi in self.blocks:
             same = y[a:a + _ROW_BLOCK, None] == y
             np.fill_diagonal(same[:, a:], False)
-            np.add(np.flatnonzero(same), a * m, out=self.same_class[lo:hi])
+            self.same_class[lo:hi] = np.flatnonzero(same)
         l_rows = lt1.astype(np.float64)
         self.label_c = -2.0 / (m * (m - 3.0))
         self.label_t = l_rows * (self.label_c / (m - 2.0))
@@ -325,10 +329,10 @@ class _DependencePlan:
             np.fill_diagonal(kt, 0.0)
         k_rows = kt.sum(axis=1)
         k_total = float(k_rows.sum())
-        # each loss term from its cotangent: <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1
+        # each loss term from its cotangent: <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1;
+        # <Kt, Lt>, the label's, is summed in the weights loop below
         c, t, k = self.label_c, self.label_t, self.label_k
-        same = float(kt.take(self.same_class).sum())
-        loss = 0.5 * (c * same - 2.0 * float(t @ k_rows) + k * k_total)
+        loss = 0.5 * (-2.0 * float(t @ k_rows) + k * k_total)
         if self.gamma != 0.0:  # the penalty's, with L = Kt
             c = self.penalty_c
             t_self = k_rows * (c / (m - 2.0))
@@ -337,8 +341,10 @@ class _DependencePlan:
                             + k_self * k_total)
             t, k = t + t_self, k + k_self
         # w = B Kt, with B = (C_label + C_penalty) / c, over Kt a row block at
-        # a time: its scale -c / sigma^2 is applied to the gradient
+        # a time: its scale -c / sigma^2 is applied to the gradient. Each
+        # block's same-class entries of Kt are summed before it is overwritten
         row, col, label = (t - k) / c, t / c, self.label_c / c
+        same = 0.0
         for a, lo, hi in self.blocks:
             kt_blk = kt[a:a + _ROW_BLOCK]
             s = self.scratch[:len(kt_blk)]
@@ -347,11 +353,14 @@ class _DependencePlan:
             else:
                 np.negative(row[a:a + _ROW_BLOCK, None], out=s)
             s -= col
-            s.ravel()[self.same_class[lo:hi] - a * m] += label
+            pairs = self.same_class[lo:hi]
+            same += float(kt_blk.take(pairs).sum())
+            s.ravel()[pairs] += label
             if family == IMQ:
                 s *= kt_blk
                 s *= kt_blk
             np.multiply(s, kt_blk, out=kt_blk)
+        loss += 0.5 * self.label_c * same
         w = kt
         # dz = w.sum(1) z - w @ z: a duplicate pair's terms cancel exactly
         dz = np.multiply(z, w.sum(axis=1)[:, None], out=self.dz)
@@ -485,7 +494,8 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     a search against the support labels (mode "mokd" only), then run the
     configured number of update steps with that bandwidth frozen for both
     loss terms (mode "mokd" builds its label work once, in a plan every step
-    calls), then classify the query set with the nearest-centroid rule.
+    calls, and drops it after the last step), then classify the query set
+    with the nearest-centroid rule.
 
     In mode "mokd" a support set where no class has two rows has an all-zero
     label kernel, so there is no dependence to fit: the episode runs no
@@ -530,6 +540,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
         head, state = adadelta_step(state, head, grad, cfg.learning_rate,
                                     cfg.weight_decay, cfg.rho, cfg.opt_eps)
         trace.append(loss)
+    step = None  # the plan's buffers are not held through prediction
 
     preds = ncc_predict(head, (support_x, support_y), query_x, cfg.normalize_features)
     accuracy = float((preds == query_y).mean())

@@ -104,8 +104,8 @@ def _load_labels_file(path, n_rows: int) -> np.ndarray:
 
 
 def cmd_hsic(args) -> int:
-    dataset = load_embeddings(args.embeddings)
-    z, block_labels = flatten_dataset(dataset)
+    # the float32 pool is not held once flatten_dataset has copied it
+    z, block_labels = flatten_dataset(load_embeddings(args.embeddings))
     if args.labels_from == "embedded":
         labels = block_labels
     else:

@@ -208,15 +208,21 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
 
     The distances come from kernels._sq_dist_row_blocks, one upper trapezoid
     d2[a:b, a:] of kernels._ROW_BLOCK rows at a time, each built once for all
-    bandwidths. The columns a: get the weights right = [1, n[y] - 1, the
-    one-hot labels of the classes that meet rows a:b]. Per bandwidth the
-    block's kernel k, with the diagonal and the lower half of the diagonal
-    block zeroed, adds k @ right to rows a:b and right[:rows].T @ k to
-    columns a:, each row reading its own class's column. So each pair
-    i < j is evaluated at most once (and the lower half of each diagonal
-    block in vain) and counted as both Kt[i, j] and Kt[j, i]. A Gaussian
-    block whose least distance off the diagonal, over 2 sigma^2, exceeds
-    kernels._EXP_ZERO is all zeros, so it is skipped: it adds nothing.
+    bandwidths. The diagonal and the lower half of each diagonal block are
+    set to +inf once per block, which both families map to exactly 0.0
+    (see kernels.kernel_from_sq_dists), so no kernel needs zeroing. A
+    bandwidth whose square overflows has a scale of 0, which maps every
+    finite distance to exactly 1.0 and +inf to NaN: its kernel is written
+    as d < inf instead. The columns a: get the weights right = [1,
+    n[y] - 1, the one-hot labels of the classes that meet rows a:b]. Per
+    bandwidth the block's kernel k adds k @ right to rows a:b and
+    right[:rows].T @ k to columns a:, each row reading its own class's
+    column. So each pair i < j is evaluated at most once (and the lower
+    half of each diagonal block in vain) and counted as both Kt[i, j] and
+    Kt[j, i]. A Gaussian block whose least distance off the diagonal, times
+    0.5 / sigma^2, exceeds kernels._EXP_ZERO is all zeros, so it is skipped:
+    it adds nothing. The test uses the kernel's own scale, so a skipped
+    block is exactly the zeros its kernel would be.
     """
     m = z.shape[0]
     counts = np.bincount(y)
@@ -225,7 +231,7 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
     for a, d, least in _sq_dist_row_blocks(z):
         rows, cols = d.shape
         b = a + rows
-        lower = np.tri(rows, dtype=bool)  # the diagonal and below it
+        np.copyto(d[:, :rows], np.inf, where=np.tri(rows, dtype=bool))  # Kt is 0 there
         first, last = int(y[a]), int(y[b - 1]) + 1  # the classes that meet rows a:b
         end = int(np.searchsorted(y, last))  # ... and their columns a:end
         right = np.empty((cols, 2 + last - first))
@@ -235,11 +241,13 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
         own_rows = (np.arange(rows), 2 + y[a:b] - first)
         own_cols = (2 + y[a:end] - first, np.arange(end - a))
         for k_stats, sigma in zip(stats, sigmas):
-            # the same association as the kernel's exponent d2 / -(2 sigma^2)
-            if family == GAUSSIAN and least / (2.0 * sigma * sigma) > _EXP_ZERO:
+            if family == GAUSSIAN and least * (0.5 / (sigma * sigma)) > _EXP_ZERO:
                 continue
-            k = kernel_from_sq_dists(d, family, sigma, out=kern[:d.size].reshape(rows, cols))
-            np.copyto(k[:, :rows], 0.0, where=lower)
+            k = kern[:d.size].reshape(rows, cols)
+            if sigma * sigma < math.inf:
+                kernel_from_sq_dists(d, family, sigma, out=k)
+            else:  # the kernel's scale is 0: 1.0 on every finite distance
+                np.less(d, math.inf, out=k)
             row_part = k @ right
             k_stats[0, a:b] += row_part[own_rows]
             k_stats[1:, a:b] += row_part[:, :2].T

@@ -204,34 +204,53 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
-def _sq_dist_row_blocks(z: np.ndarray):
+def _centred_rows(z: np.ndarray) -> np.ndarray:
+    """The (m, d + 2) rows [zc_i, 1, n_i] that _sq_dist_row_blocks multiplies
+    its blocks from: zc the centred rows of z and n their squared norms."""
+    m, d = z.shape
+    rows = np.empty((m, d + 2))
+    zc = np.subtract(z, z.mean(axis=0), out=rows[:, :d])
+    rows[:, d] = 1.0
+    np.einsum("ij,ij->i", zc, zc, out=rows[:, d + 1])
+    return rows
+
+
+def _sq_dist_row_blocks(z: np.ndarray, rows: np.ndarray | None = None):
     """Yield (a, block, least) for each kernels._ROW_BLOCK rows [a, b) of the
     squared distances of the rows of z, where block is the upper trapezoid
     d2[a:b, a:] (the diagonal block and every column to its right), and
     least, from _recompute_cancelled, is at most every entry of block off
-    its diagonal.
+    its diagonal. rows, if given, is _centred_rows(z), so that a caller who
+    passes over the blocks twice centres z once.
 
-    Each block is one product zc[a:b] @ zc[a:].T of the centred rows, plus
-    n_i and n_j added in place, finished by _recompute_cancelled, in one
-    reused C-contiguous buffer that the next block overwrites; so no m x m
-    array, and no temporary the size of a block, is built. The entries agree
-    with sq_dist_matrix's to rounding; pairs within the cancellation
-    threshold, duplicates included, are computed from the same row
-    differences. As in sq_dist_matrix, overflow and invalid warnings are
-    ignored while a block is built, not while the caller reads it.
+    Each block is n_i + n_j - 2 zc_i . zc_j in one product of augmented rows:
+    the left block [-2 zc_i, n_i, 1] for i in [a, b) against the rows
+    [zc_j, 1, n_j] for j >= a, finished by _recompute_cancelled, in one
+    reused C-contiguous buffer that the next block overwrites. So no m x m
+    array, and no temporary the size of a block, is built, and the product
+    is the block's only pass before the cancellation test. Scaling by -2 is
+    exact, so each entry is the product's sum of -2 zc_i . zc_j and then
+    n_i and n_j, and agrees with sq_dist_matrix's to rounding; pairs within
+    the cancellation threshold, duplicates included, are computed from the
+    same row differences. As in sq_dist_matrix, overflow and invalid
+    warnings are ignored while a block is built, not while the caller reads
+    it.
     """
-    m = z.shape[0]
-    zc = z - z.mean(axis=0)
-    n = np.einsum("ij,ij->i", zc, zc)
+    m, d = z.shape
+    if rows is None:
+        rows = _centred_rows(z)
+    n = rows[:, d + 1]
+    left = np.empty((min(_ROW_BLOCK, m), d + 2))
+    left[:, d + 1] = 1.0
     buf = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
     for a in range(0, m, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, m)
+        lhs = left[:b - a]
         block = buf[:(b - a) * (m - a)].reshape(b - a, m - a)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(zc[a:b], zc[a:].T, out=block)
-            block *= -2.0
-            block += n[a:b, None]
-            block += n[a:]
+            np.multiply(rows[a:b, :d], -2.0, out=lhs[:, :d])
+            lhs[:, d] = n[a:b]
+            np.matmul(lhs, rows[a:].T, out=block)
             least = _recompute_cancelled(z, block, n, a)
         yield a, block, least
 
@@ -246,7 +265,14 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Radial kernel matrix from precomputed squared distances.
 
-    Every step after the first division runs in place in the one output
+    The distances are multiplied by the family's scale, -0.5 / sigma^2 for
+    the Gaussian (then exp) and 1 / sigma^2 for the IMQ (then 1 / sqrt(1 +
+    .)), with no division per entry. The scale is finite (see
+    _check_bandwidth), and nonzero unless sigma^2 overflows to inf: so an
+    infinite distance maps to exactly 0.0 in both families, with no
+    floating-point warning, at every bandwidth whose square is finite. At
+    a larger one every finite distance maps to exactly 1.0, and inf to NaN.
+    Every step after the first product runs in place in the one output
     buffer. That buffer is out if given (a float64 array of d2's shape,
     which may be d2 itself), else a new array; d2 is left untouched unless
     it is out. The bytes do not depend on out.
@@ -254,9 +280,9 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
     _check_family(family)
     _check_bandwidth(sigma)
     if family == GAUSSIAN:
-        k = np.divide(d2, -(2.0 * sigma * sigma), out=out)
+        k = np.multiply(d2, -0.5 / (sigma * sigma), out=out)
         return np.exp(k, out=k)
-    k = np.divide(d2, sigma * sigma, out=out)
+    k = np.multiply(d2, 1.0 / (sigma * sigma), out=out)
     k += 1.0
     np.sqrt(k, out=k)
     return np.divide(1.0, k, out=k)
@@ -353,13 +379,13 @@ def _key_floor(key: int) -> float:
     return float(np.int64(max(key << _KEY_SHIFT, 1)).view(np.float64))
 
 
-def _upper_row_blocks(z: np.ndarray):
-    """Each block of _sq_dist_row_blocks with the diagonal and the lower
-    half of its diagonal block zeroed in place: its nonzero entries are
-    those of the strict upper triangle, each pair once."""
-    for _, block, _ in _sq_dist_row_blocks(z):
-        rows = block.shape[0]
-        np.copyto(block[:, :rows], 0.0, where=np.tri(rows, dtype=bool))
+def _upper_row_blocks(z: np.ndarray, rows: np.ndarray):
+    """Each block of _sq_dist_row_blocks(z, rows) with the diagonal and the
+    lower half of its diagonal block zeroed in place: its nonzero entries
+    are those of the strict upper triangle, each pair once."""
+    for _, block, _ in _sq_dist_row_blocks(z, rows):
+        diagonal = block.shape[0]
+        np.copyto(block[:, :diagonal], 0.0, where=np.tri(diagonal, dtype=bool))
         yield block
 
 
@@ -375,6 +401,25 @@ def _median_buckets(counts: np.ndarray, top: int, lo: int, hi: int):
     lower = _key_floor(top - first if first < _BUCKETS - 1 else 0)
     upper = float(np.nextafter(_key_floor(top - last + 1), 0.0)) if last > 0 else math.inf
     return (lo - skipped, hi - skipped), lower, upper
+
+
+def _bucket_counts(z: np.ndarray, rows: np.ndarray, top: int) -> np.ndarray:
+    """The first pass of median_sq_distance: the positive entries of the
+    strict upper triangle per bucket, bucket 0 holding the keys top and
+    above. Each block's buffer is keyed in place, every entry counted, and
+    the block's zeros then taken out of the bucket of key 0 (that of 0.0),
+    so no block is copied; the entries are never negative or NaN (see
+    _recompute_cancelled). No block outlives the pass."""
+    counts = np.zeros(_BUCKETS, dtype=np.int64)
+    zeros = 0
+    for block in _upper_row_blocks(z, rows):
+        zeros += block.size - np.count_nonzero(block)
+        keys = block.reshape(-1).view(np.int64)
+        keys >>= _KEY_SHIFT
+        np.subtract(top, keys, out=keys)
+        counts += np.bincount(np.clip(keys, 0, _BUCKETS - 1, out=keys), minlength=_BUCKETS)
+    counts[min(top, _BUCKETS - 1)] -= zeros
+    return counts
 
 
 def median_sq_distance(z: np.ndarray) -> float:
@@ -394,26 +439,22 @@ def median_sq_distance(z: np.ndarray) -> float:
     The distances come from _sq_dist_row_blocks, so the value depends on z
     alone. It is exactly np.median of the positive entries of the strict
     upper triangle (each pair once), found in two passes over the row
-    blocks with no array of all the pairs. The first pass counts the
-    positive entries per bucket of their float64 bits. The second rebuilds
-    the blocks and keeps only the entries of the one or two buckets that
-    hold the middle ranks (see _median_buckets), and partitions those. The
-    peak is a few row blocks plus those candidates: a small share of the
+    blocks with no array of all the pairs, and z is centred once for both.
+    The first (_bucket_counts) keys each block's buffer in place by the
+    entries' float64 bits and counts the positive entries per bucket,
+    copying no block. The second rebuilds the blocks and keeps only the
+    entries of the one or two buckets that hold the middle ranks (see
+    _median_buckets), and partitions those. The peak is the centred rows,
+    one row block and its masks, and those candidates: a small share of the
     pairs when the distances spread, all of them when every distance is
     equal.
     """
-    zc = z - z.mean(axis=0)
+    rows = _centred_rows(z)
     with np.errstate(over="ignore", invalid="ignore"):
         # every squared distance is at most 2 (n_i + n_j); the larger ones,
         # rounding or inf, share bucket 0 (fmax skips the norms of NaN rows)
-        top = _bucket_key(4.0 * float(np.fmax.reduce(np.einsum("ij,ij->i", zc, zc),
-                                                     initial=0.0)))
-    counts = np.zeros(_BUCKETS, dtype=np.int64)
-    for block in _upper_row_blocks(z):
-        keys = block[block > 0.0].view(np.int64)  # NaN is dropped
-        keys >>= _KEY_SHIFT
-        np.subtract(top, keys, out=keys)
-        counts += np.bincount(np.clip(keys, 0, _BUCKETS - 1, out=keys), minlength=_BUCKETS)
+        top = _bucket_key(4.0 * float(np.fmax.reduce(rows[:, -1], initial=0.0)))
+    counts = _bucket_counts(z, rows, top)
     n = int(counts.sum())
     if n == 0:
         if (z == z[:1]).all():
@@ -421,8 +462,8 @@ def median_sq_distance(z: np.ndarray) -> float:
         raise ValueError("the squared distances of the distinct rows all underflow to 0; "
                          "median distance is undefined")
     ranks, lower, upper = _median_buckets(counts, top, (n - 1) // 2, n // 2)
-    candidates = np.concatenate([block[(block >= lower) & (block <= upper)]  # NaN is dropped
-                                 for block in _upper_row_blocks(z)])
+    candidates = np.concatenate([block[(block >= lower) & (block <= upper)]
+                                 for block in _upper_row_blocks(z, rows)])
     candidates.partition(ranks)
     middle = candidates[list(ranks)]
     median = float(middle[0] if ranks[0] == ranks[1] else np.mean(middle))

@@ -403,6 +403,19 @@ def test_dependence_loss_rejects_underflowing_bandwidth(family, gamma):
         dependence_loss_and_grad(LinearHead.identity(3), u, y, 1e-160, gamma, family)
 
 
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_kernel_maps_an_infinite_distance_to_exactly_zero(family, sigma):
+    # the bandwidth search writes +inf where its kernels must read 0, at
+    # every bandwidth the step runs at, the underflow edge included
+    u, _, head = random_instance(46)
+    sigma = bandwidth(sigma, head, u, True)
+    d2 = np.array([[np.inf, 0.0], [np.inf, np.inf]])
+    with np.errstate(all="raise"):  # no floating-point warning, underflow included
+        k = kernel_from_sq_dists(d2, family, sigma)
+    assert k.tobytes() == np.array([[0.0, 1.0], [0.0, 0.0]]).tobytes()
+
+
 def test_dependence_loss_needs_four_samples():
     with pytest.raises(ValueError):
         dependence_loss_and_grad(LinearHead.identity(3), np.eye(3), np.array([0, 1, 2]),
@@ -540,11 +553,34 @@ def test_cold_plan_build_and_step_peak_at_one_m_by_m_array(family, gamma, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the kernel buffer, the same-class index and the loss's read of it,
-    # two row blocks (the scratch and a block's part of the index), and the
-    # m x d rows and pull-back
+    # the kernel buffer, the same-class index, two row blocks (the scratch,
+    # and a block's part of the index and of its entries), and the m x d rows
+    # and pull-back: the loss reads no copy of the index's entries
     index = plan.same_class.nbytes
-    assert peak <= m * m * 8 + 2 * index + 2 * _ROW_BLOCK * m * 8 + 4 * m * d * 8
+    assert peak <= m * m * 8 + index + 2 * _ROW_BLOCK * m * 8 + 4 * m * d * 8
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_warm_step_sums_the_label_term_without_copying_it(family, gamma):
+    # two equal classes in shuffled order: the same-class entries are half of
+    # Kt, and the step sums them one row block at a time, so its temporaries
+    # stay below one row block
+    rng = np.random.default_rng(49)
+    m, d = 600, 8
+    u = rng.normal(size=(m, d))
+    y = rng.permutation(np.repeat(np.arange(2), m // 2))
+    head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
+    plan = _DependencePlan(u, y, 1.1, gamma, family, True)
+    plan(head)
+    tracemalloc.start()
+    try:
+        plan(head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.same_class.nbytes > 4 * _ROW_BLOCK * m * 8
+    assert peak < _ROW_BLOCK * m * 8
 
 
 def test_ncc_loss_hand_value():

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kerndep import adapt
 from kerndep.adapt import AdaptConfig, EpisodeResult, LinearHead
 from kerndep.evaluation import (
     EpisodeSummary,
@@ -139,6 +141,31 @@ def test_evaluate_holds_nothing_of_a_finished_episode(monkeypatch):
             tracemalloc.stop()
 
     assert peak(12) <= peak(2) + 32_000  # ten more summaries, not one more task
+
+
+def test_episode_drops_its_plan_before_prediction(monkeypatch):
+    # the mokd plan holds an m x m buffer and three m x d arrays, which
+    # prediction does not need: the episode's peak is the larger phase, not
+    # their sum
+    plans, alive_at_prediction = [], []
+
+    class TrackedPlan(adapt._DependencePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(weakref.ref(self))
+
+    predict = adapt.ncc_predict
+
+    def checked_predict(*args, **kwargs):
+        alive_at_prediction.extend(plan() is not None for plan in plans)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "_DependencePlan", TrackedPlan)
+    monkeypatch.setattr(adapt, "ncc_predict", checked_predict)
+    task = synth_task(5, 20, 15, 16, 6.0, 1.0, np.random.default_rng(6))
+    result = adapt.run_episode(task, quick_cfg())
+    assert len(result.loss_trace) == 3
+    assert alive_at_prediction == [False]
 
 
 def test_evaluate_rejects_zero_episodes():

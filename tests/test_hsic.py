@@ -466,6 +466,19 @@ def test_radial_label_rows_match_the_dense_kernel(family, layout):
         assert np.allclose(rows, dense_label_rows(z, y, family, sigma), rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_radial_label_rows_where_the_bandwidth_square_overflows(family):
+    # sigma^2 = inf makes the kernel's scale 0: every finite distance maps to
+    # 1, as the dense kernel does, and the +inf the search writes below the
+    # diagonal would map to NaN, so that kernel is written as d < inf
+    y = np.repeat(np.arange(3), [5, 70, 60])  # three row blocks
+    z = np.random.default_rng(8).normal(size=(y.size, 3))
+    l_rows = np.bincount(y)[y] - 1.0
+    want = np.stack([l_rows, np.full(y.size, y.size - 1.0), l_rows.sum() - l_rows])
+    (got,) = _radial_label_rows(z, family, [1e160], y)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
 def test_warm_label_search_holds_no_distance_matrix(family):
     # a few row blocks, the median's candidates and the (grid, 3, m) row

@@ -13,6 +13,7 @@ from kerndep.adapt import EpisodeResult, LinearHead
 from kerndep.kernels import (
     _BUCKETS,
     _EXP_ZERO,
+    _KEY_SHIFT,
     _ROW_BLOCK,
     _bucket_key,
     GAUSSIAN,
@@ -537,9 +538,10 @@ def test_kernel_from_sq_dists_is_bit_identical_and_leaves_input(sigma):
     gaussian = kernel_from_sq_dists(d2, GAUSSIAN, sigma)
     imq = kernel_from_sq_dists(d2, IMQ, sigma)
     assert np.array_equal(d2, before)
-    # the expressions written with temporaries, before the in-place rewrite
-    assert gaussian.tobytes() == np.exp(-d2 / (2.0 * sigma * sigma)).tobytes()
-    assert imq.tobytes() == (1.0 / np.sqrt(1.0 + d2 / (sigma * sigma))).tobytes()
+    # the expressions written with temporaries, before the in-place rewrite:
+    # each family multiplies by its scale
+    assert gaussian.tobytes() == np.exp(d2 * (-0.5 / (sigma * sigma))).tobytes()
+    assert imq.tobytes() == (1.0 / np.sqrt(1.0 + d2 * (1.0 / (sigma * sigma)))).tobytes()
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
@@ -620,6 +622,29 @@ def test_median_of_sq_dists_matches_upper_triangle_oracle(z, pairs, zeros):
     assert (upper.size, int((upper == 0.0).sum())) == (pairs, zeros)
     got = median_sq_distance(z)
     assert np.float64(got).tobytes() == np.float64(median_upper_positive(d2)).tobytes()
+
+
+def test_median_copies_no_block():
+    # the centred rows, one row block and its masks, and the candidates: the
+    # counting pass keys each block in place and copies none of its entries,
+    # and no block of that pass is held through the second
+    m, d = 2000, 16
+    z = np.random.default_rng(3).normal(size=(m, d))
+    upper = np.concatenate([block[np.triu(np.ones(block.shape, dtype=bool), 1)]
+                            for _, block, _ in _sq_dist_row_blocks(z)])
+    upper.partition([(upper.size - 1) // 2, upper.size // 2])
+    keys = upper.view(np.int64) >> _KEY_SHIFT
+    lo, hi = keys[(upper.size - 1) // 2], keys[upper.size // 2]
+    candidates = int(((keys >= lo) & (keys <= hi)).sum())  # the middle ranks' buckets
+    del upper, keys
+    median_sq_distance(z)
+    tracemalloc.start()
+    try:
+        median_sq_distance(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * (d + 2) * 8 + 2 * _ROW_BLOCK * m * 8 + candidates * 8
 
 
 @pytest.mark.parametrize("z, bucket", [(spread_over_binades(), _BUCKETS - 1),

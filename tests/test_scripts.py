@@ -1,9 +1,11 @@
 """The experiment scripts under scripts/ run end to end on tiny arguments."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +26,32 @@ def test_script_runs(script, args, src_env):
                           capture_output=True, text=True, env=src_env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2  # header and one result row
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_byte_identity_gate_sizes_each_difference():
+    size = load_script("byte_identity_gate").difference_size
+    table = "coeff,sigma,hsic,selected\n0.5,1.25,{},0\n1.0,2.5,-3e-05,1\n"
+    # each stdout number on its own: the one that moved, by 1e-13 of itself
+    assert size(table.format("4.0000000000004e-05"), table.format("4e-05"), {}, {}) \
+        == pytest.approx(1e-13, rel=1e-3)
+    assert size(table.format("0.0"), table.format("4e-05"), {}, {}) == 1.0
+    assert size(table.format("4e-05"), table.format("4e-05"), {}, {}) == 0.0
+    # other text around the numbers: stdout is not compared
+    assert size("coeff 1\n", "sigma 1\n", {}, {}) is None
+    # a matrix against its largest entry: 1e-16 off a cosine of 1e-9 is 1e-16
+    cosines = np.array([[1.0, 1e-9], [1e-9, 1.0]])
+    moved = cosines.copy()
+    moved[0, 1] += 1e-16
+    f64 = {"episode_0000_support.f64": cosines.tobytes()}
+    got = size("", "", {"episode_0000_support.f64": moved.tobytes()}, f64)
+    assert got == pytest.approx(1e-16, rel=1e-3)
+    assert size("", "", f64, f64) == 0.0
+    # a matrix of another size is not compared
+    assert size("x", "y", {"a.f64": moved.tobytes()}, {"a.f64": moved[0].tobytes()}) is None
