@@ -9,14 +9,16 @@ the similarity matrix it shows, so a change below the 8-bit pixels counts as
 a difference too. The commands run on pools this script writes with numpy:
 
 - eval --episodes 6 --verbose on each of 16 pools of 32 classes x 40 rows
-  (d = 64, separation 6, noise 1.5), in five modes: the default with
+  (d = 64, separation 6, noise 1.5), in six modes: the default with
   --dump-heatmaps; --kernel imq; --gamma 0; --loss ncc with --dump-heatmaps;
-  normalize_features = false (a config file) with --dump-heatmaps;
-- hsic --format csv, Gaussian and --kernel imq, on each of 4 pools of
-  40 classes x 60 rows (d = 64).
+  normalize_features = false (a config file) with --dump-heatmaps; and a
+  config file that sets grid_coefficients and epsilon (GRID and EPSILON);
+- hsic --format csv on each of 4 pools of 40 classes x 60 rows (d = 64),
+  in three modes: Gaussian, --kernel imq, and --grid GRID --epsilon EPSILON.
 
-That is 88 commands; --quick runs one pool of each kind, one episode and
-a few rows per class instead. stdout gets a header and one row: commands,
+That is 108 commands; --quick runs one pool of each kind, one episode and
+a few rows per class instead, and leaves out the two GRID modes (7
+commands). stdout gets a header and one row: commands,
 identical, different. Each differing command goes to stderr with what
 differs (stdout, exit, pgm: the heatmap files, f64: the matrices' float64
 bytes) and how much: the largest relative difference of the numbers that
@@ -48,14 +50,29 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DIM = 64  # at least the class count, so every class has its own mean direction
+# a user-set bandwidth grid and epsilon, each valid and not the default;
+# 1e100 times the median base still squares to a finite float64
+GRID = "0.25,0.75,1.5,1e100"
+EPSILON = "1e-4"
+# config files by name: a mode's "{name}" argument is the file's path
+CONFIGS = {
+    "raw-rows": "normalize_features = false\n",
+    "grid": f"grid_coefficients = {GRID}\nepsilon = {EPSILON}\n",
+}
 EVAL_MODES = {
     "default": ["--dump-heatmaps", "{dump}"],
     "imq": ["--kernel", "imq"],
     "gamma0": ["--gamma", "0"],
     "ncc": ["--loss", "ncc", "--dump-heatmaps", "{dump}"],
-    "raw-rows": ["--config", "{raw_rows}", "--dump-heatmaps", "{dump}"],
+    "raw-rows": ["--config", "{raw-rows}", "--dump-heatmaps", "{dump}"],
+    "grid": ["--config", "{grid}"],
 }
-HSIC_KERNELS = ("gaussian", "imq")
+HSIC_MODES = {
+    "gaussian": ["--kernel", "gaussian"],
+    "imq": ["--kernel", "imq"],
+    "grid": ["--grid", GRID, "--epsilon", EPSILON],
+}
+QUICK_SKIPS = {"grid"}  # modes --quick leaves out
 # (pools, episodes, rows per class) of each kind, in full and with --quick
 EVAL_SIZE = {False: (16, 6, 40), True: (1, 1, 6)}
 HSIC_SIZE = {False: (4, 60), True: (1, 5)}
@@ -77,25 +94,30 @@ def write_pool(path, seed, classes, per_class, separation=6.0, noise=1.5):
 def plan(quick: bool, pools: Path) -> dict:
     """Write the pools and return {command name: argv}, with {dump} left for
     each tree's heatmap directory."""
-    raw_rows = pools / "raw-rows.cfg"
-    raw_rows.write_text("normalize_features = false\n", encoding="utf-8")
+    configs = {}
+    for name, text in CONFIGS.items():
+        path = pools / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        configs[f"{{{name}}}"] = str(path)
+    skips = QUICK_SKIPS if quick else set()
     commands = {}
     variants, episodes, per_class = EVAL_SIZE[quick]
     for v in range(variants):
         pool = pools / f"eval-{v}.emb"
         write_pool(pool, [v, 32], 32, per_class)
         for mode, extra in EVAL_MODES.items():
-            argv = ["eval", "--embeddings", str(pool), "--episodes", str(episodes),
-                    "--verbose", *extra]
-            commands[f"eval-{v}-{mode}"] = [a.replace("{raw_rows}", str(raw_rows))
-                                            for a in argv]
+            if mode not in skips:
+                commands[f"eval-{v}-{mode}"] = [
+                    "eval", "--embeddings", str(pool), "--episodes", str(episodes),
+                    "--verbose", *(configs.get(a, a) for a in extra)]
     variants, per_class = HSIC_SIZE[quick]
     for v in range(variants):
         pool = pools / f"hsic-{v}.emb"
         write_pool(pool, [v, 40], 40, per_class)
-        for kernel in HSIC_KERNELS:
-            commands[f"hsic-{v}-{kernel}"] = ["hsic", "--embeddings", str(pool),
-                                              "--format", "csv", "--kernel", kernel]
+        for mode, extra in HSIC_MODES.items():
+            if mode not in skips:
+                commands[f"hsic-{v}-{mode}"] = ["hsic", "--embeddings", str(pool),
+                                                "--format", "csv", *extra]
     return commands
 
 

@@ -79,7 +79,7 @@ class AdaptConfig:
 
     The bandwidth grid is not a field: ``grid`` is read from
     ``grid_coefficients`` and ``epsilon`` each time, so it always searches
-    with this config's values.
+    with this config's values, and BandwidthGrid is the one check of both.
     """
 
     gamma: float = 3.0
@@ -95,7 +95,7 @@ class AdaptConfig:
     opt_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "learning_rate", "weight_decay", "epsilon", "rho", "opt_eps"):
+        for name in ("gamma", "learning_rate", "weight_decay", "rho", "opt_eps"):
             _check_real(name, getattr(self, name))
         if not isinstance(self.normalize_features, (bool, np.bool_)):
             raise ValueError(f"normalize_features must be a bool, got "
@@ -104,7 +104,7 @@ class AdaptConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        for name in ("learning_rate", "epsilon", "opt_eps"):
+        for name in ("learning_rate", "opt_eps"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")

@@ -61,7 +61,7 @@ class BandwidthGrid:
         if len(set(coeffs)) != len(coeffs):
             raise ValueError(f"grid coefficients must be distinct, got {coeffs}")
         if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         object.__setattr__(self, "coefficients", coeffs)
 
 
@@ -209,20 +209,19 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
     The distances come from kernels._sq_dist_row_blocks, one upper trapezoid
     d2[a:b, a:] of kernels._ROW_BLOCK rows at a time, each built once for all
     bandwidths. The diagonal and the lower half of each diagonal block are
-    set to +inf once per block, which both families map to exactly 0.0
-    (see kernels.kernel_from_sq_dists), so no kernel needs zeroing. A
-    bandwidth whose square overflows has a scale of 0, which maps every
-    finite distance to exactly 1.0 and +inf to NaN: its kernel is written
-    as d < inf instead. The columns a: get the weights right = [1,
-    n[y] - 1, the one-hot labels of the classes that meet rows a:b]. Per
-    bandwidth the block's kernel k adds k @ right to rows a:b and
-    right[:rows].T @ k to columns a:, each row reading its own class's
-    column. So each pair i < j is evaluated at most once (and the lower
-    half of each diagonal block in vain) and counted as both Kt[i, j] and
-    Kt[j, i]. A Gaussian block whose least distance off the diagonal, times
-    0.5 / sigma^2, exceeds kernels._EXP_ZERO is all zeros, so it is skipped:
-    it adds nothing. The test uses the kernel's own scale, so a skipped
-    block is exactly the zeros its kernel would be.
+    set to +inf once per block, which both families map to exactly 0.0 at
+    every bandwidth that kernels._check_bandwidth accepts (see
+    kernels.kernel_from_sq_dists), so no kernel needs zeroing. The columns
+    a: get the weights right = [1, n[y] - 1, the one-hot labels of the
+    classes that meet rows a:b]. Per bandwidth the block's kernel k adds
+    k @ right to rows a:b and right[:rows].T @ k to columns a:, each row
+    reading its own class's column. So each pair i < j is evaluated at
+    most once (and the lower half of each diagonal block in vain) and
+    counted as both Kt[i, j] and Kt[j, i]. A Gaussian block whose least
+    distance off the diagonal, times 0.5 / sigma^2, exceeds
+    kernels._EXP_ZERO is all zeros, so it is skipped: it adds nothing. The
+    test uses the kernel's own scale, so a skipped block is exactly the
+    zeros its kernel would be.
     """
     m = z.shape[0]
     counts = np.bincount(y)
@@ -243,11 +242,7 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
         for k_stats, sigma in zip(stats, sigmas):
             if family == GAUSSIAN and least * (0.5 / (sigma * sigma)) > _EXP_ZERO:
                 continue
-            k = kern[:d.size].reshape(rows, cols)
-            if sigma * sigma < math.inf:
-                kernel_from_sq_dists(d, family, sigma, out=k)
-            else:  # the kernel's scale is 0: 1.0 on every finite distance
-                np.less(d, math.inf, out=k)
+            k = kernel_from_sq_dists(d, family, sigma, out=kern[:d.size].reshape(rows, cols))
             row_part = k @ right
             k_stats[0, a:b] += row_part[own_rows]
             k_stats[1:, a:b] += row_part[:, :2].T
@@ -260,7 +255,7 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
 def power_ratio(value: float, variance: float, epsilon: float = DEFAULT_EPSILON) -> float:
     """Test-power proxy value / sqrt(variance + epsilon)."""
     if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     return float(value / np.sqrt(variance + epsilon))
 
 
@@ -286,9 +281,9 @@ def select_bandwidth(z, labels, family: str = GAUSSIAN,
     (len(grid), 3, m) statistics, after the median's own peak of a few row
     blocks and its candidates.
 
-    Every bandwidth must be finite and its square a normal float64 (see
-    kernels._check_bandwidth); a coefficient that breaks either is named
-    with the base in the error.
+    Every bandwidth must square to a finite, normal float64 (see
+    kernels._check_bandwidth): a coefficient whose bandwidth underflows or
+    overflows is named with the base in the error.
     """
     z = as_embeddings(z)
     m = z.shape[0]
@@ -311,9 +306,6 @@ def select_bandwidth(z, labels, family: str = GAUSSIAN,
     base = float(np.sqrt(median_sq_distance(z)))
     sigmas = [coeff * base for coeff in grid.coefficients]
     for coeff, sigma in zip(grid.coefficients, sigmas):
-        if not math.isfinite(sigma):
-            raise ValueError(
-                f"bandwidth coefficient {coeff} times base {base} overflows to {sigma}")
         try:
             _check_bandwidth(sigma)
         except ValueError as exc:

@@ -4,15 +4,16 @@ as_embeddings validates rows and returns them finite and float64, and
 as_labels validates class ids. Three builders check their inputs:
 label_kernel_matrix reads its labels through as_labels;
 kernel_from_sq_dists, the one radial map of squared distances, checks its
-family and bandwidth; and _unit_rows, the one row normalization, rejects a
-row with no direction. The other array builders (sq_dist_matrix,
-_sq_dist_row_blocks, _unit_zero_diag_kernel and median_sq_distance) check
-nothing and expect rows from as_embeddings: given float32 rows, the
-distances and kernels come out float32, and a NaN entry gives NaN
-distances. Gram matrices are exactly symmetric: radial kernels act
-elementwise on exactly symmetric squared distances (see sq_dist_matrix).
-No cosine Gram is built here; a cosine similarity is a product of rows
-that _unit_rows has scaled.
+family and its bandwidth (_check_bandwidth, the one bandwidth rule,
+rejects a bandwidth whose square underflows or overflows); and _unit_rows,
+the one row normalization, rejects a row with no direction. The other
+array builders (sq_dist_matrix, _sq_dist_row_blocks, _unit_zero_diag_kernel
+and median_sq_distance) check nothing and expect rows from as_embeddings:
+given float32 rows, the distances and kernels come out float32, and a NaN
+entry gives NaN distances. Gram matrices are exactly symmetric: radial
+kernels act elementwise on exactly symmetric squared distances (see
+sq_dist_matrix). No cosine Gram is built here; a cosine similarity is a
+product of rows that _unit_rows has scaled.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
 
 
 # The smallest normal float64. A bandwidth whose square is below it makes
-# the kernel's scale 0 or subnormal: the zero diagonal of the distances then
-# divides to NaN, or every other entry to an infinity.
+# the kernel's scale inf or too large to apply (the zero diagonal of the
+# distances multiplies to NaN, other entries to inf), and one whose square
+# overflows makes it 0 (an infinite distance multiplies to NaN).
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -74,11 +76,16 @@ def _check_family(family: str) -> None:
 
 
 def _check_bandwidth(sigma: float) -> None:
-    if not 0.0 < sigma < math.inf:
+    """The one bandwidth rule: sigma > 0 and _TINY <= sigma^2 < inf."""
+    if not sigma > 0.0:  # NaN fails too
         raise ValueError(f"bandwidth must be positive and finite, got {sigma}")
-    if sigma * sigma < _TINY:
-        raise ValueError(f"bandwidth {sigma} underflows: its square {sigma * sigma} is "
+    square = sigma * sigma
+    if square < _TINY:
+        raise ValueError(f"bandwidth {sigma} underflows: its square {square} is "
                          f"below the smallest normal float64, {_TINY}")
+    if square == math.inf:
+        raise ValueError(f"bandwidth {sigma} overflows: its square is above the "
+                         f"largest finite float64, {np.finfo(np.float64).max}")
 
 
 # Pairs whose squared distance is at most this fraction of n_i + n_j lose
@@ -267,15 +274,13 @@ def kernel_from_sq_dists(d2: np.ndarray, family: str, sigma: float,
 
     The distances are multiplied by the family's scale, -0.5 / sigma^2 for
     the Gaussian (then exp) and 1 / sigma^2 for the IMQ (then 1 / sqrt(1 +
-    .)), with no division per entry. The scale is finite (see
-    _check_bandwidth), and nonzero unless sigma^2 overflows to inf: so an
-    infinite distance maps to exactly 0.0 in both families, with no
-    floating-point warning, at every bandwidth whose square is finite. At
-    a larger one every finite distance maps to exactly 1.0, and inf to NaN.
-    Every step after the first product runs in place in the one output
-    buffer. That buffer is out if given (a float64 array of d2's shape,
-    which may be d2 itself), else a new array; d2 is left untouched unless
-    it is out. The bytes do not depend on out.
+    .)), with no division per entry. The bandwidth rule (see
+    _check_bandwidth) makes the scale finite and nonzero: so an infinite
+    distance maps to exactly 0.0 in both families, with no floating-point
+    warning. Every step after the first product runs in place in the one
+    output buffer. That buffer is out if given (a float64 array of d2's
+    shape, which may be d2 itself), else a new array; d2 is left untouched
+    unless it is out. The bytes do not depend on out.
     """
     _check_family(family)
     _check_bandwidth(sigma)

@@ -202,6 +202,16 @@ def test_config_rejects_non_finite_values(field, value):
         AdaptConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.inf, math.nan, True, "1e-5"])
+def test_config_checks_epsilon_by_the_grid_rule(value):
+    # the grid is the one check of epsilon: the config raises its error
+    with pytest.raises(ValueError) as grid_error:
+        BandwidthGrid(epsilon=value)
+    with pytest.raises(ValueError) as config_error:
+        AdaptConfig(epsilon=value)
+    assert str(config_error.value) == str(grid_error.value)
+
+
 @pytest.mark.parametrize("field", ["gamma", "learning_rate", "weight_decay", "epsilon",
                                    "opt_eps", "rho"])
 @pytest.mark.parametrize("value", [True, False, "0.5", None])
@@ -401,6 +411,45 @@ def test_dependence_loss_rejects_underflowing_bandwidth(family, gamma):
     u, y = rng.normal(size=(8, 3)), np.repeat([0, 1], 4)
     with pytest.raises(ValueError, match="underflows"):
         dependence_loss_and_grad(LinearHead.identity(3), u, y, 1e-160, gamma, family)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_dependence_loss_rejects_overflowing_bandwidth(family, normalize):
+    # sigma^2 = inf: the kernel's scale would be 0, and on unit rows the
+    # step's -inf diagonal would multiply to NaN
+    rng = np.random.default_rng(61)
+    u, y = rng.normal(size=(8, 3)), np.repeat([0, 1], 4)
+    with pytest.raises(ValueError, match=r"^bandwidth 1e\+200 overflows"):
+        dependence_loss_and_grad(LinearHead.identity(3), u, y, 1e200, 3.0, family, normalize)
+
+
+def test_run_episode_rejects_a_grid_coefficient_whose_bandwidth_overflows():
+    # a weakly separated task: a constant kernel's estimate, exactly 0, would
+    # beat the negative ratio at 0.75 and be selected
+    task = synth_task(5, 10, 15, 16, 1.0, 1.5, np.random.default_rng([3, 9]))
+    with pytest.raises(ValueError, match=r"^bandwidth coefficient 1e\+160 times base \S+: "
+                                         r"bandwidth \S+ overflows"):
+        run_episode(task, AdaptConfig(grid_coefficients=(0.75, 1e160)))
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_first_gamma0_loss_is_minus_the_selected_estimate(family, normalize):
+    # the search reads its estimate from three row statistics of the support
+    # kernel (hsic._label_rows_hsic), the step from its Gram cotangent
+    # (_DependencePlan): at gamma 0 the first loss is minus the estimate at
+    # the selected bandwidth
+    for seed in range(10):
+        task = synth_task(5, 10, 15, 16, 3.0, 1.5, np.random.default_rng([seed, 31]))
+        cfg = AdaptConfig(gamma=0.0, steps=1, kernel_family=family,
+                          normalize_features=normalize)
+        result = run_episode(task, cfg)
+        z0 = transform(LinearHead.identity(16), task.support_x, normalize)
+        sel = select_bandwidth(z0, task.support_y, family, cfg.grid)
+        assert sel.sigma == result.sigma_zy
+        value = sel.table[cfg.grid.coefficients.index(sel.coefficient)].value
+        assert result.loss_trace[0] == pytest.approx(-value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -175,13 +176,17 @@ def test_hsic_duplicate_grid_coefficients_exit_two(pool_path, capsys):
     (["--grid", "1e308"], "overflows"),  # coeff times the median base
     (["--kernel", "imq", "--grid", "1e308"], "overflows"),
     (["--epsilon", "inf"], "finite"),
+    # 1e160 times the base squares to inf: its kernel would be constant
+    (["--grid", "1,1e160"], r"coefficient 1e\+160 times base \S+: bandwidth \S+ overflows"),
+    (["--kernel", "imq", "--grid", "1,1e160"],
+     r"coefficient 1e\+160 times base \S+: bandwidth \S+ overflows"),
 ])
 def test_hsic_non_finite_grid_values_exit_two(pool_path, capsys, flags, message):
     code, stdout, stderr = run_cli(
         capsys, ["hsic", "--embeddings", str(pool_path), "--format", "csv", *flags])
     assert code == 2
     assert stdout == ""
-    assert message in stderr
+    assert re.search(message, stderr)
 
 
 @pytest.mark.parametrize("subcommand", ["hsic", "eval"])

@@ -468,15 +468,12 @@ def test_radial_label_rows_match_the_dense_kernel(family, layout):
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 def test_radial_label_rows_where_the_bandwidth_square_overflows(family):
-    # sigma^2 = inf makes the kernel's scale 0: every finite distance maps to
-    # 1, as the dense kernel does, and the +inf the search writes below the
-    # diagonal would map to NaN, so that kernel is written as d < inf
+    # sigma^2 = inf makes the kernel's scale 0, and the +inf the search
+    # writes below the diagonal would map to NaN: the bandwidth is rejected
     y = np.repeat(np.arange(3), [5, 70, 60])  # three row blocks
     z = np.random.default_rng(8).normal(size=(y.size, 3))
-    l_rows = np.bincount(y)[y] - 1.0
-    want = np.stack([l_rows, np.full(y.size, y.size - 1.0), l_rows.sum() - l_rows])
-    (got,) = _radial_label_rows(z, family, [1e160], y)
-    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"bandwidth 1e\+160 overflows"):
+        _radial_label_rows(z, family, [1.0, 1e160], y)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])

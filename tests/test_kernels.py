@@ -530,7 +530,7 @@ def test_kernel_from_sq_dists_matches_pointwise_eval(family):
             assert k[i, j] == pytest.approx(eval_kernel(spec, z[i], z[j]), rel=1e-12)
 
 
-@pytest.mark.parametrize("sigma", [1e-3, 0.37, 1.7, 1e3, 1e200])
+@pytest.mark.parametrize("sigma", [1e-3, 0.37, 1.7, 1e3])
 def test_kernel_from_sq_dists_is_bit_identical_and_leaves_input(sigma):
     rng = np.random.default_rng(17)
     d2 = sq_dist_matrix(rng.normal(size=(9, 4)) * 3.0)
@@ -557,6 +557,25 @@ def test_kernel_from_sq_dists_rejects_underflowing_bandwidth(family, sigma):
     # sigma * sigma is subnormal or 0: the zero diagonal would divide to NaN
     with pytest.raises(ValueError, match="underflows"):
         kernel_from_sq_dists(np.zeros((2, 2)), family, sigma)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("sigma", [1.35e154, 1e160, 1e200, 1.7976931348623157e308])
+def test_kernel_from_sq_dists_rejects_overflowing_bandwidth(family, sigma):
+    # sigma * sigma is inf: the scale would be 0, and an infinite distance
+    # (the search's stand-in for a zero entry) would map to NaN
+    with pytest.raises(ValueError, match="overflows") as exc:
+        kernel_from_sq_dists(np.zeros((2, 2)), family, sigma)
+    assert str(exc.value).startswith(f"bandwidth {sigma} overflows")
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+def test_kernel_from_sq_dists_accepts_the_largest_finite_square(family):
+    sigma = 1.34e154  # its square, 1.7956e308, is just below the largest float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = kernel_from_sq_dists(np.array([[0.0, np.inf], [np.inf, 0.0]]), family, sigma)
+    assert k.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
