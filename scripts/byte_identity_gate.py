@@ -14,11 +14,13 @@ a difference too. The commands run on pools this script writes with numpy:
   normalize_features = false (a config file) with --dump-heatmaps; and a
   config file that sets grid_coefficients and epsilon (GRID and EPSILON);
 - hsic --format csv on each of 4 pools of 40 classes x 60 rows (d = 64),
-  in three modes: Gaussian, --kernel imq, and --grid GRID --epsilon EPSILON.
+  in five modes: Gaussian, --kernel imq, --grid GRID --epsilon EPSILON,
+  and Gaussian and imq with --labels-from a file of the pool's labels in
+  shuffled order (so the search groups the rows by class itself).
 
-That is 108 commands; --quick runs one pool of each kind, one episode and
-a few rows per class instead, and leaves out the two GRID modes (7
-commands). stdout gets a header and one row: commands,
+That is 116 commands; --quick runs one pool of each kind, one episode and
+a few rows per class instead, and leaves out the two GRID and the two
+shuffled-label modes (7 commands). stdout gets a header and one row: commands,
 identical, different. Each differing command goes to stderr with what
 differs (stdout, exit, pgm: the heatmap files, f64: the matrices' float64
 bytes) and how much: the largest relative difference of the numbers that
@@ -71,8 +73,10 @@ HSIC_MODES = {
     "gaussian": ["--kernel", "gaussian"],
     "imq": ["--kernel", "imq"],
     "grid": ["--grid", GRID, "--epsilon", EPSILON],
+    "shuffled": ["--kernel", "gaussian", "--labels-from", "{labels}"],
+    "shuffled-imq": ["--kernel", "imq", "--labels-from", "{labels}"],
 }
-QUICK_SKIPS = {"grid"}  # modes --quick leaves out
+QUICK_SKIPS = {"grid", "shuffled", "shuffled-imq"}  # modes --quick leaves out
 # (pools, episodes, rows per class) of each kind, in full and with --quick
 EVAL_SIZE = {False: (16, 6, 40), True: (1, 1, 6)}
 HSIC_SIZE = {False: (4, 60), True: (1, 5)}
@@ -92,8 +96,9 @@ def write_pool(path, seed, classes, per_class, separation=6.0, noise=1.5):
 
 
 def plan(quick: bool, pools: Path) -> dict:
-    """Write the pools and return {command name: argv}, with {dump} left for
-    each tree's heatmap directory."""
+    """Write the pools (and each hsic pool's shuffled label file) and return
+    {command name: argv}, with {dump} left for each tree's heatmap
+    directory."""
     configs = {}
     for name, text in CONFIGS.items():
         path = pools / f"{name}.cfg"
@@ -114,10 +119,14 @@ def plan(quick: bool, pools: Path) -> dict:
     for v in range(variants):
         pool = pools / f"hsic-{v}.emb"
         write_pool(pool, [v, 40], 40, per_class)
+        labels = pools / f"hsic-{v}.labels"
+        shuffled = np.random.default_rng([v, 40]).permutation(np.repeat(np.arange(40), per_class))
+        labels.write_text("".join(f"{c}\n" for c in shuffled), encoding="utf-8")
         for mode, extra in HSIC_MODES.items():
             if mode not in skips:
-                commands[f"hsic-{v}-{mode}"] = ["hsic", "--embeddings", str(pool),
-                                                "--format", "csv", *extra]
+                commands[f"hsic-{v}-{mode}"] = [
+                    "hsic", "--embeddings", str(pool), "--format", "csv",
+                    *(a.replace("{labels}", str(labels)) for a in extra)]
     return commands
 
 

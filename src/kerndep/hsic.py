@@ -9,9 +9,10 @@ The estimate and its variance are read in one place, _hsic_from_rows, from
 five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased
 and hsic_variance take them from the Grams (_gram_rows), the bandwidth
 search, whose target is always a label vector, from three of them
-(_label_rows_hsic). The mokd step reads its loss and gradient from the
-same estimate, written through the Kt row sums and the same-class entries
-of Kt (see adapt._DependencePlan).
+(_label_rows_hsic), after one centring and two sweeps of the distances:
+the median base's, then every bandwidth's. The mokd step reads its loss
+and gradient from the same estimate, written through the Kt row sums and
+the same-class entries of Kt (see adapt._DependencePlan).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .kernels import (
     _ROW_BLOCK,
     GAUSSIAN,
     _check_bandwidth,
+    _centred_rows,
     _check_family,
     _sq_dist_row_blocks,
     as_embeddings,
@@ -201,14 +203,16 @@ def _label_rows_hsic(rows: np.ndarray, y: np.ndarray) -> tuple[float, float]:
                            np.bincount(y, weights=k_rows)[y] - k_rows)
 
 
-def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.ndarray:
+def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray,
+                       centred: np.ndarray | None = None) -> np.ndarray:
     """The three row statistics of _label_rows_hsic for the zero-diagonal
     radial Gram matrix Kt of the rows of z at every bandwidth in sigmas,
     shape (len(sigmas), 3, m); y must be sorted by class.
 
     The distances come from kernels._sq_dist_row_blocks, one upper trapezoid
     d2[a:b, a:] of kernels._ROW_BLOCK rows at a time, each built once for all
-    bandwidths. The diagonal and the lower half of each diagonal block are
+    bandwidths, from centred if given (kernels._centred_rows, permuted as z).
+    The diagonal and the lower half of each diagonal block are
     set to +inf once per block, which both families map to exactly 0.0 at
     every bandwidth that kernels._check_bandwidth accepts (see
     kernels.kernel_from_sq_dists), so no kernel needs zeroing. The columns
@@ -227,7 +231,7 @@ def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray) -> np.
     counts = np.bincount(y)
     stats = np.zeros((len(sigmas), 3, m))
     kern = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
-    for a, d, least in _sq_dist_row_blocks(z):
+    for a, d, least in _sq_dist_row_blocks(z, centred):
         rows, cols = d.shape
         b = a + rows
         np.copyto(d[:, :rows], np.inf, where=np.tri(rows, dtype=bool))  # Kt is 0 there
@@ -270,16 +274,17 @@ def select_bandwidth(z, labels, family: str = GAUSSIAN,
     to the smaller coefficient. The labels need at least two classes, one
     of them with two rows (else the zero-diagonal label kernel is all zero).
 
-    The search reads three row statistics with no m x m array: the rows are
-    grouped by class (a stable sort, skipped when the labels are already
-    sorted), and the distances come kernels._ROW_BLOCK rows at a time (see
-    kernels._sq_dist_row_blocks), each block built once for the whole grid.
-    Every coefficient's kernel of a block adds to that coefficient's row
-    statistics (see _radial_label_rows and _label_rows_hsic), so each pair's
-    kernel entry is evaluated at most once: a Gaussian block whose every
-    entry rounds to 0 is skipped. The peak is a few row blocks plus the
-    (len(grid), 3, m) statistics, after the median's own peak of a few row
-    blocks and its candidates.
+    The search centres the rows once (kernels._centred_rows) and sweeps
+    their distances twice, kernels._ROW_BLOCK rows at a time (see
+    kernels._sq_dist_row_blocks): the median's sweep, then the label
+    search's, which reads three row statistics with no m x m array and
+    builds each block once for the whole grid. For it the rows and their
+    centring are grouped by class (a stable sort, skipped when the labels
+    are sorted). Every coefficient's kernel of a block adds to that
+    coefficient's row statistics (see _radial_label_rows and
+    _label_rows_hsic), so each pair's kernel entry is evaluated at most
+    once: a Gaussian block whose every entry rounds to 0 is skipped. The
+    peak is a few row blocks plus the (len(grid), 3, m) statistics.
 
     Every bandwidth must square to a finite, normal float64 (see
     kernels._check_bandwidth): a coefficient whose bandwidth underflows or
@@ -303,7 +308,8 @@ def select_bandwidth(z, labels, family: str = GAUSSIAN,
                          "none, no pair of labels agrees and there is no dependence "
                          "to estimate")
 
-    base = float(np.sqrt(median_sq_distance(z)))
+    centred = _centred_rows(z)  # for both sweeps: the median's and the label search's
+    base = float(np.sqrt(median_sq_distance(z, _rows=centred)))
     sigmas = [coeff * base for coeff in grid.coefficients]
     for coeff, sigma in zip(grid.coefficients, sigmas):
         try:
@@ -313,9 +319,9 @@ def select_bandwidth(z, labels, family: str = GAUSSIAN,
 
     if (y[1:] < y[:-1]).any():
         by_class = np.argsort(y, kind="stable")
-        z, y = z[by_class], y[by_class]
+        z, y, centred = z[by_class], y[by_class], centred[by_class]
     rows: list[HsicEstimate] = []
-    for sigma, stats in zip(sigmas, _radial_label_rows(z, family, sigmas, y)):
+    for sigma, stats in zip(sigmas, _radial_label_rows(z, family, sigmas, y, centred)):
         value, raw = _label_rows_hsic(stats, y)
         variance = raw if raw > 0.0 else 0.0
         ratio = power_ratio(value, variance, grid.epsilon)

@@ -13,7 +13,8 @@ given float32 rows, the distances and kernels come out float32, and a NaN
 entry gives NaN distances. Gram matrices are exactly symmetric: radial
 kernels act elementwise on exactly symmetric squared distances (see
 sq_dist_matrix). No cosine Gram is built here; a cosine similarity is a
-product of rows that _unit_rows has scaled.
+product of rows that _unit_rows has scaled. median_sq_distance is exact
+and usually one sweep over the row blocks, between pivots from sampled pairs.
 """
 
 from __future__ import annotations
@@ -140,11 +141,11 @@ def _nan_pairs(block: np.ndarray):
 
 def _difference_sq_dists(z: np.ndarray, pairs):
     """For each (i, j) of pairs, row indices of the (m, d) rows z, yield
-    (i, j, d2) in groups of max(1, kernels._ROW_BLOCK * m // d) pairs, with
-    d2 their squared distances from the differences of the rows, so
-    duplicates give exactly 0. So each (pairs, d) temporary of a group is
-    no larger than a kernels._ROW_BLOCK x m block."""
-    group = max(1, _ROW_BLOCK * z.shape[0] // z.shape[1])
+    (i, j, d2) in groups of max(1, kernels._ROW_BLOCK * m // (2 d)) pairs,
+    with d2 their squared distances from the differences of the rows, so
+    duplicates give exactly 0. So a group's two (pairs, d) temporaries are
+    together no larger than a kernels._ROW_BLOCK x m block."""
+    group = max(1, _ROW_BLOCK * z.shape[0] // (2 * z.shape[1]))
     for i, j in pairs:
         for start in range(0, i.size, group):
             bi, bj = i[start:start + group], j[start:start + group]
@@ -364,70 +365,58 @@ def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
     return mat
 
 
-# median_sq_distance buckets a positive float64 by its bits >> _KEY_SHIFT
-# (the exponent and the top 6 mantissa bits: 64 buckets per binade), a key
-# that grows with the value. _BUCKETS keys, counted down from the key of a
-# bound on the distances, get a bucket each; clipping puts every larger key
-# in bucket 0 and every smaller one in the last bucket. Clipping keeps the
-# order of the buckets, so the median is still exact, only with more
-# candidates when it falls in a clipped bucket.
-_KEY_SHIFT = 46
-_BUCKETS = 4096
-
-
-def _bucket_key(value: float) -> int:
-    return int(np.float64(value).view(np.int64)) >> _KEY_SHIFT
-
-
-def _key_floor(key: int) -> float:
-    """The least float64 with key `key`, at least the least positive one."""
-    return float(np.int64(max(key << _KEY_SHIFT, 1)).view(np.float64))
+# median_sq_distance samples min(_SAMPLE_MAX, max(_SAMPLE_MIN, 4 ceil(3m /
+# 128)^2)) pairs; its pivots lie _PIVOT_SPREAD standard deviations of the
+# median's sample rank (sqrt(size) / 2) either side of the sample's middle,
+# moved out by a relative _PIVOT_SLACK for rounding. The window keeps about
+# 3 / sqrt(size) of the pairs, at most 32 m (half a row block) for m <= 2730;
+# a miss widens it _WIDEN-fold in sample ranks.
+_SAMPLE_MIN, _SAMPLE_MAX = 256, 2**14
+_PIVOT_SPREAD, _PIVOT_SLACK, _WIDEN = 3.0, 1e-12, 4
 
 
 def _upper_row_blocks(z: np.ndarray, rows: np.ndarray):
     """Each block of _sq_dist_row_blocks(z, rows) with the diagonal and the
     lower half of its diagonal block zeroed in place: its nonzero entries
-    are those of the strict upper triangle, each pair once."""
+    are those of the strict upper triangle, each pair once. One pass over
+    them is one sweep of median_sq_distance (see _window_sweep)."""
     for _, block, _ in _sq_dist_row_blocks(z, rows):
         diagonal = block.shape[0]
         np.copyto(block[:, :diagonal], 0.0, where=np.tri(diagonal, dtype=bool))
         yield block
 
 
-def _median_buckets(counts: np.ndarray, top: int, lo: int, hi: int):
-    """The ranks lo <= hi of the ascending positive entries, counted within
-    the buckets that hold them, and the range [lower, upper] of the values
-    in those buckets. counts holds the entries per bucket, bucket 0 the
-    largest (see median_sq_distance)."""
-    below = np.cumsum(counts[::-1])  # entries in the last k + 1 buckets
-    first, last = (_BUCKETS - 1 - int(np.searchsorted(below, r, side="right"))
-                   for r in (lo, hi))  # first holds rank lo, last holds rank hi
-    skipped = int(below[_BUCKETS - 2 - first]) if first < _BUCKETS - 1 else 0
-    lower = _key_floor(top - first if first < _BUCKETS - 1 else 0)
-    upper = float(np.nextafter(_key_floor(top - last + 1), 0.0)) if last > 0 else math.inf
-    return (lo - skipped, hi - skipped), lower, upper
+def _sample_sq_dists(z: np.ndarray) -> np.ndarray:
+    """The positive squared distances, sorted, of the pairs of rows of z that
+    np.random.default_rng(0) draws with replacement, from the row differences
+    (_difference_sq_dists): a row drawn with itself or an equal one gives 0."""
+    m = z.shape[0]
+    size = min(_SAMPLE_MAX, max(_SAMPLE_MIN, 4 * math.ceil(3 * m / 128) ** 2))
+    pairs = np.random.default_rng(0).integers(0, m, size=(2, size))
+    sample = np.concatenate([d2 for _, _, d2 in _difference_sq_dists(z, [pairs])])
+    return np.sort(sample[sample > 0.0])
 
 
-def _bucket_counts(z: np.ndarray, rows: np.ndarray, top: int) -> np.ndarray:
-    """The first pass of median_sq_distance: the positive entries of the
-    strict upper triangle per bucket, bucket 0 holding the keys top and
-    above. Each block's buffer is keyed in place, every entry counted, and
-    the block's zeros then taken out of the bucket of key 0 (that of 0.0),
-    so no block is copied; the entries are never negative or NaN (see
-    _recompute_cancelled). No block outlives the pass."""
-    counts = np.zeros(_BUCKETS, dtype=np.int64)
-    zeros = 0
+def _window_sweep(z: np.ndarray, rows: np.ndarray, lo: float, hi: float):
+    """One sweep of median_sq_distance over the strict upper triangle: the
+    count of its positive entries, the count of those below lo, and, unjoined
+    (so the last block is gone when they are joined), the arrays of those in
+    [lo, hi]. lo > 0, so zeros are in no count; the entries are never
+    negative, nor NaN for rows from as_embeddings (see _recompute_cancelled)."""
+    positive = below = 0
+    kept = []
     for block in _upper_row_blocks(z, rows):
-        zeros += block.size - np.count_nonzero(block)
-        keys = block.reshape(-1).view(np.int64)
-        keys >>= _KEY_SHIFT
-        np.subtract(top, keys, out=keys)
-        counts += np.bincount(np.clip(keys, 0, _BUCKETS - 1, out=keys), minlength=_BUCKETS)
-    counts[min(top, _BUCKETS - 1)] -= zeros
-    return counts
+        zeros = np.count_nonzero(block <= 0.0)
+        low = block < lo
+        below += np.count_nonzero(low) - zeros
+        positive += block.size - zeros
+        keep = np.less_equal(block, hi)
+        keep &= np.logical_not(low, out=low)
+        kept.append(np.extract(keep, block))
+    return positive, below, kept
 
 
-def median_sq_distance(z: np.ndarray) -> float:
+def median_sq_distance(z: np.ndarray, *, _rows: np.ndarray | None = None) -> float:
     """Median of the nonzero pairwise squared distances of the rows of z: the
     square of the median-heuristic bandwidth.
 
@@ -443,34 +432,39 @@ def median_sq_distance(z: np.ndarray) -> float:
 
     The distances come from _sq_dist_row_blocks, so the value depends on z
     alone. It is exactly np.median of the positive entries of the strict
-    upper triangle (each pair once), found in two passes over the row
-    blocks with no array of all the pairs, and z is centred once for both.
-    The first (_bucket_counts) keys each block's buffer in place by the
-    entries' float64 bits and counts the positive entries per bucket,
-    copying no block. The second rebuilds the blocks and keeps only the
-    entries of the one or two buckets that hold the middle ranks (see
-    _median_buckets), and partitions those. The peak is the centred rows,
-    one row block and its masks, and those candidates: a small share of the
-    pairs when the distances spread, all of them when every distance is
-    equal.
+    upper triangle (each pair once), with no array of all the pairs, and in
+    one sweep over the row blocks in the usual case: the sampled pivots of
+    Floyd and Rivest (CACM 18(3), 1975). A sweep (_window_sweep) counts the
+    positive entries and those below lo, and keeps those in [lo, hi], where
+    a partition finds the middle ranks. A miss widens the window and sweeps
+    again; the sample holds at most 2**14 pairs, so by the fourth sweep (the
+    ninth at _PIVOT_SPREAD 0) the window is (0, inf] and the search stops
+    (a NaN distance, in no window, then fails the partition). Ties are all
+    kept. _rows, if given, is _centred_rows(z): a caller who sweeps again
+    centres z once. The peak is the centred rows, one row block with its
+    masks, and the window's entries, joined once the last block is gone.
     """
-    rows = _centred_rows(z)
+    rows = _centred_rows(z) if _rows is None else _rows
     with np.errstate(over="ignore", invalid="ignore"):
-        # every squared distance is at most 2 (n_i + n_j); the larger ones,
-        # rounding or inf, share bucket 0 (fmax skips the norms of NaN rows)
-        top = _bucket_key(4.0 * float(np.fmax.reduce(rows[:, -1], initial=0.0)))
-    counts = _bucket_counts(z, rows, top)
-    n = int(counts.sum())
+        sample = _sample_sq_dists(z)
+    mid = sample.size // 2
+    half = math.ceil(_PIVOT_SPREAD * math.sqrt(sample.size) / 2.0)
+    while True:
+        lo = sample[mid - half] * (1.0 - _PIVOT_SLACK) if half <= mid < sample.size else 5e-324
+        hi = sample[mid + half] * (1.0 + _PIVOT_SLACK) if mid + half < sample.size else math.inf
+        n, below, kept = _window_sweep(z, rows, lo, hi)
+        kept = np.concatenate(kept)
+        ranks = ((n - 1) // 2 - below, n // 2 - below)
+        if n == 0 or half >= sample.size or 0 <= ranks[0] and ranks[1] < kept.size:
+            break
+        half = max(_WIDEN * half, 1)
     if n == 0:
         if (z == z[:1]).all():
             raise ValueError("all points are identical; median distance is undefined")
         raise ValueError("the squared distances of the distinct rows all underflow to 0; "
                          "median distance is undefined")
-    ranks, lower, upper = _median_buckets(counts, top, (n - 1) // 2, n // 2)
-    candidates = np.concatenate([block[(block >= lower) & (block <= upper)]
-                                 for block in _upper_row_blocks(z, rows)])
-    candidates.partition(ranks)
-    middle = candidates[list(ranks)]
+    kept.partition(ranks)
+    middle = kept[list(ranks)]
     median = float(middle[0] if ranks[0] == ranks[1] else np.mean(middle))
     if median == math.inf:
         raise ValueError("the squared distances of the rows overflow float64: their "

@@ -476,6 +476,27 @@ def test_radial_label_rows_where_the_bandwidth_square_overflows(family):
         _radial_label_rows(z, family, [1.0, 1e160], y)
 
 
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_search_centres_once_and_sweeps_twice(call_counts, order):
+    # one centring serves the median's sweep and the label search's, which
+    # reads it permuted by class when the labels are unsorted
+    counts, count = call_counts
+    z, y = blob_data(2, m_half=70)
+    if order == "unsorted":
+        p = np.random.default_rng(4).permutation(y.size)
+        z, y = z[p], y[p]
+    for target in ("kerndep.kernels._centred_rows", "kerndep.hsic._centred_rows",
+                   "kerndep.kernels._sq_dist_row_blocks", "kerndep.hsic._sq_dist_row_blocks"):
+        count(target)
+    select_bandwidth(z, y)
+    assert counts == {
+        "kerndep.kernels._centred_rows": 0,
+        "kerndep.hsic._centred_rows": 1,
+        "kerndep.kernels._sq_dist_row_blocks": 1,  # the median's one sweep
+        "kerndep.hsic._sq_dist_row_blocks": 1,  # the label search's
+    }
+
+
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
 def test_warm_label_search_holds_no_distance_matrix(family):
     # a few row blocks, the median's candidates and the (grid, 3, m) row

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from kerndep import kernels
 from kerndep.adapt import EpisodeResult, LinearHead
 from kerndep.kernels import (
-    _BUCKETS,
     _EXP_ZERO,
-    _KEY_SHIFT,
     _ROW_BLOCK,
-    _bucket_key,
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
@@ -604,15 +602,14 @@ def median_case(m, duplicates=()):
 
 
 def spread_over_binades():
-    # 1-D rows at 1.5 ** k: the squared distances span over 200 binades, far
-    # more than the 64 that the buckets below the bound cover, so the median
-    # falls in the last bucket with many other values
+    # 1-D rows at 1.5 ** k: the squared distances span over 200 binades, and
+    # far fewer distinct values lie near the median than in a blob
     return 1.5 ** np.arange(-100.0, 100.0)[:, None]
 
 
 def opposite_rows():
-    # +v and -v alternating: every positive distance is exactly 4 |v|^2, the
-    # bound, so the median falls in bucket 0
+    # +v and -v alternating: every positive distance is exactly 4 |v|^2, so
+    # the sample's pivots meet on it, and half the pairs are zeros
     return np.resize([[1.0, 2.0], [-1.0, -2.0]], (130, 2))
 
 
@@ -629,7 +626,7 @@ def subnormal_rows():
     (median_case(150), 11175, 0),  # three row blocks, an odd pair count
     (median_case(161), 12880, 0),  # an even pair count
     (np.tile(median_case(70), (2, 1)), 9730, 70),  # duplicate rows across blocks
-    (np.eye(100), 4950, 0),  # every distance 2: one bucket holds every candidate
+    (np.eye(100), 4950, 0),  # every distance 2: the window keeps every pair
     (np.eye(99), 4851, 0),
     (spread_over_binades(), 19900, 0),
     (opposite_rows(), 8385, 4160),
@@ -644,37 +641,77 @@ def test_median_of_sq_dists_matches_upper_triangle_oracle(z, pairs, zeros):
 
 
 def test_median_copies_no_block():
-    # the centred rows, one row block and its masks, and the candidates: the
-    # counting pass keys each block in place and copies none of its entries,
-    # and no block of that pass is held through the second
+    # under the centred rows, two row blocks and the window's candidates:
+    # a block and its masks (or the sample's row differences, together one
+    # row block) and the candidates, which are joined once the last block
+    # is gone; no block of the sweep is copied
     m, d = 2000, 16
     z = np.random.default_rng(3).normal(size=(m, d))
-    upper = np.concatenate([block[np.triu(np.ones(block.shape, dtype=bool), 1)]
-                            for _, block, _ in _sq_dist_row_blocks(z)])
-    upper.partition([(upper.size - 1) // 2, upper.size // 2])
-    keys = upper.view(np.int64) >> _KEY_SHIFT
-    lo, hi = keys[(upper.size - 1) // 2], keys[upper.size // 2]
-    candidates = int(((keys >= lo) & (keys <= hi)).sum())  # the middle ranks' buckets
-    del upper, keys
-    median_sq_distance(z)
+    kept = []
+    sweep = kernels._window_sweep
+
+    def recorded(*args):
+        result = sweep(*args)
+        kept.append(sum(part.size for part in result[2]))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_window_sweep", recorded)
+        median_sq_distance(z)
+    assert len(kept) == 1 and 0 < kept[0] < _ROW_BLOCK * m  # one sweep, under a row block
     tracemalloc.start()
     try:
         median_sq_distance(z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m * (d + 2) * 8 + 2 * _ROW_BLOCK * m * 8 + candidates * 8
+    assert peak < m * (d + 2) * 8 + 2 * _ROW_BLOCK * m * 8 + kept[0] * 8
 
 
-@pytest.mark.parametrize("z, bucket", [(spread_over_binades(), _BUCKETS - 1),
-                                       (opposite_rows(), 0)])
-def test_median_falls_in_a_clipped_bucket(z, bucket):
-    # the bound is 4 x the largest centred squared norm; bucket 0 holds the
-    # largest values
-    zc = z - z.mean(axis=0)
-    top = _bucket_key(4.0 * float(np.einsum("ij,ij->i", zc, zc).max()))
-    key = _bucket_key(median_sq_distance(z))
-    assert min(max(top - key, 0), _BUCKETS - 1) == bucket
+def count_sweeps(call_counts, z):
+    """median_sq_distance(z) and the number of sweeps over the distance
+    blocks it made."""
+    counts, count = call_counts
+    count("kerndep.kernels._sq_dist_row_blocks")
+    got = median_sq_distance(z)
+    return got, counts.pop("kerndep.kernels._sq_dist_row_blocks")
+
+
+@pytest.mark.parametrize("z, misses", [
+    (median_case(150), True),
+    (np.eye(100), False),  # every distance is 2: the slack around one pivot keeps them all
+    (spread_over_binades(), True),
+], ids=["median_case", "eye", "spread_over_binades"])
+def test_median_widens_its_window_to_the_exact_median(monkeypatch, call_counts, z, misses):
+    # pivots at the sample's middle rank itself miss the middle ranks of
+    # distinct distances; each miss widens the window fourfold in sample
+    # ranks, up to (0, inf], which cannot miss: nine sweeps at most
+    monkeypatch.setattr(kernels, "_PIVOT_SPREAD", 0.0)
+    got, sweeps = count_sweeps(call_counts, z)
+    assert np.float64(got).tobytes() == np.float64(
+        median_upper_positive(row_block_sq_dists(z))).tobytes()
+    assert (sweeps > 1) == misses and sweeps <= 9
+
+
+@pytest.mark.parametrize("z", [np.eye(100), opposite_rows()], ids=["eye", "opposite_rows"])
+def test_median_of_equal_distances_takes_one_sweep(call_counts, z):
+    # every positive distance is equal: all of them are kept, in one sweep
+    got, sweeps = count_sweeps(call_counts, z)
+    assert sweeps == 1
+    assert np.float64(got).tobytes() == np.float64(
+        median_upper_positive(row_block_sq_dists(z))).tobytes()
+
+
+def test_median_search_stops_at_the_full_window(call_counts):
+    # NaN distances count as pairs but fall in no window, so no window holds
+    # the middle ranks: the search stops once its window spans the sample
+    # (the 100 sampled pairs with no NaN row here: three sweeps), and the
+    # partition fails
+    z = np.random.default_rng(0).normal(size=(400, 3))
+    z[::2, 1] = np.nan
+    with pytest.raises(ValueError, match="out of bounds"):
+        count_sweeps(call_counts, z)
+    assert call_counts[0]["kerndep.kernels._sq_dist_row_blocks"] == 3
 
 
 @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 200), d=st.integers(1, 6),

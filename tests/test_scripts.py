@@ -55,3 +55,17 @@ def test_byte_identity_gate_sizes_each_difference():
     assert size("", "", f64, f64) == 0.0
     # a matrix of another size is not compared
     assert size("x", "y", {"a.f64": moved.tobytes()}, {"a.f64": moved[0].tobytes()}) is None
+
+
+def test_byte_identity_gate_plans_shuffled_label_commands(tmp_path):
+    plan = load_script("byte_identity_gate").plan
+    commands = plan(False, tmp_path)
+    shuffled = {name: argv for name, argv in commands.items() if "--labels-from" in argv}
+    assert (len(commands), sorted(shuffled)) == (116, sorted(
+        f"hsic-{v}-{mode}" for v in range(4) for mode in ("shuffled", "shuffled-imq")))
+    for argv in shuffled.values():
+        # the pool's 40 classes of 60 rows each, out of class order
+        labels = np.loadtxt(argv[argv.index("--labels-from") + 1], dtype=np.int64)
+        assert np.array_equal(np.sort(labels), np.repeat(np.arange(40), 60))
+        assert (labels[1:] < labels[:-1]).any()
+    assert len(plan(True, tmp_path)) == 7
