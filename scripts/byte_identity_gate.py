@@ -13,24 +13,28 @@ a difference too. The commands run on pools this script writes with numpy:
   --dump-heatmaps; --kernel imq; --gamma 0; --loss ncc with --dump-heatmaps;
   normalize_features = false (a config file) with --dump-heatmaps; and a
   config file that sets grid_coefficients and epsilon (GRID and EPSILON);
+- the same on each of 4 pools like those whose rows 10-15 of every 16 in a
+  class repeat rows 4-9 (REPEATS), in three modes: the default, --kernel
+  imq and normalize_features = false, so duplicate rows reach the kernels'
+  close-pair paths;
 - hsic --format csv on each of 4 pools of 40 classes x 60 rows (d = 64),
   in five modes: Gaussian, --kernel imq, --grid GRID --epsilon EPSILON,
   and Gaussian and imq with --labels-from a file of the pool's labels in
   shuffled order (so the search groups the rows by class itself).
 
-That is 116 commands; --quick runs one pool of each kind, one episode and
-a few rows per class instead, and leaves out the two GRID and the two
-shuffled-label modes (7 commands). stdout gets a header and one row: commands,
-identical, different. Each differing command goes to stderr with what
-differs (stdout, exit, pgm: the heatmap files, f64: the matrices' float64
-bytes) and how much: the largest relative difference of the numbers that
-differ, |a - b| / max(|a|, |b|) for each number in its stdout (when the two
-print the same text around their numbers), and over each f64 matrix the
-largest |a - b| against its largest entry. So a change that moves numbers
-at rounding level reads its tolerance from here. The exit code is 1
-on any difference. Every command is meant to succeed: when one exits
-nonzero in this checkout, its name goes to stderr too, and the exit code is
-2 if nothing differs.
+That is 128 commands; --quick runs one pool of each kind, one episode and a
+few rows per class instead, and leaves out the repeated-row pools, the two
+GRID and the two shuffled-label modes (7 commands). stdout gets a header
+and one row: commands, identical, different. Each differing command goes to
+stderr with what differs (stdout, exit, pgm: the heatmap files, f64: the
+matrices' float64 bytes) and how much: the largest relative difference of
+the numbers that differ, |a - b| / max(|a|, |b|) for each number in its
+stdout (when the two print the same text around their numbers), and over
+each f64 matrix the largest |a - b| against its largest entry. So a change
+that moves numbers at rounding level reads its tolerance from here. The
+exit code is 1 on any difference. Every command is meant to succeed: when
+one exits nonzero in this checkout, its name goes to stderr too, and the
+exit code is 2 if nothing differs.
 
     python scripts/byte_identity_gate.py --against ../parent-checkout
 """
@@ -76,22 +80,29 @@ HSIC_MODES = {
     "shuffled": ["--kernel", "gaussian", "--labels-from", "{labels}"],
     "shuffled-imq": ["--kernel", "imq", "--labels-from", "{labels}"],
 }
+REPEAT_MODES = ("default", "imq", "raw-rows")  # the eval modes of the repeated-row pools
+REPEATS, REPEAT_POOLS = 6, 4  # rows repeated in every 16 of a class; pools, none with --quick
 QUICK_SKIPS = {"grid", "shuffled", "shuffled-imq"}  # modes --quick leaves out
 # (pools, episodes, rows per class) of each kind, in full and with --quick
 EVAL_SIZE = {False: (16, 6, 40), True: (1, 1, 6)}
 HSIC_SIZE = {False: (4, 60), True: (1, 5)}
 
 
-def write_pool(path, seed, classes, per_class, separation=6.0, noise=1.5):
+def write_pool(path, seed, classes, per_class, repeats=0, separation=6.0, noise=1.5):
     """Gaussian blobs around class means on orthonormal directions, written
     in the EMB1 binary format (magic, version byte, uint32 class count, then
-    per class uint32 rows, uint32 dimension and little-endian float32 rows)."""
+    per class uint32 rows, uint32 dimension and little-endian float32 rows).
+    In each class the last repeats rows of every 16 copy the repeats rows
+    before them."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((DIM, classes)))
+    k = np.arange(per_class)
+    copies = k % 16 >= 16 - repeats
     with open(path, "wb") as fh:
         fh.write(b"EMB1" + struct.pack("<BI", 1, classes))
         for mean in separation * q.T:
             rows = mean + noise * rng.standard_normal((per_class, DIM))
+            rows[copies] = rows[k[copies] - repeats]
             fh.write(struct.pack("<II", per_class, DIM) + rows.astype("<f4").tobytes())
 
 
@@ -107,14 +118,19 @@ def plan(quick: bool, pools: Path) -> dict:
     skips = QUICK_SKIPS if quick else set()
     commands = {}
     variants, episodes, per_class = EVAL_SIZE[quick]
-    for v in range(variants):
-        pool = pools / f"eval-{v}.emb"
-        write_pool(pool, [v, 32], 32, per_class)
-        for mode, extra in EVAL_MODES.items():
+    # (name, seed, repeats, modes) of each eval pool
+    eval_pools = [(f"eval-{v}", [v, 32], 0, EVAL_MODES) for v in range(variants)]
+    if not quick:
+        eval_pools += [(f"repeat-{v}", [v, 32, REPEATS], REPEATS, REPEAT_MODES)
+                       for v in range(REPEAT_POOLS)]
+    for name, seed, repeats, modes in eval_pools:
+        pool = pools / f"{name}.emb"
+        write_pool(pool, seed, 32, per_class, repeats)
+        for mode in modes:
             if mode not in skips:
-                commands[f"eval-{v}-{mode}"] = [
+                commands[f"{name}-{mode}"] = [
                     "eval", "--embeddings", str(pool), "--episodes", str(episodes),
-                    "--verbose", *(configs.get(a, a) for a in extra)]
+                    "--verbose", *(configs.get(a, a) for a in EVAL_MODES[mode])]
     variants, per_class = HSIC_SIZE[quick]
     for v in range(variants):
         pool = pools / f"hsic-{v}.emb"

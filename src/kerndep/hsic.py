@@ -204,14 +204,14 @@ def _label_rows_hsic(rows: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _radial_label_rows(z: np.ndarray, family: str, sigmas, y: np.ndarray,
-                       centred: np.ndarray | None = None) -> np.ndarray:
+                       centred: np.ndarray) -> np.ndarray:
     """The three row statistics of _label_rows_hsic for the zero-diagonal
     radial Gram matrix Kt of the rows of z at every bandwidth in sigmas,
     shape (len(sigmas), 3, m); y must be sorted by class.
 
     The distances come from kernels._sq_dist_row_blocks, one upper trapezoid
     d2[a:b, a:] of kernels._ROW_BLOCK rows at a time, each built once for all
-    bandwidths, from centred if given (kernels._centred_rows, permuted as z).
+    bandwidths, from centred: kernels._centred_rows(z), in z's row order.
     The diagonal and the lower half of each diagonal block are
     set to +inf once per block, which both families map to exactly 0.0 at
     every bandwidth that kernels._check_bandwidth accepts (see

@@ -8,9 +8,10 @@ family and its bandwidth (_check_bandwidth, the one bandwidth rule,
 rejects a bandwidth whose square underflows or overflows); and _unit_rows,
 the one row normalization, rejects a row with no direction. The other
 array builders (sq_dist_matrix, _sq_dist_row_blocks, _unit_zero_diag_kernel
-and median_sq_distance) check nothing and expect rows from as_embeddings:
-given float32 rows, the distances and kernels come out float32, and a NaN
-entry gives NaN distances. Gram matrices are exactly symmetric: radial
+and median_sq_distance) check nothing and expect rows from as_embeddings.
+Given float32 rows, sq_dist_matrix and _unit_zero_diag_kernel give float32,
+but _sq_dist_row_blocks gives float64 blocks, as its _centred_rows are; a
+NaN entry gives NaN distances. Gram matrices are exactly symmetric: radial
 kernels act elementwise on exactly symmetric squared distances (see
 sq_dist_matrix). No cosine Gram is built here; a cosine similarity is a
 product of rows that _unit_rows has scaled. median_sq_distance is exact
@@ -98,60 +99,18 @@ _CANCELLATION = 1e-8
 _ROW_BLOCK = 64
 
 
-def _cancelled_pairs(block: np.ndarray, n: np.ndarray | None, a: int):
-    """The cancellation rule's pairs in a block: yield (i, j), their indices
-    in block, for one kernels._ROW_BLOCK-row chunk of block at a time, so no
-    temporary has more rows.
-
-    block covers the rows i = a, a+1, ... and the columns j = a, a+1, ... of
-    the rows z (so block[k, k] is the pair i == j). It holds either the
-    squared distances n_i + n_j - 2 zc_i . zc_j, with zc the centred rows and
-    n their squared norms, or, with n None, the Gram z_i . z_j of rows of
-    unit length. A pair is within the threshold when d2 <= 1e-8 (n_i + n_j),
-    which takes in duplicate rows, any negative value and NaN; on unit rows,
-    where d2 = 2 - 2 G, that reads G >= 1 - 1e-8 (G > 1 and NaN included).
-    The diagonal must hold inf (distances) or -inf (Gram), so that it is
-    never taken. The caller may rewrite a chunk's pairs before the next
-    chunk is tested.
-    """
-    rows, cols = block.shape
-    if n is not None:
-        n_cols = n[a:a + cols]
-        scale = np.empty((min(rows, _ROW_BLOCK), cols))
-    for r in range(0, rows, _ROW_BLOCK):
-        chunk = block[r:r + _ROW_BLOCK]
-        if n is None:
-            i, j = np.nonzero(~(chunk < 1.0 - _CANCELLATION))
-        else:
-            bound = np.add(n[a + r:a + r + len(chunk), None], n_cols, out=scale[:len(chunk)])
-            bound *= _CANCELLATION
-            i, j = np.nonzero(~(chunk > bound))
-        i += r
-        yield i, j
-
-
-def _nan_pairs(block: np.ndarray):
-    """Yield (i, j), the indices of block's NaN entries, for one
-    kernels._ROW_BLOCK-row chunk of block at a time."""
-    for r in range(0, block.shape[0], _ROW_BLOCK):
-        i, j = np.nonzero(np.isnan(block[r:r + _ROW_BLOCK]))
-        i += r
-        yield i, j
-
-
-def _difference_sq_dists(z: np.ndarray, pairs):
-    """For each (i, j) of pairs, row indices of the (m, d) rows z, yield
-    (i, j, d2) in groups of max(1, kernels._ROW_BLOCK * m // (2 d)) pairs,
-    with d2 their squared distances from the differences of the rows, so
-    duplicates give exactly 0. So a group's two (pairs, d) temporaries are
-    together no larger than a kernels._ROW_BLOCK x m block."""
+def _difference_sq_dists(z: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """For the row index pairs (i, j) of the (m, d) rows z, yield (i, j, d2)
+    in groups of max(1, kernels._ROW_BLOCK * m // (2 d)) pairs, with d2
+    their squared distances from the differences of the rows, so duplicates
+    give exactly 0. So a group's two (pairs, d) temporaries are together no
+    larger than a kernels._ROW_BLOCK x m block."""
     group = max(1, _ROW_BLOCK * z.shape[0] // (2 * z.shape[1]))
-    for i, j in pairs:
-        for start in range(0, i.size, group):
-            bi, bj = i[start:start + group], j[start:start + group]
-            diff = z[bi]
-            diff -= z[bj]  # near-equal coordinates subtract exactly
-            yield bi, bj, np.einsum("ij,ij->i", diff, diff)
+    for start in range(0, i.size, group):
+        bi, bj = i[start:start + group], j[start:start + group]
+        diff = z[bi]
+        diff -= z[bj]  # near-equal coordinates subtract exactly
+        yield bi, bj, np.einsum("ij,ij->i", diff, diff)
 
 
 def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int) -> float:
@@ -160,10 +119,12 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
 
     block holds n_i + n_j - 2 zc_i . zc_j for the rows i = a, a+1, ... and
     the columns j = a, a+1, ... of z (so block[k, k] is the pair i == j),
-    with zc the centred rows and n their squared norms. Every pair within
-    the cancellation threshold (see _cancelled_pairs) is recomputed from the
-    difference of its uncentred rows, so duplicates give exactly 0. The
-    pairs i == j are set to exactly 0.
+    with zc the centred rows and n their squared norms. Every pair off the
+    diagonal with d2 <= 1e-8 (n_i + n_j), which takes in duplicate rows, any
+    negative value and NaN, is recomputed from the difference of its
+    uncentred rows, so duplicates give exactly 0. The pairs are found and
+    rewritten one kernels._ROW_BLOCK-row chunk at a time, so no temporary
+    has more rows. The pairs i == j are set to exactly 0.
 
     The least entry off the diagonal is returned (inf when the block has
     none), or 0.0 when some entry fell under the threshold or was NaN: then
@@ -171,14 +132,19 @@ def _recompute_cancelled(z: np.ndarray, block: np.ndarray, n: np.ndarray, a: int
     off the diagonal is at least the value returned.
     """
     rows, cols = block.shape
-    np.fill_diagonal(block, np.inf)
+    np.fill_diagonal(block, np.inf)  # never within the threshold
     least = float(block.min())
     # a pair within the threshold has d2 <= _CANCELLATION (n_i + n_j), so a
     # larger least entry means there is none; NaN (overflowing rows) fails too
     if not least > _CANCELLATION * (n[a:a + rows].max() + n[a:a + cols].max()):
         least = 0.0
-        for i, j, d2 in _difference_sq_dists(z[a:], _cancelled_pairs(block, n, a)):
-            block[i, j] = d2
+        for r in range(0, rows, _ROW_BLOCK):
+            chunk = block[r:r + _ROW_BLOCK]
+            bound = _CANCELLATION * (n[a + r:a + r + len(chunk), None] + n[a:a + cols])
+            i, j = np.nonzero(~(chunk > bound))
+            i += r
+            for bi, bj, d2 in _difference_sq_dists(z[a:], i, j):
+                block[bi, bj] = d2
     np.fill_diagonal(block, 0.0)
     return least
 
@@ -223,13 +189,13 @@ def _centred_rows(z: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _sq_dist_row_blocks(z: np.ndarray, rows: np.ndarray | None = None):
+def _sq_dist_row_blocks(z: np.ndarray, rows: np.ndarray):
     """Yield (a, block, least) for each kernels._ROW_BLOCK rows [a, b) of the
     squared distances of the rows of z, where block is the upper trapezoid
     d2[a:b, a:] (the diagonal block and every column to its right), and
     least, from _recompute_cancelled, is at most every entry of block off
-    its diagonal. rows, if given, is _centred_rows(z), so that a caller who
-    passes over the blocks twice centres z once.
+    its diagonal. rows is _centred_rows(z), so that a caller who passes over
+    the blocks twice centres z once.
 
     Each block is n_i + n_j - 2 zc_i . zc_j in one product of augmented rows:
     the left block [-2 zc_i, n_i, 1] for i in [a, b) against the rows
@@ -245,8 +211,6 @@ def _sq_dist_row_blocks(z: np.ndarray, rows: np.ndarray | None = None):
     it.
     """
     m, d = z.shape
-    if rows is None:
-        rows = _centred_rows(z)
     n = rows[:, d + 1]
     left = np.empty((min(_ROW_BLOCK, m), d + 2))
     left[:, d + 1] = 1.0
@@ -305,15 +269,16 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
     float64 array) if given, and the kernel replaces it in place. With unit
     rows the squared distances are 2 - 2 G, so the Gaussian is
     exp((G - 1) / sigma^2) and the IMQ 1 / sqrt(1 + 2/sigma^2 - (2/sigma^2) G):
-    two affine passes and the family's map. The cancellation rule is applied
-    to G first (see _cancelled_pairs): the pairs with G_ij >= 1 - 1e-8 are
-    set to NaN, which each map step carries through without a warning, and
-    after the map each row block's NaN entries are written by
+    two affine passes and the family's map, one kernels._ROW_BLOCK-row chunk
+    at a time. The diagonal is set to -inf first, which each map sends to
+    exactly 0 with no warning. The cancellation rule reads d2 <= 1e-8 (n_i +
+    n_j) with n_i = 1 as G >= 1 - 1e-8: when one whole-matrix max finds such
+    a pair, each chunk's close pairs (G > 1 included) are set to -inf as the
+    diagonal is, and after the chunk's map they are written by
     kernel_from_sq_dists from the squared distances of their row
-    differences, so a duplicate row gives exactly 1. So no more than a row
-    block of those pairs, and no more than a kernels._ROW_BLOCK x m block of
-    their differences, is held at once. The diagonal is set to -inf before
-    the map, which sends it to 0, and no entry the map meets overflows or
+    differences, so a duplicate row gives exactly 1. So no more than a chunk
+    of those pairs, and no more than a kernels._ROW_BLOCK x m block of their
+    differences, is held at once, and no entry the map meets overflows or
     divides by 0. The result is exactly symmetric. The family and the
     bandwidth are checked only when there are close pairs; the caller checks
     them once.
@@ -321,22 +286,25 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
     g = np.matmul(z, z.T, out=out)
     np.fill_diagonal(g, -np.inf)  # never a close pair; each map gives 0 there
     close = not g.max() < 1.0 - _CANCELLATION
-    if close:
-        for i, j in _cancelled_pairs(g, None, 0):
-            g[i, j] = np.nan
-    if family == GAUSSIAN:
-        g -= 1.0
-        g *= 1.0 / (sigma * sigma)
-        np.exp(g, out=g)
-    else:
-        scale = 2.0 / (sigma * sigma)
-        g *= -scale
-        g += 1.0 + scale
-        np.sqrt(g, out=g)
-        np.divide(1.0, g, out=g)
-    if close:
-        for i, j, d2 in _difference_sq_dists(z, _nan_pairs(g)):
-            g[i, j] = kernel_from_sq_dists(d2, family, sigma)
+    scale = 1.0 / (sigma * sigma) if family == GAUSSIAN else 2.0 / (sigma * sigma)
+    for r in range(0, g.shape[0], _ROW_BLOCK):
+        chunk = g[r:r + _ROW_BLOCK]
+        if close:
+            i, j = np.nonzero(~(chunk < 1.0 - _CANCELLATION))
+            chunk[i, j] = -np.inf
+            i += r
+        if family == GAUSSIAN:
+            chunk -= 1.0
+            chunk *= scale
+            np.exp(chunk, out=chunk)
+        else:
+            chunk *= -scale
+            chunk += 1.0 + scale
+            np.sqrt(chunk, out=chunk)
+            np.divide(1.0, chunk, out=chunk)
+        if close:
+            for bi, bj, d2 in _difference_sq_dists(z, i, j):
+                g[bi, bj] = kernel_from_sq_dists(d2, family, sigma)
     return g
 
 
@@ -393,7 +361,7 @@ def _sample_sq_dists(z: np.ndarray) -> np.ndarray:
     m = z.shape[0]
     size = min(_SAMPLE_MAX, max(_SAMPLE_MIN, 4 * math.ceil(3 * m / 128) ** 2))
     pairs = np.random.default_rng(0).integers(0, m, size=(2, size))
-    sample = np.concatenate([d2 for _, _, d2 in _difference_sq_dists(z, [pairs])])
+    sample = np.concatenate([d2 for _, _, d2 in _difference_sq_dists(z, *pairs)])
     return np.sort(sample[sample > 0.0])
 
 

@@ -28,6 +28,7 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
+    _centred_rows,
     kernel_from_sq_dists,
     label_kernel_matrix,
     median_sq_distance,
@@ -435,9 +436,9 @@ def test_radial_label_rows_skip_changes_no_bit(monkeypatch, family):
     sigmas = [c * base for c in DEFAULT_GRID_COEFFICIENTS]
     if family == GAUSSIAN:
         assert len(vanishing_blocks(z, sigmas)) == 2
-    got = _radial_label_rows(z, family, sigmas, y)
+    got = _radial_label_rows(z, family, sigmas, y, _centred_rows(z))
     monkeypatch.setattr("kerndep.hsic._EXP_ZERO", math.inf)  # evaluate every block
-    full = _radial_label_rows(z, family, sigmas, y)
+    full = _radial_label_rows(z, family, sigmas, y, _centred_rows(z))
     assert got.tobytes() == full.tobytes()
     # against the whole zero-diagonal kernel's: exponents near -1e3 turn the
     # distances' rounding into relative errors near 1e-11
@@ -462,7 +463,7 @@ def test_radial_label_rows_match_the_dense_kernel(family, layout):
     z = np.random.default_rng(5).normal(size=(y.size, 4)) + 0.5 * y[:, None]
     base = math.sqrt(median_sq_distance(z))
     sigmas = [c * base for c in (0.25, 1.0, 4.0)]
-    for rows, sigma in zip(_radial_label_rows(z, family, sigmas, y), sigmas):
+    for rows, sigma in zip(_radial_label_rows(z, family, sigmas, y, _centred_rows(z)), sigmas):
         assert np.allclose(rows, dense_label_rows(z, y, family, sigma), rtol=1e-9, atol=0.0)
 
 
@@ -473,7 +474,7 @@ def test_radial_label_rows_where_the_bandwidth_square_overflows(family):
     y = np.repeat(np.arange(3), [5, 70, 60])  # three row blocks
     z = np.random.default_rng(8).normal(size=(y.size, 3))
     with pytest.raises(ValueError, match=r"bandwidth 1e\+160 overflows"):
-        _radial_label_rows(z, family, [1.0, 1e160], y)
+        _radial_label_rows(z, family, [1.0, 1e160], y, _centred_rows(z))
 
 
 @pytest.mark.parametrize("order", ["sorted", "unsorted"])

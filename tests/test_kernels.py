@@ -17,6 +17,7 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
+    _centred_rows,
     _recompute_cancelled,
     _sq_dist_row_blocks,
     _unit_zero_diag_kernel,
@@ -393,7 +394,7 @@ def test_sq_dist_row_blocks_match_sq_dist_matrix(m):
     z = rng.normal(size=(m, 6)) * 2.0 + 3.0
     want = sq_dist_matrix(z)
     starts = []
-    for a, block, least in _sq_dist_row_blocks(z):
+    for a, block, least in _sq_dist_row_blocks(z, _centred_rows(z)):
         starts.append(a)
         assert block.shape == (min(_ROW_BLOCK, m - a), m - a)  # the upper trapezoid
         assert block.flags.c_contiguous
@@ -416,7 +417,7 @@ def test_sq_dist_row_blocks_recompute_pairs_across_blocks():
     z[140] = z[70] + 1e-9  # a near duplicate, deep in the cancellation range, blocks 1 and 2
     want = sq_dists_by_differences(z)
     blocks = {}
-    for a, block, least in _sq_dist_row_blocks(z):
+    for a, block, least in _sq_dist_row_blocks(z, _centred_rows(z)):
         blocks[a] = block.copy()
         off = block.copy()
         np.fill_diagonal(off, np.inf)
@@ -589,7 +590,7 @@ def row_block_sq_dists(z):
     triangle of an m x m array of zeros."""
     m = z.shape[0]
     d2 = np.zeros((m, m))
-    for a, block, _ in _sq_dist_row_blocks(z):
+    for a, block, _ in _sq_dist_row_blocks(z, _centred_rows(z)):
         d2[a:a + block.shape[0], a:] = block
     return d2
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kerndep.tasks import load_embeddings
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -61,7 +63,7 @@ def test_byte_identity_gate_plans_shuffled_label_commands(tmp_path):
     plan = load_script("byte_identity_gate").plan
     commands = plan(False, tmp_path)
     shuffled = {name: argv for name, argv in commands.items() if "--labels-from" in argv}
-    assert (len(commands), sorted(shuffled)) == (116, sorted(
+    assert (len(commands), sorted(shuffled)) == (128, sorted(
         f"hsic-{v}-{mode}" for v in range(4) for mode in ("shuffled", "shuffled-imq")))
     for argv in shuffled.values():
         # the pool's 40 classes of 60 rows each, out of class order
@@ -69,3 +71,22 @@ def test_byte_identity_gate_plans_shuffled_label_commands(tmp_path):
         assert np.array_equal(np.sort(labels), np.repeat(np.arange(40), 60))
         assert (labels[1:] < labels[:-1]).any()
     assert len(plan(True, tmp_path)) == 7
+
+
+def test_byte_identity_gate_plans_repeated_row_pools(tmp_path):
+    commands = load_script("byte_identity_gate").plan(False, tmp_path)
+    repeated = sorted(name for name in commands if name.startswith("repeat-"))
+    assert repeated == sorted(f"repeat-{v}-{mode}" for v in range(4)
+                              for mode in ("default", "imq", "raw-rows"))
+    for name in [*repeated, "eval-0-default"]:
+        argv = commands[name]
+        pool = load_embeddings(argv[argv.index("--embeddings") + 1])
+        assert [rows.shape for rows in pool.classes] == [(40, 64)] * 32
+        for rows in pool.classes:
+            if name.startswith("repeat-"):
+                # rows 10-15 and 26-31 repeat the six rows before them
+                assert np.array_equal(rows[10:16], rows[4:10])
+                assert np.array_equal(rows[26:32], rows[20:26])
+                assert len(np.unique(rows, axis=0)) == 40 - 12
+            else:
+                assert len(np.unique(rows, axis=0)) == 40
