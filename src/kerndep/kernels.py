@@ -9,10 +9,12 @@ rejects a bandwidth whose square underflows or overflows); and _unit_rows,
 the one row normalization, rejects a row with no direction. The other
 array builders (sq_dist_matrix, _sq_dist_row_blocks, _unit_zero_diag_kernel
 and median_sq_distance) check nothing and expect rows from as_embeddings.
-Given float32 rows, sq_dist_matrix and _unit_zero_diag_kernel give float32,
-but _sq_dist_row_blocks gives float64 blocks, as its _centred_rows are; a
-NaN entry gives NaN distances. Gram matrices are exactly symmetric: radial
-kernels act elementwise on exactly symmetric squared distances (see
+Each distance builder (sq_dist_matrix, and _sq_dist_row_blocks once per
+sweep) centres the rows it is given itself. Given float32 rows,
+sq_dist_matrix and _unit_zero_diag_kernel give float32, but
+_sq_dist_row_blocks gives float64 blocks, as the centred rows it builds
+are; a NaN entry gives NaN distances. Gram matrices are exactly symmetric:
+radial kernels act elementwise on exactly symmetric squared distances (see
 sq_dist_matrix). No cosine Gram is built here; a cosine similarity is a
 product of rows that _unit_rows has scaled. median_sq_distance is exact
 and usually one sweep over the row blocks, between pivots from sampled pairs.
@@ -178,24 +180,14 @@ def sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
-def _centred_rows(z: np.ndarray) -> np.ndarray:
-    """The (m, d + 2) rows [zc_i, 1, n_i] that _sq_dist_row_blocks multiplies
-    its blocks from: zc the centred rows of z and n their squared norms."""
-    m, d = z.shape
-    rows = np.empty((m, d + 2))
-    zc = np.subtract(z, z.mean(axis=0), out=rows[:, :d])
-    rows[:, d] = 1.0
-    np.einsum("ij,ij->i", zc, zc, out=rows[:, d + 1])
-    return rows
-
-
-def _sq_dist_row_blocks(z: np.ndarray, rows: np.ndarray):
+def _sq_dist_row_blocks(z: np.ndarray):
     """Yield (a, block, least) for each kernels._ROW_BLOCK rows [a, b) of the
     squared distances of the rows of z, where block is the upper trapezoid
     d2[a:b, a:] (the diagonal block and every column to its right), and
     least, from _recompute_cancelled, is at most every entry of block off
-    its diagonal. rows is _centred_rows(z), so that a caller who passes over
-    the blocks twice centres z once.
+    its diagonal. Each call centres z itself, once, before the first block:
+    the (m, d + 2) float64 rows [zc_j, 1, n_j], with zc the centred rows of
+    z and n their squared norms.
 
     Each block is n_i + n_j - 2 zc_i . zc_j in one product of augmented rows:
     the left block [-2 zc_i, n_i, 1] for i in [a, b) against the rows
@@ -211,7 +203,10 @@ def _sq_dist_row_blocks(z: np.ndarray, rows: np.ndarray):
     it.
     """
     m, d = z.shape
-    n = rows[:, d + 1]
+    rows = np.empty((m, d + 2))
+    zc = np.subtract(z, z.mean(axis=0), out=rows[:, :d])
+    rows[:, d] = 1.0
+    n = np.einsum("ij,ij->i", zc, zc, out=rows[:, d + 1])
     left = np.empty((min(_ROW_BLOCK, m), d + 2))
     left[:, d + 1] = 1.0
     buf = np.empty(min(_ROW_BLOCK, m) * m)  # flat, so every block shape is contiguous
@@ -343,17 +338,6 @@ _SAMPLE_MIN, _SAMPLE_MAX = 256, 2**14
 _PIVOT_SPREAD, _PIVOT_SLACK, _WIDEN = 3.0, 1e-12, 4
 
 
-def _upper_row_blocks(z: np.ndarray, rows: np.ndarray):
-    """Each block of _sq_dist_row_blocks(z, rows) with the diagonal and the
-    lower half of its diagonal block zeroed in place: its nonzero entries
-    are those of the strict upper triangle, each pair once. One pass over
-    them is one sweep of median_sq_distance (see _window_sweep)."""
-    for _, block, _ in _sq_dist_row_blocks(z, rows):
-        diagonal = block.shape[0]
-        np.copyto(block[:, :diagonal], 0.0, where=np.tri(diagonal, dtype=bool))
-        yield block
-
-
 def _sample_sq_dists(z: np.ndarray) -> np.ndarray:
     """The positive squared distances, sorted, of the pairs of rows of z that
     np.random.default_rng(0) draws with replacement, from the row differences
@@ -365,15 +349,20 @@ def _sample_sq_dists(z: np.ndarray) -> np.ndarray:
     return np.sort(sample[sample > 0.0])
 
 
-def _window_sweep(z: np.ndarray, rows: np.ndarray, lo: float, hi: float):
+def _window_sweep(z: np.ndarray, lo: float, hi: float):
     """One sweep of median_sq_distance over the strict upper triangle: the
     count of its positive entries, the count of those below lo, and, unjoined
     (so the last block is gone when they are joined), the arrays of those in
-    [lo, hi]. lo > 0, so zeros are in no count; the entries are never
-    negative, nor NaN for rows from as_embeddings (see _recompute_cancelled)."""
+    [lo, hi]. The sweep reads the blocks of _sq_dist_row_blocks(z), which
+    centres z itself, and zeroes each diagonal square's lower half (the
+    diagonal included) in place, so each pair is counted once. lo > 0, so
+    zeros are in no count; the entries are never negative, nor NaN for rows
+    from as_embeddings (see _recompute_cancelled)."""
     positive = below = 0
     kept = []
-    for block in _upper_row_blocks(z, rows):
+    for _, block, _ in _sq_dist_row_blocks(z):
+        diagonal = block.shape[0]
+        np.copyto(block[:, :diagonal], 0.0, where=np.tri(diagonal, dtype=bool))
         zeros = np.count_nonzero(block <= 0.0)
         low = block < lo
         below += np.count_nonzero(low) - zeros
@@ -384,7 +373,7 @@ def _window_sweep(z: np.ndarray, rows: np.ndarray, lo: float, hi: float):
     return positive, below, kept
 
 
-def median_sq_distance(z: np.ndarray, *, _rows: np.ndarray | None = None) -> float:
+def median_sq_distance(z: np.ndarray) -> float:
     """Median of the nonzero pairwise squared distances of the rows of z: the
     square of the median-heuristic bandwidth.
 
@@ -408,11 +397,10 @@ def median_sq_distance(z: np.ndarray, *, _rows: np.ndarray | None = None) -> flo
     again; the sample holds at most 2**14 pairs, so by the fourth sweep (the
     ninth at _PIVOT_SPREAD 0) the window is (0, inf] and the search stops
     (a NaN distance, in no window, then fails the partition). Ties are all
-    kept. _rows, if given, is _centred_rows(z): a caller who sweeps again
-    centres z once. The peak is the centred rows, one row block with its
-    masks, and the window's entries, joined once the last block is gone.
+    kept. Each sweep centres z anew. The peak is the centred rows, one row
+    block with its masks, and the window's entries, joined once the last
+    block is gone.
     """
-    rows = _centred_rows(z) if _rows is None else _rows
     with np.errstate(over="ignore", invalid="ignore"):
         sample = _sample_sq_dists(z)
     mid = sample.size // 2
@@ -420,7 +408,7 @@ def median_sq_distance(z: np.ndarray, *, _rows: np.ndarray | None = None) -> flo
     while True:
         lo = sample[mid - half] * (1.0 - _PIVOT_SLACK) if half <= mid < sample.size else 5e-324
         hi = sample[mid + half] * (1.0 + _PIVOT_SLACK) if mid + half < sample.size else math.inf
-        n, below, kept = _window_sweep(z, rows, lo, hi)
+        n, below, kept = _window_sweep(z, lo, hi)
         kept = np.concatenate(kept)
         ranks = ((n - 1) // 2 - below, n // 2 - below)
         if n == 0 or half >= sample.size or 0 <= ranks[0] and ranks[1] < kept.size:

@@ -28,7 +28,6 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
-    _centred_rows,
     kernel_from_sq_dists,
     label_kernel_matrix,
     median_sq_distance,
@@ -436,9 +435,9 @@ def test_radial_label_rows_skip_changes_no_bit(monkeypatch, family):
     sigmas = [c * base for c in DEFAULT_GRID_COEFFICIENTS]
     if family == GAUSSIAN:
         assert len(vanishing_blocks(z, sigmas)) == 2
-    got = _radial_label_rows(z, family, sigmas, y, _centred_rows(z))
+    got = _radial_label_rows(z, family, sigmas, y)
     monkeypatch.setattr("kerndep.hsic._EXP_ZERO", math.inf)  # evaluate every block
-    full = _radial_label_rows(z, family, sigmas, y, _centred_rows(z))
+    full = _radial_label_rows(z, family, sigmas, y)
     assert got.tobytes() == full.tobytes()
     # against the whole zero-diagonal kernel's: exponents near -1e3 turn the
     # distances' rounding into relative errors near 1e-11
@@ -463,7 +462,7 @@ def test_radial_label_rows_match_the_dense_kernel(family, layout):
     z = np.random.default_rng(5).normal(size=(y.size, 4)) + 0.5 * y[:, None]
     base = math.sqrt(median_sq_distance(z))
     sigmas = [c * base for c in (0.25, 1.0, 4.0)]
-    for rows, sigma in zip(_radial_label_rows(z, family, sigmas, y, _centred_rows(z)), sigmas):
+    for rows, sigma in zip(_radial_label_rows(z, family, sigmas, y), sigmas):
         assert np.allclose(rows, dense_label_rows(z, y, family, sigma), rtol=1e-9, atol=0.0)
 
 
@@ -474,25 +473,22 @@ def test_radial_label_rows_where_the_bandwidth_square_overflows(family):
     y = np.repeat(np.arange(3), [5, 70, 60])  # three row blocks
     z = np.random.default_rng(8).normal(size=(y.size, 3))
     with pytest.raises(ValueError, match=r"bandwidth 1e\+160 overflows"):
-        _radial_label_rows(z, family, [1.0, 1e160], y, _centred_rows(z))
+        _radial_label_rows(z, family, [1.0, 1e160], y)
 
 
 @pytest.mark.parametrize("order", ["sorted", "unsorted"])
-def test_search_centres_once_and_sweeps_twice(call_counts, order):
-    # one centring serves the median's sweep and the label search's, which
-    # reads it permuted by class when the labels are unsorted
+def test_search_sweeps_twice(call_counts, order):
+    # two sweeps of the distance blocks, each centring its own rows: the
+    # median's, then the label search's over the rows grouped by class
     counts, count = call_counts
     z, y = blob_data(2, m_half=70)
     if order == "unsorted":
         p = np.random.default_rng(4).permutation(y.size)
         z, y = z[p], y[p]
-    for target in ("kerndep.kernels._centred_rows", "kerndep.hsic._centred_rows",
-                   "kerndep.kernels._sq_dist_row_blocks", "kerndep.hsic._sq_dist_row_blocks"):
+    for target in ("kerndep.kernels._sq_dist_row_blocks", "kerndep.hsic._sq_dist_row_blocks"):
         count(target)
     select_bandwidth(z, y)
     assert counts == {
-        "kerndep.kernels._centred_rows": 0,
-        "kerndep.hsic._centred_rows": 1,
         "kerndep.kernels._sq_dist_row_blocks": 1,  # the median's one sweep
         "kerndep.hsic._sq_dist_row_blocks": 1,  # the label search's
     }

@@ -17,7 +17,6 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     KERNEL_FAMILIES,
-    _centred_rows,
     _recompute_cancelled,
     _sq_dist_row_blocks,
     _unit_zero_diag_kernel,
@@ -394,7 +393,7 @@ def test_sq_dist_row_blocks_match_sq_dist_matrix(m):
     z = rng.normal(size=(m, 6)) * 2.0 + 3.0
     want = sq_dist_matrix(z)
     starts = []
-    for a, block, least in _sq_dist_row_blocks(z, _centred_rows(z)):
+    for a, block, least in _sq_dist_row_blocks(z):
         starts.append(a)
         assert block.shape == (min(_ROW_BLOCK, m - a), m - a)  # the upper trapezoid
         assert block.flags.c_contiguous
@@ -417,7 +416,7 @@ def test_sq_dist_row_blocks_recompute_pairs_across_blocks():
     z[140] = z[70] + 1e-9  # a near duplicate, deep in the cancellation range, blocks 1 and 2
     want = sq_dists_by_differences(z)
     blocks = {}
-    for a, block, least in _sq_dist_row_blocks(z, _centred_rows(z)):
+    for a, block, least in _sq_dist_row_blocks(z):
         blocks[a] = block.copy()
         off = block.copy()
         np.fill_diagonal(off, np.inf)
@@ -431,6 +430,27 @@ def test_sq_dist_row_blocks_recompute_pairs_across_blocks():
         ref = want[a:a + block.shape[0], a:]
         pairs = ref > 0
         assert np.all(np.abs(block[pairs] - ref[pairs]) <= 1e-12 * ref[pairs])
+
+
+def test_float32_rows_keep_their_builders_dtypes():
+    # as the module docstring says: the distance blocks are float64, as the
+    # rows they centre are; the distance matrix and the unit kernel follow z
+    m = 150  # three row blocks
+    z64 = np.random.default_rng(29).normal(size=(m, 6))
+    z64 /= np.linalg.norm(z64, axis=1, keepdims=True)
+    z = z64.astype(np.float32)
+    want = sq_dist_matrix(z64)
+    tol = 1e-5 * want.max()
+    for a, block, _ in _sq_dist_row_blocks(z):
+        assert block.dtype == np.float64
+        assert np.allclose(block, want[a:a + block.shape[0], a:], rtol=0.0, atol=tol)
+    d2 = sq_dist_matrix(z)
+    assert d2.dtype == np.float32
+    assert np.allclose(d2, want, rtol=0.0, atol=tol)
+    for family in KERNEL_FAMILIES:
+        k = _unit_zero_diag_kernel(z, family, 0.8)
+        assert k.dtype == np.float32
+        assert np.allclose(k, _unit_zero_diag_kernel(z64, family, 0.8), rtol=0.0, atol=1e-5)
 
 
 def test_recompute_cancelled_rewrites_only_the_flagged_pairs():
@@ -590,7 +610,7 @@ def row_block_sq_dists(z):
     triangle of an m x m array of zeros."""
     m = z.shape[0]
     d2 = np.zeros((m, m))
-    for a, block, _ in _sq_dist_row_blocks(z, _centred_rows(z)):
+    for a, block, _ in _sq_dist_row_blocks(z):
         d2[a:a + block.shape[0], a:] = block
     return d2
 
