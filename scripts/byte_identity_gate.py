@@ -20,12 +20,15 @@ a difference too. The commands run on pools this script writes with numpy:
 - hsic --format csv on each of 4 pools of 40 classes x 60 rows (d = 64),
   in five modes: Gaussian, --kernel imq, --grid GRID --epsilon EPSILON,
   and Gaussian and imq with --labels-from a file of the pool's labels in
-  shuffled order (so the search groups the rows by class itself).
+  shuffled order (so the search groups the rows by class itself);
+- the rows of eval pool 0 and hsic pool 0 again, written as CSV, in the
+  default eval mode and the Gaussian hsic mode, so the text reader is
+  gated too.
 
-That is 128 commands; --quick runs one pool of each kind, one episode and a
-few rows per class instead, and leaves out the repeated-row pools, the two
-GRID and the two shuffled-label modes (7 commands). stdout gets a header
-and one row: commands, identical, different. Each differing command goes to
+That is 130 commands; --quick runs one pool of each kind, one episode and a
+few rows per class instead, and leaves out the repeated-row and CSV pools,
+the two GRID and the two shuffled-label modes (7 commands). stdout gets a
+header and one row: commands, identical, different. Each differing command goes to
 stderr with what differs (stdout, exit, pgm: the heatmap files, f64: the
 matrices' float64 bytes) and how much: the largest relative difference of
 the numbers that differ, |a - b| / max(|a|, |b|) for each number in its
@@ -89,21 +92,31 @@ HSIC_SIZE = {False: (4, 60), True: (1, 5)}
 
 
 def write_pool(path, seed, classes, per_class, repeats=0, separation=6.0, noise=1.5):
-    """Gaussian blobs around class means on orthonormal directions, written
-    in the EMB1 binary format (magic, version byte, uint32 class count, then
-    per class uint32 rows, uint32 dimension and little-endian float32 rows).
-    In each class the last repeats rows of every 16 copy the repeats rows
-    before them."""
+    """Gaussian blobs around class means on orthonormal directions. A .csv
+    path gets a label,f0,... header and one line per row, each value as
+    numpy prints its float32; any other path the EMB1 binary format (magic,
+    version byte, uint32 class count, then per class uint32 rows, uint32
+    dimension and little-endian float32 rows). In each class the last
+    repeats rows of every 16 copy the repeats rows before them."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((DIM, classes)))
     k = np.arange(per_class)
     copies = k % 16 >= 16 - repeats
+    blocks = []
+    for mean in separation * q.T:
+        rows = mean + noise * rng.standard_normal((per_class, DIM))
+        rows[copies] = rows[k[copies] - repeats]
+        blocks.append(rows.astype("<f4"))
+    if Path(path).suffix == ".csv":
+        lines = [",".join(["label"] + [f"f{i}" for i in range(DIM)])]
+        lines += [",".join([str(c)] + [str(np.float32(v)) for v in row])
+                  for c, rows in enumerate(blocks) for row in rows]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return
     with open(path, "wb") as fh:
         fh.write(b"EMB1" + struct.pack("<BI", 1, classes))
-        for mean in separation * q.T:
-            rows = mean + noise * rng.standard_normal((per_class, DIM))
-            rows[copies] = rows[k[copies] - repeats]
-            fh.write(struct.pack("<II", per_class, DIM) + rows.astype("<f4").tobytes())
+        for rows in blocks:
+            fh.write(struct.pack("<II", per_class, DIM) + rows.tobytes())
 
 
 def plan(quick: bool, pools: Path) -> dict:
@@ -118,13 +131,14 @@ def plan(quick: bool, pools: Path) -> dict:
     skips = QUICK_SKIPS if quick else set()
     commands = {}
     variants, episodes, per_class = EVAL_SIZE[quick]
-    # (name, seed, repeats, modes) of each eval pool
-    eval_pools = [(f"eval-{v}", [v, 32], 0, EVAL_MODES) for v in range(variants)]
+    # (name, file suffix, seed, repeats, modes) of each eval pool
+    eval_pools = [(f"eval-{v}", ".emb", [v, 32], 0, EVAL_MODES) for v in range(variants)]
     if not quick:
-        eval_pools += [(f"repeat-{v}", [v, 32, REPEATS], REPEATS, REPEAT_MODES)
+        eval_pools += [(f"repeat-{v}", ".emb", [v, 32, REPEATS], REPEATS, REPEAT_MODES)
                        for v in range(REPEAT_POOLS)]
-    for name, seed, repeats, modes in eval_pools:
-        pool = pools / f"{name}.emb"
+        eval_pools.append(("csv-eval-0", ".csv", [0, 32], 0, ("default",)))
+    for name, suffix, seed, repeats, modes in eval_pools:
+        pool = pools / f"{name}{suffix}"
         write_pool(pool, seed, 32, per_class, repeats)
         for mode in modes:
             if mode not in skips:
@@ -132,17 +146,21 @@ def plan(quick: bool, pools: Path) -> dict:
                     "eval", "--embeddings", str(pool), "--episodes", str(episodes),
                     "--verbose", *(configs.get(a, a) for a in EVAL_MODES[mode])]
     variants, per_class = HSIC_SIZE[quick]
-    for v in range(variants):
-        pool = pools / f"hsic-{v}.emb"
-        write_pool(pool, [v, 40], 40, per_class)
-        labels = pools / f"hsic-{v}.labels"
-        shuffled = np.random.default_rng([v, 40]).permutation(np.repeat(np.arange(40), per_class))
+    # (name, file suffix, seed, modes) of each hsic pool
+    hsic_pools = [(f"hsic-{v}", ".emb", [v, 40], HSIC_MODES) for v in range(variants)]
+    if not quick:
+        hsic_pools.append(("csv-hsic-0", ".csv", [0, 40], ("gaussian",)))
+    for name, suffix, seed, modes in hsic_pools:
+        pool = pools / f"{name}{suffix}"
+        write_pool(pool, seed, 40, per_class)
+        labels = pools / f"{name}.labels"
+        shuffled = np.random.default_rng(seed).permutation(np.repeat(np.arange(40), per_class))
         labels.write_text("".join(f"{c}\n" for c in shuffled), encoding="utf-8")
-        for mode, extra in HSIC_MODES.items():
+        for mode in modes:
             if mode not in skips:
-                commands[f"hsic-{v}-{mode}"] = [
+                commands[f"{name}-{mode}"] = [
                     "hsic", "--embeddings", str(pool), "--format", "csv",
-                    *(a.replace("{labels}", str(labels)) for a in extra)]
+                    *(a.replace("{labels}", str(labels)) for a in HSIC_MODES[mode])]
     return commands
 
 

@@ -98,14 +98,6 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
     )
 
 
-def _select_matrix(result: EpisodeResult, which: str) -> np.ndarray:
-    if which == "support":
-        return np.asarray(result.support_similarity, dtype=np.float64)
-    if which == "query":
-        return np.asarray(result.query_support_similarity, dtype=np.float64)
-    raise ValueError(f"which must be 'support' or 'query', got {which!r}")
-
-
 def similarity_export(result: EpisodeResult, path, fmt: str = "csv",
                       which: str = "support") -> None:
     """Write one of the episode's similarity matrices.
@@ -114,7 +106,9 @@ def similarity_export(result: EpisodeResult, path, fmt: str = "csv",
     index of each support class block. pgm: binary 8-bit grayscale with
     pixel = round(255 * (value + 1) / 2), so -1 maps to 0 and +1 to 255.
     """
-    mat = _select_matrix(result, which)
+    if which not in ("support", "query"):
+        raise ValueError(f"which must be 'support' or 'query', got {which!r}")
+    mat = result.support_similarity if which == "support" else result.query_support_similarity
     path = Path(path)
     if fmt == "csv":
         lines = ["# class_boundaries: " + ",".join(str(b) for b in result.class_boundaries)]

@@ -10,6 +10,7 @@ random stream.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import os
@@ -206,6 +207,10 @@ def synth_dataset(n_classes: int, per_class: int, d: int, separation: float,
     n_classes exceeds d an orthonormal set does not exist and random unit
     directions are used instead. Samples add isotropic noise to the mean.
     """
+    for name, value in (("n_classes", n_classes), ("per_class", per_class), ("d", d)):
+        _check_integer(name, value)
+    for name, value in (("separation", separation), ("noise", noise)):
+        _check_real(name, value)
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if per_class < 2:
@@ -236,6 +241,8 @@ def synth_task(n_way: int, n_shot: int, n_query: int, d: int, separation: float,
                noise: float, rng: np.random.Generator) -> Task:
     """Fixed-way fixed-shot synthetic task drawn from rng (rows are i.i.d., so
     the first n_shot rows of each class serve as support and the rest as query)."""
+    for name, value in (("n_way", n_way), ("n_shot", n_shot), ("n_query", n_query)):
+        _check_integer(name, value)
     if n_shot < 1 or n_query < 1:
         raise ValueError("n_shot and n_query must be positive")
     ds = synth_dataset(n_way, n_shot + n_query, d, separation, noise, rng)
@@ -270,54 +277,44 @@ def _write_emb1(dataset: EmbeddingDataset, path: Path) -> None:
             fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, offset: int, what: str, size: int) -> bytes:
+def _read_exact(fh, n: int, what: str, size: int) -> bytes:
     # a class header may claim up to 2^66 bytes; ask for no more than the file has
+    offset = fh.tell()
     buf = fh.read(min(n, size - offset))
     if len(buf) != n:
         raise EmbeddingFormatError(f"truncated file while reading {what}", offset + len(buf))
     return buf
 
 
-def _read_emb1(path: Path) -> EmbeddingDataset:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        offset = 0
-        magic = _read_exact(fh, 4, offset, "magic", size)
-        if magic != MAGIC:
-            raise EmbeddingFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-        offset += 4
-        version = _read_exact(fh, 1, offset, "version", size)[0]
-        if version != FORMAT_VERSION:
+def _read_emb1(fh) -> EmbeddingDataset:
+    """Read the rest of an EMB1 file from a binary handle just past its magic."""
+    size = os.fstat(fh.fileno()).st_size
+    version = _read_exact(fh, 1, "version", size)[0]
+    if version != FORMAT_VERSION:
+        raise EmbeddingFormatError(
+            f"unsupported format version {version}, expected {FORMAT_VERSION}", len(MAGIC)
+        )
+    n_classes = struct.unpack("<I", _read_exact(fh, 4, "class count", size))[0]
+    if n_classes == 0:
+        raise EmbeddingFormatError("file contains no classes", fh.tell())
+    classes = []
+    d = None
+    for c in range(n_classes):
+        header = _read_exact(fh, 8, f"class {c} header", size)
+        n_rows, class_d = struct.unpack("<II", header)
+        if d is None:
+            if class_d == 0:
+                raise EmbeddingFormatError(f"class {c} declares dimension 0", fh.tell() - 8)
+            d = class_d
+        elif class_d != d:
             raise EmbeddingFormatError(
-                f"unsupported format version {version}, expected {FORMAT_VERSION}", offset
+                f"class {c} dimension {class_d} disagrees with {d}", fh.tell() - 8
             )
-        offset += 1
-        n_classes = struct.unpack("<I", _read_exact(fh, 4, offset, "class count", size))[0]
-        offset += 4
-        if n_classes == 0:
-            raise EmbeddingFormatError("file contains no classes", offset)
-        classes = []
-        d = None
-        for c in range(n_classes):
-            header = _read_exact(fh, 8, offset, f"class {c} header", size)
-            n_rows, class_d = struct.unpack("<II", header)
-            if d is None:
-                if class_d == 0:
-                    raise EmbeddingFormatError(f"class {c} declares dimension 0", offset)
-                d = class_d
-            elif class_d != d:
-                raise EmbeddingFormatError(
-                    f"class {c} dimension {class_d} disagrees with {d}", offset
-                )
-            offset += 8
-            n_bytes = n_rows * class_d * 4
-            payload = _read_exact(fh, n_bytes, offset, f"class {c} payload", size)
-            offset += n_bytes
-            mat = np.frombuffer(payload, dtype="<f4").reshape(n_rows, class_d)
-            classes.append(mat.copy())
-        trailing = fh.read(1)
-        if trailing:
-            raise EmbeddingFormatError("trailing data after the last class payload", offset)
+        payload = _read_exact(fh, n_rows * class_d * 4, f"class {c} payload", size)
+        mat = np.frombuffer(payload, dtype="<f4").reshape(n_rows, class_d)
+        classes.append(mat.copy())
+    if fh.read(1):
+        raise EmbeddingFormatError("trailing data after the last class payload", fh.tell() - 1)
     return EmbeddingDataset(classes=classes, d=int(d))
 
 
@@ -335,17 +332,11 @@ def _write_csv(dataset: EmbeddingDataset, path: Path) -> None:
                 writer.writerow([label] + [_float32_repr(v) for v in row])
 
 
-def _read_csv(path: Path) -> EmbeddingDataset:
+def _read_csv(fh) -> EmbeddingDataset:
+    """Parse a whole binary handle, from its first byte, as UTF-8 CSV text."""
+    fh.seek(0)
     try:
-        return _read_csv_inner(path)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        # binary or mis-encoded bytes reaching the text parser
-        raise EmbeddingFormatError(f"not a readable CSV file: {exc}") from None
-
-
-def _read_csv_inner(path: Path) -> EmbeddingDataset:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
         try:
             header = next(reader)
         except StopIteration:
@@ -374,14 +365,17 @@ def _read_csv_inner(path: Path) -> EmbeddingDataset:
             except ValueError as exc:
                 raise EmbeddingFormatError(f"line {lineno}: {exc}") from None
             rows_by_label.setdefault(label, []).append(values)
-        if not rows_by_label:
-            raise EmbeddingFormatError("CSV file contains no data rows")
-        labels = sorted(rows_by_label)
-        if labels != list(range(len(labels))):
-            raise EmbeddingFormatError(
-                f"labels must cover a contiguous range starting at 0, got {labels}"
-            )
-        classes = [np.vstack(rows_by_label[label]) for label in labels]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        # binary or mis-encoded bytes reaching the text parser
+        raise EmbeddingFormatError(f"not a readable CSV file: {exc}") from None
+    if not rows_by_label:
+        raise EmbeddingFormatError("CSV file contains no data rows")
+    labels = sorted(rows_by_label)
+    if labels != list(range(len(labels))):
+        raise EmbeddingFormatError(
+            f"labels must cover a contiguous range starting at 0, got {labels}"
+        )
+    classes = [np.vstack(rows_by_label[label]) for label in labels]
     return EmbeddingDataset(classes=classes, d=d)
 
 
@@ -397,9 +391,7 @@ def save_embeddings(dataset: EmbeddingDataset, path) -> None:
 
 def load_embeddings(path) -> EmbeddingDataset:
     """Read a dataset, sniffing the binary magic before falling back to CSV."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        return _read_emb1(path)
-    return _read_csv(path)
+    with open(Path(path), "rb") as fh:
+        if fh.read(len(MAGIC)) == MAGIC:
+            return _read_emb1(fh)
+        return _read_csv(fh)

@@ -63,7 +63,7 @@ def test_byte_identity_gate_plans_shuffled_label_commands(tmp_path):
     plan = load_script("byte_identity_gate").plan
     commands = plan(False, tmp_path)
     shuffled = {name: argv for name, argv in commands.items() if "--labels-from" in argv}
-    assert (len(commands), sorted(shuffled)) == (128, sorted(
+    assert (len(commands), sorted(shuffled)) == (130, sorted(
         f"hsic-{v}-{mode}" for v in range(4) for mode in ("shuffled", "shuffled-imq")))
     for argv in shuffled.values():
         # the pool's 40 classes of 60 rows each, out of class order
@@ -90,3 +90,17 @@ def test_byte_identity_gate_plans_repeated_row_pools(tmp_path):
                 assert len(np.unique(rows, axis=0)) == 40 - 12
             else:
                 assert len(np.unique(rows, axis=0)) == 40
+
+
+def test_byte_identity_gate_plans_csv_twins_of_two_pools(tmp_path):
+    commands = load_script("byte_identity_gate").plan(False, tmp_path)
+    for twin, name in (("csv-eval-0-default", "eval-0-default"),
+                       ("csv-hsic-0-gaussian", "hsic-0-gaussian")):
+        argv, twin_argv = commands[name], commands[twin]
+        at = argv.index("--embeddings") + 1
+        assert twin_argv[:at] + twin_argv[at + 1:] == argv[:at] + argv[at + 1:]
+        assert twin_argv[at].endswith(".csv")
+        pool, csv_pool = (load_embeddings(a[at]) for a in (argv, twin_argv))
+        assert len(csv_pool.classes) == len(pool.classes)
+        for rows, csv_rows in zip(pool.classes, csv_pool.classes):
+            assert np.array_equal(rows, csv_rows)

@@ -332,6 +332,28 @@ def test_synth_task_validation():
         synth_task(5, 0, 3, 6, 5.0, 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (synth_dataset, (5.5, 10, 16, 3.0, 1.0), "n_classes"),
+    (synth_dataset, (5, True, 16, 3.0, 1.0), "per_class"),
+    (synth_dataset, (5, 10, 16, "3", 1.0), "separation"),
+    (synth_task, (5, 2.0, 3, 16, 3.0, 1.0), "n_shot"),
+    (synth_task, (5, 2, False, 16, 3.0, 1.0), "n_query"),
+], ids=["float-count", "bool-count", "string-separation", "float-shots", "bool-queries"])
+def test_synth_builders_reject_non_numbers_by_name(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build(*args, np.random.default_rng(0))
+
+
+def test_synth_builders_accept_numpy_numbers():
+    rng = np.random.default_rng(0)
+    ds = synth_dataset(np.int64(5), np.int32(10), np.int64(16), np.float32(3.0),
+                       np.float64(1.0), rng)
+    assert (ds.n_classes, ds.sizes[0], ds.d) == (5, 10, 16)
+    task = synth_task(np.int64(5), np.int16(2), np.uint8(3), 16, 3.0, 1.0, rng)
+    assert task.support_x.shape == (10, 16)
+    assert task.query_x.shape == (15, 16)
+
+
 def test_flatten_dataset_compacts_ids_and_skips_empty_classes():
     classes = [
         np.ones((2, 3), dtype=np.float32),
@@ -399,12 +421,12 @@ def test_binary_garbage_is_reported_as_format_error(tmp_path):
 
 
 def test_emb1_bad_magic_reports_offset_zero(tmp_path):
-    from kerndep.tasks import _read_emb1
-
+    # a file that does not start with the magic is read as CSV, whose header
+    # check fails at the first byte
     path = tmp_path / "bad.emb"
     path.write_bytes(b"EMBX" + bytes(20))
-    with pytest.raises(EmbeddingFormatError) as err:
-        _read_emb1(path)
+    with pytest.raises(EmbeddingFormatError, match="bad CSV header") as err:
+        load_embeddings(path)
     assert err.value.offset == 0
     assert "(byte offset 0)" in str(err.value)
 
@@ -492,6 +514,23 @@ def test_csv_round_trip_is_text_identical(tmp_path):
         assert np.array_equal(orig, back)
     save_embeddings(loaded, p2)
     assert p1.read_text() == p2.read_text()
+
+
+def test_csv_crlf_line_ends_and_blank_lines_load_like_lf(tmp_path):
+    ds = small_dataset(seed=6)
+    lf = tmp_path / "lf.csv"
+    save_embeddings(ds, lf)
+    text = lf.read_bytes().replace(b"\r\n", b"\n")
+    lines = text.split(b"\n")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"\r\n".join(lines[:3] + [b""] + lines[3:]))
+    lf.write_bytes(text)
+    for path in (lf, crlf):
+        loaded = load_embeddings(path)
+        assert loaded.d == ds.d
+        for orig, back in zip(ds.classes, loaded.classes, strict=True):
+            assert back.dtype == np.float32
+            assert np.array_equal(orig, back)
 
 
 def test_csv_header_and_shortest_float_repr(tmp_path):
