@@ -9,6 +9,7 @@ random stream.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -49,6 +50,7 @@ class EmbeddingDataset:
     d: int
 
     def __post_init__(self) -> None:
+        _check_integer("d", self.d)
         if len(self.classes) == 0:
             raise ValueError("dataset must contain at least one class")
         cast = []
@@ -324,12 +326,34 @@ def _float32_repr(value: np.float32) -> str:
 
 
 def _write_csv(dataset: EmbeddingDataset, path: Path) -> None:
+    # a class is only its rows' labels, so an empty one has no CSV form
+    for label, mat in enumerate(dataset.classes):
+        if mat.shape[0] == 0:
+            raise ValueError(f"class {label} has no rows, and CSV cannot hold an "
+                             f"empty class; save it as EMB1")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dataset.d)])
         for label, mat in enumerate(dataset.classes):
             for row in mat:
                 writer.writerow([label] + [_float32_repr(v) for v in row])
+
+
+def _first_non_utf8(fh) -> int | None:
+    """File offset of the first byte of a binary handle that is not UTF-8."""
+    fh.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    while True:
+        block = fh.read(1 << 16)
+        held = len(decoder.getstate()[0])  # a sequence cut by the last block
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            return offset - held + exc.start
+        if not block:
+            return None
+        offset += len(block)
 
 
 def _read_csv(fh) -> EmbeddingDataset:
@@ -365,8 +389,11 @@ def _read_csv(fh) -> EmbeddingDataset:
             except ValueError as exc:
                 raise EmbeddingFormatError(f"line {lineno}: {exc}") from None
             rows_by_label.setdefault(label, []).append(values)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        # binary or mis-encoded bytes reaching the text parser
+    except UnicodeDecodeError as exc:
+        # its position counts from the wrapper's read chunk, not the file
+        raise EmbeddingFormatError(f"not a readable CSV file: not UTF-8 text "
+                                   f"({exc.reason})", _first_non_utf8(fh)) from None
+    except csv.Error as exc:  # a field over the csv module's size limit, say
         raise EmbeddingFormatError(f"not a readable CSV file: {exc}") from None
     if not rows_by_label:
         raise EmbeddingFormatError("CSV file contains no data rows")

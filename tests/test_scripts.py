@@ -8,18 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerndep.tasks import load_embeddings
+from kerndep.adapt import AdaptConfig, LinearHead, ncc_predict, run_episode
+from kerndep.tasks import load_embeddings, synth_task
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, args", [
-    ("gamma_ablation.py", ["--learning-rates", "1.0", "--steps", "2", "--seeds", "2"]),
-    ("synth_convergence.py", ["--separations", "6", "--noises", "1", "--episodes", "2",
-                              "--steps", "2", "--classes", "5", "--per-class", "12",
-                              "--dim", "4"]),
-    ("row_normalization_gate.py", ["--pools", "isotropic", "--losses", "mokd",
-                                   "--learning-rates", "2.5", "--steps", "2", "--tasks", "2"]),
+    ("paired_sweep.py", ["--pools", "nuisance", "--arms",
+                         "raw:loss=ncc,normalize_features=false",
+                         "--learning-rates", "2.5", "--steps", "2", "--tasks", "2"]),
     # the checkout against itself: every command identical, none failing
     ("byte_identity_gate.py", ["--against", str(ROOT), "--quick"]),
 ])
@@ -35,6 +33,40 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_paired_sweep_differences_are_episodes_paired_by_hand(capsys):
+    load_script("paired_sweep").main([
+        "--pools", "blobs", "--arms", "g0:gamma=0", "g3:gamma=3", "identity",
+        "--learning-rates", "2", "--steps", "160", "--tasks", "2", "--base-seed", "707070"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+
+    def task(i):
+        return synth_task(5, 10, 10, 16, 3.0, 1.5, np.random.default_rng([707070, i]))
+
+    def accuracies(gamma):
+        cfg = AdaptConfig(gamma=gamma, learning_rate=2.0, steps=160)
+        return np.array([run_episode(task(i), cfg).query_accuracy for i in range(2)])
+
+    def se(x):
+        return x.std(ddof=1) / np.sqrt(2)
+
+    g3 = accuracies(3.0)
+    diffs = g3 - accuracies(0.0)
+    assert diffs.any()
+    assert rows[1][3:8] == ["g3", f"{g3.mean():.5f}", f"{se(g3):.5f}",
+                            f"{diffs.mean():+.5f}", f"{se(diffs):.5f}"]
+    identity = [np.mean(ncc_predict(LinearHead.identity(16), (t.support_x, t.support_y),
+                                    t.query_x) == t.query_y) for t in map(task, range(2))]
+    assert rows[2][3:5] == ["identity", f"{np.mean(identity):.5f}"]
+    assert rows[2][8:11] == ["0.00e+00", "0.00e+00", "nan"]
+
+
+def test_paired_sweep_arm_reads_values_with_the_config_parsers():
+    arm = load_script("paired_sweep").arm
+    assert arm("one:grid_coefficients=0.5,1,normalize_features=off") == (
+        "one", {"grid_coefficients": (0.5, 1.0), "normalize_features": False})
+    assert arm("mokd") == ("mokd", {})
 
 
 def test_byte_identity_gate_sizes_each_difference():

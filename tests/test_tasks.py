@@ -1,5 +1,6 @@
 """Vary-way vary-shot sampling, synthetic pools, and the two file formats."""
 
+import io
 import math
 import struct
 from dataclasses import fields
@@ -17,6 +18,7 @@ from kerndep.tasks import (
     EmbeddingDataset,
     EmbeddingFormatError,
     SamplerConfig,
+    _first_non_utf8,
     compute_query_size,
     compute_shots,
     compute_support_size,
@@ -76,6 +78,9 @@ def test_dataset_validation():
         EmbeddingDataset(classes=[np.ones((2, 2))], d=3)
     with pytest.raises(ValueError):
         EmbeddingDataset(classes=[np.ones((2, 0))], d=0)
+    for d in (2.0, True, "2"):  # 2.0 passes the shape comparison; a bool is no integer here
+        with pytest.raises(ValueError, match="d must be an integer"):
+            EmbeddingDataset(classes=[np.ones((2, 2))], d=d)
 
 
 def test_sampler_config_validation():
@@ -582,6 +587,25 @@ def test_csv_empty_and_headerless_files_rejected(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("good_rows", [0, 3000])
+def test_csv_non_utf8_byte_reports_its_file_offset(tmp_path, good_rows):
+    # 3000 rows put the bad byte at 30012, past the text reader's first chunks
+    head = b"label,f0,f1\n" + b"0,1.0,2.0\n" * good_rows
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head + b"0,\xff,2.0\n")
+    with pytest.raises(EmbeddingFormatError, match="not UTF-8") as err:
+        load_embeddings(path)
+    assert err.value.offset == len(head) + 2
+    assert f"(byte offset {len(head) + 2})" in str(err.value)
+
+
+def test_non_utf8_offset_counts_a_character_cut_by_a_read_block():
+    # bytes 65535-65536 are one character, split across the 64 KiB blocks
+    data = b"x" * 65535 + "\u00e9".encode() + b"\xff"
+    assert _first_non_utf8(io.BytesIO(data)) == 65537
+    assert _first_non_utf8(io.BytesIO(data[:-1])) is None
+
+
 def test_load_dispatch_sniffs_magic_over_suffix(tmp_path):
     ds = small_dataset(seed=9)
     binary_with_csv_name = tmp_path / "disguised.csv"
@@ -610,15 +634,23 @@ def test_save_dispatch_by_suffix(tmp_path):
 def test_formats_round_trip_property(tmp_path_factory, seed, n_classes, d):
     rng = np.random.default_rng(seed)
     classes = [
-        rng.normal(size=(int(rng.integers(1, 5)), d)).astype(np.float32)
+        rng.normal(size=(int(rng.integers(0, 5)), d)).astype(np.float32)
         for _ in range(n_classes)
     ]
     ds = EmbeddingDataset(classes=classes, d=d)
     root = tmp_path_factory.mktemp("fmt")
+    empty = [c for c, mat in enumerate(classes) if mat.shape[0] == 0]
     for name in ("p.emb", "p.csv"):
         path = root / name
+        if name == "p.csv" and empty:
+            # CSV labels its rows, so an empty class has no text form
+            with pytest.raises(ValueError, match=f"class {empty[0]} has no rows"):
+                save_embeddings(ds, path)
+            assert not path.exists()
+            continue
         save_embeddings(ds, path)
         loaded = load_embeddings(path)
         assert loaded.n_classes == n_classes
         for orig, back in zip(ds.classes, loaded.classes):
+            assert orig.shape == back.shape
             assert np.array_equal(orig, back)
