@@ -18,6 +18,7 @@ from .hsic import DEFAULT_EPSILON, DEFAULT_GRID_COEFFICIENTS, BandwidthGrid, sel
 from .kernels import (
     GAUSSIAN,
     IMQ,
+    _FLOAT32_SIGMA_SQ,
     _ROW_BLOCK,
     _check_bandwidth,
     _check_family,
@@ -277,12 +278,27 @@ class _DependencePlan:
     is built, after the head at each call. Without it sq_dist_matrix writes
     the distances into the kernel buffer and kernel_from_sq_dists maps them
     in place.
+
+    The m x m work runs in the precision of the support rows the plan is
+    given. Normalized float32 rows (sample_task hands a pool's) get a
+    float32 kernel and scratch, read from a float32 copy of the unit rows,
+    with float32 row constants in the weights loop and a float32 w @ z;
+    so the m x m buffer is half the size. The reductions the loss reads
+    are summed in float64: the row sums of Kt and <Kt, Kt> from a float64
+    copy of one row block at a time (one more buffer of a block's size),
+    and the same-class sum. dz, the head, _forward and _head_gradient stay
+    float64. Anything else (float64 rows, raw rows, or a bandwidth below
+    kernels._FLOAT32_SIGMA_SQ) gets the float64 step, with its float64
+    bytes. The float32 step's loss and gradient agree with the float64
+    step's to 1e-5 relative (tests/test_adapt.py).
     """
 
     def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
                  normalize: bool) -> None:
         _check_family(family)  # both checks once, before the m x m buffer
         _check_bandwidth(sigma)
+        single = (normalize and np.asarray(embeddings).dtype == np.float32
+                  and sigma * sigma >= _FLOAT32_SIGMA_SQ)
         self.u = as_embeddings(embeddings)
         m, d = self.u.shape
         y = as_labels(labels, m)
@@ -312,22 +328,44 @@ class _DependencePlan:
         self.gamma = gamma
         self.family = family
         self.normalize = normalize
-        self.kernel = np.empty((m, m))
-        self.scratch = np.empty((min(_ROW_BLOCK, m), m))
-        self.wz = np.empty((m, d))
+        dtype = np.float32 if single else np.float64
+        self.unit = np.empty((m, d), dtype) if single else None
+        self.wide = np.empty((min(_ROW_BLOCK, m), m)) if single else None
+        self.kernel = np.empty((m, m), dtype)
+        self.scratch = np.empty((min(_ROW_BLOCK, m), m), dtype)
+        self.wz = np.empty((m, d), dtype)
         self.dz = np.empty((m, d))
+
+    def _sums(self, kt: np.ndarray) -> tuple[np.ndarray, float]:
+        """The row sums of Kt and <Kt, Kt> (0.0 at gamma 0), summed in
+        float64: a float32 Kt a row block at a time, through self.wide."""
+        if self.wide is None:
+            return kt.sum(axis=1), float(np.vdot(kt, kt)) if self.gamma != 0.0 else 0.0
+        m = kt.shape[0]
+        k_rows, kk = np.empty(m), 0.0
+        for a in range(0, m, _ROW_BLOCK):
+            blk = self.wide[:min(_ROW_BLOCK, m - a)]
+            np.copyto(blk, kt[a:a + _ROW_BLOCK])
+            blk.sum(axis=1, out=k_rows[a:a + _ROW_BLOCK])
+            if self.gamma != 0.0:
+                kk += float(np.vdot(blk, blk))
+        return k_rows, kk
 
     def __call__(self, head: LinearHead) -> tuple[float, np.ndarray]:
         family, sigma = self.family, self.sigma
         m = self.u.shape[0]
         z, norms = _forward(head, self.u, self.normalize, "support row", out=self.rows)
+        zk = z
+        if self.unit is not None:  # a float32 plan: the m x m work reads float32 rows
+            zk = self.unit
+            zk[...] = z
         if self.normalize:
-            kt = _unit_zero_diag_kernel(z, family, sigma, out=self.kernel)
+            kt = _unit_zero_diag_kernel(zk, family, sigma, out=self.kernel)
         else:
             kt = kernel_from_sq_dists(sq_dist_matrix(z, out=self.kernel), family, sigma,
                                       self.kernel)
             np.fill_diagonal(kt, 0.0)
-        k_rows = kt.sum(axis=1)
+        k_rows, kk = self._sums(kt)
         k_total = float(k_rows.sum())
         # each loss term from its cotangent: <Kt, C> = c <Kt, L> - 2 t.Kt1 + k 1'Kt1;
         # <Kt, Lt>, the label's, is summed in the weights loop below
@@ -337,13 +375,14 @@ class _DependencePlan:
             c = self.penalty_c
             t_self = k_rows * (c / (m - 2.0))
             k_self = c * k_total / ((m - 1.0) * (m - 2.0))
-            loss += 0.25 * (c * float(np.vdot(kt, kt)) - 2.0 * float(t_self @ k_rows)
+            loss += 0.25 * (c * kk - 2.0 * float(t_self @ k_rows)
                             + k_self * k_total)
             t, k = t + t_self, k + k_self
         # w = B Kt, with B = (C_label + C_penalty) / c, over Kt a row block at
         # a time: its scale -c / sigma^2 is applied to the gradient. Each
         # block's same-class entries of Kt are summed before it is overwritten
         row, col, label = (t - k) / c, t / c, self.label_c / c
+        row, col = row.astype(kt.dtype, copy=False), col.astype(kt.dtype, copy=False)
         same = 0.0
         for a, lo, hi in self.blocks:
             kt_blk = kt[a:a + _ROW_BLOCK]
@@ -354,7 +393,7 @@ class _DependencePlan:
                 np.negative(row[a:a + _ROW_BLOCK, None], out=s)
             s -= col
             pairs = self.same_class[lo:hi]
-            same += float(kt_blk.take(pairs).sum())
+            same += float(kt_blk.take(pairs).sum(dtype=np.float64))
             s.ravel()[pairs] += label
             if family == IMQ:
                 s *= kt_blk
@@ -363,8 +402,8 @@ class _DependencePlan:
         loss += 0.5 * self.label_c * same
         w = kt
         # dz = w.sum(1) z - w @ z: a duplicate pair's terms cancel exactly
-        dz = np.multiply(z, w.sum(axis=1)[:, None], out=self.dz)
-        dz -= np.matmul(w, z, out=self.wz)
+        dz = np.multiply(zk, w.sum(axis=1)[:, None], out=self.dz)
+        dz -= np.matmul(w, zk, out=self.wz)
         grad = _head_gradient(dz, self.u, z, norms)
         grad *= c / -(sigma * sigma)
         return loss, grad
@@ -494,8 +533,9 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     a search against the support labels (mode "mokd" only), then run the
     configured number of update steps with that bandwidth frozen for both
     loss terms (mode "mokd" builds its label work once, in a plan every step
-    calls, and drops it after the last step), then classify the query set
-    with the nearest-centroid rule.
+    calls, and drops it after the last step; the plan reads the task's own
+    support rows, so float32 rows get its float32 step), then classify the
+    query set with the nearest-centroid rule.
 
     In mode "mokd" a support set where no class has two rows has an all-zero
     label kernel, so there is no dependence to fit: the episode runs no
@@ -528,7 +568,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     elif cfg.loss == "mokd":
         z0 = _forward(head, support_x, cfg.normalize_features, "support row")[0]
         sigma_zy = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid).sigma
-        step = _DependencePlan(support_x, support_y, sigma_zy, cfg.gamma,
+        step = _DependencePlan(task.support_x, support_y, sigma_zy, cfg.gamma,
                                cfg.kernel_family, cfg.normalize_features)
     else:
         def step(head):

@@ -170,6 +170,8 @@ def cmd_eval(args) -> int:
     print(f"episodes: {report.episodes}")
     print(f"mean_accuracy: {report.mean_accuracy:.6f}")
     print(f"ci95: {report.ci95:.6f}")
+    if report.stepless_episodes:
+        print(f"stepless_episodes: {report.stepless_episodes}")
     return 0
 
 

@@ -41,6 +41,13 @@ class EvalReport:
     per_episode: list[EpisodeSummary]
     episode_results: list[EpisodeResult] | None = None
 
+    @property
+    def stepless_episodes(self) -> int:
+        """Episodes that ran no step (final_loss NaN): a mokd episode whose
+        support set has no class with two rows keeps the identity head, and
+        its accuracy is averaged into mean_accuracy all the same."""
+        return sum(math.isnan(ep.final_loss) for ep in self.per_episode)
+
 
 def episode_rng(seed: int, episode: int) -> np.random.Generator:
     """Independent generator for one episode of one run."""

@@ -11,9 +11,12 @@ array builders (sq_dist_matrix, _sq_dist_row_blocks, _unit_zero_diag_kernel
 and median_sq_distance) check nothing and expect rows from as_embeddings.
 Each distance builder (sq_dist_matrix, and _sq_dist_row_blocks once per
 sweep) centres the rows it is given itself. Given float32 rows,
-sq_dist_matrix and _unit_zero_diag_kernel give float32, but
+sq_dist_matrix and _unit_zero_diag_kernel work in float32 and give float32
+(the unit kernel with its own close-pair threshold), but
 _sq_dist_row_blocks gives float64 blocks, as the centred rows it builds
-are; a NaN entry gives NaN distances. Gram matrices are exactly symmetric:
+are. Either way a close pair is recomputed from the float64 difference of
+its rows, so a duplicate row gives exactly 0 distance, and a NaN entry
+gives NaN distances. Gram matrices are exactly symmetric:
 radial kernels act elementwise on exactly symmetric squared distances (see
 sq_dist_matrix). No cosine Gram is built here; a cosine similarity is a
 product of rows that _unit_rows has scaled. median_sq_distance is exact
@@ -72,6 +75,10 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
 # distances multiplies to NaN, other entries to inf), and one whose square
 # overflows makes it 0 (an infinite distance multiplies to NaN).
 _TINY = float(np.finfo(np.float64).tiny)
+# The least sigma^2 a float32 Gram is mapped at (_unit_zero_diag_kernel): its
+# affine map multiplies G by up to 2 / sigma^2 and adds as much again, which
+# stays finite in float32 (below 2**128) for sigma^2 >= 2**-124.
+_FLOAT32_SIGMA_SQ = 2.0**-124
 
 
 def _check_family(family: str) -> None:
@@ -96,6 +103,13 @@ def _check_bandwidth(sigma: float) -> None:
 # most of their digits to cancellation in n_i + n_j - 2 z_i.z_j, and are
 # recomputed from the row differences.
 _CANCELLATION = 1e-8
+# The cancellation rule on a Gram of unit rows, where d2 = 2 - 2 G: G >= 1 - 1e-8
+# in float64. float32 spaces G by 2**-24 below 1, and a duplicate pair's entry,
+# from rows rounded to float32 and a product summed in float32, fell up to 10
+# such steps below 1 (2000 random pairs at each d of 3, 16, 64 and 512, and
+# 200 at d = 4096): so a float32 Gram reads G >= 1 - 2**-18, 64 steps.
+_UNIT_CLOSE = {np.dtype(np.float64): 1.0 - _CANCELLATION,
+               np.dtype(np.float32): 1.0 - 2.0**-18}
 # Rows of distances formed or tested at once, so that neither the outer sum
 # n_i + n_j nor the recompute mask is ever an m x m temporary.
 _ROW_BLOCK = 64
@@ -104,13 +118,13 @@ _ROW_BLOCK = 64
 def _difference_sq_dists(z: np.ndarray, i: np.ndarray, j: np.ndarray):
     """For the row index pairs (i, j) of the (m, d) rows z, yield (i, j, d2)
     in groups of max(1, kernels._ROW_BLOCK * m // (2 d)) pairs, with d2
-    their squared distances from the differences of the rows, so duplicates
-    give exactly 0. So a group's two (pairs, d) temporaries are together no
-    larger than a kernels._ROW_BLOCK x m block."""
+    their squared distances from the float64 differences of the rows, so
+    duplicates give exactly 0. So a group's two (pairs, d) temporaries are
+    together no larger than a kernels._ROW_BLOCK x m float64 block."""
     group = max(1, _ROW_BLOCK * z.shape[0] // (2 * z.shape[1]))
     for start in range(0, i.size, group):
         bi, bj = i[start:start + group], j[start:start + group]
-        diff = z[bi]
+        diff = z[bi].astype(np.float64, copy=False)
         diff -= z[bj]  # near-equal coordinates subtract exactly
         yield bi, bj, np.einsum("ij,ij->i", diff, diff)
 
@@ -260,32 +274,36 @@ def _unit_zero_diag_kernel(z: np.ndarray, family: str, sigma: float,
     distances with its diagonal set to 0, read straight from their Gram
     G = z z' with no distance matrix.
 
-    G is one symmetric rank-k update, written to out (a C-contiguous (m, m)
-    float64 array) if given, and the kernel replaces it in place. With unit
-    rows the squared distances are 2 - 2 G, so the Gaussian is
-    exp((G - 1) / sigma^2) and the IMQ 1 / sqrt(1 + 2/sigma^2 - (2/sigma^2) G):
-    two affine passes and the family's map, one kernels._ROW_BLOCK-row chunk
-    at a time. The diagonal is set to -inf first, which each map sends to
-    exactly 0 with no warning. The cancellation rule reads d2 <= 1e-8 (n_i +
-    n_j) with n_i = 1 as G >= 1 - 1e-8: when one whole-matrix max finds such
-    a pair, each chunk's close pairs (G > 1 included) are set to -inf as the
+    G is one symmetric rank-k update in the dtype of z (float64, or
+    float32), written to out (a C-contiguous (m, m) array of that dtype) if
+    given, and the kernel replaces it in place. With unit rows the squared
+    distances are 2 - 2 G, so the Gaussian is exp((G - 1) / sigma^2) and the
+    IMQ 1 / sqrt(1 + 2/sigma^2 - (2/sigma^2) G): two affine passes and the
+    family's map, one kernels._ROW_BLOCK-row chunk at a time. The diagonal
+    is set to -inf first, which each map sends to exactly 0 with no warning.
+    The cancellation rule reads d2 <= 1e-8 (n_i + n_j) with n_i = 1 as
+    G >= 1 - 1e-8, and in a float32 Gram, which cannot resolve that, as
+    G >= 1 - 2**-18 (_UNIT_CLOSE): when one whole-matrix max finds such a
+    pair, each chunk's close pairs (G > 1 included) are set to -inf as the
     diagonal is, and after the chunk's map they are written by
-    kernel_from_sq_dists from the squared distances of their row
-    differences, so a duplicate row gives exactly 1. So no more than a chunk
-    of those pairs, and no more than a kernels._ROW_BLOCK x m block of their
-    differences, is held at once, and no entry the map meets overflows or
-    divides by 0. The result is exactly symmetric. The family and the
-    bandwidth are checked only when there are close pairs; the caller checks
-    them once.
+    kernel_from_sq_dists from the squared distances of their float64 row
+    differences, so a duplicate row gives exactly 1 in either dtype. So no
+    more than a chunk of those pairs, and no more than a kernels._ROW_BLOCK
+    x m block of their differences, is held at once, and no entry the map
+    meets overflows or divides by 0 (a float32 Gram needs sigma^2 >=
+    _FLOAT32_SIGMA_SQ for that). The result is exactly symmetric. The
+    family and the bandwidth are checked only when there are close pairs;
+    the caller checks them once.
     """
     g = np.matmul(z, z.T, out=out)
     np.fill_diagonal(g, -np.inf)  # never a close pair; each map gives 0 there
-    close = not g.max() < 1.0 - _CANCELLATION
+    bound = _UNIT_CLOSE[g.dtype]
+    close = not g.max() < bound
     scale = 1.0 / (sigma * sigma) if family == GAUSSIAN else 2.0 / (sigma * sigma)
     for r in range(0, g.shape[0], _ROW_BLOCK):
         chunk = g[r:r + _ROW_BLOCK]
         if close:
-            i, j = np.nonzero(~(chunk < 1.0 - _CANCELLATION))
+            i, j = np.nonzero(~(chunk < bound))
             chunk[i, j] = -np.inf
             i += r
         if family == GAUSSIAN:

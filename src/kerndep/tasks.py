@@ -1,7 +1,9 @@
 """Vary-way vary-shot task sampling, synthetic datasets, and embedding file I/O.
 
 Datasets hold one float32 matrix per class (matching the 32-bit file
-payloads); tasks hand float64 copies to the adaptation code. The sampler
+payloads). sample_task hands the pool's float32 rows to the adaptation
+code, whose mokd step then works in float32 (see adapt._DependencePlan);
+synth_task hands float64 rows. The sampler
 draws the way count, a class subset, a query size shared by all classes,
 a support budget, and per-class shot counts, in that order, from a single
 random stream.
@@ -171,7 +173,8 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig,
     then one index draw per selected class. Support and query indices within
     a class are disjoint. Every task has at least 5 classes, each with at
     least one support row, so it meets the episode preconditions of at least
-    4 support rows over at least 2 classes.
+    4 support rows over at least 2 classes. The rows are the dataset's
+    float32 rows, copied.
     """
     all_sizes = dataset.sizes  # a property that builds a list on every read
     eligible = [i for i, size in enumerate(all_sizes) if size >= 2]
@@ -193,8 +196,8 @@ def sample_task(dataset: EmbeddingDataset, cfg: SamplerConfig,
         idx = rng.choice(mat.shape[0], size=k + q, replace=False)
         support_parts.append(mat[idx[:k]])
         query_parts.append(mat[idx[k:]])
-    support_x = np.concatenate(support_parts).astype(np.float64)
-    query_x = np.concatenate(query_parts).astype(np.float64)
+    support_x = np.concatenate(support_parts)
+    query_x = np.concatenate(query_parts)
     support_y = np.repeat(np.arange(n_way, dtype=np.int64), shots)
     query_y = np.repeat(np.arange(n_way, dtype=np.int64), q)
     return Task(support_x, support_y, query_x, query_y)

@@ -544,6 +544,89 @@ def test_plan_matches_dense_cotangent_oracle_across_row_blocks(m):
         check_plan_against_dense_oracle(m, *case)
 
 
+# The float32 step (normalized float32 rows) against the float64 step on
+# the same rows: loss and gradient to this relative bound.
+FLOAT32_STEP_RTOL = 1e-5
+
+
+def float32_instance(m, order, seed=46):
+    """float32 rows like a sampled task's: m // 6 classes of 6 or 7 rows
+    (sorted or shuffled labels), each around its own mean at separation 6 on
+    orthonormal directions, noise 1.5, d = 64; and a head 0.05 from the
+    identity. The more classes, the more the loss cancels, and the more a
+    float32 sum in place of a float64 one shows."""
+    rng = np.random.default_rng(seed)
+    d = 64
+    y = np.arange(m) % (m // 6)
+    y = np.sort(y) if order == "sorted" else rng.permutation(y)
+    means = 6.0 * np.linalg.qr(rng.normal(size=(d, m // 6)))[0].T
+    u = (means[y] + 1.5 * rng.normal(size=(m, d))).astype(np.float32)
+    head = LinearHead(np.eye(d) + 0.05 * rng.normal(size=(d, d)))
+    return u, y, head
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("m", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+def test_float32_plan_matches_the_float64_plan(family, gamma, order, m):
+    u, y, head = float32_instance(m, order)
+    plan = _DependencePlan(u, y, 1.0, gamma, family, True)
+    wide = _DependencePlan(u.astype(np.float64), y, 1.0, gamma, family, True)
+    assert plan.kernel.dtype == np.float32 and wide.kernel.dtype == np.float64
+    for _ in range(2):  # the second call reuses the buffers
+        loss, grad = plan(head)
+        want_loss, want_grad = wide(head)
+        assert grad.dtype == np.float64
+        assert loss == pytest.approx(want_loss, rel=FLOAT32_STEP_RTOL)
+        assert rel_error(grad, want_grad) <= FLOAT32_STEP_RTOL
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_float32_plan_gradient_matches_finite_differences(family, gamma):
+    # criterion 04's bound, on central differences of the float64 loss; the
+    # duplicate-row instance reaches the float32 kernel's close-pair path
+    for (u, y, head), sigma in itertools.product(edge_instances(70), (1.1, 0.8)):
+        u32 = u.astype(np.float32)
+        u = u32.astype(np.float64)
+        plan = _DependencePlan(u32, y, sigma, gamma, family, True)
+        assert plan.kernel.dtype == np.float32
+
+        def loss_at(theta):
+            return dependence_loss_and_grad(LinearHead(theta), u, y, sigma, gamma, family)[0]
+
+        assert rel_error(plan(head)[1], fd_gradient(loss_at, head.theta)) <= 1e-4
+
+
+@pytest.mark.parametrize("normalize, sigma", [(False, 1.1), (True, 2.0**-63)])
+def test_raw_rows_and_tiny_bandwidths_keep_the_float64_step(normalize, sigma):
+    # a float32 Gram's map needs sigma^2 >= 2**-124 (kernels._FLOAT32_SIGMA_SQ)
+    u, y, head = float32_instance(20, "sorted")
+    plan = _DependencePlan(u, y, sigma, 3.0, GAUSSIAN, normalize)
+    wide = _DependencePlan(u.astype(np.float64), y, sigma, 3.0, GAUSSIAN, normalize)
+    assert plan.kernel.dtype == np.float64
+    loss, grad = plan(head)
+    want_loss, want_grad = wide(head)
+    assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_warm_float32_step_makes_no_m_by_m_temporary(family, gamma):
+    m = 200
+    u, y, head = float32_instance(m, "shuffled")
+    plan = _DependencePlan(u, y, 1.0, gamma, family, True)
+    plan(head)
+    tracemalloc.start()
+    try:
+        plan(head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * m * 4  # bytes of two m x m float32 arrays
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_warm_mokd_step_makes_no_m_by_m_temporary(family, sigma):

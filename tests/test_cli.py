@@ -383,6 +383,18 @@ def test_eval_prints_report(pool_path, capsys):
     assert 0.0 <= acc <= 1.0
 
 
+def test_eval_prints_the_stepless_count_only_when_nonzero(tmp_path, capsys):
+    # tasks 10 and 19 of this pool give every class one support row
+    path = tmp_path / "pool.emb"
+    save_embeddings(synth_dataset(12, 40, 16, 2.0, 0.5, np.random.default_rng(0)), path)
+    argv = ["eval", "--embeddings", str(path), "--steps", "1", "--episodes"]
+    code, stdout, _ = run_cli(capsys, argv + ["30"])
+    assert code == 0
+    assert stdout.splitlines()[3:] == ["stepless_episodes: 2"]
+    _, stdout, _ = run_cli(capsys, argv + ["10"])
+    assert len(stdout.splitlines()) == 3
+
+
 def test_eval_repeated_invocation_is_identical(pool_path, capsys):
     _, first, _ = run_cli(capsys, eval_argv(pool_path, "--verbose"))
     _, second, _ = run_cli(capsys, eval_argv(pool_path, "--verbose"))

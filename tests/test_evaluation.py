@@ -231,6 +231,33 @@ def test_evaluate_reports_nan_final_loss_for_an_episode_without_steps(monkeypatc
     assert all(math.isnan(row.final_loss) for row in report.per_episode)
 
 
+def test_evaluate_counts_the_episodes_that_ran_no_step():
+    # on this pool the sampler gives every class of tasks 10 and 19 one
+    # support row, so their mokd episodes run no search and no step
+    pool = synth_dataset(12, 40, 16, 2.0, 0.5, np.random.default_rng(0))
+    report = evaluate(pool, SamplerConfig(), quick_cfg(steps=1), 30)
+    stepless = [ep.seed for ep in report.per_episode if math.isnan(ep.final_loss)]
+    assert stepless == [10, 19]
+    assert report.stepless_episodes == 2
+    assert all(math.isnan(report.per_episode[i].sigma_zy) for i in stepless)
+    assert report.mean_accuracy == np.mean([ep.accuracy for ep in report.per_episode])
+    assert evaluate(pool, SamplerConfig(), quick_cfg(steps=1), 10).stepless_episodes == 0
+
+
+def test_evaluate_runs_the_float32_step_on_a_float32_pool(monkeypatch):
+    # datasets hold float32 rows, and sample_task hands them on as they are
+    kernels = []
+
+    class Recording(adapt._DependencePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self.kernel.dtype)
+
+    monkeypatch.setattr(adapt, "_DependencePlan", Recording)
+    evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 3)
+    assert kernels == [np.float32] * 3
+
+
 def test_similarity_export_csv_layout(tmp_path):
     result = fake_result()
     path = tmp_path / "sim.csv"

@@ -453,6 +453,23 @@ def test_float32_rows_keep_their_builders_dtypes():
         assert np.allclose(k, _unit_zero_diag_kernel(z64, family, 0.8), rtol=0.0, atol=1e-5)
 
 
+@pytest.mark.parametrize("family", [GAUSSIAN, IMQ])
+@pytest.mark.parametrize("d", [3, 64, 512])
+def test_float32_duplicate_rows_give_exactly_one(family, d):
+    # 200 duplicate pairs of float32 unit rows: a pair's float32 Gram entry
+    # may sit a few float32 steps below 1, inside float64's close-pair rule
+    # (G >= 1 - 1e-8) but not what float32 reads it as, so the float32 Gram
+    # has its own rule, and the pair's entry comes from its row difference
+    v = np.random.default_rng(d).normal(size=(200, d)).astype(np.float32)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    z = np.concatenate([v, v])
+    k = _unit_zero_diag_kernel(z, family, 0.8)
+    assert k.dtype == np.float32
+    assert np.array_equal(k, k.T)
+    assert not k.diagonal().any()
+    assert (k.diagonal(200) == 1.0).all()
+
+
 def test_recompute_cancelled_rewrites_only_the_flagged_pairs():
     # a trapezoid block d2[a:a + rows, a:] of more rows than one test pass
     m, a, rows = 200, 30, _ROW_BLOCK + 20

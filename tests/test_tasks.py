@@ -249,6 +249,16 @@ def test_sample_task_satisfies_protocol_invariants():
             assert not support_rows & query_rows
 
 
+def test_sample_task_hands_the_pools_float32_rows():
+    pool = make_pool()
+    rows = {r.tobytes() for mat in pool.classes for r in mat}
+    task = sample_task(pool, SamplerConfig(), np.random.default_rng(8))
+    for x in (task.support_x, task.query_x):
+        assert x.dtype == np.float32
+        assert {r.tobytes() for r in x} <= rows
+        assert not any(np.shares_memory(x, mat) for mat in pool.classes)
+
+
 def test_sample_task_is_deterministic_in_the_stream():
     pool = make_pool()
     cfg = SamplerConfig()
