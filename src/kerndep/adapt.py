@@ -279,26 +279,26 @@ class _DependencePlan:
     the distances into the kernel buffer and kernel_from_sq_dists maps them
     in place.
 
-    The m x m work runs in the precision of the support rows the plan is
-    given. Normalized float32 rows (sample_task hands a pool's) get a
-    float32 kernel and scratch, read from a float32 copy of the unit rows,
-    with float32 row constants in the weights loop and a float32 w @ z;
-    so the m x m buffer is half the size. The reductions the loss reads
-    are summed in float64: the row sums of Kt and <Kt, Kt> from a float64
-    copy of one row block at a time (one more buffer of a block's size),
-    and the same-class sum. dz, the head, _forward and _head_gradient stay
-    float64. Anything else (float64 rows, raw rows, or a bandwidth below
-    kernels._FLOAT32_SIGMA_SQ) gets the float64 step, with its float64
+    The m x m work runs in dtype, the support rows' precision (by default
+    the given rows' dtype). Normalized float32 rows (sample_task hands a
+    pool's) get a float32 kernel and scratch, read from a float32 copy of
+    the unit rows, with float32 row constants in the weights loop and a
+    float32 w @ z; so the m x m buffer is half the size. The reductions the
+    loss reads are summed in float64: the row sums of Kt and <Kt, Kt> from a
+    float64 copy of one row block at a time (one more buffer of a block's
+    size), and the same-class sum. dz, the head, _forward and _head_gradient
+    stay float64. Anything else (float64 rows, raw rows, or a bandwidth
+    below kernels._FLOAT32_SIGMA_SQ) gets the float64 step, with its float64
     bytes. The float32 step's loss and gradient agree with the float64
     step's to 1e-5 relative (tests/test_adapt.py).
     """
 
     def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
-                 normalize: bool) -> None:
+                 normalize: bool, dtype=None) -> None:
         _check_family(family)  # both checks once, before the m x m buffer
         _check_bandwidth(sigma)
-        single = (normalize and np.asarray(embeddings).dtype == np.float32
-                  and sigma * sigma >= _FLOAT32_SIGMA_SQ)
+        dtype = np.asarray(embeddings).dtype if dtype is None else dtype
+        single = normalize and dtype == np.float32 and sigma * sigma >= _FLOAT32_SIGMA_SQ
         self.u = as_embeddings(embeddings)
         m, d = self.u.shape
         y = as_labels(labels, m)
@@ -533,9 +533,10 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     a search against the support labels (mode "mokd" only), then run the
     configured number of update steps with that bandwidth frozen for both
     loss terms (mode "mokd" builds its label work once, in a plan every step
-    calls, and drops it after the last step; the plan reads the task's own
-    support rows, so float32 rows get its float32 step), then classify the
-    query set with the nearest-centroid rule.
+    calls on the validated float64 rows in the task's precision, and drops
+    it after the last step), then classify the query set with the
+    nearest-centroid rule. Query rows of another width than the support's,
+    and query labels outside its classes, are rejected before any of it.
 
     In mode "mokd" a support set where no class has two rows has an all-zero
     label kernel, so there is no dependence to fit: the episode runs no
@@ -548,15 +549,21 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     if m < 4:
         raise ValueError(f"support set too small: need at least 4 rows, got {m}")
     support_y = as_labels(task.support_y, m)
-    if int(support_y.max()) + 1 < 2:
+    n_classes = int(support_y.max()) + 1
+    if n_classes < 2:
         raise ValueError("support set must contain at least two classes")
     query_x = as_embeddings(task.query_x)
+    if query_x.shape[1] != dim:
+        raise ValueError(f"query rows have width {query_x.shape[1]}, support rows {dim}")
     query_y = np.asarray(task.query_y)
     if query_y.ndim != 1 or not np.issubdtype(query_y.dtype, np.integer):
         raise ValueError("query labels must be a 1-D integer vector, got shape "
                          f"{query_y.shape} and dtype {query_y.dtype}")
     if query_y.size != query_x.shape[0]:
         raise ValueError(f"expected {query_x.shape[0]} query labels, got {query_y.size}")
+    if query_y.min() < 0 or query_y.max() >= n_classes:
+        raise ValueError(f"query labels must lie in [0, {n_classes}), the support's "
+                         f"classes, got {query_y.min()} to {query_y.max()}")
 
     head = LinearHead.identity(dim)
     state = AdadeltaState.zeros((dim, dim))
@@ -568,8 +575,9 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     elif cfg.loss == "mokd":
         z0 = _forward(head, support_x, cfg.normalize_features, "support row")[0]
         sigma_zy = select_bandwidth(z0, support_y, cfg.kernel_family, cfg.grid).sigma
-        step = _DependencePlan(task.support_x, support_y, sigma_zy, cfg.gamma,
-                               cfg.kernel_family, cfg.normalize_features)
+        del z0
+        step = _DependencePlan(support_x, support_y, sigma_zy, cfg.gamma, cfg.kernel_family,
+                               cfg.normalize_features, np.asarray(task.support_x).dtype)
     else:
         def step(head):
             return ncc_loss_and_grad(head, support_x, support_y, cfg.normalize_features)

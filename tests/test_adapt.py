@@ -934,6 +934,10 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
     }
 
 
+def no_search(*args, **kwargs):
+    raise AssertionError("a bandwidth search ran")
+
+
 def test_episode_with_no_same_class_pair_keeps_the_identity_head(monkeypatch):
     # one support row per class: the zero-diagonal label kernel is all zero
     rng = np.random.default_rng(97)
@@ -941,10 +945,6 @@ def test_episode_with_no_same_class_pair_keeps_the_identity_head(monkeypatch):
     support_y = np.array([2, 0, 5, 1, 4, 3])
     query_x = np.repeat(support_x, 2, axis=0) + 0.5 * rng.normal(size=(12, 4))
     task = Task(support_x, support_y, query_x, np.repeat(support_y, 2))
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("a bandwidth search ran")
-
     monkeypatch.setattr("kerndep.adapt.select_bandwidth", no_search)
     for family in (GAUSSIAN, IMQ):
         result = run_episode(task, AdaptConfig(kernel_family=family))
@@ -966,6 +966,23 @@ def test_episode_rejects_malformed_query_labels():
         )
         with pytest.raises(ValueError, match="query labels"):
             run_episode(bad, AdaptConfig(steps=1))
+
+
+def test_episode_rejects_query_rows_of_another_width_before_the_search(monkeypatch):
+    monkeypatch.setattr("kerndep.adapt.select_bandwidth", no_search)
+    task = synth_task(5, 5, 3, 8, 4.0, 1.0, np.random.default_rng(0))
+    narrow = dataclasses.replace(task, query_x=task.query_x[:, :5])
+    with pytest.raises(ValueError, match="query rows have width 5, support rows 8"):
+        run_episode(narrow)
+
+
+@pytest.mark.parametrize("shift", [5, -5, 1, -1])
+def test_episode_rejects_query_labels_outside_the_support_classes(monkeypatch, shift):
+    monkeypatch.setattr("kerndep.adapt.select_bandwidth", no_search)
+    task = synth_task(5, 5, 3, 8, 4.0, 1.0, np.random.default_rng(0))
+    bad = dataclasses.replace(task, query_y=task.query_y + shift)
+    with pytest.raises(ValueError, match=r"query labels must lie in \[0, 5\)"):
+        run_episode(bad)
 
 
 def test_episode_plan_uses_the_label_bandwidth_for_both_terms(monkeypatch):

@@ -168,6 +168,36 @@ def test_episode_drops_its_plan_before_prediction(monkeypatch):
     assert alive_at_prediction == [False]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_episode_plan_steps_on_the_rows_prediction_reads(monkeypatch, dtype):
+    # one float64 copy of the support rows: the plan steps on the array the
+    # episode validated, in the task's precision, and prediction reads it too
+    plans, predicted = [], []
+
+    class TrackedPlan(adapt._DependencePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    predict = adapt.ncc_predict
+
+    def checked_predict(head, support, *args, **kwargs):
+        predicted.append(support[0])
+        return predict(head, support, *args, **kwargs)
+
+    monkeypatch.setattr(adapt, "_DependencePlan", TrackedPlan)
+    monkeypatch.setattr(adapt, "ncc_predict", checked_predict)
+    task = synth_task(5, 20, 15, 16, 6.0, 1.0, np.random.default_rng(6))
+    if dtype == np.float32:
+        task = Task(task.support_x.astype(np.float32), task.support_y, task.query_x,
+                    task.query_y)
+    adapt.run_episode(task, quick_cfg())
+    [plan], [rows] = plans, predicted
+    assert plan.u is rows
+    assert rows.dtype == np.float64
+    assert plan.kernel.dtype == dtype
+
+
 def test_evaluate_rejects_zero_episodes():
     with pytest.raises(ValueError):
         evaluate(eval_pool(), SamplerConfig(), quick_cfg(), 0)

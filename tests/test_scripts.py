@@ -15,17 +15,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, args", [
-    ("paired_sweep.py", ["--pools", "nuisance", "--arms",
-                         "raw:loss=ncc,normalize_features=false",
-                         "--learning-rates", "2.5", "--steps", "2", "--tasks", "2"]),
+    ("paired_sweep.py", ["--pools", "nuisance", "--learning-rates", "2.5", "--steps", "2",
+                         "--tasks", "2", "--arms", "raw:loss=ncc,normalize_features=false"]),
     # the checkout against itself: every command identical, none failing
     ("byte_identity_gate.py", ["--against", str(ROOT), "--quick"]),
+    # the arm syntax of the README's kernel-family gate
+    ("paired_sweep.py", ["--pools", "isotropic", "--steps", "2", "--tasks", "2",
+                         "--arms", "gauss", "imq:kernel_family=imq"]),
 ])
 def test_script_runs(script, args, src_env):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, env=src_env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 2  # header and one result row
+    # a header, then one result row: the gate's, or each arm's (the arms come last)
+    rows = len(args) - args.index("--arms") - 1 if "--arms" in args else 1
+    assert len(proc.stdout.splitlines()) == 1 + rows
 
 
 def load_script(name):
