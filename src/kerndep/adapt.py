@@ -236,16 +236,17 @@ def ncc_predict(head: LinearHead, support: tuple, query,
 class _DependencePlan:
     """dependence_loss_and_grad for one support set at a frozen bandwidth.
 
-    What does not depend on the head is done once, here: the family and the
-    bandwidth are checked, the rows and labels validated, the label term
-    reduced to three constants and a flat index of its same-class pairs (no
-    label Gram is built), and the buffers allocated: one m x m array
-    whatever gamma is, which holds the kernel and then the weights
-    w = d(loss)/d(d2), a kernels._ROW_BLOCK x m scratch, and three m x d
-    arrays for the rows and their pull-back. The index has sum n_c (n_c - 1)
-    int64 entries over the class sizes n_c, and is built a row block at a
-    time: each block's part, whose offsets are kept too, is sorted and
-    counts from the block's first entry.
+    The plan takes rows and labels that as_embeddings and as_labels have
+    validated (run_episode and dependence_loss_and_grad do that). What does
+    not depend on the head is done once, here: the family and the bandwidth
+    are checked, the label term reduced to three constants and a flat index
+    of its same-class pairs (no label Gram is built), and the buffers
+    allocated: one m x m array whatever gamma is, which holds the kernel and
+    then the weights w = d(loss)/d(d2), a kernels._ROW_BLOCK x m scratch,
+    and three m x d arrays for the rows and their pull-back. The index has
+    sum n_c (n_c - 1) int64 entries over the class sizes n_c, and is built a
+    row block at a time: each block's part, whose offsets are kept too, is
+    sorted and counts from the block's first entry.
 
     weight * d hsic(Kt, L) / d Kt, with L fixed, is the Gram cotangent
     C = c L - t_i - t_j + k with c = 2 weight / (m (m - 3)),
@@ -279,29 +280,29 @@ class _DependencePlan:
     the distances into the kernel buffer and kernel_from_sq_dists maps them
     in place.
 
-    The m x m work runs in dtype, the support rows' precision (by default
-    the given rows' dtype). Normalized float32 rows (sample_task hands a
-    pool's) get a float32 kernel and scratch, read from a float32 copy of
-    the unit rows, with float32 row constants in the weights loop and a
-    float32 w @ z; so the m x m buffer is half the size. The reductions the
-    loss reads are summed in float64: the row sums of Kt and <Kt, Kt> from a
-    float64 copy of one row block at a time (one more buffer of a block's
-    size), and the same-class sum. dz, the head, _forward and _head_gradient
-    stay float64. Anything else (float64 rows, raw rows, or a bandwidth
-    below kernels._FLOAT32_SIGMA_SQ) gets the float64 step, with its float64
-    bytes. The float32 step's loss and gradient agree with the float64
-    step's to 1e-5 relative (tests/test_adapt.py).
+    The plan picks the precision of the m x m work once, as the dtype of its
+    kernel buffer, from dtype, the support rows' precision (by default the
+    given rows' dtype): float32 for normalized float32 rows (sample_task
+    hands a pool's) at a bandwidth with sigma^2 >= kernels._FLOAT32_SIGMA_SQ,
+    float64 for anything else (float64 rows, raw rows, a tinier bandwidth).
+    Every m x m line follows it: the kernel is read from the unit rows cast
+    to it, and the scratch, the row constants of the weights loop and w @ z
+    are in it, so a float32 m x m buffer is half the size. The reductions
+    the loss reads are summed in float64: the row sums of Kt and <Kt, Kt>
+    one row block of Kt at a time (a float32 block is cast to a float64
+    copy), and the same-class sum. dz, the head, _forward and
+    _head_gradient stay float64. The float32 step's loss and gradient agree
+    with the float64 step's to 1e-5 relative (tests/test_adapt.py).
     """
 
-    def __init__(self, embeddings, labels, sigma: float, gamma: float, family: str,
+    def __init__(self, embeddings, y, sigma: float, gamma: float, family: str,
                  normalize: bool, dtype=None) -> None:
         _check_family(family)  # both checks once, before the m x m buffer
         _check_bandwidth(sigma)
         dtype = np.asarray(embeddings).dtype if dtype is None else dtype
         single = normalize and dtype == np.float32 and sigma * sigma >= _FLOAT32_SIGMA_SQ
-        self.u = as_embeddings(embeddings)
+        self.u = np.asarray(embeddings, dtype=np.float64)
         m, d = self.u.shape
-        y = as_labels(labels, m)
         if m < 4:
             raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
         self.rows = np.empty((m, d))
@@ -328,24 +329,17 @@ class _DependencePlan:
         self.gamma = gamma
         self.family = family
         self.normalize = normalize
-        dtype = np.float32 if single else np.float64
-        self.unit = np.empty((m, d), dtype) if single else None
-        self.wide = np.empty((min(_ROW_BLOCK, m), m)) if single else None
-        self.kernel = np.empty((m, m), dtype)
-        self.scratch = np.empty((min(_ROW_BLOCK, m), m), dtype)
-        self.wz = np.empty((m, d), dtype)
+        self.kernel = np.empty((m, m), np.float32 if single else np.float64)
+        self.scratch = np.empty((min(_ROW_BLOCK, m), m), self.kernel.dtype)
+        self.wz = np.empty((m, d), self.kernel.dtype)
         self.dz = np.empty((m, d))
 
     def _sums(self, kt: np.ndarray) -> tuple[np.ndarray, float]:
         """The row sums of Kt and <Kt, Kt> (0.0 at gamma 0), summed in
-        float64: a float32 Kt a row block at a time, through self.wide."""
-        if self.wide is None:
-            return kt.sum(axis=1), float(np.vdot(kt, kt)) if self.gamma != 0.0 else 0.0
-        m = kt.shape[0]
-        k_rows, kk = np.empty(m), 0.0
-        for a in range(0, m, _ROW_BLOCK):
-            blk = self.wide[:min(_ROW_BLOCK, m - a)]
-            np.copyto(blk, kt[a:a + _ROW_BLOCK])
+        float64 one row block at a time."""
+        k_rows, kk = np.empty(kt.shape[0]), 0.0
+        for a, _, _ in self.blocks:
+            blk = kt[a:a + _ROW_BLOCK].astype(np.float64, copy=False)
             blk.sum(axis=1, out=k_rows[a:a + _ROW_BLOCK])
             if self.gamma != 0.0:
                 kk += float(np.vdot(blk, blk))
@@ -355,10 +349,7 @@ class _DependencePlan:
         family, sigma = self.family, self.sigma
         m = self.u.shape[0]
         z, norms = _forward(head, self.u, self.normalize, "support row", out=self.rows)
-        zk = z
-        if self.unit is not None:  # a float32 plan: the m x m work reads float32 rows
-            zk = self.unit
-            zk[...] = z
+        zk = z.astype(self.kernel.dtype, copy=False)  # the rows the m x m work reads
         if self.normalize:
             kt = _unit_zero_diag_kernel(zk, family, sigma, out=self.kernel)
         else:
@@ -423,9 +414,11 @@ def dependence_loss_and_grad(head: LinearHead, embeddings, labels, sigma: float,
     and the linear map; the penalty chains through both Gram arguments.
 
     run_episode builds the plan once per episode and calls it every step;
-    this function builds it and calls it once.
+    this function validates the rows and labels, builds it and calls it once.
     """
-    return _DependencePlan(embeddings, labels, sigma, gamma, family, normalize)(head)
+    u = as_embeddings(embeddings)
+    return _DependencePlan(u, as_labels(labels, u.shape[0]), sigma, gamma, family, normalize,
+                           np.asarray(embeddings).dtype)(head)
 
 
 def adadelta_step(state: AdadeltaState, head: LinearHead, grad,

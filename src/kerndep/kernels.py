@@ -50,7 +50,8 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
     """Validate a label vector.
 
     Labels are integer class ids and every id in [0, n_classes) must appear
-    at least once.
+    at least once. The error names the missing ids: past 10, the first 10
+    and their count.
     """
     y = np.asarray(labels)
     if y.ndim != 1 or y.size == 0:
@@ -65,7 +66,11 @@ def as_labels(labels, n_samples: int | None = None) -> np.ndarray:
     n_classes = int(y.max()) + 1
     present = np.unique(y)
     if present.size != n_classes:
-        missing = sorted(set(range(n_classes)) - set(present.tolist()))
+        # the first 10 missing ids lie below present.size + 10, whatever the largest id
+        window = np.arange(min(n_classes, present.size + 10))
+        shown = np.setdiff1d(window, present)[:10].tolist()
+        n_missing = n_classes - present.size
+        missing = shown if n_missing <= 10 else f"{n_missing} ids, the first 10: {shown}"
         raise ValueError(f"class ids must cover [0, {n_classes}); missing {missing}")
     return y
 

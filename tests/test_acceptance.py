@@ -13,6 +13,7 @@ import numpy as np
 from kerndep.adapt import AdaptConfig, LinearHead, dependence_loss_and_grad, run_episode
 from kerndep.evaluation import evaluate
 from kerndep.hsic import (
+    BandwidthGrid,
     hsic_unbiased,
     hsic_variance,
     select_bandwidth,
@@ -21,6 +22,7 @@ from kerndep.kernels import (
     GAUSSIAN,
     IMQ,
     label_kernel_matrix,
+    median_sq_distance,
 )
 from kerndep.tasks import (
     EmbeddingDataset,
@@ -96,9 +98,13 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
 
     # part two: the variance formula's normalization must be consistent
     # with the estimator's observed spread; the alternative reading of the
-    # falling-factorial power is off by orders of magnitude
+    # falling-factorial power is off by orders of magnitude. Each draw's
+    # estimate and raw variance are also read from the bandwidth search's
+    # table, at the one coefficient that puts sigma at 2.0, so the check
+    # covers the rows the search reads as well as the Gram-level estimator
     rng2 = np.random.default_rng(515151)
     vals, est_sq, est_lin = [], [], []
+    search_value_err = search_var_err = 0.0
     for _ in range(300):
         centers = rng2.normal(0.0, 3.0, (4, 5))
         y = np.repeat(np.arange(4), 10)
@@ -113,6 +119,10 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
         big_d = (n - 1.0) * (n - 2.0) * (n - 3.0)
         raw = hsic_variance(kt, lt, clamp=False)
         est_lin.append(big_d * raw + (16.0 / n) * (big_d - 1.0) * v * v)
+        grid = BandwidthGrid((2.0 / math.sqrt(median_sq_distance(z)),))
+        [row] = select_bandwidth(z, y, GAUSSIAN, grid).table
+        search_value_err = max(search_value_err, abs(row.value - v) / abs(v))
+        search_var_err = max(search_var_err, abs(row.raw_variance - raw) / abs(raw))
     empirical = np.var(vals, ddof=1)
     ratio_squared = float(np.mean(est_sq)) / empirical
     ratio_linear = float(np.mean(est_lin)) / empirical
@@ -122,14 +132,19 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
         sigmas_off <= 4.0
         and 1.0 / 3.0 <= ratio_squared <= 3.0
         and not (1.0 / 3.0 <= ratio_linear <= 3.0)
+        and search_value_err <= 1e-12
+        and search_var_err <= 1e-10
         and elapsed < 60.0
     )
     report(3, "statistical unbiasedness", ok,
            f"|mean|/se={sigmas_off:.2f}, variance ratio squared={ratio_squared:.3f} "
-           f"linear={ratio_linear:.3e}, elapsed={elapsed:.1f}s")
+           f"linear={ratio_linear:.3e}, search rows value rel={search_value_err:.1e} "
+           f"raw variance rel={search_var_err:.1e}, elapsed={elapsed:.1f}s")
     assert sigmas_off <= 4.0
     assert 1.0 / 3.0 <= ratio_squared <= 3.0
     assert not (1.0 / 3.0 <= ratio_linear <= 3.0)
+    assert search_value_err <= 1e-12
+    assert search_var_err <= 1e-10
     assert elapsed < 60.0
 
 

@@ -905,7 +905,8 @@ def count_episode_builds(count, task, steps):
                "kerndep.kernels.label_kernel_matrix",
                "kerndep.kernels.kernel_from_sq_dists", "kerndep.hsic.kernel_from_sq_dists",
                "kerndep.hsic.hsic_unbiased", "kerndep.hsic.hsic_variance",
-               "kerndep.hsic._gram_rows")
+               "kerndep.hsic._gram_rows", "kerndep.adapt.as_embeddings",
+               "kerndep.adapt.as_labels")
     for target in targets:
         count(target)
     return run_episode(task, AdaptConfig(steps=steps))
@@ -931,6 +932,11 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         "kerndep.hsic.hsic_unbiased": 0,  # the loss is read from the kernel's sums
         "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
         "kerndep.hsic._gram_rows": 0,  # the label search reads its own row statistics
+        # run_episode validates the support and query rows and the support
+        # labels once, and the plan takes them as they are; ncc_predict
+        # validates its support and query rows and labels again
+        "kerndep.adapt.as_embeddings": 4,
+        "kerndep.adapt.as_labels": 2,
     }
 
 

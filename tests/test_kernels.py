@@ -1,6 +1,7 @@
 """Gram construction, label kernels, and the median base scale."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -792,6 +793,22 @@ def test_as_labels_validation():
         as_labels(np.array([0, 1]), n_samples=3)
     out = as_labels([1, 0, 1], n_samples=3)
     assert out.dtype == np.int64
+
+
+def test_as_labels_names_at_most_10_missing_ids():
+    # one id of 10**12 (say, from a labels file): neither the check's time and
+    # memory nor its message grows with the id; up to 10 missing ids are all named
+    cases = (([0, 2], "[1]"),
+             ([0, 1, 12], "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
+             ([1, 10**12, 0, 4],
+              "999999999997 ids, the first 10: [2, 3, 5, 6, 7, 8, 9, 10, 11, 12]"))
+    for labels, missing in cases:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            as_labels(np.array(labels))
+        assert time.perf_counter() - t0 < 1.0
+        assert str(exc.value) == (f"class ids must cover [0, {max(labels) + 1}); "
+                                  f"missing {missing}")
 
 
 def test_kernel_spec_validation():
