@@ -74,13 +74,13 @@ class AdadeltaState:
         return cls(np.zeros(shape), np.zeros(shape))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptConfig:
     """Episode hyperparameters, one field per setting.
 
-    The bandwidth grid is not a field: ``grid`` is read from
-    ``grid_coefficients`` and ``epsilon`` each time, so it always searches
-    with this config's values, and BandwidthGrid is the one check of both.
+    Frozen: dataclasses.replace varies it through its one check, __post_init__.
+    ``grid`` is not a field but read from ``grid_coefficients`` and ``epsilon``,
+    so it searches with this config's values; BandwidthGrid checks both.
     """
 
     gamma: float = 3.0
@@ -117,7 +117,7 @@ class AdaptConfig:
             raise ValueError(f"loss mode must be one of {LOSS_MODES}, got {self.loss!r}")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        self.grid_coefficients = self.grid.coefficients  # validated, as floats
+        object.__setattr__(self, "grid_coefficients", self.grid.coefficients)  # as floats
 
     @property
     def grid(self) -> BandwidthGrid:
@@ -172,23 +172,9 @@ def _prototypes(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return protos, counts
 
 
-def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
-                      normalize: bool = True) -> tuple[float, np.ndarray]:
-    """Nearest-centroid cross-entropy of transform(head, embeddings) under
-    cosine similarity, and its analytic gradient w.r.t. the head.
-
-    Prototypes are class means of the transformed rows; the per-sample logit
-    vector is the cosine similarity to every prototype. The gradient chains
-    both through that similarity and through each sample's own class mean.
-    A support row or a class prototype with no direction is rejected.
-    """
-    u = as_embeddings(embeddings)
+def _ncc_loss_and_grad(head: LinearHead, u, y, normalize: bool) -> tuple[float, np.ndarray]:
     z, v_norms = _forward(head, u, normalize, "support row")
     m = u.shape[0]
-    y = as_labels(labels, m)
-    if int(y.max()) + 1 < 2:
-        raise ValueError("nearest-centroid loss needs at least two classes")
-
     protos, counts = _prototypes(z, y)
     if normalize:  # _forward's rows have unit length already
         zn = z
@@ -214,23 +200,44 @@ def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
     return loss, _head_gradient(dz, u, z, v_norms)
 
 
-def ncc_predict(head: LinearHead, support: tuple, query,
-                normalize: bool = True) -> np.ndarray:
-    """Classify query rows by cosine similarity to transformed class means.
+def ncc_loss_and_grad(head: LinearHead, embeddings, labels,
+                      normalize: bool = True) -> tuple[float, np.ndarray]:
+    """Nearest-centroid cross-entropy of transform(head, embeddings) under
+    cosine similarity, and its analytic gradient w.r.t. the head.
 
-    Ties resolve to the lower class id. A support or query row, or a class
-    prototype, with no direction is rejected.
+    Prototypes are class means of the transformed rows, the logits a row's
+    cosines to them, and the gradient chains through both. The rows and
+    labels are checked here, and a support row or class prototype with no
+    direction is rejected; run_episode's step skips the checks it has made.
     """
-    support_x, support_y = support
-    zs = _forward(head, as_embeddings(support_x), normalize, "support row")[0]
-    y = as_labels(support_y, zs.shape[0])
+    u = as_embeddings(embeddings)
+    y = as_labels(labels, u.shape[0])
     if int(y.max()) + 1 < 2:
-        raise ValueError("nearest-centroid prediction needs at least two classes")
-    qn = _forward(head, as_embeddings(query), True, "query row")[0]  # cosine: unit rows
+        raise ValueError("nearest-centroid loss needs at least two classes")
+    return _ncc_loss_and_grad(head, u, y, normalize)
+
+
+def _ncc_predict(head: LinearHead, u, y, query, normalize: bool) -> np.ndarray:
+    zs = _forward(head, u, normalize, "support row")[0]
+    qn = _forward(head, query, True, "query row")[0]  # cosine: unit rows
     protos, _ = _prototypes(zs, y)
     pn, _ = _unit_rows(protos, "class prototype", out=protos)
     sims = qn @ pn.T
     return sims.argmax(axis=1)
+
+
+def ncc_predict(head: LinearHead, support: tuple, query,
+                normalize: bool = True) -> np.ndarray:
+    """Classify query rows by cosine similarity to transformed class means.
+
+    Ties resolve to the lower class id. The arrays are checked here, not in
+    run_episode's prediction; a row or prototype with no direction is rejected.
+    """
+    u = as_embeddings(support[0])
+    y = as_labels(support[1], u.shape[0])
+    if int(y.max()) + 1 < 2:
+        raise ValueError("nearest-centroid prediction needs at least two classes")
+    return _ncc_predict(head, u, y, as_embeddings(query), normalize)
 
 
 class _DependencePlan:
@@ -522,14 +529,14 @@ class EpisodeResult:
 def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
     """Adapt a fresh identity head on the task's support set and score the query.
 
-    Phases: select one bandwidth on the untouched support representation by
-    a search against the support labels (mode "mokd" only), then run the
-    configured number of update steps with that bandwidth frozen for both
-    loss terms (mode "mokd" builds its label work once, in a plan every step
-    calls on the validated float64 rows in the task's precision, and drops
-    it after the last step), then classify the query set with the
-    nearest-centroid rule. Query rows of another width than the support's,
-    and query labels outside its classes, are rejected before any of it.
+    The task is checked once, first (query rows as wide as the support rows,
+    query labels among the support's classes), and the phases read the
+    checked arrays without checking them again: select one bandwidth on the
+    untouched support representation by a search against the support labels
+    (mode "mokd" only), run the configured number of update steps with that
+    bandwidth frozen for both loss terms (mode "mokd" builds its label work
+    once, in a plan every step calls in the task's precision, and drops it
+    after the last step), then classify the query set by nearest centroid.
 
     In mode "mokd" a support set where no class has two rows has an all-zero
     label kernel, so there is no dependence to fit: the episode runs no
@@ -573,7 +580,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
                                cfg.normalize_features, np.asarray(task.support_x).dtype)
     else:
         def step(head):
-            return ncc_loss_and_grad(head, support_x, support_y, cfg.normalize_features)
+            return _ncc_loss_and_grad(head, support_x, support_y, cfg.normalize_features)
 
     trace: list[float] = []
     for _ in range(steps):
@@ -583,7 +590,7 @@ def run_episode(task, config: AdaptConfig | None = None) -> EpisodeResult:
         trace.append(loss)
     step = None  # the plan's buffers are not held through prediction
 
-    preds = ncc_predict(head, (support_x, support_y), query_x, cfg.normalize_features)
+    preds = _ncc_predict(head, support_x, support_y, query_x, cfg.normalize_features)
     accuracy = float((preds == query_y).mean())
 
     return EpisodeResult(

@@ -92,7 +92,7 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     n_max: int = 50
     max_support: int = 500
@@ -105,7 +105,9 @@ class SamplerConfig:
             _check_integer(field.name, getattr(self, field.name))
         if self.n_max < 5:
             raise ValueError(f"n_max must be at least 5, got {self.n_max}")
-        if self.max_support < 1 or self.max_query_per_class < 1 or self.max_shots_per_class < 1:
+        if self.max_support < 5:  # a task has 5 classes or more, each with a support row
+            raise ValueError(f"max_support must be at least 5, got {self.max_support}")
+        if self.max_query_per_class < 1 or self.max_shots_per_class < 1:
             raise ValueError("sampler caps must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")

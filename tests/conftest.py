@@ -31,10 +31,13 @@ def src_env():
 def call_counts(monkeypatch):
     """A dict of call counts and a function count(target) that replaces the
     function at dotted path target by a wrapper adding each call to
-    counts[target]."""
+    counts[target]; counting a target again sets its count back to 0."""
     counts = {}
 
     def count(target):
+        if target in counts:  # wrapped already
+            counts[target] = 0
+            return
         module_name, name = target.rsplit(".", 1)
         original = getattr(importlib.import_module(module_name), name)
         counts[target] = 0

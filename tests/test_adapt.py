@@ -152,7 +152,7 @@ def test_config_epsilon_and_coefficients_reach_the_search(monkeypatch):
     assert AdaptConfig(**settings).grid == replaced.grid == expected
     with pytest.raises(AttributeError):
         replaced.grid = BandwidthGrid()
-    replaced.epsilon = 1e-2
+    replaced = dataclasses.replace(replaced, epsilon=1e-2)
     assert replaced.grid == BandwidthGrid((0.5, 2.0), 1e-2)
 
     searches = []
@@ -167,6 +167,18 @@ def test_config_epsilon_and_coefficients_reach_the_search(monkeypatch):
     assert grid == expected
     assert selection.coefficient in (0.5, 2.0)
     assert result.sigma_zy == selection.sigma == selection.coefficient * selection.sigma_base
+
+
+def test_config_is_frozen_so_its_check_cannot_be_bypassed():
+    cfg = AdaptConfig()
+    for field, value in (("loss", "mokdd"), ("steps", -3), ("epsilon", 1e-2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    assert cfg == AdaptConfig()
+    with pytest.raises(ValueError, match="loss mode must be one of"):
+        dataclasses.replace(cfg, loss="mokdd")
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        dataclasses.replace(cfg, steps=-3)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +304,35 @@ def test_ncc_predict_rejects_a_query_row_without_direction(scale, normalize):
     query[2] = scale
     with pytest.raises(ValueError, match=rf"^query row 2 has norm .* after the head: {BELOW}"):
         ncc_predict(head, (u, y), query, normalize)
+
+
+def ncc_loss_call(head, u, y, query):
+    return ncc_loss_and_grad(head, u, y)
+
+
+def ncc_predict_call(head, u, y, query):
+    return ncc_predict(head, (u, y), query)
+
+
+@pytest.mark.parametrize("call, what", [(ncc_loss_call, "loss"),
+                                        (ncc_predict_call, "prediction")])
+def test_public_ncc_functions_validate_their_own_inputs(call, what):
+    u, y, head = random_instance(96, m=8, d=3)
+    query = np.random.default_rng(97).normal(size=(5, 3))
+    assert call(head, u, y, query) is not None
+    bad_u = u.copy()
+    bad_u[2, 1] = np.nan
+    with pytest.raises(ValueError, match="^embedding matrix contains non-finite entries$"):
+        call(head, bad_u, y, query)
+    with pytest.raises(ValueError, match="^expected 8 labels, got 7$"):
+        call(head, u, y[:7], query)
+    with pytest.raises(ValueError, match=f"^nearest-centroid {what} needs at least two classes$"):
+        call(head, u, np.zeros(8, dtype=np.int64), query)
+    if what == "prediction":
+        bad_query = query.copy()
+        bad_query[4, 0] = np.inf
+        with pytest.raises(ValueError, match="^embedding matrix contains non-finite entries$"):
+            call(head, u, y, bad_query)
 
 
 @pytest.mark.parametrize("scale", NO_DIRECTION)
@@ -899,7 +940,7 @@ def test_episode_is_deterministic():
     assert a.sigma_zy == b.sigma_zy
 
 
-def count_episode_builds(count, task, steps):
+def count_episode_builds(count, task, steps, loss="mokd"):
     targets = ("kerndep.adapt._unit_zero_diag_kernel", "kerndep.adapt.sq_dist_matrix",
                "kerndep.kernels.sq_dist_matrix", "kerndep.hsic.median_sq_distance",
                "kerndep.kernels.label_kernel_matrix",
@@ -909,7 +950,7 @@ def count_episode_builds(count, task, steps):
                "kerndep.adapt.as_labels")
     for target in targets:
         count(target)
-    return run_episode(task, AdaptConfig(steps=steps))
+    return run_episode(task, AdaptConfig(steps=steps, loss=loss))
 
 
 def test_mokd_step_builds_one_distance_matrix(call_counts):
@@ -933,11 +974,16 @@ def test_mokd_step_builds_one_distance_matrix(call_counts):
         "kerndep.hsic.hsic_variance": 0,  # the search reads its variance from rows
         "kerndep.hsic._gram_rows": 0,  # the label search reads its own row statistics
         # run_episode validates the support and query rows and the support
-        # labels once, and the plan takes them as they are; ncc_predict
-        # validates its support and query rows and labels again
-        "kerndep.adapt.as_embeddings": 4,
-        "kerndep.adapt.as_labels": 2,
+        # labels once; the plan and the prediction take them as they are
+        "kerndep.adapt.as_embeddings": 2,
+        "kerndep.adapt.as_labels": 1,
     }
+    # an ncc episode builds no kernel and validates once too: its steps and
+    # its prediction read the same arrays (7 and 5 calls when each re-validated)
+    result = count_episode_builds(count, separable_task(8), steps=steps, loss="ncc")
+    assert len(result.loss_trace) == steps
+    assert counts == {**dict.fromkeys(counts, 0),
+                      "kerndep.adapt.as_embeddings": 2, "kerndep.adapt.as_labels": 1}
 
 
 def no_search(*args, **kwargs):

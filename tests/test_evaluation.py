@@ -154,14 +154,14 @@ def test_episode_drops_its_plan_before_prediction(monkeypatch):
             super().__init__(*args)
             plans.append(weakref.ref(self))
 
-    predict = adapt.ncc_predict
+    predict = adapt._ncc_predict
 
     def checked_predict(*args, **kwargs):
         alive_at_prediction.extend(plan() is not None for plan in plans)
         return predict(*args, **kwargs)
 
     monkeypatch.setattr(adapt, "_DependencePlan", TrackedPlan)
-    monkeypatch.setattr(adapt, "ncc_predict", checked_predict)
+    monkeypatch.setattr(adapt, "_ncc_predict", checked_predict)
     task = synth_task(5, 20, 15, 16, 6.0, 1.0, np.random.default_rng(6))
     result = adapt.run_episode(task, quick_cfg())
     assert len(result.loss_trace) == 3
@@ -179,14 +179,14 @@ def test_episode_plan_steps_on_the_rows_prediction_reads(monkeypatch, dtype):
             super().__init__(*args)
             plans.append(self)
 
-    predict = adapt.ncc_predict
+    predict = adapt._ncc_predict
 
-    def checked_predict(head, support, *args, **kwargs):
-        predicted.append(support[0])
-        return predict(head, support, *args, **kwargs)
+    def checked_predict(head, u, *args, **kwargs):
+        predicted.append(u)
+        return predict(head, u, *args, **kwargs)
 
     monkeypatch.setattr(adapt, "_DependencePlan", TrackedPlan)
-    monkeypatch.setattr(adapt, "ncc_predict", checked_predict)
+    monkeypatch.setattr(adapt, "_ncc_predict", checked_predict)
     task = synth_task(5, 20, 15, 16, 6.0, 1.0, np.random.default_rng(6))
     if dtype == np.float32:
         task = Task(task.support_x.astype(np.float32), task.support_y, task.query_x,

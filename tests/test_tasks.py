@@ -3,7 +3,7 @@
 import io
 import math
 import struct
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -94,6 +94,23 @@ def test_sampler_config_validation():
         SamplerConfig(max_shots_per_class=-1)
     with pytest.raises(ValueError):
         SamplerConfig(seed=-1)
+
+
+def test_sampler_config_rejects_a_support_budget_below_five_classes():
+    # every task has at least 5 classes, each with at least one support row
+    for max_support in (0, 4):
+        message = f"^max_support must be at least 5, got {max_support}$"
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(max_support=max_support)
+    assert SamplerConfig(max_support=5).max_support == 5
+
+
+def test_sampler_config_is_frozen():
+    cfg = SamplerConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.max_support = 4
+    with pytest.raises(ValueError, match="max_support must be at least 5"):
+        replace(cfg, max_support=4)
 
 
 @pytest.mark.parametrize("field", ["n_max", "max_support", "max_query_per_class",
