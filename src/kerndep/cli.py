@@ -53,6 +53,17 @@ _PARSERS = {key: _parse_bool if isinstance(default, bool)
             for key, default in _DEFAULTS.items()}
 
 
+def _read_text(path) -> str:
+    """The whole of a small text file, decoded as UTF-8. A byte that is not
+    UTF-8 is a file-format error, as it is in an embeddings CSV: the error
+    names the path and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})", exc.start) from None
+
+
 def read_config_file(path) -> dict[str, object]:
     """Parse a flat key=value config file with # comments.
 
@@ -61,7 +72,7 @@ def read_config_file(path) -> dict[str, object]:
     """
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,7 +106,7 @@ def cmd_synth(args) -> int:
 
 
 def _load_labels_file(path, n_rows: int) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").split()
+    lines = _read_text(path).split()
     try:
         labels = np.array([int(v) for v in lines], dtype=np.int64)
     except ValueError as exc:
@@ -112,10 +123,9 @@ def cmd_hsic(args) -> int:
         labels = _load_labels_file(args.labels_from, z.shape[0])
 
     if args.grid is not None:
-        coefficients = _parse_float_list(args.grid)
+        grid = BandwidthGrid(_parse_float_list(args.grid), args.epsilon)
     else:
-        coefficients = BandwidthGrid().coefficients
-    grid = BandwidthGrid(coefficients=coefficients, epsilon=args.epsilon)
+        grid = BandwidthGrid(epsilon=args.epsilon)
 
     selection = select_bandwidth(z, labels, args.kernel, grid)
 

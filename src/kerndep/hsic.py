@@ -6,14 +6,14 @@ bandwidth search scales a median-heuristic base by a grid of coefficients
 and keeps the one whose estimate has the largest power ratio.
 
 The estimate and its variance are read in one place, _hsic_from_rows, from
-five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. hsic_unbiased
-and hsic_variance take them from the Grams (_gram_rows), the bandwidth
-search, whose target is always a label vector, from three of them
-(_label_rows_hsic), after two sweeps of the distances, each of which
-centres its own rows: the median base's, then every bandwidth's. The mokd
-step reads its loss and gradient from the same estimate, written through
-the Kt row sums and the same-class entries of Kt (see
-adapt._DependencePlan).
+five row statistics: (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1. The
+bandwidth search, whose target is always a label vector, reads them from
+three sums of Kt (_label_rows_hsic), after two sweeps of the distances,
+each of which centres its own rows: the median base's, then every
+bandwidth's. The mokd step reads its loss and gradient from the same
+estimate, written through the Kt row sums and the same-class entries of Kt
+(see adapt._DependencePlan). No function here takes Gram matrices; the
+tests' Gram-level reference (tests/oracles.py) reads _hsic_from_rows too.
 """
 
 from __future__ import annotations
@@ -88,69 +88,6 @@ class BandwidthSelection:
     table: tuple[HsicEstimate, ...]
 
 
-def _check_gram_pair(kt, lt) -> tuple[np.ndarray, np.ndarray, int]:
-    kt = np.asarray(kt, dtype=np.float64)
-    lt = np.asarray(lt, dtype=np.float64)
-    if kt.ndim != 2 or kt.shape[0] != kt.shape[1]:
-        raise ValueError(f"expected a square Gram matrix, got shape {kt.shape}")
-    if kt.shape != lt.shape:
-        raise ValueError(f"Gram matrix shapes disagree: {kt.shape} vs {lt.shape}")
-    m = kt.shape[0]
-    if m < 4:
-        raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
-    for name, g in (("Kt", kt), ("Lt", lt)):
-        if not np.array_equal(g, g.T, equal_nan=True):
-            raise ValueError(f"Gram matrix {name} must be symmetric, got {name} != {name}.T")
-    return kt, lt, m
-
-
-def hsic_unbiased(kt, lt) -> float:
-    """Unbiased dependence estimate from symmetric zero-diagonal Gram matrices
-    (an asymmetric one is rejected).
-
-    value = [tr(Kt Lt) + (1'Kt1)(1'Lt1)/((m-1)(m-2)) - 2/(m-2) 1'KtLt1] / (m(m-3))
-
-    read from the Grams' row statistics (see _gram_rows and _hsic_from_rows).
-
-    Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
-    identity): tr(Kt Lt) = 12, 1'Kt1 = 1'Lt1 = 12, Kt Lt = 2J + I so
-    1'KtLt1 = 36, and the bracket is 12 + 144/6 - 36 = 0, hence value = 0
-    exactly.
-    """
-    kt, lt, _ = _check_gram_pair(kt, lt)
-    return _hsic_from_rows(*_gram_rows(kt, lt))[0]
-
-
-def hsic_variance(kt, lt, *, clamp: bool = True) -> float:
-    """Variance estimate for the unbiased dependence statistic.
-
-    Reads the estimate and the per-sample vector h of _hsic_from_rows from
-    the row statistics of Kt and Lt and returns v = (16/m) (R - estimate^2).
-    Both Grams must be symmetric (an asymmetric one is rejected): the rows
-    give tr(Kt Lt) as the sum of (Kt o Lt)1 and 1'KtLt1 as Kt1 . Lt1.
-    Negative estimates are clamped to zero unless clamp=False, which
-    returns the raw value for diagnostics.
-
-    Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
-    identity): row sums are 3, (Kt o Lt)1 = 3, Kt Lt row sums are 9, and
-    h_i = 4*3 - 4*9 + 12*3 + 12*3 - 36 + 2*(12 - 9 - 9) = 0 per entry,
-    so R = 0 and v = (16/4)(0 - 0) = 0 exactly.
-    """
-    kt, lt, _ = _check_gram_pair(kt, lt)
-    v = _hsic_from_rows(*_gram_rows(kt, lt))[1]
-    if clamp and v < 0.0:
-        return 0.0
-    return v
-
-
-def _gram_rows(kt: np.ndarray, lt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The row statistics (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1 of two
-    symmetric zero-diagonal Gram matrices, read without an m x m temporary."""
-    k_rows = kt.sum(axis=1)
-    l_rows = lt.sum(axis=1)
-    return np.einsum("ij,ij->i", kt, lt), k_rows, l_rows, kt @ l_rows, lt @ k_rows
-
-
 def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndarray,
                     kl_rows: np.ndarray, lk_rows: np.ndarray) -> tuple[float, float]:
     """The unbiased estimate and its raw variance from the five row
@@ -158,8 +95,10 @@ def _hsic_from_rows(kl_products: np.ndarray, k_rows: np.ndarray, l_rows: np.ndar
     zero-diagonal Grams.
 
     The rows give tr(Kt Lt) = 1'(Kt o Lt)1, 1'Kt1, 1'Lt1 and 1'KtLt1 =
-    Kt1 . Lt1, hence the estimate (see hsic_unbiased), and the per-sample
-    vector
+    Kt1 . Lt1, hence the estimate
+      value = [tr(Kt Lt) + (1'Kt1)(1'Lt1)/((m-1)(m-2)) - 2/(m-2) 1'KtLt1]
+              / (m(m-3)),
+    and the per-sample vector
       h = (m-2)^2 (Kt o Lt)1 - m (Kt1 o Lt1) + (1'Lt1) Kt1 + (1'Kt1) Lt1
           - (1'KtLt1) 1 + (m-2) [tr(KtLt) 1 - KtLt1 - LtKt1].
     The variance is (16/m) (R - value^2) with R = h'h / (4m D^2) where

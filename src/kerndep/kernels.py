@@ -1,8 +1,7 @@
-"""Kernel functions, Gram matrices, the label kernel, and the median heuristic.
+"""Row and label checks, kernel functions, Gram matrices, and the median heuristic.
 
 as_embeddings validates rows and returns them finite and float64, and
-as_labels validates class ids. Three builders check their inputs:
-label_kernel_matrix reads its labels through as_labels;
+as_labels validates class ids. Two builders check their inputs:
 kernel_from_sq_dists, the one radial map of squared distances, checks its
 family and its bandwidth (_check_bandwidth, the one bandwidth rule,
 rejects a bandwidth whose square underflows or overflows); and _unit_rows,
@@ -340,15 +339,6 @@ def _unit_rows(v: np.ndarray, what: str = "row", where: str = "",
         raise ValueError(f"{what} {i} has norm {norms[i]}{at}: its square is below the "
                          f"smallest normal float64, so it cannot be scaled to unit length")
     return np.divide(v, norms[:, None], out=out), norms
-
-
-def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
-    """Label kernel: 1 where labels agree, 0 where they differ."""
-    y = as_labels(labels)
-    mat = np.where(y[:, None] == y[None, :], 1.0, 0.0)
-    if zero_diag:
-        np.fill_diagonal(mat, 0.0)
-    return mat
 
 
 # median_sq_distance samples min(_SAMPLE_MAX, max(_SAMPLE_MIN, 4 ceil(3m /

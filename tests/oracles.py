@@ -1,10 +1,17 @@
 """Slow reference implementations that the tests check the library against.
 
 None of these is called by the library itself: the pairwise kernel, the
-Gram builder on top of it, the squared distances of unit rows, the median
-of the pairwise distances, the scalar-loop dependence estimator, the
+Gram builder on top of it, the label Gram, the squared distances of unit
+rows, the median of the pairwise distances, the Gram-level dependence
+estimate and its variance, the scalar-loop dependence estimator, the
 estimator's Gram cotangent, the Adadelta update written into new arrays,
 the exponential-mean bound, and a label permutation test of independence.
+
+The Gram-level estimate and variance (hsic_unbiased, hsic_variance) read
+five row statistics of two Grams and hand them to the library's one
+estimator algebra, kerndep.hsic._hsic_from_rows, which the bandwidth search
+reads too. So a test on random Grams checks that algebra on any symmetric
+zero-diagonal pair, not only on a kernel of rows against a label kernel.
 """
 
 from __future__ import annotations
@@ -14,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kerndep.hsic import _check_gram_pair, hsic_unbiased
+from kerndep.hsic import _hsic_from_rows
 from kerndep.kernels import (
     GAUSSIAN,
     KERNEL_FAMILIES,
     _check_bandwidth,
     _recompute_cancelled,
     as_embeddings,
+    as_labels,
     kernel_from_sq_dists,
-    label_kernel_matrix,
     sq_dist_matrix,
 )
 
@@ -70,6 +77,15 @@ def kernel_matrix(spec: KernelSpec, z, zero_diag: bool = False) -> np.ndarray:
     return k
 
 
+def label_kernel_matrix(labels, zero_diag: bool = False) -> np.ndarray:
+    """Label kernel: 1 where labels agree, 0 where they differ."""
+    y = as_labels(labels)
+    mat = np.where(y[:, None] == y[None, :], 1.0, 0.0)
+    if zero_diag:
+        np.fill_diagonal(mat, 0.0)
+    return mat
+
+
 def unit_sq_dist_matrix(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances of rows of unit length read as d2 = 2 - 2 G with
     G = z @ z.T, into out if given. With n_i = 1 the cancellation rule of
@@ -88,6 +104,70 @@ def median_upper_positive(d2) -> float:
     gathered by index rather than row by row."""
     upper = d2[np.triu_indices(d2.shape[0], 1)]
     return float(np.median(upper[upper > 0]))
+
+
+def _check_gram_pair(kt, lt) -> tuple[np.ndarray, np.ndarray, int]:
+    kt = np.asarray(kt, dtype=np.float64)
+    lt = np.asarray(lt, dtype=np.float64)
+    if kt.ndim != 2 or kt.shape[0] != kt.shape[1]:
+        raise ValueError(f"expected a square Gram matrix, got shape {kt.shape}")
+    if kt.shape != lt.shape:
+        raise ValueError(f"Gram matrix shapes disagree: {kt.shape} vs {lt.shape}")
+    m = kt.shape[0]
+    if m < 4:
+        raise ValueError(f"unbiased estimator needs at least 4 samples, got {m}")
+    for name, g in (("Kt", kt), ("Lt", lt)):
+        if not np.array_equal(g, g.T, equal_nan=True):
+            raise ValueError(f"Gram matrix {name} must be symmetric, got {name} != {name}.T")
+    return kt, lt, m
+
+
+def hsic_unbiased(kt, lt) -> float:
+    """Unbiased dependence estimate from symmetric zero-diagonal Gram matrices
+    (an asymmetric one is rejected).
+
+    value = [tr(Kt Lt) + (1'Kt1)(1'Lt1)/((m-1)(m-2)) - 2/(m-2) 1'KtLt1] / (m(m-3))
+
+    read from the Grams' row statistics (see _gram_rows and
+    kerndep.hsic._hsic_from_rows).
+
+    Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
+    identity): tr(Kt Lt) = 12, 1'Kt1 = 1'Lt1 = 12, Kt Lt = 2J + I so
+    1'KtLt1 = 36, and the bracket is 12 + 144/6 - 36 = 0, hence value = 0
+    exactly.
+    """
+    kt, lt, _ = _check_gram_pair(kt, lt)
+    return _hsic_from_rows(*_gram_rows(kt, lt))[0]
+
+
+def hsic_variance(kt, lt, *, clamp: bool = True) -> float:
+    """Variance estimate for the unbiased dependence statistic.
+
+    Reads the estimate and the per-sample vector h of
+    kerndep.hsic._hsic_from_rows from the row statistics of Kt and Lt and
+    returns v = (16/m) (R - estimate^2). Both Grams must be symmetric (an
+    asymmetric one is rejected): the rows give tr(Kt Lt) as the sum of
+    (Kt o Lt)1 and 1'KtLt1 as Kt1 . Lt1. Negative estimates are clamped to
+    zero unless clamp=False, which returns the raw value for diagnostics.
+
+    Hand evaluation, constant kernel at m = 4 (Kt = Lt = all-ones minus
+    identity): row sums are 3, (Kt o Lt)1 = 3, Kt Lt row sums are 9, and
+    h_i = 4*3 - 4*9 + 12*3 + 12*3 - 36 + 2*(12 - 9 - 9) = 0 per entry,
+    so R = 0 and v = (16/4)(0 - 0) = 0 exactly.
+    """
+    kt, lt, _ = _check_gram_pair(kt, lt)
+    v = _hsic_from_rows(*_gram_rows(kt, lt))[1]
+    if clamp and v < 0.0:
+        return 0.0
+    return v
+
+
+def _gram_rows(kt: np.ndarray, lt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row statistics (Kt o Lt)1, Kt1, Lt1, Kt Lt1 and Lt Kt1 of two
+    symmetric zero-diagonal Gram matrices, read without an m x m temporary."""
+    k_rows = kt.sum(axis=1)
+    l_rows = lt.sum(axis=1)
+    return np.einsum("ij,ij->i", kt, lt), k_rows, l_rows, kt @ l_rows, lt @ k_rows
 
 
 def hsic_unbiased_naive(kt, lt) -> float:

@@ -12,18 +12,8 @@ import numpy as np
 
 from kerndep.adapt import AdaptConfig, LinearHead, dependence_loss_and_grad, run_episode
 from kerndep.evaluation import evaluate
-from kerndep.hsic import (
-    BandwidthGrid,
-    hsic_unbiased,
-    hsic_variance,
-    select_bandwidth,
-)
-from kerndep.kernels import (
-    GAUSSIAN,
-    IMQ,
-    label_kernel_matrix,
-    median_sq_distance,
-)
+from kerndep.hsic import BandwidthGrid, select_bandwidth
+from kerndep.kernels import GAUSSIAN, IMQ, median_sq_distance
 from kerndep.tasks import (
     EmbeddingDataset,
     SamplerConfig,
@@ -33,7 +23,15 @@ from kerndep.tasks import (
     synth_dataset,
     synth_task,
 )
-from oracles import KernelSpec, exp_mean_bound_holds, hsic_unbiased_naive, kernel_matrix
+from oracles import (
+    KernelSpec,
+    exp_mean_bound_holds,
+    hsic_unbiased,
+    hsic_unbiased_naive,
+    hsic_variance,
+    kernel_matrix,
+    label_kernel_matrix,
+)
 
 
 def report(number, label, ok, detail):
@@ -48,6 +46,8 @@ def rand_gram(rng, m):
 
 
 def test_criterion_01_estimator_oracle_equivalence():
+    # the estimator algebra on random symmetric Grams, through the
+    # Gram-level reference that feeds it five row statistics
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -58,30 +58,78 @@ def test_criterion_01_estimator_oracle_equivalence():
         diff = abs(hsic_unbiased(kt, lt) - hsic_unbiased_naive(kt, lt))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed < 5.0
+
+    # the estimate the bandwidth search reads, from rows and labels, against
+    # the naive estimator on the search's own bandwidth and the label Gram
+    t1 = time.perf_counter()
+    rng = np.random.default_rng(1011)
+    search_worst = 0.0
+    for i in range(1000):
+        m = int(rng.integers(4, 17))
+        z = rng.normal(size=(m, int(rng.integers(2, 6))))
+        y = rng.permutation(np.arange(m) % int(rng.integers(2, m // 2 + 1)))
+        family = (GAUSSIAN, IMQ)[i % 2]
+        grid = BandwidthGrid((float(rng.uniform(0.25, 4.0)),))
+        [row] = select_bandwidth(z, y, family, grid).table
+        kt = kernel_matrix(KernelSpec(family, row.sigma), z, zero_diag=True)
+        lt = label_kernel_matrix(y, zero_diag=True)
+        search_worst = max(search_worst, abs(row.value - hsic_unbiased_naive(kt, lt)))
+    search_elapsed = time.perf_counter() - t1
+
+    ok = (worst <= 1e-10 and elapsed < 5.0
+          and search_worst <= 1e-10 and search_elapsed < 5.0)
     report(1, "estimator-oracle equivalence", ok,
-           f"max|diff|={worst:.3e} over 1000 instances, elapsed={elapsed:.2f}s")
+           f"max|diff|={worst:.3e} over 1000 Gram pairs, elapsed={elapsed:.2f}s; "
+           f"search rows max|diff|={search_worst:.3e} over 1000 instances, "
+           f"elapsed={search_elapsed:.2f}s")
     assert worst <= 1e-10
     assert elapsed < 5.0
+    assert search_worst <= 1e-10
+    assert search_elapsed < 5.0
 
 
 def test_criterion_02_closed_form_zero_cases():
+    # the variance stays on the Gram-level reference: four equal rows, whose
+    # kernel is this constant Gram, have no positive pairwise distance and
+    # so no median bandwidth for the search to scale
     kt = np.ones((4, 4)) - np.eye(4)
     value = hsic_unbiased(kt, kt)
     variance = hsic_variance(kt, kt)
     raw = hsic_variance(kt, kt, clamp=False)
-    ok = abs(value) <= 1e-12 and abs(variance) <= 1e-12 and abs(raw) <= 1e-12
+
+    # the mokd step's loss on four equal rows: both its terms read the
+    # constant Gram, against the labels and against itself
+    head = LinearHead(np.eye(3))
+    rows = np.ones((4, 3))
+    labels = np.array([0, 0, 1, 1])
+    losses = {(family, gamma): dependence_loss_and_grad(head, rows, labels, 1.0, gamma,
+                                                        family)[0]
+              for family in (GAUSSIAN, IMQ) for gamma in (0.0, 3.0)}
+
+    ok = (abs(value) <= 1e-12 and abs(variance) <= 1e-12 and abs(raw) <= 1e-12
+          and all(loss == 0.0 for loss in losses.values()))
     report(2, "closed-form zero cases", ok,
-           f"value={value!r} variance={variance!r} raw={raw!r}")
+           f"value={value!r} variance={variance!r} raw={raw!r} "
+           f"step losses={sorted(set(losses.values()))!r}")
     assert value == 0.0
     assert variance == 0.0
     assert raw == 0.0
+    for loss in losses.values():
+        assert loss == 0.0
+
+
+def one_bandwidth_row(z, y, sigma):
+    """The bandwidth search's Gaussian table row at the one coefficient that
+    scales the median base to sigma."""
+    grid = BandwidthGrid((sigma / math.sqrt(median_sq_distance(z)),))
+    [row] = select_bandwidth(z, y, GAUSSIAN, grid).table
+    return row
 
 
 def test_criterion_03_statistical_unbiasedness_and_variance_reading():
     t0 = time.perf_counter()
 
-    # part one: the estimator is mean-zero under independent draws
+    # part one: the search's estimate is mean-zero under independent draws
     rng = np.random.default_rng(20240311)
     m = 20
     base_labels = np.repeat(np.arange(4), 5)
@@ -89,9 +137,7 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
     for i in range(2000):
         z = rng.standard_normal((m, 4))
         y = rng.permutation(base_labels)
-        kt = kernel_matrix(KernelSpec(GAUSSIAN, 1.0), z, zero_diag=True)
-        lt = label_kernel_matrix(y, zero_diag=True)
-        values[i] = hsic_unbiased(kt, lt)
+        values[i] = one_bandwidth_row(z, y, 1.0).value
     mean = values.mean()
     se = values.std(ddof=1) / math.sqrt(values.size)
     sigmas_off = abs(mean) / se
@@ -99,9 +145,9 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
     # part two: the variance formula's normalization must be consistent
     # with the estimator's observed spread; the alternative reading of the
     # falling-factorial power is off by orders of magnitude. Each draw's
-    # estimate and raw variance are also read from the bandwidth search's
-    # table, at the one coefficient that puts sigma at 2.0, so the check
-    # covers the rows the search reads as well as the Gram-level estimator
+    # estimate and variances are read from the search's table row at the one
+    # coefficient that puts sigma at 2.0, and checked against the Gram-level
+    # reference on the kernel and label Grams at that bandwidth
     rng2 = np.random.default_rng(515151)
     vals, est_sq, est_lin = [], [], []
     search_value_err = search_var_err = 0.0
@@ -109,20 +155,21 @@ def test_criterion_03_statistical_unbiasedness_and_variance_reading():
         centers = rng2.normal(0.0, 3.0, (4, 5))
         y = np.repeat(np.arange(4), 10)
         z = centers[y] + rng2.normal(0.0, 1.0, (40, 5))
-        kt = kernel_matrix(KernelSpec(GAUSSIAN, 2.0), z, zero_diag=True)
-        lt = label_kernel_matrix(y, zero_diag=True)
-        v = hsic_unbiased(kt, lt)
+        row = one_bandwidth_row(z, y, 2.0)
+        v = row.value
         vals.append(v)
-        est_sq.append(hsic_variance(kt, lt))
+        est_sq.append(row.variance)
         # the rejected linear reading divides the second moment by D, not D^2
         n = len(y)
         big_d = (n - 1.0) * (n - 2.0) * (n - 3.0)
-        raw = hsic_variance(kt, lt, clamp=False)
+        raw = row.raw_variance
         est_lin.append(big_d * raw + (16.0 / n) * (big_d - 1.0) * v * v)
-        grid = BandwidthGrid((2.0 / math.sqrt(median_sq_distance(z)),))
-        [row] = select_bandwidth(z, y, GAUSSIAN, grid).table
-        search_value_err = max(search_value_err, abs(row.value - v) / abs(v))
-        search_var_err = max(search_var_err, abs(row.raw_variance - raw) / abs(raw))
+        kt = kernel_matrix(KernelSpec(GAUSSIAN, 2.0), z, zero_diag=True)
+        lt = label_kernel_matrix(y, zero_diag=True)
+        gram_value = hsic_unbiased(kt, lt)
+        gram_raw = hsic_variance(kt, lt, clamp=False)
+        search_value_err = max(search_value_err, abs(v - gram_value) / abs(gram_value))
+        search_var_err = max(search_var_err, abs(raw - gram_raw) / abs(gram_raw))
     empirical = np.var(vals, ddof=1)
     ratio_squared = float(np.mean(est_sq)) / empirical
     ratio_linear = float(np.mean(est_lin)) / empirical

@@ -289,6 +289,18 @@ def test_hsic_bad_label_file_exits_two(pool_path, tmp_path, capsys):
     assert "integers" in stderr
 
 
+def test_hsic_non_utf8_label_file_exits_one_and_names_it(pool_path, tmp_path, capsys):
+    label_file = tmp_path / "bad.lab"
+    label_file.write_bytes(b"0 1\n\xff 1\n")
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["hsic", "--embeddings", str(pool_path), "--labels-from", str(label_file)],
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {label_file}: not UTF-8 text (invalid start byte) (byte offset 4)\n"
+
+
 # ----------------------------------------------------------------- errors
 
 
@@ -527,6 +539,18 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     cfg.write_text("steps=soon\n")
     with pytest.raises(ValueError, match="bad value for 'steps'"):
         read_config_file(cfg)
+
+
+def test_eval_non_utf8_config_file_exits_one_and_names_it(pool_path, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"steps=3\n\xff\n")
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "1", "--config", str(cfg)],
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {cfg}: not UTF-8 text (invalid start byte) (byte offset 8)\n"
 
 
 def test_eval_unknown_config_key_exits_two(pool_path, tmp_path, capsys):

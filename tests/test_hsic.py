@@ -17,8 +17,6 @@ from kerndep.hsic import (
     BandwidthGrid,
     HsicEstimate,
     _radial_label_rows,
-    hsic_unbiased,
-    hsic_variance,
     power_ratio,
     select_bandwidth,
 )
@@ -29,15 +27,17 @@ from kerndep.kernels import (
     IMQ,
     KERNEL_FAMILIES,
     kernel_from_sq_dists,
-    label_kernel_matrix,
     median_sq_distance,
     sq_dist_matrix,
 )
 from oracles import (
     KernelSpec,
     gram_cotangent,
+    hsic_unbiased,
     hsic_unbiased_naive,
+    hsic_variance,
     kernel_matrix,
+    label_kernel_matrix,
     permutation_test_rejects,
 )
 
@@ -380,9 +380,7 @@ def vanishing_blocks(z, sigmas):
 
 def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monkeypatch):
     counts, count = call_counts
-    for target in ("kerndep.kernels.sq_dist_matrix", "kerndep.hsic.hsic_unbiased",
-                   "kerndep.hsic.hsic_variance", "kerndep.kernels.label_kernel_matrix"):
-        count(target)
+    count("kerndep.kernels.sq_dist_matrix")
     calls = collections.Counter()  # kernel evaluations per (first row, bandwidth)
 
     def kernel_block(d2, family, sigma, **kwargs):
@@ -405,9 +403,6 @@ def test_label_search_builds_distances_once_and_no_label_gram(call_counts, monke
         sigmas = [row.sigma for row in select_bandwidth(z, y, family=family).table]
         assert counts == {
             "kerndep.kernels.sq_dist_matrix": 0,  # the distances come a block of rows at a time
-            "kerndep.hsic.hsic_unbiased": 0,
-            "kerndep.hsic.hsic_variance": 0,
-            "kerndep.kernels.label_kernel_matrix": 0,
         }
         # the kernel is only ever evaluated a block of rows at a time, once
         # per bandwidth, bar the Gaussian blocks that round to 0 everywhere

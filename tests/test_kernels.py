@@ -24,7 +24,6 @@ from kerndep.kernels import (
     as_embeddings,
     as_labels,
     kernel_from_sq_dists,
-    label_kernel_matrix,
     median_sq_distance,
     sq_dist_matrix,
 )
@@ -33,6 +32,7 @@ from oracles import (
     KernelSpec,
     eval_kernel,
     kernel_matrix,
+    label_kernel_matrix,
     median_upper_positive,
     unit_sq_dist_matrix,
 )
