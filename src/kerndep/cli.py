@@ -3,7 +3,7 @@
 Subcommands: synth (write a synthetic embedding dataset), hsic (dependence
 table over a bandwidth grid), eval (multi-episode adaptation benchmark).
 Exit codes: 0 success, 1 I/O or file-format problems, 2 bad arguments or
-validation failures.
+validation failures. Config and label files are read by tasks._file_text.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .kernels import KERNEL_FAMILIES, as_labels
 from .tasks import (
     EmbeddingFormatError,
     SamplerConfig,
+    _file_text,
     flatten_dataset,
     load_embeddings,
     save_embeddings,
@@ -53,17 +54,6 @@ _PARSERS = {key: _parse_bool if isinstance(default, bool)
             for key, default in _DEFAULTS.items()}
 
 
-def _read_text(path) -> str:
-    """The whole of a small text file, decoded as UTF-8. A byte that is not
-    UTF-8 is a file-format error, as it is in an embeddings CSV: the error
-    names the path and the byte's offset."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})", exc.start) from None
-
-
 def read_config_file(path) -> dict[str, object]:
     """Parse a flat key=value config file with # comments.
 
@@ -72,7 +62,7 @@ def read_config_file(path) -> dict[str, object]:
     """
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
-    text = _read_text(path)
+    text = _file_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,7 +96,7 @@ def cmd_synth(args) -> int:
 
 
 def _load_labels_file(path, n_rows: int) -> np.ndarray:
-    lines = _read_text(path).split()
+    lines = _file_text(path).split()
     try:
         labels = np.array([int(v) for v in lines], dtype=np.int64)
     except ValueError as exc:

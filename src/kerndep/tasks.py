@@ -1,4 +1,8 @@
-"""Vary-way vary-shot task sampling, synthetic datasets, and embedding file I/O.
+"""Vary-way vary-shot task sampling, synthetic datasets, and input file I/O.
+
+Every input file is opened by _open_input, which names it in a file-format
+error, and every text input (a CSV pool, a config or a label file) is
+decoded by _text_lines.
 
 Datasets hold one float32 matrix per class (matching the 32-bit file
 payloads). sample_task hands the pool's float32 rows to the adaptation
@@ -11,13 +15,13 @@ random stream.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
 import numbers
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -344,42 +348,34 @@ def _write_csv(dataset: EmbeddingDataset, path: Path) -> None:
                 writer.writerow([label] + [_float32_repr(v) for v in row])
 
 
-def _first_non_utf8(fh) -> int | None:
-    """File offset of the first byte of a binary handle that is not UTF-8."""
+def _text_lines(fh):
+    """Yield the lines of a binary handle, from its first byte, as UTF-8 text
+    with their ends (LF, CRLF or a bare CR), as csv.reader wants them. A
+    newline byte never falls inside a UTF-8 character, so each binary line
+    decodes alone, and a byte that is not UTF-8 is a file-format error at
+    its file offset. A leading byte-order mark is dropped but still counted."""
     fh.seek(0)
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = 0
-    while True:
-        block = fh.read(1 << 16)
-        held = len(decoder.getstate()[0])  # a sequence cut by the last block
+    offset = fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)
+    for raw in fh:
         try:
-            decoder.decode(block, final=not block)
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            return offset - held + exc.start
-        if not block:
-            return None
-        offset += len(block)
+            raise EmbeddingFormatError(f"not UTF-8 text ({exc.reason})",
+                                       offset + exc.start) from None
+        yield from io.StringIO(text, newline="")
+        offset += len(raw)
 
 
 def _read_csv(fh) -> EmbeddingDataset:
     """Parse a whole binary handle, from its first byte, as UTF-8 CSV text."""
-    fh.seek(0)
+    reader = csv.reader(_text_lines(fh))
     try:
-        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmbeddingFormatError("empty CSV file", 0) from None
-        if len(header) < 2 or header[0] != "label":
-            raise EmbeddingFormatError(
-                f"bad CSV header {header!r}: expected label,f0,...", 0
-            )
+        header = next(reader, None)
+        if header is None:
+            raise EmbeddingFormatError("empty CSV file", 0)
         d = len(header) - 1
-        expected = ["label"] + [f"f{i}" for i in range(d)]
-        if header != expected:
-            raise EmbeddingFormatError(
-                f"bad CSV header {header!r}: expected {expected!r}", 0
-            )
+        if d < 1 or header != ["label"] + [f"f{i}" for i in range(d)]:
+            raise EmbeddingFormatError(f"bad CSV header {header!r}: expected label,f0,...", 0)
         rows_by_label: dict[int, list[np.ndarray]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -394,10 +390,6 @@ def _read_csv(fh) -> EmbeddingDataset:
             except ValueError as exc:
                 raise EmbeddingFormatError(f"line {lineno}: {exc}") from None
             rows_by_label.setdefault(label, []).append(values)
-    except UnicodeDecodeError as exc:
-        # its position counts from the wrapper's read chunk, not the file
-        raise EmbeddingFormatError(f"not a readable CSV file: not UTF-8 text "
-                                   f"({exc.reason})", _first_non_utf8(fh)) from None
     except csv.Error as exc:  # a field over the csv module's size limit, say
         raise EmbeddingFormatError(f"not a readable CSV file: {exc}") from None
     if not rows_by_label:
@@ -421,9 +413,26 @@ def save_embeddings(dataset: EmbeddingDataset, path) -> None:
         _write_emb1(dataset, path)
 
 
+@contextmanager
+def _open_input(path):
+    """Open an input file for binary reads; a format error raised in it names the path."""
+    try:
+        with open(Path(path), "rb") as fh:
+            yield fh
+    except EmbeddingFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _file_text(path) -> str:
+    """The whole of a text input file, decoded as _text_lines decodes it."""
+    with _open_input(path) as fh:
+        return "".join(_text_lines(fh))
+
+
 def load_embeddings(path) -> EmbeddingDataset:
     """Read a dataset, sniffing the binary magic before falling back to CSV."""
-    with open(Path(path), "rb") as fh:
+    with _open_input(path) as fh:
         if fh.read(len(MAGIC)) == MAGIC:
             return _read_emb1(fh)
         return _read_csv(fh)

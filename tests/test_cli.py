@@ -301,6 +301,21 @@ def test_hsic_non_utf8_label_file_exits_one_and_names_it(pool_path, tmp_path, ca
     assert stderr == f"error: {label_file}: not UTF-8 text (invalid start byte) (byte offset 4)\n"
 
 
+def test_hsic_label_file_with_a_byte_order_mark_reads_like_the_plain_one(pool_path, tmp_path,
+                                                                         capsys):
+    _, y = flatten_dataset(load_embeddings(pool_path))
+    text = "\n".join(str(v) for v in np.random.default_rng(8).permutation(y)).encode()
+    outputs = []
+    for name, data in (("plain.txt", text), ("bom.txt", b"\xef\xbb\xbf" + text)):
+        label_file = tmp_path / name
+        label_file.write_bytes(data)
+        code, stdout, _ = run_cli(capsys, ["hsic", "--embeddings", str(pool_path),
+                                           "--labels-from", str(label_file), "--format", "csv"])
+        assert code == 0
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
 # ----------------------------------------------------------------- errors
 
 
@@ -316,6 +331,22 @@ def test_corrupt_binary_exits_one(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, ["hsic", "--embeddings", str(bad)])
     assert code == 1
     assert "version" in stderr
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("v7.emb", b"EMB1\x07\x01\x00\x00\x00",
+     "unsupported format version 7, expected 1 (byte offset 4)"),
+    ("bad.csv", b"label,f0\n0,\xff\n", "not UTF-8 text (invalid start byte) (byte offset 11)"),
+], ids=["emb1-version", "csv-non-utf8"])
+@pytest.mark.parametrize("command", ["hsic", "eval"])
+def test_embeddings_format_error_names_the_file_and_exits_one(tmp_path, capsys, name, data,
+                                                               message, command):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, stdout, stderr = run_cli(capsys, [command, "--embeddings", str(bad)])
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {bad}: {message}\n"
 
 
 def test_missing_subcommand_exits_two(capsys):
@@ -551,6 +582,29 @@ def test_eval_non_utf8_config_file_exits_one_and_names_it(pool_path, tmp_path, c
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: {cfg}: not UTF-8 text (invalid start byte) (byte offset 8)\n"
+
+
+def test_config_file_with_a_byte_order_mark_sets_the_same_values(tmp_path):
+    text = b"gamma = 1.5\r\nsteps=7\r\n"
+    plain = tmp_path / "plain.cfg"
+    plain.write_bytes(text)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    assert read_config_file(bom) == read_config_file(plain) == {"gamma": 1.5, "steps": 7}
+
+
+def test_eval_support_budget_below_the_way_count_stops_at_that_episode(tmp_path, capsys):
+    # the way count is drawn before the budget caps the support rows, and
+    # episode 0 of seed 0 draws 35 of the 40 classes
+    pool = tmp_path / "pool40.emb"
+    save_embeddings(synth_dataset(40, 8, 4, 6.0, 1.0, np.random.default_rng(0)), pool)
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("max_support = 12\n")
+    code, stdout, stderr = run_cli(
+        capsys, ["eval", "--embeddings", str(pool), "--episodes", "3", "--config", str(cfg)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: episode 0 failed: support budget 12 is below the class count 35\n"
 
 
 def test_eval_unknown_config_key_exits_two(pool_path, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Vary-way vary-shot sampling, synthetic pools, and the two file formats."""
 
-import io
 import math
 import struct
 from dataclasses import FrozenInstanceError, fields, replace
@@ -18,7 +17,6 @@ from kerndep.tasks import (
     EmbeddingDataset,
     EmbeddingFormatError,
     SamplerConfig,
-    _first_non_utf8,
     compute_query_size,
     compute_shots,
     compute_support_size,
@@ -626,11 +624,42 @@ def test_csv_non_utf8_byte_reports_its_file_offset(tmp_path, good_rows):
     assert f"(byte offset {len(head) + 2})" in str(err.value)
 
 
-def test_non_utf8_offset_counts_a_character_cut_by_a_read_block():
+def test_non_utf8_offset_counts_a_character_cut_by_a_read_block(tmp_path):
     # bytes 65535-65536 are one character, split across the 64 KiB blocks
     data = b"x" * 65535 + "\u00e9".encode() + b"\xff"
-    assert _first_non_utf8(io.BytesIO(data)) == 65537
-    assert _first_non_utf8(io.BytesIO(data[:-1])) is None
+    path = tmp_path / "cut.csv"
+    path.write_bytes(data)
+    with pytest.raises(EmbeddingFormatError, match="not UTF-8") as err:
+        load_embeddings(path)
+    assert err.value.offset == 65537
+    path.write_bytes(data[:-1])
+    with pytest.raises(EmbeddingFormatError, match="bad CSV header") as err:
+        load_embeddings(path)
+    assert err.value.offset == 0
+
+
+def test_csv_non_utf8_byte_after_a_byte_order_mark_reports_its_file_offset(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfab\xffc")
+    with pytest.raises(EmbeddingFormatError, match="not UTF-8") as err:
+        load_embeddings(path)
+    assert err.value.offset == 5
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte) (byte offset 5)"
+
+
+@pytest.mark.parametrize("recode", [
+    lambda text: text.replace(b"\n", b"\r"),
+    lambda text: b"\xef\xbb\xbf" + text,  # as Excel's "CSV UTF-8" writes it
+], ids=["cr-line-ends", "byte-order-mark"])
+def test_csv_cr_line_ends_and_a_byte_order_mark_load_like_lf(tmp_path, recode):
+    ds = small_dataset(seed=6)
+    path = tmp_path / "t.csv"
+    save_embeddings(ds, path)
+    path.write_bytes(recode(path.read_bytes().replace(b"\r\n", b"\n")))
+    loaded = load_embeddings(path)
+    assert loaded.d == ds.d
+    for orig, back in zip(ds.classes, loaded.classes, strict=True):
+        assert np.array_equal(orig, back)
 
 
 def test_load_dispatch_sniffs_magic_over_suffix(tmp_path):
