@@ -150,18 +150,16 @@ def cmd_eval(args) -> int:
     sampler_cfg = SamplerConfig(**settings)
 
     dataset = load_embeddings(args.embeddings)
-    keep = args.dump_heatmaps is not None
-    if keep:  # before the episodes run, so a bad DIR fails at once
+    on_episode = None
+    if args.dump_heatmaps is not None:  # before the episodes run, so a bad DIR fails at once
         out_dir = Path(args.dump_heatmaps)
         out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, keep_results=keep)
 
-    if keep:
-        for i, result in enumerate(report.episode_results):
-            similarity_export(result, out_dir / f"episode_{i:04d}_support.pgm",
-                              "pgm", which="support")
-            similarity_export(result, out_dir / f"episode_{i:04d}_query.pgm",
-                              "pgm", which="query")
+        def on_episode(i, result):  # each episode's files as it ends
+            for which in ("support", "query"):
+                similarity_export(result, out_dir / f"episode_{i:04d}_{which}.pgm",
+                                  "pgm", which=which)
+    report = evaluate(dataset, sampler_cfg, adapt_cfg, args.episodes, on_episode=on_episode)
 
     if args.verbose:
         for ep in report.per_episode:

@@ -8,6 +8,7 @@ bit-identical and a run's first k episodes are those of any longer run.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,15 +32,21 @@ class EpisodeSummary:
 
 @dataclass
 class EvalReport:
-    """A run's aggregate and one summary per episode. episode_results holds
-    every episode's full EpisodeResult, its task included, only when the run
-    was asked to keep them (keep_results), and is None otherwise."""
+    """One summary per episode; the aggregates are computed from them."""
 
-    episodes: int
-    mean_accuracy: float
-    ci95: float
     per_episode: list[EpisodeSummary]
-    episode_results: list[EpisodeResult] | None = None
+
+    @property
+    def episodes(self) -> int:
+        return len(self.per_episode)
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean([ep.accuracy for ep in self.per_episode]))
+
+    @property
+    def ci95(self) -> float:
+        return ci95([ep.accuracy for ep in self.per_episode])
 
     @property
     def stepless_episodes(self) -> int:
@@ -68,20 +75,19 @@ def ci95(accuracies) -> float:
 
 def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
              adapt_cfg: AdaptConfig, n_episodes: int,
-             keep_results: bool = False) -> EvalReport:
+             on_episode: Callable[[int, EpisodeResult], None] | None = None) -> EvalReport:
     """Run n_episodes independent episodes in order and aggregate their accuracies.
 
     Episode i samples its task with episode_rng(sampler_cfg.seed, i). The
     first failing episode stops the run with a RuntimeError that names it
-    and wraps the cause. Each episode's summary is taken as it ends; its
-    EpisodeResult, which holds the task's arrays, is kept only with
-    keep_results, so without it the run holds nothing of a finished episode
-    but its summary.
+    and wraps the cause. As each episode ends, on_episode(i, result) sees
+    its EpisodeResult, task arrays included; an error it raises propagates
+    as it is. The run keeps nothing of a finished episode but its summary.
     """
     _check_integer("n_episodes", n_episodes)
     if n_episodes < 1:
         raise ValueError(f"need at least one episode, got {n_episodes}")
-    per_episode, results = [], []
+    per_episode = []
     for i in range(n_episodes):
         try:
             task = sample_task(dataset, sampler_cfg, episode_rng(sampler_cfg.seed, i))
@@ -91,18 +97,10 @@ def evaluate(dataset: EmbeddingDataset, sampler_cfg: SamplerConfig,
         per_episode.append(EpisodeSummary(
             seed=i, accuracy=result.query_accuracy, sigma_zy=result.sigma_zy,
             final_loss=result.loss_trace[-1] if result.loss_trace else math.nan))
-        if keep_results:
-            results.append(result)
+        if on_episode is not None:
+            on_episode(i, result)
         del task, result  # not held while the next episode runs
-
-    accuracies = [ep.accuracy for ep in per_episode]
-    return EvalReport(
-        episodes=n_episodes,
-        mean_accuracy=float(np.mean(accuracies)),
-        ci95=ci95(accuracies),
-        per_episode=per_episode,
-        episode_results=results if keep_results else None,
-    )
+    return EvalReport(per_episode)
 
 
 def similarity_export(result: EpisodeResult, path, fmt: str = "csv",

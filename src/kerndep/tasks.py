@@ -109,8 +109,9 @@ class SamplerConfig:
             _check_integer(field.name, getattr(self, field.name))
         if self.n_max < 5:
             raise ValueError(f"n_max must be at least 5, got {self.n_max}")
-        if self.max_support < 5:  # a task has 5 classes or more, each with a support row
-            raise ValueError(f"max_support must be at least 5, got {self.max_support}")
+        if self.max_support < self.n_max:  # up to n_max classes, each with a support row
+            raise ValueError(f"max_support {self.max_support} is below n_max {self.n_max}: "
+                             "lower n_max or raise max_support")
         if self.max_query_per_class < 1 or self.max_shots_per_class < 1:
             raise ValueError("sampler caps must be positive")
         if self.seed < 0:

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kerndep import adapt
 from kerndep.adapt import AdaptConfig
 from kerndep.cli import build_parser, main, read_config_file
-from kerndep.evaluation import EvalReport, episode_rng
+from kerndep.evaluation import EpisodeSummary, EvalReport, episode_rng
 from kerndep.hsic import BandwidthGrid, select_bandwidth
 from kerndep.tasks import (
     EmbeddingDataset,
@@ -524,6 +525,53 @@ def test_eval_dump_heatmaps_into_a_file_exits_one_before_any_episode(pool_path, 
     assert calls == []
 
 
+def test_eval_dump_heatmaps_keeps_the_files_of_episodes_before_a_failure(pool_path, tmp_path,
+                                                                          capsys, monkeypatch):
+    # each episode's files are written as it ends, so a run that fails at
+    # episode 2 leaves those of episodes 0 and 1
+    calls = []
+
+    def fail_at_two(task, config):
+        calls.append(task)
+        if len(calls) == 3:
+            raise ValueError("injected failure")
+        return adapt.run_episode(task, config)
+
+    monkeypatch.setattr("kerndep.evaluation.run_episode", fail_at_two)
+    heat_dir = tmp_path / "heat"
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "4",
+         "--steps", "2", "--dump-heatmaps", str(heat_dir)],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: episode 2 failed: injected failure\n"
+    assert sorted(p.name for p in heat_dir.iterdir()) == [
+        "episode_0000_query.pgm",
+        "episode_0000_support.pgm",
+        "episode_0001_query.pgm",
+        "episode_0001_support.pgm",
+    ]
+
+
+def test_eval_dump_heatmaps_write_error_exits_one_unwrapped(pool_path, tmp_path, capsys,
+                                                            monkeypatch):
+    # a failed heatmap write is an I/O error of the run, not of an episode
+    def disk_full(*args, **kwargs):
+        raise OSError("no space left for the heatmap")
+
+    monkeypatch.setattr("kerndep.cli.similarity_export", disk_full)
+    code, stdout, stderr = run_cli(
+        capsys,
+        ["eval", "--embeddings", str(pool_path), "--episodes", "2",
+         "--steps", "2", "--dump-heatmaps", str(tmp_path / "heat")],
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: no space left for the heatmap\n"  # not "error: episode 0 ..."
+
+
 # ------------------------------------------------------- config precedence
 
 
@@ -593,9 +641,12 @@ def test_config_file_with_a_byte_order_mark_sets_the_same_values(tmp_path):
     assert read_config_file(bom) == read_config_file(plain) == {"gamma": 1.5, "steps": 7}
 
 
-def test_eval_support_budget_below_the_way_count_stops_at_that_episode(tmp_path, capsys):
-    # the way count is drawn before the budget caps the support rows, and
-    # episode 0 of seed 0 draws 35 of the 40 classes
+def test_eval_support_budget_below_n_max_exits_two_before_any_episode(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the way count is drawn before the budget caps the support rows, so a
+    # budget below n_max is refused with the configs, not at a drawn task
+    drawn = []
+    monkeypatch.setattr("kerndep.evaluation.sample_task", lambda *args: drawn.append(args))
     pool = tmp_path / "pool40.emb"
     save_embeddings(synth_dataset(40, 8, 4, 6.0, 1.0, np.random.default_rng(0)), pool)
     cfg = tmp_path / "budget.cfg"
@@ -604,7 +655,9 @@ def test_eval_support_budget_below_the_way_count_stops_at_that_episode(tmp_path,
         capsys, ["eval", "--embeddings", str(pool), "--episodes", "3", "--config", str(cfg)])
     assert code == 2
     assert stdout == ""
-    assert stderr == "error: episode 0 failed: support budget 12 is below the class count 35\n"
+    assert stderr == ("error: max_support 12 is below n_max 50: "
+                      "lower n_max or raise max_support\n")
+    assert drawn == []
 
 
 def test_eval_unknown_config_key_exits_two(pool_path, tmp_path, capsys):
@@ -712,8 +765,8 @@ def captured_eval(monkeypatch):
 
     def fake_evaluate(dataset, sampler_cfg, adapt_cfg, n_episodes, **kwargs):
         calls.append((adapt_cfg, sampler_cfg))
-        return EvalReport(episodes=n_episodes, mean_accuracy=1.0, ci95=0.0,
-                          per_episode=[], episode_results=[])
+        return EvalReport([EpisodeSummary(seed=0, accuracy=1.0, sigma_zy=1.0,
+                                          final_loss=0.0)])
 
     monkeypatch.setattr("kerndep.cli.evaluate", fake_evaluate)
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -104,20 +105,20 @@ def test_evaluate_report_aggregates_its_own_rows():
     assert report.mean_accuracy == pytest.approx(float(np.mean(accs)), rel=1e-15)
     assert report.ci95 == pytest.approx(ci95(accs), rel=1e-15)
     assert [row.seed for row in report.per_episode] == [0, 1, 2, 3, 4]
-    assert report.episode_results is None
+    assert [f.name for f in fields(EvalReport)] == ["per_episode"]
 
 
-def test_evaluate_keep_results_returns_full_episodes():
+def test_evaluate_on_episode_sees_every_episode_in_order():
     pool = eval_pool()
-    report = evaluate(pool, SamplerConfig(), quick_cfg(), 3, keep_results=True)
-    assert report.episode_results is not None
-    assert len(report.episode_results) == 3
-    assert all(isinstance(r, EpisodeResult) for r in report.episode_results)
-    for row, result in zip(report.per_episode, report.episode_results):
+    seen = []
+    report = evaluate(pool, SamplerConfig(), quick_cfg(), 3,
+                      on_episode=lambda i, result: seen.append((i, result)))
+    assert [i for i, _ in seen] == [0, 1, 2]
+    assert all(isinstance(result, EpisodeResult) for _, result in seen)
+    for row, (_, result) in zip(report.per_episode, seen):
         assert row.accuracy == result.query_accuracy
         assert row.final_loss == result.loss_trace[-1]
-    lean = evaluate(pool, SamplerConfig(), quick_cfg(), 3)  # the same report, no results
-    assert lean.episode_results is None
+    lean = evaluate(pool, SamplerConfig(), quick_cfg(), 3)  # the same report, no hook
     assert lean.per_episode == report.per_episode
     assert (lean.mean_accuracy, lean.ci95) == (report.mean_accuracy, report.ci95)
 
@@ -141,6 +142,31 @@ def test_evaluate_holds_nothing_of_a_finished_episode(monkeypatch):
             tracemalloc.stop()
 
     assert peak(12) <= peak(2) + 32_000  # ten more summaries, not one more task
+
+
+def test_heatmap_run_memory_does_not_grow_with_its_episodes(monkeypatch, tmp_path):
+    # each episode's matrices are written as it ends and its result let go,
+    # so 12 more episodes cost 12 summaries, not 12 kept tasks and heads
+    def fixed_size_task(dataset, sampler_cfg, rng):
+        return synth_task(5, 20, 15, 128, 6.0, 1.0, rng)
+
+    def dump(i, result):
+        for which in ("support", "query"):
+            similarity_export(result, tmp_path / f"{i}_{which}.pgm", "pgm", which=which)
+
+    monkeypatch.setattr("kerndep.evaluation.sample_task", fixed_size_task)
+    pool, cfg = eval_pool(), quick_cfg(steps=2)
+    evaluate(pool, SamplerConfig(), cfg, 1, on_episode=dump)  # numpy's lazy imports
+
+    def peak(n_episodes):
+        tracemalloc.start()
+        try:
+            evaluate(pool, SamplerConfig(), cfg, n_episodes, on_episode=dump)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) <= peak(4) + 64_000
 
 
 def test_episode_drops_its_plan_before_prediction(monkeypatch):

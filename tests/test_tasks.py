@@ -94,20 +94,22 @@ def test_sampler_config_validation():
         SamplerConfig(seed=-1)
 
 
-def test_sampler_config_rejects_a_support_budget_below_five_classes():
-    # every task has at least 5 classes, each with at least one support row
-    for max_support in (0, 4):
-        message = f"^max_support must be at least 5, got {max_support}$"
+def test_sampler_config_rejects_a_support_budget_below_n_max():
+    # a task may draw n_max classes, each with at least one support row
+    for n_max, max_support in ((50, 0), (50, 12), (50, 49), (9, 8)):
+        message = (f"^max_support {max_support} is below n_max {n_max}: "
+                   "lower n_max or raise max_support$")
         with pytest.raises(ValueError, match=message):
-            SamplerConfig(max_support=max_support)
-    assert SamplerConfig(max_support=5).max_support == 5
+            SamplerConfig(n_max=n_max, max_support=max_support)
+    assert SamplerConfig(max_support=50).max_support == 50
+    assert SamplerConfig(n_max=9, max_support=9).max_support == 9
 
 
 def test_sampler_config_is_frozen():
     cfg = SamplerConfig()
     with pytest.raises(FrozenInstanceError):
         cfg.max_support = 4
-    with pytest.raises(ValueError, match="max_support must be at least 5"):
+    with pytest.raises(ValueError, match="max_support 4 is below n_max 50"):
         replace(cfg, max_support=4)
 
 
